@@ -22,6 +22,7 @@ import sys
 from pathlib import Path, PurePosixPath
 
 from .corpus import (
+    BugReport,
     filter_usable_reports,
     load_bug_reports,
     load_source_tree,
@@ -39,6 +40,7 @@ from .evalharness import (
 )
 from .extract import extract_spans, japanese_segments
 from .index import (
+    QueryVector,
     TokenizerOptions,
     index_documents,
     load_index,
@@ -300,11 +302,21 @@ def cmd_locate(args: argparse.Namespace) -> int:
             raise ConfigError("no usable bug reports to rank; "
                               "use --query to force specific ids")
 
-    history = HistorySet.build(reports, index) if args.technique == "buglocator" else None
+    vectors: dict[str, QueryVector] = {}
+
+    def vectorize(report: BugReport) -> QueryVector:
+        # Queries are usually history too: vectorize each text once.
+        text = report.query_text
+        if text not in vectors:
+            vectors[text] = vectorize_query(text, index)
+        return vectors[text]
+
+    history = (HistorySet.build(reports, index, vectorize)
+               if args.technique == "buglocator" else None)
     rankings = []
     for report in queries:
-        query = vectorize_query(report.query_text, index)
-        usable_history = history.before(report.reported_at) if history else []
+        query = vectorize(report)
+        usable_history = history.before(report.reported_at) if history is not None else ()
         scores = score_documents(query, index, args.technique, usable_history, alpha)
         rankings.append((report.id, make_ranking(scores, index, int(args.top_k))))
 

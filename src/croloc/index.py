@@ -171,6 +171,9 @@ class Index:
     vectors: tuple[DocumentVector, ...]
     _term_ids: dict[str, int] | None = field(default=None, repr=False, compare=False)
     _csr: tuple | None = field(default=None, repr=False, compare=False)
+    _path_rank: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # rVSM's length factor, cached here by croloc.rank
+    _length_factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_docs(self) -> int:
@@ -184,21 +187,30 @@ class Index:
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, data, norms) over doc_id order, built once."""
         if self._csr is None:
-            indptr = np.zeros(self.n_docs + 1, dtype=np.int64)
-            nnz = sum(len(v.weights) for v in self.vectors)
-            indices = np.zeros(nnz, dtype=np.int64)
-            data = np.zeros(nnz, dtype=np.float64)
-            norms = np.zeros(self.n_docs, dtype=np.float64)
-            pos = 0
-            for v in self.vectors:
-                for term_id in sorted(v.weights):
-                    indices[pos] = term_id
-                    data[pos] = v.weights[term_id]
-                    pos += 1
-                indptr[v.doc_id + 1] = pos
-                norms[v.doc_id] = v.norm
+            indptr, indices, data = stack_weights([v.weights for v in self.vectors])
+            norms = np.array([v.norm for v in self.vectors], dtype=np.float64)
             self._csr = (indptr, indices, data, norms)
         return self._csr
+
+    def path_rank(self) -> np.ndarray:
+        """Position of each document's path in lexicographic path order,
+        built once; the tie-break key of every ranking."""
+        if self._path_rank is None:
+            order = sorted(range(self.n_docs), key=self.paths.__getitem__)
+            self._path_rank = np.empty(self.n_docs, dtype=np.int64)
+            self._path_rank[order] = np.arange(self.n_docs)
+        return self._path_rank
+
+
+def stack_weights(rows: list[dict[int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR (indptr, indices, data) of sparse weight rows, with term ids in
+    ascending order within each row."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(w) for w in rows])
+    items = [item for w in rows for item in sorted(w.items())]
+    indices = np.fromiter((t for t, _ in items), dtype=np.int64, count=len(items))
+    data = np.fromiter((w for _, w in items), dtype=np.float64, count=len(items))
+    return indptr, indices, data
 
 
 def _vector_norm(weights: dict[int, float]) -> float:
@@ -348,4 +360,20 @@ def load_index(path: str) -> Index:
         raise IndexFormatError(f"{path}: malformed index payload: {exc}") from exc
     if len(index.vectors) != len(index.paths):
         raise IndexFormatError(f"{path}: vector count does not match path count")
+    if len(index.doc_freq) != len(index.vocabulary):
+        raise IndexFormatError(f"{path}: doc_freq length does not match vocabulary size")
+    for position, v in enumerate(index.vectors):
+        if v.doc_id != position:
+            raise IndexFormatError(
+                f"{path}: vector {position} has doc_id {v.doc_id}; "
+                "vectors must be stored in doc_id order")
+    # One pass over the arrays that ranking builds anyway, and caches.
+    try:
+        _, indices, data, norms = index.csr()
+    except OverflowError as exc:
+        raise IndexFormatError(f"{path}: term id out of range: {exc}") from exc
+    if indices.size and (indices.min() < 0 or indices.max() >= len(index.vocabulary)):
+        raise IndexFormatError(f"{path}: term id out of range of the vocabulary")
+    if not (np.isfinite(data).all() and np.isfinite(norms).all()):
+        raise IndexFormatError(f"{path}: non-finite weight or norm")
     return index

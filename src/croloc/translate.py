@@ -14,12 +14,14 @@ import logging
 import os
 import time
 from abc import ABC, abstractmethod
-
-import requests
+from typing import TYPE_CHECKING
 
 from .corpus import BugReport, SourceDocument
 from .errors import ProtocolError, TranslationError
 from .extract import JAPANESE_RANGES, detect_japanese, extract_spans, japanese_segments, reembed
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -148,10 +150,18 @@ class ServiceBackend(TranslatorBackend):
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.session = session if session is not None else requests.Session()
+        if session is None:
+            # Imported here: only this backend needs it, and every other
+            # command would pay its import time and memory.
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
     def translate_batch(self, texts: list[str]) -> list[str]:
+        import requests
+
         if not texts:
             return []
         payload = {"texts": list(texts), "source": "ja", "target": "en"}

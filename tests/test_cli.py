@@ -259,6 +259,36 @@ class TestLocateCommand:
         assert lines[0].split()[5] == "exp7"
 
 
+class TestGoldenRuns:
+    """Run files of the three techniques on the fixture project, pinned byte
+    for byte. They were written by ``croloc index --tree TREE --glossary
+    GLOSSARY`` and ``croloc locate --index INDEX --reports REPORTS --glossary
+    GLOSSARY --technique T``, before ranking moved to array sweeps."""
+
+    @pytest.mark.parametrize("technique", ["vsm", "rvsm", "buglocator"])
+    def test_run_file_matches_golden(self, built, tmp_path, technique):
+        out = tmp_path / f"run.{technique}.trec"
+        result = run_cli(
+            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "--glossary", GLOSSARY, "--technique", technique, "-o", out,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        golden = FIXTURES / "golden" / f"run.{technique}.trec"
+        assert out.read_bytes() == golden.read_bytes()
+
+
+class TestImports:
+    def test_cli_import_leaves_requests_unloaded(self, tmp_path):
+        # Only the service backend needs requests; every command would
+        # otherwise pay its import time and memory.
+        code = "import sys, croloc.cli; sys.exit('requests' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
+        result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+
+
 class TestQrelsCommand:
     def test_stdout_rows(self, tmp_path):
         result = run_cli(

@@ -340,6 +340,64 @@ class TestPersistence:
             load_index(target)
 
 
+def _mutate_doc_order(payload):
+    vectors = payload["vectors"]
+    vectors[0]["doc_id"], vectors[1]["doc_id"] = vectors[1]["doc_id"], vectors[0]["doc_id"]
+
+
+def _mutate_duplicate_doc_id(payload):
+    payload["vectors"][1]["doc_id"] = payload["vectors"][0]["doc_id"]
+
+
+def _mutate_term_id(new_id):
+    def mutate(payload):
+        weights = payload["vectors"][0]["weights"]
+        term = next(iter(weights))
+        weights[str(new_id(len(payload["vocabulary"])))] = weights.pop(term)
+    return mutate
+
+
+def _mutate_weight(payload):
+    weights = payload["vectors"][1]["weights"]
+    weights[next(iter(weights))] = float("nan")
+
+
+def _mutate_norm(payload):
+    payload["vectors"][2]["norm"] = float("inf")
+
+
+def _mutate_doc_freq(payload):
+    payload["doc_freq"] = payload["doc_freq"][:-1]
+
+
+class TestLoadValidation:
+    """Payloads that parse but would index wrongly are rejected on load."""
+
+    @pytest.mark.parametrize("mutate", [
+        _mutate_doc_order,
+        _mutate_duplicate_doc_id,
+        _mutate_term_id(lambda n_terms: n_terms),
+        _mutate_term_id(lambda n_terms: -1),
+        _mutate_term_id(lambda n_terms: 2 ** 70),
+        _mutate_weight,
+        _mutate_norm,
+        _mutate_doc_freq,
+    ], ids=["doc-order", "duplicate-doc-id", "term-id-past-vocab", "negative-term-id",
+            "term-id-beyond-int64", "nan-weight", "infinite-norm", "doc-freq-length"])
+    def test_rejects_mutated_payload(self, tmp_path, mutate):
+        index = index_documents(
+            ["cache miss rate", "order total", "cache order sync"],
+            ["a.java", "b.java", "c.java"],
+        )
+        target = tmp_path / "idx.json"
+        save_index(index, target)
+        payload = json.loads(target.read_text(encoding="utf-8"))
+        mutate(payload)
+        target.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(IndexFormatError):
+            load_index(target)
+
+
 @st.composite
 def _corpora(draw):
     words = st.sampled_from(

@@ -476,6 +476,91 @@ class TestRunFiles:
 
 
 @st.composite
+def _tied_scores(draw):
+    """Distinct paths with scores drawn from a few values, so most tie."""
+    paths = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=30,
+                          unique=True))
+    levels = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1,
+                           max_size=3))
+    scores = [draw(st.sampled_from(levels)) for _ in paths]
+    return paths, scores
+
+
+@st.composite
+def _timelines(draw):
+    """A corpus, history reports resolved at a few shared instants in
+    shuffled order, and a query time."""
+    n_docs = draw(st.integers(min_value=1, max_value=8))
+    words = st.sampled_from(VOCAB)
+    token_lists = [draw(st.lists(words, min_size=1, max_size=10)) for _ in range(n_docs)]
+    paths = [f"src/F{i:02d}.java" for i in range(n_docs)]
+    instants = [datetime(2024, 1, day, tzinfo=UTC) for day in (3, 5, 7)]
+    history = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(VOCAB + ["zzznotseen"]), min_size=1, max_size=6),
+            st.lists(st.sampled_from(paths + ["src/Removed.java"]), min_size=1,
+                     max_size=3),
+            st.sampled_from(instants),
+        ),
+        max_size=8,
+    ))
+    query = draw(st.lists(words, min_size=1, max_size=6))
+    cut = draw(st.sampled_from(
+        [datetime(2024, 1, day, tzinfo=UTC) for day in (1, 3, 4, 5, 7, 9)]))
+    return token_lists, paths, history, query, cut
+
+
+class TestVectorizedPathsProperties:
+    @given(case=_tied_scores(), data=st.data())
+    @settings(max_examples=150)
+    def test_make_ranking_matches_sorted(self, case, data):
+        paths, scores = case
+        n = len(paths)
+        top_k = data.draw(st.sampled_from(
+            [0, 1, data.draw(st.integers(min_value=1, max_value=n)), n]))
+        index = build_index([["t"] for _ in paths], paths)
+        order = sorted(range(n), key=lambda d: (-scores[d], paths[d]))
+        if top_k > 0:
+            order = order[:top_k]
+        want = [RankingEntry(rank=r, path=paths[d], score=scores[d], doc_id=d)
+                for r, d in enumerate(order, start=1)]
+        assert make_ranking(np.array(scores), index, top_k=top_k) == want
+
+    @given(case=_timelines())
+    @settings(max_examples=150)
+    def test_simi_over_prefix_matches_list_and_reference(self, case):
+        token_lists, paths, history, query, cut = case
+        index = build_index(token_lists, paths)
+        pos = {p: i for i, p in enumerate(paths)}
+        entries = []
+        for i, (toks, fixed, resolved_at) in enumerate(history):
+            deduped = list(dict.fromkeys(fixed))
+            entries.append(HistoryEntry(
+                report_id=f"H{i}",
+                resolved_at=resolved_at,
+                vector=vectorize_tokens(toks, index),
+                fixed_doc_ids=tuple(pos[p] for p in deduped if p in pos),
+                n_fixed=len(deduped),
+            ))
+        query_vec = vectorize_tokens(query, index)
+        prior = [e for e in entries if e.resolved_at < cut]
+        prefix = HistorySet(entries).before(cut)
+        assert prefix == sorted(prior, key=lambda e: e.resolved_at)
+        got = simi_scores(query_vec, index, prefix)
+        assert np.array_equal(got, simi_scores(query_vec, index, prior))
+        want = ref_simi(query, token_lists, paths,
+                        [(toks, fixed) for toks, fixed, t in history if t < cut])
+        assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_write_run_file_rejects_whitespace_path_in_later_block(self, tmp_path):
+        ok = [RankingEntry(rank=1, path="src/A.java", score=0.5, doc_id=0)]
+        bad = ok + [RankingEntry(rank=2, path="src/A file.java", score=0.25, doc_id=1)]
+        with pytest.raises(EvalError):
+            write_run_file(str(tmp_path / "run.trec"), [("BUG-1", ok), ("BUG-2", bad)],
+                           "tag")
+
+
+@st.composite
 def _weight_dicts(draw):
     keys = draw(st.lists(st.integers(min_value=0, max_value=20), max_size=8, unique=True))
     return {k: draw(st.floats(min_value=-100, max_value=100)) for k in keys}
