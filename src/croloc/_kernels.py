@@ -1,103 +1,13 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The cosine kernel of ranking: one dense query against every row of a CSR
+matrix, once per bug report and once per history sweep.
 
-The ranking inner loop is one dense-query-vs-CSR-matrix cosine sweep per bug
-report. Both paths sum each row's products on their own, in stored order,
-starting from ``0.0``, so they give bit-identical scores, and two identical
-rows get identical cosines wherever they sit in the matrix. Set
-``CROLOC_DISABLE_NUMBA=1`` to force the numpy path; otherwise numba is used
-when importable. numba import is deferred so the fallback never pays its
-startup cost.
+Each row's products are summed on their own, in stored order, starting from
+``0.0``, so two identical rows get identical cosines wherever they sit in the
+matrix, and true ties break on path order.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("CROLOC_DISABLE_NUMBA", "").strip().lower() not in ("", "0", "false")
-
-
-_njit_cosine = None
-_njit_failed = False
-
-
-def _get_njit_cosine():
-    """Compile the numba kernel on first use; None when numba is unavailable."""
-    global _njit_cosine, _njit_failed
-    if _njit_cosine is not None or _njit_failed:
-        return _njit_cosine
-    try:
-        from numba import njit
-    except ImportError:
-        _njit_failed = True
-        return None
-
-    @njit(cache=True)
-    def kernel(indptr, indices, data, norms, qdense, qnorm):
-        n_docs = indptr.shape[0] - 1
-        out = np.zeros(n_docs, dtype=np.float64)
-        if qnorm <= 0.0:
-            return out
-        for d in range(n_docs):
-            acc = 0.0
-            for k in range(indptr[d], indptr[d + 1]):
-                acc += data[k] * qdense[indices[k]]
-            denom = norms[d] * qnorm
-            if denom > 0.0:
-                out[d] = acc / denom
-        return out
-
-    _njit_cosine = kernel
-    return _njit_cosine
-
-
-def csr_cosine_numpy(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    norms: np.ndarray,
-    qdense: np.ndarray,
-    qnorm: float,
-) -> np.ndarray:
-    """Cosine of a dense query against every CSR row, vectorized numpy only."""
-    n_docs = indptr.shape[0] - 1
-    out = np.zeros(n_docs, dtype=np.float64)
-    if qnorm <= 0.0:
-        return out
-    products = data * qdense[indices]
-    # bincount adds each weight into its row's bin in stored order, starting
-    # from 0.0: the same per-row sum as the numba loop, and exact zeros for
-    # empty rows.
-    row_ids = np.repeat(np.arange(n_docs), np.diff(indptr))
-    dots = np.bincount(row_ids, weights=products, minlength=n_docs)
-    denom = norms * qnorm
-    mask = denom > 0.0
-    out[mask] = dots[mask] / denom[mask]
-    return out
-
-
-def csr_cosine_numba(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    norms: np.ndarray,
-    qdense: np.ndarray,
-    qnorm: float,
-) -> np.ndarray:
-    """Cosine sweep on the jitted kernel; raises if numba is unavailable."""
-    kernel = _get_njit_cosine()
-    if kernel is None:
-        raise RuntimeError("numba is not available; use csr_cosine_numpy")
-    return kernel(indptr, indices, data, norms, qdense, float(qnorm))
-
-
-def active_backend() -> str:
-    """Which kernel the dispatcher will run: "numba" or "numpy"."""
-    if _env_disabled() or _get_njit_cosine() is None:
-        return "numpy"
-    return "numba"
 
 
 def csr_cosine(
@@ -108,13 +18,23 @@ def csr_cosine(
     qdense: np.ndarray,
     qnorm: float,
 ) -> np.ndarray:
-    """Cosine of one query against all documents, on the active backend.
+    """Cosine of one query against all documents.
 
     ``indptr``/``indices``/``data`` form a CSR matrix of per-document term
     weights, ``norms`` the per-row Euclidean norms, ``qdense`` the dense
     query weight vector over the same vocabulary. Zero-norm rows or a
     zero-norm query score 0.
     """
-    if active_backend() == "numba":
-        return csr_cosine_numba(indptr, indices, data, norms, qdense, qnorm)
-    return csr_cosine_numpy(indptr, indices, data, norms, qdense, qnorm)
+    n_docs = indptr.shape[0] - 1
+    out = np.zeros(n_docs, dtype=np.float64)
+    if qnorm <= 0.0:
+        return out
+    products = data * qdense[indices]
+    # bincount adds each product into its row's bin in stored order, starting
+    # from 0.0, and leaves empty rows at exactly 0.
+    row_ids = np.repeat(np.arange(n_docs), np.diff(indptr))
+    dots = np.bincount(row_ids, weights=products, minlength=n_docs)
+    denom = norms * qnorm
+    mask = denom > 0.0
+    out[mask] = dots[mask] / denom[mask]
+    return out

@@ -22,7 +22,7 @@ from .errors import IndexFormatError
 from .porter import stem as porter_stem
 
 INDEX_FORMAT = "croloc-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 def _load_default_stopwords() -> frozenset[str]:
@@ -162,22 +162,47 @@ class QueryVector:
     norm: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Index:
+    """A tf-idf index. Document d's weights are the CSR row
+    ``data[indptr[d]:indptr[d + 1]]`` over the term ids in the same slice of
+    ``indices``, which ascend within each row; ``norms[d]`` is the row's
+    Euclidean norm and ``term_counts[d]`` the document's token count."""
+
     options: TokenizerOptions
     paths: tuple[str, ...]
     vocabulary: tuple[str, ...]
     doc_freq: tuple[int, ...]
-    vectors: tuple[DocumentVector, ...]
-    _term_ids: dict[str, int] | None = field(default=None, repr=False, compare=False)
-    _csr: tuple | None = field(default=None, repr=False, compare=False)
-    _path_rank: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # rVSM's length factor, cached here by croloc.rank
-    _length_factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    norms: np.ndarray
+    term_counts: np.ndarray
+    _term_ids: dict[str, int] | None = field(default=None, repr=False)
+    _path_rank: np.ndarray | None = field(default=None, repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Index):
+            return NotImplemented
+        return (
+            (self.options, self.paths, self.vocabulary, self.doc_freq)
+            == (other.options, other.paths, other.vocabulary, other.doc_freq)
+            and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS)
+        )
 
     @property
     def n_docs(self) -> int:
         return len(self.paths)
+
+    @property
+    def vectors(self) -> tuple[DocumentVector, ...]:
+        """Per-document vectors, rebuilt from the arrays on every access."""
+        indptr, indices, data = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
+        return tuple(
+            DocumentVector(d, count, dict(zip(indices[lo:hi], data[lo:hi])), norm)
+            for d, (lo, hi, count, norm) in enumerate(
+                zip(indptr, indptr[1:], self.term_counts.tolist(), self.norms.tolist()))
+        )
 
     def term_id(self, term: str) -> int | None:
         if self._term_ids is None:
@@ -185,12 +210,8 @@ class Index:
         return self._term_ids.get(term)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, data, norms) over doc_id order, built once."""
-        if self._csr is None:
-            indptr, indices, data = stack_weights([v.weights for v in self.vectors])
-            norms = np.array([v.norm for v in self.vectors], dtype=np.float64)
-            self._csr = (indptr, indices, data, norms)
-        return self._csr
+        """(indptr, indices, data, norms) over doc_id order."""
+        return self.indptr, self.indices, self.data, self.norms
 
     def path_rank(self) -> np.ndarray:
         """Position of each document's path in lexicographic path order,
@@ -207,9 +228,9 @@ def stack_weights(rows: list[dict[int, float]]) -> tuple[np.ndarray, np.ndarray,
     ascending order within each row."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum([len(w) for w in rows])
-    items = [item for w in rows for item in sorted(w.items())]
-    indices = np.fromiter((t for t, _ in items), dtype=np.int64, count=len(items))
-    data = np.fromiter((w for _, w in items), dtype=np.float64, count=len(items))
+    nnz = int(indptr[-1])
+    indices = np.fromiter((t for w in rows for t in sorted(w)), dtype=np.int64, count=nnz)
+    data = np.fromiter((w[t] for w in rows for t in sorted(w)), dtype=np.float64, count=nnz)
     return indptr, indices, data
 
 
@@ -239,8 +260,8 @@ def build_index(
     term_ids = {t: i for i, t in enumerate(vocabulary)}
     doc_freq = tuple(df[t] for t in vocabulary)
 
-    vectors: list[DocumentVector] = []
-    for doc_id, tokens in enumerate(token_lists):
+    rows: list[dict[int, float]] = []
+    for tokens in token_lists:
         counts: dict[str, int] = {}
         for term in tokens:
             counts[term] = counts.get(term, 0) + 1
@@ -250,11 +271,13 @@ def build_index(
             w = tf(c_td, c_d) * idf(df[term], n_docs)
             if w != 0.0:
                 weights[term_ids[term]] = w
-        vectors.append(DocumentVector(doc_id, c_d, weights, _vector_norm(weights)))
+        rows.append(weights)
 
-    idx = Index(opts, tuple(paths), vocabulary, doc_freq, tuple(vectors))
-    idx._term_ids = term_ids
-    return idx
+    indptr, indices, data = stack_weights(rows)
+    norms = np.array([_vector_norm(w) for w in rows], dtype=np.float64)
+    term_counts = np.array([len(t) for t in token_lists], dtype=np.int64)
+    return Index(opts, tuple(paths), vocabulary, doc_freq,
+                 indptr, indices, data, norms, term_counts, _term_ids=term_ids)
 
 
 def index_documents(raw_texts: list[str], paths: list[str],
@@ -295,6 +318,16 @@ def query_dense(query: QueryVector, index: Index) -> np.ndarray:
     return dense
 
 
+# The index's arrays as saved, with their dtypes.
+_ARRAYS = {
+    "indptr": np.int64,
+    "indices": np.int64,
+    "data": np.float64,
+    "norms": np.float64,
+    "term_counts": np.int64,
+}
+
+
 def save_index(index: Index, path: str) -> None:
     payload = {
         "format": INDEX_FORMAT,
@@ -307,19 +340,29 @@ def save_index(index: Index, path: str) -> None:
         "paths": list(index.paths),
         "vocabulary": list(index.vocabulary),
         "doc_freq": list(index.doc_freq),
-        "vectors": [
-            {
-                "doc_id": v.doc_id,
-                "term_count": v.term_count,
-                "norm": v.norm,
-                "weights": {str(t): w for t, w in sorted(v.weights.items())},
-            }
-            for v in index.vectors
-        ],
+        **{name: getattr(index, name).tolist() for name in _ARRAYS},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False)
         fh.write("\n")
+
+
+def _typed_list(payload: dict, key: str, kinds: tuple[type, ...]) -> list:
+    """payload[key], which must be a list whose elements are all of
+    ``kinds``: numpy would coerce True, "3" or None without a word."""
+    values = payload[key]
+    if not isinstance(values, list) or not set(map(type, values)) <= set(kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{key} must be a list of {names}")
+    return values
+
+
+def _array(payload: dict, key: str, dtype) -> np.ndarray:
+    kinds = (int,) if dtype is np.int64 else (int, float)
+    try:
+        return np.array(_typed_list(payload, key, kinds), dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"{key} out of range: {exc}") from exc
 
 
 def load_index(path: str) -> Index:
@@ -340,40 +383,42 @@ def load_index(path: str) -> Index:
             min_token_length=int(payload["options"]["min_token_length"]),
             stopwords=frozenset(payload["options"]["stopwords"]),
         )
-        vectors = tuple(
-            DocumentVector(
-                doc_id=int(v["doc_id"]),
-                term_count=int(v["term_count"]),
-                weights={int(t): float(w) for t, w in v["weights"].items()},
-                norm=float(v["norm"]),
-            )
-            for v in payload["vectors"]
-        )
         index = Index(
-            options=opts,
-            paths=tuple(payload["paths"]),
-            vocabulary=tuple(payload["vocabulary"]),
-            doc_freq=tuple(int(d) for d in payload["doc_freq"]),
-            vectors=vectors,
+            opts,
+            tuple(_typed_list(payload, "paths", (str,))),
+            tuple(_typed_list(payload, "vocabulary", (str,))),
+            tuple(_array(payload, "doc_freq", np.int64).tolist()),
+            *(_array(payload, key, dtype) for key, dtype in _ARRAYS.items()),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise IndexFormatError(f"{path}: malformed index payload: {exc}") from exc
-    if len(index.vectors) != len(index.paths):
-        raise IndexFormatError(f"{path}: vector count does not match path count")
-    if len(index.doc_freq) != len(index.vocabulary):
-        raise IndexFormatError(f"{path}: doc_freq length does not match vocabulary size")
-    for position, v in enumerate(index.vectors):
-        if v.doc_id != position:
-            raise IndexFormatError(
-                f"{path}: vector {position} has doc_id {v.doc_id}; "
-                "vectors must be stored in doc_id order")
-    # One pass over the arrays that ranking builds anyway, and caches.
-    try:
-        _, indices, data, norms = index.csr()
-    except OverflowError as exc:
-        raise IndexFormatError(f"{path}: term id out of range: {exc}") from exc
-    if indices.size and (indices.min() < 0 or indices.max() >= len(index.vocabulary)):
-        raise IndexFormatError(f"{path}: term id out of range of the vocabulary")
-    if not (np.isfinite(data).all() and np.isfinite(norms).all()):
-        raise IndexFormatError(f"{path}: non-finite weight or norm")
+    problem = _array_problem(index)
+    if problem:
+        raise IndexFormatError(f"{path}: {problem}")
     return index
+
+
+def _array_problem(index: Index) -> str | None:
+    """What makes the index's arrays unfit to rank with, or None."""
+    n_docs, n_terms = index.n_docs, len(index.vocabulary)
+    indptr, indices, data = index.indptr, index.indices, index.data
+    if len(index.doc_freq) != n_terms:
+        return "doc_freq length does not match vocabulary size"
+    if n_terms and not 1 <= min(index.doc_freq) <= max(index.doc_freq) <= n_docs:
+        return "document frequency outside 1..number of documents"
+    if not (len(indptr) == n_docs + 1 and len(index.norms) == len(index.term_counts) == n_docs):
+        return "indptr, norms or term_counts length does not match the path count"
+    if len(data) != len(indices):
+        return "data and indices differ in length"
+    if indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
+        return "indptr must rise from 0 to the number of stored weights"
+    if indices.size and (indices.min() < 0 or indices.max() >= n_terms):
+        return "term id out of range of the vocabulary"
+    rows = np.repeat(np.arange(n_docs), np.diff(indptr))
+    if ((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])).any():
+        return "term ids must ascend strictly within each row"
+    if not (np.isfinite(data).all() and np.isfinite(index.norms).all()):
+        return "non-finite weight or norm"
+    if (index.term_counts < 0).any():
+        return "negative term count"
+    return None

@@ -197,14 +197,6 @@ class HistorySet(Sequence):
         return NotImplemented
 
 
-def _length_factor(index: Index) -> np.ndarray:
-    """rVSM's 1/(1 + e^-N(len_d)) per document, computed once per index."""
-    if index._length_factor is None:
-        lengths = np.array([v.term_count for v in index.vectors], dtype=np.float64)
-        index._length_factor = _sigmoid(minmax(lengths))
-    return index._length_factor
-
-
 def vsm_scores(query: QueryVector, index: Index) -> np.ndarray:
     indptr, indices, data, norms = index.csr()
     qdense = query_dense(query, index)
@@ -212,7 +204,7 @@ def vsm_scores(query: QueryVector, index: Index) -> np.ndarray:
 
 
 def rvsm_scores(query: QueryVector, index: Index) -> np.ndarray:
-    return _length_factor(index) * vsm_scores(query, index)
+    return _sigmoid(minmax(index.term_counts)) * vsm_scores(query, index)
 
 
 def simi_scores(

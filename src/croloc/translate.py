@@ -73,14 +73,7 @@ def load_glossary(path: str) -> dict[str, str]:
 
 def glossary_translate(text: str, glossary: dict[str, str]) -> str:
     """Greedy longest-match replacement, scanning left to right."""
-    if not glossary:
-        return text
-    by_first: dict[str, list[str]] = {}
-    for key in glossary:
-        by_first.setdefault(key[0], []).append(key)
-    for keys in by_first.values():
-        keys.sort(key=len, reverse=True)
-    return _glossary_scan(text, glossary, by_first)
+    return GlossaryBackend(glossary).translate_batch([text])[0]
 
 
 def _glossary_scan(text: str, glossary: dict[str, str],
@@ -227,13 +220,19 @@ class TranslationCache:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
+        whole = 0  # bytes up to the end of the last terminated line
+        torn = 0  # number of an unterminated last line
+        with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    torn = lineno
+                    break
+                whole += len(line)
                 if not line.strip():
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:
                     raise TranslationError(
                         f"{self.path}:{lineno}: corrupt cache line: {exc}"
                     ) from exc
@@ -251,6 +250,12 @@ class TranslationCache:
                         f"{self.path}:{lineno}: cache digest does not match source text"
                     )
                 self._entries[(backend, digest)] = translation
+        if torn:
+            # A run killed mid-append leaves its last line unterminated. Cut
+            # it off, so that the next append starts on a line of its own.
+            log.warning("%s:%d: dropping an unterminated last line left by an "
+                        "interrupted write", self.path, torn)
+            os.truncate(self.path, whole)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -26,7 +26,6 @@ CROLOC_ROOT = str(pathlib.Path(croloc.__file__).resolve().parents[1])
 
 def run_cli(*args, cwd):
     env = os.environ.copy()
-    env["CROLOC_DISABLE_NUMBA"] = "1"  # no jit warmup in subprocesses
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (CROLOC_ROOT, env.get("PYTHONPATH")) if p
     )

@@ -1,8 +1,11 @@
 """Tokenizer, weighting, and index persistence tests."""
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from croloc.index import (
     vectorize_query,
     vectorize_tokens,
 )
+from croloc.rank import make_ranking, vsm_scores
 
 
 class TestTokenize:
@@ -295,7 +299,9 @@ class TestPersistence:
         save_index(index, target)
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["format"] == "croloc-index"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
+        assert payload["indptr"] == index.indptr.tolist()
+        assert payload["data"] == index.data.tolist()
 
     def test_load_rejects_bad_json(self, tmp_path):
         target = tmp_path / "idx.json"
@@ -305,7 +311,7 @@ class TestPersistence:
 
     def test_load_rejects_wrong_format(self, tmp_path):
         target = tmp_path / "idx.json"
-        target.write_text(json.dumps({"format": "other", "version": 1}), encoding="utf-8")
+        target.write_text(json.dumps({"format": "other", "version": 2}), encoding="utf-8")
         with pytest.raises(IndexFormatError):
             load_index(target)
 
@@ -314,10 +320,11 @@ class TestPersistence:
         target = tmp_path / "idx.json"
         save_index(index, target)
         payload = json.loads(target.read_text(encoding="utf-8"))
-        payload["version"] = 99
-        target.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(IndexFormatError):
-            load_index(target)
+        for version in (1, 99):  # 1 is the retired per-document format
+            payload["version"] = version
+            target.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(IndexFormatError, match="unsupported index version"):
+                load_index(target)
 
     def test_load_rejects_malformed_payload(self, tmp_path):
         index = self._index()
@@ -330,44 +337,57 @@ class TestPersistence:
             load_index(target)
 
     def test_load_rejects_vector_count_mismatch(self, tmp_path):
+        """A matrix one row short of the paths, consistent otherwise."""
         index = self._index()
         target = tmp_path / "idx.json"
         save_index(index, target)
         payload = json.loads(target.read_text(encoding="utf-8"))
-        payload["vectors"] = payload["vectors"][:-1]
+        nnz = payload["indptr"][-2]
+        payload["indptr"] = payload["indptr"][:-1]
+        payload["indices"] = payload["indices"][:nnz]
+        payload["data"] = payload["data"][:nnz]
+        payload["norms"] = payload["norms"][:-1]
+        payload["term_counts"] = payload["term_counts"][:-1]
         target.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(IndexFormatError):
+        with pytest.raises(IndexFormatError, match="path count"):
             load_index(target)
 
 
 def _mutate_doc_order(payload):
-    vectors = payload["vectors"]
-    vectors[0]["doc_id"], vectors[1]["doc_id"] = vectors[1]["doc_id"], vectors[0]["doc_id"]
+    """Rows out of order: indptr decreases."""
+    indptr = payload["indptr"]
+    indptr[1], indptr[2] = indptr[2], indptr[1]
 
 
 def _mutate_duplicate_doc_id(payload):
-    payload["vectors"][1]["doc_id"] = payload["vectors"][0]["doc_id"]
+    """The first document's row is stored again, one row more than paths."""
+    lo, hi = payload["indptr"][0], payload["indptr"][1]
+    payload["indices"] += payload["indices"][lo:hi]
+    payload["data"] += payload["data"][lo:hi]
+    payload["indptr"].append(payload["indptr"][-1] + hi - lo)
+    payload["norms"].append(payload["norms"][0])
+    payload["term_counts"].append(payload["term_counts"][0])
 
 
-def _mutate_term_id(new_id):
+def _set(key, position, value):
     def mutate(payload):
-        weights = payload["vectors"][0]["weights"]
-        term = next(iter(weights))
-        weights[str(new_id(len(payload["vocabulary"])))] = weights.pop(term)
+        payload[key][position] = value
     return mutate
 
 
-def _mutate_weight(payload):
-    weights = payload["vectors"][1]["weights"]
-    weights[next(iter(weights))] = float("nan")
+def _truncate(key):
+    def mutate(payload):
+        payload[key] = payload[key][:-1]
+    return mutate
 
 
-def _mutate_norm(payload):
-    payload["vectors"][2]["norm"] = float("inf")
+def _swap_first_term_ids(payload):
+    indices = payload["indices"]
+    indices[0], indices[1] = indices[1], indices[0]
 
 
-def _mutate_doc_freq(payload):
-    payload["doc_freq"] = payload["doc_freq"][:-1]
+def _repeat_first_term_id(payload):
+    payload["indices"][1] = payload["indices"][0]
 
 
 class TestLoadValidation:
@@ -376,14 +396,38 @@ class TestLoadValidation:
     @pytest.mark.parametrize("mutate", [
         _mutate_doc_order,
         _mutate_duplicate_doc_id,
-        _mutate_term_id(lambda n_terms: n_terms),
-        _mutate_term_id(lambda n_terms: -1),
-        _mutate_term_id(lambda n_terms: 2 ** 70),
-        _mutate_weight,
-        _mutate_norm,
-        _mutate_doc_freq,
+        _set("indices", 0, 6),
+        _set("indices", 0, -1),
+        _set("indices", 0, 2 ** 70),
+        _set("data", 3, float("nan")),
+        _set("norms", 2, float("inf")),
+        _truncate("doc_freq"),
+        _truncate("norms"),
+        _truncate("term_counts"),
+        _truncate("data"),
+        _set("indptr", 0, 1),
+        _set("indptr", -1, 7),
+        _swap_first_term_ids,
+        _repeat_first_term_id,
+        _set("term_counts", 1, -1),
+        _set("doc_freq", 0, 0),
+        _set("doc_freq", 0, 4),
+        _set("indices", 0, True),
+        _set("indptr", 1, 3.0),
+        _set("term_counts", 0, "3"),
+        _set("data", 0, "0.5"),
+        _set("data", 0, True),
+        _set("norms", 0, None),
+        _set("doc_freq", 0, 1.0),
+        _set("paths", 0, 7),
+        _set("vocabulary", 0, None),
     ], ids=["doc-order", "duplicate-doc-id", "term-id-past-vocab", "negative-term-id",
-            "term-id-beyond-int64", "nan-weight", "infinite-norm", "doc-freq-length"])
+            "term-id-beyond-int64", "nan-weight", "infinite-norm", "doc-freq-length",
+            "norms-length", "term-counts-length", "data-length", "indptr-start",
+            "indptr-end", "term-ids-descending", "term-id-repeated", "negative-term-count",
+            "doc-freq-zero", "doc-freq-above-doc-count", "bool-term-id", "float-indptr",
+            "string-term-count", "string-weight", "bool-weight", "null-norm",
+            "float-doc-freq", "non-string-path", "non-string-term"])
     def test_rejects_mutated_payload(self, tmp_path, mutate):
         index = index_documents(
             ["cache miss rate", "order total", "cache order sync"],
@@ -392,10 +436,77 @@ class TestLoadValidation:
         target = tmp_path / "idx.json"
         save_index(index, target)
         payload = json.loads(target.read_text(encoding="utf-8"))
+        assert payload["indptr"] == [0, 3, 5, 8] and len(payload["vocabulary"]) == 6
         mutate(payload)
         target.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(IndexFormatError):
             load_index(target)
+
+
+@functools.cache
+def _saved_index_text() -> str:
+    """A small saved index, with an empty document."""
+    index = index_documents(["cache miss rate", "order total", "cache order sync", ""],
+                            ["a.java", "b.java", "c.java", "d.java"])
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "idx.json")
+        save_index(index, target)
+        with open(target, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def _json_values():
+    """Mostly numbers of the kinds the arrays hold, sometimes anything."""
+    return st.one_of(
+        st.integers(-2, 12), st.floats(),
+        st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+                  st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)),
+    )
+
+
+_ARRAY_KEYS = ["indptr", "indices", "data", "norms", "term_counts", "doc_freq"]
+
+
+@st.composite
+def _mutated_payloads(draw):
+    """A saved index payload with one to three random edits."""
+    payload = json.loads(_saved_index_text())
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.one_of(st.sampled_from(_ARRAY_KEYS), st.sampled_from(sorted(payload))))
+        value = payload.get(key)
+        action = draw(st.sampled_from(["set", "set", "delete", "insert", "replace",
+                                       "delete-key"]))
+        if action == "replace" or value is None:
+            payload[key] = draw(_json_values())
+        elif action == "delete-key":
+            del payload[key]
+        elif isinstance(value, dict) and value:
+            value[draw(st.sampled_from(sorted(value)))] = draw(_json_values())
+        elif isinstance(value, list) and value:
+            i = draw(st.integers(0, len(value) - 1))
+            if action == "set":
+                value[i] = draw(_json_values())
+            elif action == "delete":
+                del value[i]
+            else:
+                value.insert(i, draw(_json_values()))
+    return payload
+
+
+class TestLoadFuzz:
+    @given(payload=_mutated_payloads())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_payload_is_rejected_or_ranks(self, payload, tmp_path_factory):
+        target = tmp_path_factory.mktemp("fuzz") / "idx.json"
+        target.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            index = load_index(target)
+        except IndexFormatError:
+            return
+        query = vectorize_tokens(["cache", "order", "sync", *index.vocabulary[:2]], index)
+        ranking = make_ranking(vsm_scores(query, index), index, top_k=0)
+        assert sorted(e.doc_id for e in ranking) == list(range(index.n_docs))
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Cosine kernel tests: numpy fallback, numba parity, backend selection."""
+"""Cosine kernel tests against a brute-force sum and a per-row loop."""
 from __future__ import annotations
 
 import math
@@ -7,21 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from croloc import _kernels
-from croloc._kernels import (
-    active_backend,
-    csr_cosine,
-    csr_cosine_numba,
-    csr_cosine_numpy,
-)
-
-
-def _numba_available():
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+from croloc._kernels import csr_cosine
 
 
 def _csr_from_rows(rows):
@@ -106,27 +92,27 @@ class TestNumpyKernel:
     def test_matches_brute_force(self, seed):
         rows, args = _random_csr(seed)
         indptr, indices, data, norms, qdense, qnorm = args
-        got = csr_cosine_numpy(*args)
+        got = csr_cosine(*args)
         want = _brute_force(rows, qdense, qnorm, norms)
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bit_identical_to_per_row_loop(self, seed):
         _, args = _random_csr(seed)
-        assert csr_cosine_numpy(*args).tolist() == _per_row_loop(*args)
+        assert csr_cosine(*args).tolist() == _per_row_loop(*args)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_duplicated_rows_get_identical_cosines(self, seed):
         args, dup_rows = _with_duplicated_rows(seed)
-        got = csr_cosine_numpy(*args).tolist()
+        got = csr_cosine(*args).tolist()
         assert got == _per_row_loop(*args)
         assert len({got[d] for d in dup_rows}) == 1
 
     def test_zero_query_norm(self):
         _, args = _random_csr(99)
         indptr, indices, data, norms, qdense, qnorm = args
-        out = csr_cosine_numpy(indptr, indices, data, norms,
-                               np.zeros_like(qdense), 0.0)
+        out = csr_cosine(indptr, indices, data, norms,
+                         np.zeros_like(qdense), 0.0)
         assert not out.any()
 
     def test_empty_rows_score_zero(self):
@@ -135,13 +121,13 @@ class TestNumpyKernel:
         data = np.array([2.0], dtype=np.float64)
         norms = np.array([0.0, 2.0], dtype=np.float64)
         qdense = np.array([1.0], dtype=np.float64)
-        out = csr_cosine_numpy(indptr, indices, data, norms, qdense, 1.0)
+        out = csr_cosine(indptr, indices, data, norms, qdense, 1.0)
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.0)
 
     def test_zero_document_matrix(self):
         indptr = np.zeros(1, dtype=np.int64)
-        out = csr_cosine_numpy(
+        out = csr_cosine(
             indptr,
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.float64),
@@ -154,59 +140,6 @@ class TestNumpyKernel:
     def test_values_bounded(self):
         for seed in range(5):
             _, args = _random_csr(seed + 200)
-            out = csr_cosine_numpy(*args)
+            out = csr_cosine(*args)
             assert np.all(out <= 1.0 + 1e-9)
             assert np.all(out >= -1e-9)  # all weights here are nonnegative
-
-
-@pytest.mark.skipif(not _numba_available(), reason="numba not installed")
-class TestNumbaKernel:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_numpy(self, seed):
-        _, args = _random_csr(seed + 400)
-        got = csr_cosine_numba(*args)
-        want = csr_cosine_numpy(*args)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-
-    def test_zero_query_norm(self):
-        _, args = _random_csr(77)
-        indptr, indices, data, norms, qdense, qnorm = args
-        out = csr_cosine_numba(indptr, indices, data, norms, qdense, 0.0)
-        assert not out.any()
-
-
-class TestBackendSelection:
-    def test_env_disable_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("CROLOC_DISABLE_NUMBA", "1")
-        assert active_backend() == "numpy"
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "FALSE", " 0 "])
-    def test_enabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("CROLOC_DISABLE_NUMBA", value)
-        expected = "numba" if _numba_available() else "numpy"
-        assert active_backend() == expected
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("CROLOC_DISABLE_NUMBA", value)
-        assert active_backend() == "numpy"
-
-    def test_unset_env_prefers_numba(self, monkeypatch):
-        monkeypatch.delenv("CROLOC_DISABLE_NUMBA", raising=False)
-        expected = "numba" if _numba_available() else "numpy"
-        assert active_backend() == expected
-
-    def test_dispatcher_obeys_disable(self, monkeypatch):
-        monkeypatch.setenv("CROLOC_DISABLE_NUMBA", "1")
-        _, args = _random_csr(500)
-        got = csr_cosine(*args)
-        want = csr_cosine_numpy(*args)
-        np.testing.assert_array_equal(got, want)
-
-    def test_numba_unavailable_raises_cleanly(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_njit_cosine", None)
-        monkeypatch.setattr(_kernels, "_njit_failed", True)
-        with pytest.raises(RuntimeError, match="numba"):
-            csr_cosine_numba(*_random_csr(1)[1])
-        # and the dispatcher falls back instead of raising
-        assert active_backend() == "numpy"

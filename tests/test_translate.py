@@ -113,6 +113,10 @@ class TestGlossaryTranslate:
         with pytest.raises(TranslationError):
             GlossaryBackend({"": "nothing"})
 
+    def test_rejects_empty_source(self):
+        with pytest.raises(TranslationError):
+            glossary_translate("x", {"": "y"})
+
 
 class TestTranslationCache:
     def test_put_then_get(self, tmp_path):
@@ -146,6 +150,29 @@ class TestTranslationCache:
         path.write_text("{bad\n", encoding="utf-8")
         with pytest.raises(TranslationError, match=":1:"):
             TranslationCache(str(path))
+
+    def test_undecodable_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"backend": "\xff"}\n')
+        with pytest.raises(TranslationError, match=":1: corrupt cache line"):
+            TranslationCache(str(path))
+
+    def test_torn_last_line_dropped(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        TranslationCache(str(path)).put_many("glossary", [("在庫", "inventory")])
+        whole = path.read_bytes()
+        torn = json.dumps({"backend": "glossary", "source": "同期"},
+                          ensure_ascii=False).encode("utf-8")[:-5]
+        path.write_bytes(whole + torn)  # a write cut short by a killed run
+        with caplog.at_level("WARNING", logger="croloc.translate"):
+            cache = TranslationCache(str(path))
+        assert "unterminated" in caplog.text
+        assert len(cache) == 1
+        assert path.read_bytes() == whole
+        cache.put_many("glossary", [("同期", "sync")])
+        reloaded = TranslationCache(str(path))
+        assert reloaded.get("glossary", "在庫") == "inventory"
+        assert reloaded.get("glossary", "同期") == "sync"
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "c.jsonl"
