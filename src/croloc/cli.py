@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path, PurePosixPath
 
 from .corpus import (
@@ -156,9 +157,10 @@ def _make_backend(args: argparse.Namespace) -> TranslatorBackend:
     raise ConfigError(f"unknown translator {kind!r}; expected one of {TRANSLATORS}")
 
 
-def _make_cache(args: argparse.Namespace) -> TranslationCache | None:
+def _make_cache(args: argparse.Namespace) -> AbstractContextManager[TranslationCache | None]:
+    """The --cache file, to use in a ``with`` block; it yields None without one."""
     path = getattr(args, "cache", None)
-    return TranslationCache(path) if path else None
+    return TranslationCache(path) if path else nullcontext()
 
 
 def _tokenizer_options(args: argparse.Namespace) -> TokenizerOptions:
@@ -216,32 +218,31 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if getattr(args, "tree", None) is None and getattr(args, "reports", None) is None:
         raise ConfigError("translate needs --tree and/or --reports")
     backend = _make_backend(args)
-    cache = _make_cache(args)
     out_dir = Path(args.out_dir)
+    with _make_cache(args) as cache:
+        if getattr(args, "tree", None) is not None:
+            corpus = load_source_tree(args.tree, _include_patterns(args),
+                                      permissive=bool(args.permissive))
+            dest_root = out_dir / "translated"
+            total_segments = 0
+            for doc in corpus.documents:
+                translated, n_segments = translate_document(doc, backend, cache)
+                total_segments += n_segments
+                dest = dest_root / PurePosixPath(doc.path)
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                dest.write_text(translated.raw_text, encoding="utf-8")
+            log.info("translated %d segments across %d files into %s",
+                     total_segments, len(corpus), dest_root)
 
-    if getattr(args, "tree", None) is not None:
-        corpus = load_source_tree(args.tree, _include_patterns(args),
-                                  permissive=bool(args.permissive))
-        dest_root = out_dir / "translated"
-        total_segments = 0
-        for doc in corpus.documents:
-            translated, n_segments = translate_document(doc, backend, cache)
-            total_segments += n_segments
-            dest = dest_root / PurePosixPath(doc.path)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            dest.write_text(translated.raw_text, encoding="utf-8")
-        log.info("translated %d segments across %d files into %s",
-                 total_segments, len(corpus), dest_root)
-
-    if getattr(args, "reports", None) is not None:
-        reports = load_bug_reports(args.reports)
-        out_path = out_dir / "reports.translated.jsonl"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for report in reports:
-                translated = translate_report(report, backend, cache)
-                fh.write(json.dumps(report_to_obj(translated), ensure_ascii=False) + "\n")
-        log.info("translated %d reports into %s", len(reports), out_path)
+        if getattr(args, "reports", None) is not None:
+            reports = load_bug_reports(args.reports)
+            out_path = out_dir / "reports.translated.jsonl"
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with open(out_path, "w", encoding="utf-8") as fh:
+                for report in reports:
+                    translated = translate_report(report, backend, cache)
+                    fh.write(json.dumps(report_to_obj(translated), ensure_ascii=False) + "\n")
+            log.info("translated %d reports into %s", len(reports), out_path)
     return 0
 
 
@@ -254,10 +255,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     if not args.no_translate:
         backend = _make_backend(args)
         if not isinstance(backend, IdentityBackend):
-            cache = _make_cache(args)
-            documents = tuple(
-                translate_document(doc, backend, cache)[0] for doc in documents
-            )
+            with _make_cache(args) as cache:
+                documents = tuple(
+                    translate_document(doc, backend, cache)[0] for doc in documents
+                )
     options = _tokenizer_options(args)
     index = index_documents([d.raw_text for d in documents],
                             [d.path for d in documents], options)
@@ -284,8 +285,8 @@ def cmd_locate(args: argparse.Namespace) -> int:
     if not args.no_translate:
         backend = _make_backend(args)
         if not isinstance(backend, IdentityBackend):
-            cache = _make_cache(args)
-            reports = [translate_report(r, backend, cache) for r in reports]
+            with _make_cache(args) as cache:
+                reports = [translate_report(r, backend, cache) for r in reports]
 
     if args.query:
         by_id = {r.id: r for r in reports}

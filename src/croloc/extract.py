@@ -4,11 +4,16 @@ and byte-exact re-embedding of replacement text.
 Spans are byte ranges into the UTF-8 encoding of a document, chosen so that
 ``span.text == raw_bytes[span.byte_start:span.byte_end].decode()`` always
 holds; delimiters are never part of a span. All scanners are hand written:
-only three token classes matter and byte offsets must be exact.
+only three token classes matter and byte offsets must be exact. The scan
+jumps from one possible opener to the next with one compiled bytes pattern
+per language, and comments end at a ``bytes.find``.
 """
 from __future__ import annotations
 
+import functools
 import logging
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,19 +60,25 @@ JAPANESE_RANGES: tuple[tuple[int, int], ...] = (
 )
 
 
+@functools.lru_cache(maxsize=16)
+def _run_pattern(ranges: tuple[tuple[int, int], ...]) -> tuple[re.Pattern[str], bool]:
+    """The pattern of one Japanese run over ``ranges``, and whether any range
+    holds an ASCII code point. Built on first use, so that no command pays
+    the compile at import. ``\\s`` matches exactly where str.isspace() holds."""
+    bounds = [(max(lo, 0), min(hi, sys.maxunicode)) for lo, hi in ranges]
+    bounds = [(lo, hi) for lo, hi in bounds if lo <= hi]
+    members = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in bounds)
+    japanese = f"[{members}]" if members else "(?!)"  # no range: never matches
+    pattern = re.compile(f"{japanese}(?:\\s*{japanese})*")
+    return pattern, any(lo < 0x80 for lo, _ in bounds)
+
+
 def detect_japanese(text: str, ranges: tuple[tuple[int, int], ...] = JAPANESE_RANGES) -> bool:
     """True iff any character's codepoint falls in one of the Japanese ranges."""
-    for ch in text:
-        cp = ord(ch)
-        for lo, hi in ranges:
-            if lo <= cp <= hi:
-                return True
-    return False
-
-
-def _in_ranges(ch: str, ranges: tuple[tuple[int, int], ...]) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in ranges)
+    pattern, ascii_ranges = _run_pattern(ranges)
+    if text.isascii() and not ascii_ranges:
+        return False
+    return pattern.search(text) is not None
 
 
 def japanese_segments(
@@ -78,38 +89,35 @@ def japanese_segments(
     A run covers Japanese characters plus any whitespace strictly between two
     of them; surrounding ASCII words and trailing/leading whitespace stay out.
     """
+    pattern, ascii_ranges = _run_pattern(ranges)
+    if span_text.isascii() and not ascii_ranges:
+        return []
     segments: list[Segment] = []
-    data = span_text.encode("utf-8")
-    start = end = None
-    offset = 0
-    for ch in span_text:
-        blen = len(ch.encode("utf-8"))
-        if _in_ranges(ch, ranges):
-            if start is None:
-                start = offset
-            end = offset + blen
-        elif not ch.isspace():
-            if start is not None:
-                segments.append(Segment(start, end, data[start:end].decode("utf-8")))
-                start = end = None
-        offset += blen
-    if start is not None:
-        segments.append(Segment(start, end, data[start:end].decode("utf-8")))
+    char_pos = byte_pos = 0
+    for match in pattern.finditer(span_text):
+        start, text = match.start(), match.group()
+        byte_pos += len(span_text[char_pos:start].encode("utf-8"))
+        byte_end = byte_pos + len(text.encode("utf-8"))
+        segments.append(Segment(byte_pos, byte_end, text))
+        char_pos, byte_pos = match.end(), byte_end
     return segments
 
 
-_SLASH = 0x2F
-_STAR = 0x2A
 _DQUOTE = 0x22
 _SQUOTE = 0x27
 _BACKSLASH = 0x5C
-_NL = 0x0A
 _CR = 0x0D
-_AT = 0x40
-_DOLLAR = 0x24
 _LBRACE = 0x7B
 _RBRACE = 0x7D
 _SPACE = 0x20
+
+# Everything that can open a span or a char literal, per language. The
+# alternatives are tried in this order at each byte.
+_OPENERS = {
+    Language.JAVA: re.compile(rb"//|/\*|\"|'"),
+    Language.CSHARP: re.compile(rb"//|/\*|\"|@\"|\$\"|@\$\"|\$@\"|'"),
+    Language.GENERIC: re.compile(rb"//|/\*|\""),
+}
 
 # Longest char literal we accept before deciding a quote was stray code,
 # e.g. 'A' is 8 bytes including delimiters.
@@ -135,37 +143,31 @@ class _Scanner:
                     self.path, what, at)
 
     def scan(self) -> list[Span]:
-        data, n = self.data, self.n
-        allow_char = self.language in (Language.JAVA, Language.CSHARP)
-        csharp = self.language is Language.CSHARP
+        openers = _OPENERS[self.language]
         i = 0
-        while i < n:
-            c = data[i]
-            if c == _SLASH and i + 1 < n and data[i + 1] == _SLASH:
-                i = self._line_comment(i + 2)
-            elif c == _SLASH and i + 1 < n and data[i + 1] == _STAR:
-                i = self._block_comment(i + 2)
-            elif c == _DQUOTE:
-                i = self._string(i + 1)
-            elif csharp and c == _AT and i + 1 < n and data[i + 1] == _DQUOTE:
-                i = self._verbatim(i + 2, interpolated=False)
-            elif csharp and c == _DOLLAR and i + 1 < n and data[i + 1] == _DQUOTE:
-                i = self._interpolated(i + 2, verbatim=False)
-            elif csharp and c == _AT and i + 2 < n and data[i + 1] == _DOLLAR and data[i + 2] == _DQUOTE:
-                i = self._interpolated(i + 3, verbatim=True)
-            elif csharp and c == _DOLLAR and i + 2 < n and data[i + 1] == _AT and data[i + 2] == _DQUOTE:
-                i = self._interpolated(i + 3, verbatim=True)
-            elif allow_char and c == _SQUOTE:
-                i = self._char_literal(i)
-            else:
-                i += 1
+        while (match := openers.search(self.data, i)) is not None:
+            opener, i = match.group(), match.end()
+            if opener == b"//":
+                i = self._line_comment(i)
+            elif opener == b"/*":
+                i = self._block_comment(i)
+            elif opener == b'"':
+                i = self._string(i)
+            elif opener == b'@"':
+                i = self._verbatim(i, interpolated=False)
+            elif opener == b'$"':
+                i = self._interpolated(i, verbatim=False)
+            elif opener == b"'":
+                i = self._char_literal(match.start())
+            else:  # @$" or $@"
+                i = self._interpolated(i, verbatim=True)
         return self.spans
 
     def _line_comment(self, start: int) -> int:
-        data, n = self.data, self.n
-        j = start
-        while j < n and data[j] != _NL:
-            j += 1
+        data = self.data
+        j = data.find(b"\n", start)
+        if j < 0:
+            j = self.n
         end = j
         if end > start and data[end - 1] == _CR:
             end -= 1
@@ -175,16 +177,13 @@ class _Scanner:
         return j
 
     def _block_comment(self, start: int) -> int:
-        data, n = self.data, self.n
-        j = start
-        while j + 1 < n:
-            if data[j] == _STAR and data[j + 1] == _SLASH:
-                self._emit(SpanKind.BLOCK_COMMENT, start, j)
-                return j + 2
-            j += 1
+        j = self.data.find(b"*/", start)
+        if j >= 0:
+            self._emit(SpanKind.BLOCK_COMMENT, start, j)
+            return j + 2
         self._warn_unterminated("block comment", start - 2)
-        self._emit(SpanKind.BLOCK_COMMENT, start, n)
-        return n
+        self._emit(SpanKind.BLOCK_COMMENT, start, self.n)
+        return self.n
 
     def _string(self, start: int) -> int:
         data, n = self.data, self.n

@@ -11,8 +11,10 @@ and documents are compared by cosine over these weights. All logs natural.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -47,52 +49,43 @@ class TokenizerOptions:
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
 
 
-def _split_scripts(word: str) -> list[str]:
-    """Split a word wherever ASCII meets non-ASCII, so that glossary output
-    glued directly against Japanese text still separates into clean tokens."""
-    pieces: list[str] = []
-    start = 0
-    for i in range(1, len(word)):
-        if (ord(word[i - 1]) < 128) != (ord(word[i]) < 128):
-            pieces.append(word[start:i])
-            start = i
-    pieces.append(word[start:])
-    return pieces
+# Words are maximal alphanumeric runs: [^\W_] is exactly str.isalnum().
+_WORD = re.compile(r"[^\W_]+")
+# Pieces of a word where ASCII meets non-ASCII, so that glossary output glued
+# directly against Japanese text still separates into clean tokens.
+_SCRIPT_PIECE = re.compile(r"[\x00-\x7f]+|[^\x00-\x7f]+")
+# Fragments of an ASCII piece at camelCase and letter/digit boundaries; an
+# acronym run keeps its tail capital with the following word
+# (HTTPServer -> HTTP, Server).
+_ASCII_FRAGMENT = re.compile(r"[0-9]+|[A-Z]?[a-z]+|[A-Z]+(?![a-z])")
 
 
-def _split_ascii_word(word: str) -> list[str]:
-    """camelCase and letter/digit boundaries; acronym runs keep their tail
-    capital with the following word (HTTPServer -> HTTP, Server)."""
-    parts: list[str] = []
-    start = 0
-    for i in range(1, len(word)):
-        prev, cur = word[i - 1], word[i]
-        boundary = False
-        if prev.isdigit() != cur.isdigit():
-            boundary = True
-        elif prev.islower() and cur.isupper():
-            boundary = True
-        elif prev.isupper() and cur.isupper() and i + 1 < len(word) and word[i + 1].islower():
-            boundary = True
-        if boundary:
-            parts.append(word[start:i])
-            start = i
-    parts.append(word[start:])
-    return parts
-
-
-def _alnum_runs(text: str) -> list[str]:
-    runs: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            runs.append("".join(current))
-            current = []
-    if current:
-        runs.append("".join(current))
-    return runs
+@functools.lru_cache(maxsize=1 << 16)
+def _word_tokens(word: str, stopwords: frozenset[str], min_token_length: int,
+                 stemming: bool) -> tuple[str, ...]:
+    """Tokens of one alphanumeric word; they depend on nothing else. The
+    options come as fields, whose hashes are cheaper than the dataclass's."""
+    raw: list[str] = []
+    for piece in _SCRIPT_PIECE.findall(word):
+        if piece.isascii():
+            fragments = _ASCII_FRAGMENT.findall(piece)
+            subs = [f for f in fragments if not f.isdigit()]
+            if len(subs) >= 2 and len(subs) == len(fragments):
+                raw.append(piece)
+            raw.extend(subs)
+        else:
+            raw.append(piece)
+    out: list[str] = []
+    for token in raw:
+        token = token.lower()
+        if token in stopwords:
+            continue
+        if len(token) < min_token_length:
+            continue
+        if stemming:
+            token = porter_stem(token)
+        out.append(token)
+    return tuple(out)
 
 
 def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
@@ -106,29 +99,9 @@ def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
     itself whole, before its fragments. Stemming, when enabled, runs last.
     """
     opts = options if options is not None else TokenizerOptions()
-    raw: list[str] = []
-    for word in _alnum_runs(text):
-        for piece in _split_scripts(word):
-            if not piece:
-                continue
-            if ord(piece[0]) < 128:
-                subs = [p for p in _split_ascii_word(piece) if not p.isdigit()]
-                if len(subs) >= 2 and not any(ch.isdigit() for ch in piece):
-                    raw.append(piece)
-                raw.extend(subs)
-            else:
-                raw.append(piece)
-    out: list[str] = []
-    for token in raw:
-        token = token.lower()
-        if token in opts.stopwords:
-            continue
-        if len(token) < opts.min_token_length:
-            continue
-        if opts.stemming:
-            token = porter_stem(token)
-        out.append(token)
-    return out
+    stopwords, min_length, stemming = opts.stopwords, opts.min_token_length, opts.stemming
+    return [token for word in _WORD.findall(text)
+            for token in _word_tokens(word, stopwords, min_length, stemming)]
 
 
 def tf(count: int, doc_length: int) -> float:
@@ -283,7 +256,11 @@ def build_index(
 def index_documents(raw_texts: list[str], paths: list[str],
                     options: TokenizerOptions | None = None) -> Index:
     opts = options if options is not None else TokenizerOptions()
-    return build_index([tokenize(t, opts) for t in raw_texts], paths, opts)
+    token_lists = [tokenize(t, opts) for t in raw_texts]
+    # The word memo has paid off once the corpus is tokenized; building and
+    # saving the index reuse its memory instead of adding to it.
+    _word_tokens.cache_clear()
+    return build_index(token_lists, paths, opts)
 
 
 def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
@@ -329,6 +306,9 @@ _ARRAYS = {
 
 
 def save_index(index: Index, path: str) -> None:
+    """Write the index as one JSON object and a newline, the bytes of
+    ``json.dump(payload, fh, ensure_ascii=False)``, serializing one value at
+    a time so that at most one array exists as Python objects at once."""
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -337,14 +317,19 @@ def save_index(index: Index, path: str) -> None:
             "min_token_length": index.options.min_token_length,
             "stopwords": sorted(index.options.stopwords),
         },
-        "paths": list(index.paths),
-        "vocabulary": list(index.vocabulary),
-        "doc_freq": list(index.doc_freq),
-        **{name: getattr(index, name).tolist() for name in _ARRAYS},
+        "paths": index.paths,
+        "vocabulary": index.vocabulary,
+        "doc_freq": index.doc_freq,
+        **{name: getattr(index, name) for name in _ARRAYS},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False)
-        fh.write("\n")
+        separator = "{"
+        for key, value in payload.items():
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            fh.write(f"{separator}{json.dumps(key)}: {json.dumps(value, ensure_ascii=False)}")
+            separator = ", "
+        fh.write("}\n")
 
 
 def _typed_list(payload: dict, key: str, kinds: tuple[type, ...]) -> list:
@@ -419,6 +404,10 @@ def _array_problem(index: Index) -> str | None:
         return "term ids must ascend strictly within each row"
     if not (np.isfinite(data).all() and np.isfinite(index.norms).all()):
         return "non-finite weight or norm"
+    with np.errstate(over="ignore"):  # an overflowing square differs from any finite norm
+        norms = np.sqrt(np.bincount(rows, weights=data * data, minlength=n_docs))
+    if not np.allclose(index.norms, norms, rtol=1e-9, atol=0.0):
+        return "a norm differs from the Euclidean norm of its row"
     if (index.term_counts < 0).any():
         return "negative term count"
     return None

@@ -14,7 +14,7 @@ import logging
 import os
 import time
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .corpus import BugReport, SourceDocument
 from .errors import ProtocolError, TranslationError
@@ -211,13 +211,29 @@ def _sha256(text: str) -> str:
 
 
 class TranslationCache:
-    """Append-only JSONL store keyed by backend name and source-text digest."""
+    """Append-only JSONL store keyed by backend name and source-text digest.
+
+    The append handle opens on the first new entry and stays open until
+    ``close()``, or the end of a ``with`` block; each ``put_many`` flushes it.
+    """
 
     def __init__(self, path: str):
         self.path = path
         self._entries: dict[tuple[str, str], str] = {}
+        self._fh: TextIO | None = None
         if os.path.exists(path):
             self._load()
+
+    def __enter__(self) -> TranslationCache:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def _load(self) -> None:
         whole = 0  # bytes up to the end of the last terminated line
@@ -277,9 +293,12 @@ class TranslationCache:
                 ensure_ascii=False,
             ))
         if new_lines:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                for line in new_lines:
-                    fh.write(line + "\n")
+            if self._fh is None:
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.writelines(line + "\n" for line in new_lines)
+            # A killed process keeps what the OS accepted, so every put_many
+            # hands its lines over before returning.
+            self._fh.flush()
 
 
 def translate_texts(

@@ -1,9 +1,20 @@
-"""Independent brute-force reference for scoring and evaluation.
+"""Independent references that tests compare package output against.
 
-Deliberately shares no code with the package: plain dicts and math, one
-obvious loop per formula. Tests compare package output against these.
+Scoring and evaluation: brute force that deliberately shares no code with
+the package, plain dicts and math, one obvious loop per formula.
+
+Tokenizer, Japanese detection and segmentation, and the lexer's scan loop:
+the earlier per-character implementations, kept verbatim as oracles for the
+regex and ``bytes.find`` versions that replaced them. They reuse only the
+package's data types, the Porter stemmer and the scanner's string-literal
+helpers, none of which changed.
 """
 import math
+
+from croloc.corpus import Language
+from croloc.extract import JAPANESE_RANGES, Segment, SpanKind, _Scanner
+from croloc.index import TokenizerOptions
+from croloc.porter import stem as porter_stem
 
 
 def ref_doc_vectors(token_lists):
@@ -120,3 +131,191 @@ def ref_reciprocal_rank(ranked, relevant):
 
 def ref_success_at(ranked, relevant, n):
     return 1 if any(p in relevant for p in ranked[:n]) else 0
+
+
+# --- Tokenizer oracle ------------------------------------------------------
+
+
+def _split_scripts(word: str) -> list[str]:
+    """Split a word wherever ASCII meets non-ASCII, so that glossary output
+    glued directly against Japanese text still separates into clean tokens."""
+    pieces: list[str] = []
+    start = 0
+    for i in range(1, len(word)):
+        if (ord(word[i - 1]) < 128) != (ord(word[i]) < 128):
+            pieces.append(word[start:i])
+            start = i
+    pieces.append(word[start:])
+    return pieces
+
+
+def _split_ascii_word(word: str) -> list[str]:
+    """camelCase and letter/digit boundaries; acronym runs keep their tail
+    capital with the following word (HTTPServer -> HTTP, Server)."""
+    parts: list[str] = []
+    start = 0
+    for i in range(1, len(word)):
+        prev, cur = word[i - 1], word[i]
+        boundary = False
+        if prev.isdigit() != cur.isdigit():
+            boundary = True
+        elif prev.islower() and cur.isupper():
+            boundary = True
+        elif prev.isupper() and cur.isupper() and i + 1 < len(word) and word[i + 1].islower():
+            boundary = True
+        if boundary:
+            parts.append(word[start:i])
+            start = i
+    parts.append(word[start:])
+    return parts
+
+
+def _alnum_runs(text: str) -> list[str]:
+    runs: list[str] = []
+    current: list[str] = []
+    for ch in text:
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            runs.append("".join(current))
+            current = []
+    if current:
+        runs.append("".join(current))
+    return runs
+
+
+def ref_tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
+    opts = options if options is not None else TokenizerOptions()
+    raw: list[str] = []
+    for word in _alnum_runs(text):
+        for piece in _split_scripts(word):
+            if not piece:
+                continue
+            if ord(piece[0]) < 128:
+                subs = [p for p in _split_ascii_word(piece) if not p.isdigit()]
+                if len(subs) >= 2 and not any(ch.isdigit() for ch in piece):
+                    raw.append(piece)
+                raw.extend(subs)
+            else:
+                raw.append(piece)
+    out: list[str] = []
+    for token in raw:
+        token = token.lower()
+        if token in opts.stopwords:
+            continue
+        if len(token) < opts.min_token_length:
+            continue
+        if opts.stemming:
+            token = porter_stem(token)
+        out.append(token)
+    return out
+
+
+# --- Japanese detection and segmentation oracle ----------------------------
+
+
+def ref_detect_japanese(text: str, ranges: tuple[tuple[int, int], ...] = JAPANESE_RANGES) -> bool:
+    """True iff any character's codepoint falls in one of the Japanese ranges."""
+    for ch in text:
+        cp = ord(ch)
+        for lo, hi in ranges:
+            if lo <= cp <= hi:
+                return True
+    return False
+
+
+def _in_ranges(ch: str, ranges: tuple[tuple[int, int], ...]) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in ranges)
+
+
+def ref_japanese_segments(
+    span_text: str, ranges: tuple[tuple[int, int], ...] = JAPANESE_RANGES
+) -> list[Segment]:
+    segments: list[Segment] = []
+    data = span_text.encode("utf-8")
+    start = end = None
+    offset = 0
+    for ch in span_text:
+        blen = len(ch.encode("utf-8"))
+        if _in_ranges(ch, ranges):
+            if start is None:
+                start = offset
+            end = offset + blen
+        elif not ch.isspace():
+            if start is not None:
+                segments.append(Segment(start, end, data[start:end].decode("utf-8")))
+                start = end = None
+        offset += blen
+    if start is not None:
+        segments.append(Segment(start, end, data[start:end].decode("utf-8")))
+    return segments
+
+
+# --- Lexer scan oracle -------------------------------------------------------
+
+_SLASH = 0x2F
+_STAR = 0x2A
+_DQUOTE = 0x22
+_SQUOTE = 0x27
+_NL = 0x0A
+_CR = 0x0D
+_AT = 0x40
+_DOLLAR = 0x24
+_SPACE = 0x20
+
+
+class RefScanner(_Scanner):
+    """The package scanner with its per-byte scan loop and comment scanners."""
+
+    def scan(self):
+        data, n = self.data, self.n
+        allow_char = self.language in (Language.JAVA, Language.CSHARP)
+        csharp = self.language is Language.CSHARP
+        i = 0
+        while i < n:
+            c = data[i]
+            if c == _SLASH and i + 1 < n and data[i + 1] == _SLASH:
+                i = self._line_comment(i + 2)
+            elif c == _SLASH and i + 1 < n and data[i + 1] == _STAR:
+                i = self._block_comment(i + 2)
+            elif c == _DQUOTE:
+                i = self._string(i + 1)
+            elif csharp and c == _AT and i + 1 < n and data[i + 1] == _DQUOTE:
+                i = self._verbatim(i + 2, interpolated=False)
+            elif csharp and c == _DOLLAR and i + 1 < n and data[i + 1] == _DQUOTE:
+                i = self._interpolated(i + 2, verbatim=False)
+            elif csharp and c == _AT and i + 2 < n and data[i + 1] == _DOLLAR and data[i + 2] == _DQUOTE:
+                i = self._interpolated(i + 3, verbatim=True)
+            elif csharp and c == _DOLLAR and i + 2 < n and data[i + 1] == _AT and data[i + 2] == _DQUOTE:
+                i = self._interpolated(i + 3, verbatim=True)
+            elif allow_char and c == _SQUOTE:
+                i = self._char_literal(i)
+            else:
+                i += 1
+        return self.spans
+
+    def _line_comment(self, start: int) -> int:
+        data, n = self.data, self.n
+        j = start
+        while j < n and data[j] != _NL:
+            j += 1
+        end = j
+        if end > start and data[end - 1] == _CR:
+            end -= 1
+        if end > start and data[start] == _SPACE:
+            start += 1  # one leading space is delimiter padding, not text
+        self._emit(SpanKind.LINE_COMMENT, start, end)
+        return j
+
+    def _block_comment(self, start: int) -> int:
+        data, n = self.data, self.n
+        j = start
+        while j + 1 < n:
+            if data[j] == _STAR and data[j + 1] == _SLASH:
+                self._emit(SpanKind.BLOCK_COMMENT, start, j)
+                return j + 2
+            j += 1
+        self._warn_unterminated("block comment", start - 2)
+        self._emit(SpanKind.BLOCK_COMMENT, start, n)
+        return n

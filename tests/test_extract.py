@@ -1,3 +1,7 @@
+import logging
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +13,14 @@ from croloc.extract import (
     Segment,
     Span,
     SpanKind,
+    _Scanner,
     detect_japanese,
     extract_spans,
     japanese_segments,
     reembed,
 )
 from lexer_expected import EXPECTED
+from reference import RefScanner, ref_detect_japanese, ref_japanese_segments
 
 
 def _doc(text, language=Language.JAVA, path="T.java"):
@@ -198,10 +204,25 @@ _source_text = st.text(
     max_size=300,
 )
 
+# Pieces that open, close or sit inside comments, strings, char literals and
+# interpolation holes, plus Japanese and whitespace that joins or splits runs.
+_LEXER_PIECES = st.sampled_from([
+    "//", "/*", "*/", "/", "*", '"', "'", '@"', '$"', '@$"', '$@"', '""', "{", "}",
+    "{{", "}}", "\\", "\\\"", "\n", "\r\n", "\r", " ", "\t", "\u3000", "x", "int a;",
+    "TODO ", "修正", "する", "、", "ｶﾅ", "在庫 同期", "é", "😀",
+])
+# Every string that encodes to valid UTF-8, the input a SourceDocument holds:
+# either arbitrary text or a soup of lexer-relevant pieces.
+_lexer_text = st.one_of(
+    _source_text,
+    st.lists(st.one_of(_LEXER_PIECES, st.characters(blacklist_categories=("Cs",))),
+             max_size=60).map("".join),
+)
+
 
 class TestScannerProperties:
-    @settings(max_examples=150)
-    @given(text=_source_text, language=st.sampled_from(list(Language)))
+    @settings(max_examples=300)
+    @given(text=_lexer_text, language=st.sampled_from(list(Language)))
     def test_spans_always_well_formed(self, text, language):
         doc = _doc(text, language, "p.x")
         raw = doc.raw_bytes
@@ -212,13 +233,17 @@ class TestScannerProperties:
             assert raw[span.byte_start:span.byte_end].decode("utf-8") == span.text
             previous_end = span.byte_end
 
-    @settings(max_examples=150)
-    @given(text=_source_text, language=st.sampled_from(list(Language)))
+    @settings(max_examples=300)
+    @given(text=_lexer_text, language=st.sampled_from(list(Language)))
     def test_identity_reembed_reproduces_input(self, text, language):
         doc = _doc(text, language, "p.x")
+        raw = doc.raw_bytes
         replacements = []
         for span in extract_spans(doc):
             for seg in japanese_segments(span.text):
+                assert 0 <= seg.byte_start < seg.byte_end <= span.byte_end - span.byte_start
+                start = span.byte_start + seg.byte_start
+                assert raw[start:span.byte_start + seg.byte_end].decode("utf-8") == seg.text
                 replacements.append((span, seg, seg.text))
         assert reembed(doc, replacements).raw_bytes == doc.raw_bytes
 
@@ -230,3 +255,106 @@ class TestScannerProperties:
             assert 0 <= seg.byte_start < seg.byte_end <= len(data)
             assert data[seg.byte_start:seg.byte_end].decode("utf-8") == seg.text
             assert detect_japanese(seg.text)
+
+
+# --- Oracles: the earlier per-character implementations (tests/reference.py)
+
+_SEGMENT_PIECES = st.sampled_from([
+    "fix", "TODO:", "a", "A", "1", " ", "  ", "\t", "\n", "\u3000", "\u2028", "\x1c",
+    "\x85", "\xa0", "修正", "する", "、", "。", "カタカナ", "ﾊﾝｶｸ", "㐀", "é", "😀", "𠀋",
+])
+_segment_text = st.lists(
+    st.one_of(_SEGMENT_PIECES, st.characters(blacklist_categories=("Cs",))), max_size=40,
+).map("".join)
+_code_point = st.one_of(
+    st.integers(0, 0x7F), st.integers(0x2000, 0x3100), st.integers(0x3400, 0xFFFF),
+    st.integers(-5, sys.maxunicode + 5),
+)
+# Default ranges, or up to four custom ones, some empty (lo > hi), some
+# holding ASCII or whitespace, a few reaching outside the code-point space.
+_ranges = st.one_of(
+    st.just(JAPANESE_RANGES),
+    st.lists(st.tuples(_code_point, _code_point), max_size=4).map(tuple),
+)
+
+
+class TestSegmentOracle:
+    @settings(max_examples=400)
+    @given(text=_segment_text, ranges=_ranges)
+    def test_same_segments_as_reference(self, text, ranges):
+        assert japanese_segments(text, ranges) == ref_japanese_segments(text, ranges)
+
+    @settings(max_examples=400)
+    @given(text=_segment_text, ranges=_ranges)
+    def test_same_detection_as_reference(self, text, ranges):
+        assert detect_japanese(text, ranges) == ref_detect_japanese(text, ranges)
+
+    def test_whitespace_class_is_isspace_at_every_code_point(self):
+        # Runs bridge whitespace with \s; a Python whose re disagrees with
+        # str.isspace() anywhere would segment differently.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _scan(scanner_cls, data: bytes, language: Language):
+    """Spans and logged diagnostics, or the exception a scan raised."""
+    handler = _Messages()
+    logger = logging.getLogger("croloc.extract")
+    logger.addHandler(handler)
+    try:
+        return scanner_cls(data, language, "p.x").scan(), handler.messages
+    except UnicodeDecodeError as exc:
+        return repr(exc), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+_FIXTURE_NAMES = sorted(EXPECTED)
+_EDIT_BYTES = st.sampled_from([
+    b"/", b"*", b"//", b"/*", b"*/", b'"', b"'", b"@", b"$", b'@"', b'$"', b'@$"', b'$@"',
+    b"{", b"}", b"\\", b"\n", b"\r", b" ", "修".encode(), b"\xe4", b"\xff", b"x",
+])
+
+
+@st.composite
+def _mutated_fixture(draw, lexer_corpus_dir):
+    """A lexer-corpus file with one to eight byte-level edits."""
+    data = bytearray((lexer_corpus_dir / draw(st.sampled_from(_FIXTURE_NAMES))).read_bytes())
+    for _ in range(draw(st.integers(1, 8))):
+        at = draw(st.integers(0, len(data)))
+        action = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if action == "insert":
+            data[at:at] = draw(_EDIT_BYTES)
+        elif action == "delete":
+            del data[at:at + draw(st.integers(1, 4))]
+        else:
+            data[at:at + 1] = draw(_EDIT_BYTES)
+    return bytes(data)
+
+
+class TestScannerOracle:
+    @settings(max_examples=300)
+    @given(data=st.binary(max_size=200), language=st.sampled_from(list(Language)))
+    def test_same_spans_on_arbitrary_bytes(self, data, language):
+        assert _scan(_Scanner, data, language) == _scan(RefScanner, data, language)
+
+    @settings(max_examples=300)
+    @given(text=_lexer_text, language=st.sampled_from(list(Language)))
+    def test_same_spans_on_lexer_soup(self, text, language):
+        data = text.encode("utf-8")
+        assert _scan(_Scanner, data, language) == _scan(RefScanner, data, language)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), language=st.sampled_from(list(Language)))
+    def test_same_spans_on_mutated_fixtures(self, lexer_corpus_dir, data, language):
+        raw = data.draw(_mutated_fixture(lexer_corpus_dir))
+        assert _scan(_Scanner, raw, language) == _scan(RefScanner, raw, language)

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import os
+import re
+import sys
 import tempfile
 
 import pytest
@@ -28,6 +31,7 @@ from croloc.index import (
     vectorize_tokens,
 )
 from croloc.rank import make_ranking, vsm_scores
+from reference import ref_tokenize
 
 
 class TestTokenize:
@@ -111,6 +115,53 @@ class TestTokenize:
     @settings(max_examples=100)
     def test_tokenize_is_deterministic(self, text):
         assert tokenize(text) == tokenize(text)
+
+
+# Pieces that exercise each tokenizer rule: camelCase and acronym runs,
+# digits, underscores, Japanese, non-ASCII letters and digits, non-BMP code
+# points and Unicode whitespace.
+_TOKENIZER_PIECES = st.sampled_from([
+    "get", "Get", "user", "Name", "HTTP", "Server", "URLs", "XMLHttp", "aB", "ABc",
+    "x", "A", "io", "id", "the", "of", "file", "parsing", "Errors", "_", "__", "0",
+    "42", "v2", "sha256sum", "修正", "する", "在庫同期", "カタカナ", "ﾊﾝｶｸ", "é", "ß",
+    "İ", "ǅ", "Ω", "𝐀", "𠀋", "😀", "½", "²", "٣", " ", "\u3000", "\u2028",
+    "\x1c", "\x85", "\t", "\n", ".", "-", "'",
+])
+_tokenizer_text = st.lists(
+    st.one_of(_TOKENIZER_PIECES, st.characters(blacklist_categories=("Cs",))),
+    max_size=40,
+).map("".join)
+_tokenizer_options = st.builds(
+    TokenizerOptions,
+    stemming=st.booleans(),
+    min_token_length=st.integers(1, 4),
+    stopwords=st.one_of(
+        st.just(default_stopwords()),
+        st.frozensets(st.sampled_from(
+            ["get", "user", "name", "http", "server", "the", "file", "修正", "pars", "é"]
+        )),
+    ),
+)
+
+
+class TestTokenizeOracle:
+    """The regex tokenizer against the per-character one it replaced."""
+
+    @given(text=_tokenizer_text, opts=_tokenizer_options)
+    @settings(max_examples=400)
+    def test_same_tokens_as_reference(self, text, opts):
+        assert tokenize(text, opts) == ref_tokenize(text, opts)
+
+    @given(text=st.text(max_size=80))
+    @settings(max_examples=200)
+    def test_same_tokens_on_any_text(self, text):
+        assert tokenize(text) == ref_tokenize(text)
+
+    def test_word_class_is_isalnum_at_every_code_point(self):
+        # Words are runs of [^\W_]; a Python whose re disagrees with
+        # str.isalnum() anywhere would tokenize differently.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
 
 
 class TestWeighting:
@@ -284,6 +335,33 @@ class TestPersistence:
         assert loaded.options.stemming is True
         assert loaded.options.stopwords == index.options.stopwords
 
+    def test_bytes_equal_one_json_dump_of_the_payload(self, tmp_path):
+        index = index_documents(
+            ["cache miss rate", "order total", "キャッシュ miss \"quoted\"", ""],
+            ["a.java", "dir/在庫.java", "c.java", "d.java"],
+            TokenizerOptions(stemming=True),
+        )
+        target = tmp_path / "idx.json"
+        save_index(index, target)
+        payload = {
+            "format": "croloc-index",
+            "version": 2,
+            "options": {
+                "stemming": True,
+                "min_token_length": index.options.min_token_length,
+                "stopwords": sorted(index.options.stopwords),
+            },
+            "paths": list(index.paths),
+            "vocabulary": list(index.vocabulary),
+            "doc_freq": list(index.doc_freq),
+            **{name: getattr(index, name).tolist()
+               for name in ("indptr", "indices", "data", "norms", "term_counts")},
+        }
+        expected = io.StringIO()
+        json.dump(payload, expected, ensure_ascii=False)
+        expected.write("\n")
+        assert target.read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_round_trip_preserves_scores(self, tmp_path):
         index = self._index()
         target = tmp_path / "idx.json"
@@ -381,6 +459,12 @@ def _truncate(key):
     return mutate
 
 
+def _scale(key, position, factor):
+    def mutate(payload):
+        payload[key][position] *= factor
+    return mutate
+
+
 def _swap_first_term_ids(payload):
     indices = payload["indices"]
     indices[0], indices[1] = indices[1], indices[0]
@@ -401,6 +485,8 @@ class TestLoadValidation:
         _set("indices", 0, 2 ** 70),
         _set("data", 3, float("nan")),
         _set("norms", 2, float("inf")),
+        _scale("norms", 1, 1 + 1e-6),
+        _scale("data", 4, 1 + 1e-6),
         _truncate("doc_freq"),
         _truncate("norms"),
         _truncate("term_counts"),
@@ -422,7 +508,8 @@ class TestLoadValidation:
         _set("paths", 0, 7),
         _set("vocabulary", 0, None),
     ], ids=["doc-order", "duplicate-doc-id", "term-id-past-vocab", "negative-term-id",
-            "term-id-beyond-int64", "nan-weight", "infinite-norm", "doc-freq-length",
+            "term-id-beyond-int64", "nan-weight", "infinite-norm", "edited-norm",
+            "edited-weight", "doc-freq-length",
             "norms-length", "term-counts-length", "data-length", "indptr-start",
             "indptr-end", "term-ids-descending", "term-id-repeated", "negative-term-count",
             "doc-freq-zero", "doc-freq-above-doc-count", "bool-term-id", "float-indptr",

@@ -23,6 +23,7 @@ from croloc.translate import (
     translate_texts,
 )
 from croloc.corpus import parse_rfc3339
+import croloc.translate as translate_module
 
 
 class RecordingBackend:
@@ -118,28 +119,42 @@ class TestGlossaryTranslate:
             glossary_translate("x", {"": "y"})
 
 
+@pytest.fixture
+def cache_at():
+    """Opens translation caches for a test and closes them after it."""
+    opened = []
+
+    def open_cache(path):
+        opened.append(TranslationCache(str(path)))
+        return opened[-1]
+
+    yield open_cache
+    for cache in opened:
+        cache.close()
+
+
 class TestTranslationCache:
-    def test_put_then_get(self, tmp_path):
-        cache = TranslationCache(str(tmp_path / "c.jsonl"))
+    def test_put_then_get(self, cache_at, tmp_path):
+        cache = cache_at(tmp_path / "c.jsonl")
         cache.put_many("glossary", [("在庫", "inventory")])
         assert cache.get("glossary", "在庫") == "inventory"
         assert cache.get("glossary", "同期") is None
 
-    def test_keys_include_backend_name(self, tmp_path):
-        cache = TranslationCache(str(tmp_path / "c.jsonl"))
+    def test_keys_include_backend_name(self, cache_at, tmp_path):
+        cache = cache_at(tmp_path / "c.jsonl")
         cache.put_many("glossary", [("在庫", "inventory")])
         assert cache.get("service", "在庫") is None
 
-    def test_persists_across_instances(self, tmp_path):
+    def test_persists_across_instances(self, cache_at, tmp_path):
         path = str(tmp_path / "c.jsonl")
-        TranslationCache(path).put_many("glossary", [("在庫", "inventory")])
+        cache_at(path).put_many("glossary", [("在庫", "inventory")])
         reloaded = TranslationCache(path)
         assert len(reloaded) == 1
         assert reloaded.get("glossary", "在庫") == "inventory"
 
-    def test_no_duplicate_appends(self, tmp_path):
+    def test_no_duplicate_appends(self, cache_at, tmp_path):
         path = tmp_path / "c.jsonl"
-        cache = TranslationCache(str(path))
+        cache = cache_at(path)
         cache.put_many("glossary", [("在庫", "inventory")])
         cache.put_many("glossary", [("在庫", "inventory"), ("同期", "sync")])
         lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l]
@@ -157,15 +172,15 @@ class TestTranslationCache:
         with pytest.raises(TranslationError, match=":1: corrupt cache line"):
             TranslationCache(str(path))
 
-    def test_torn_last_line_dropped(self, tmp_path, caplog):
+    def test_torn_last_line_dropped(self, cache_at, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
-        TranslationCache(str(path)).put_many("glossary", [("在庫", "inventory")])
+        cache_at(path).put_many("glossary", [("在庫", "inventory")])
         whole = path.read_bytes()
         torn = json.dumps({"backend": "glossary", "source": "同期"},
                           ensure_ascii=False).encode("utf-8")[:-5]
         path.write_bytes(whole + torn)  # a write cut short by a killed run
         with caplog.at_level("WARNING", logger="croloc.translate"):
-            cache = TranslationCache(str(path))
+            cache = cache_at(path)
         assert "unterminated" in caplog.text
         assert len(cache) == 1
         assert path.read_bytes() == whole
@@ -181,9 +196,9 @@ class TestTranslationCache:
         with pytest.raises(TranslationError, match="missing fields"):
             TranslationCache(str(path))
 
-    def test_digest_mismatch_detected(self, tmp_path):
+    def test_digest_mismatch_detected(self, cache_at, tmp_path):
         path = tmp_path / "c.jsonl"
-        cache = TranslationCache(str(path))
+        cache = cache_at(path)
         cache.put_many("glossary", [("在庫", "inventory")])
         text = path.read_text(encoding="utf-8")
         obj = json.loads(text)
@@ -192,9 +207,27 @@ class TestTranslationCache:
         with pytest.raises(TranslationError, match="digest"):
             TranslationCache(str(path))
 
-    def test_blank_lines_tolerated(self, tmp_path):
+    def test_one_append_handle_flushed_per_put_many(self, tmp_path, monkeypatch):
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(translate_module, "open", recording_open, raising=False)
         path = tmp_path / "c.jsonl"
-        cache = TranslationCache(str(path))
+        with TranslationCache(str(path)) as cache:
+            assert handles == []  # nothing to append yet, so nothing opened
+            for n, text in enumerate(["在庫", "同期", "注文"], start=1):
+                cache.put_many("glossary", [(text, "x")])
+                # what put_many accepted is on disk before it returns
+                assert len(path.read_text(encoding="utf-8").splitlines()) == n
+        assert len(handles) == 1
+        assert handles[0].closed
+
+    def test_blank_lines_tolerated(self, cache_at, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = cache_at(path)
         cache.put_many("glossary", [("在庫", "inventory")])
         path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
         assert len(TranslationCache(str(path))) == 1
@@ -224,8 +257,8 @@ class TestTranslateTexts:
         translate_texts(texts, backend)
         assert [len(b) for b in backend.batches] == [BATCH_SIZE, 1]
 
-    def test_cache_hits_skip_backend(self, tmp_path):
-        cache = TranslationCache(str(tmp_path / "c.jsonl"))
+    def test_cache_hits_skip_backend(self, cache_at, tmp_path):
+        cache = cache_at(tmp_path / "c.jsonl")
         backend = RecordingBackend()
         translate_texts(["a", "b"], backend, cache)
         assert len(backend.batches) == 1
@@ -245,8 +278,8 @@ class TestTranslateTexts:
         assert translate_texts([], backend) == []
         assert backend.batches == []
 
-    def test_results_written_back_to_cache(self, tmp_path):
-        cache = TranslationCache(str(tmp_path / "c.jsonl"))
+    def test_results_written_back_to_cache(self, cache_at, tmp_path):
+        cache = cache_at(tmp_path / "c.jsonl")
         translate_texts(["a"], RecordingBackend(), cache)
         assert cache.get("recording", "a") == "EN(a)"
 
@@ -442,8 +475,8 @@ class TestTranslateDocument:
         assert out is doc
         assert count == 0
 
-    def test_uses_cache(self, tmp_path):
-        cache = TranslationCache(str(tmp_path / "c.jsonl"))
+    def test_uses_cache(self, cache_at, tmp_path):
+        cache = cache_at(tmp_path / "c.jsonl")
         doc = _doc('// 在庫\n// 在庫\n')
         backend = RecordingBackend()
         out, count = translate_document(doc, backend, cache)
