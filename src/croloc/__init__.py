@@ -4,89 +4,10 @@ Loads a source tree whose comments and string literals may be Japanese,
 unifies everything into English through pluggable translation, indexes with
 tf-idf, ranks files against bug reports, and evaluates the rankings against
 relevance judgments.
+
+The Python API is imported from its modules: ``croloc.corpus``,
+``croloc.extract``, ``croloc.translate``, ``croloc.index``, ``croloc.rank``
+and ``croloc.evalharness``.
 """
-from .corpus import (
-    BugReport,
-    Corpus,
-    Language,
-    SourceDocument,
-    filter_usable_reports,
-    load_bug_reports,
-    load_source_tree,
-    normalize_path,
-)
-from .errors import (
-    ConfigError,
-    CorpusError,
-    CrolocError,
-    EvalError,
-    IndexFormatError,
-    ProtocolError,
-    ReportFormatError,
-    SpanError,
-    TranslationError,
-)
-from .extract import (
-    JAPANESE_RANGES,
-    Segment,
-    Span,
-    SpanKind,
-    detect_japanese,
-    extract_spans,
-    japanese_segments,
-    reembed,
-)
-from .evalharness import (
-    EvalReport,
-    Qrels,
-    average_precision,
-    evaluate,
-    link_oracles,
-    read_qrels,
-    read_run_file,
-    reciprocal_rank,
-    success_at_n,
-    write_qrels,
-)
-from .index import (
-    DocumentVector,
-    Index,
-    QueryVector,
-    TokenizerOptions,
-    build_index,
-    idf,
-    index_documents,
-    load_index,
-    save_index,
-    tf,
-    tokenize,
-    vectorize_query,
-    vectorize_tokens,
-)
-from .rank import (
-    HistorySet,
-    RankingEntry,
-    buglocator_scores,
-    cosine,
-    make_ranking,
-    minmax,
-    rvsm_scores,
-    score_documents,
-    simi_scores,
-    vsm_scores,
-    write_run_file,
-)
-from .translate import (
-    GlossaryBackend,
-    IdentityBackend,
-    ServiceBackend,
-    TranslationCache,
-    TranslatorBackend,
-    glossary_translate,
-    load_glossary,
-    translate_document,
-    translate_report,
-    translate_texts,
-)
 
 __version__ = "0.1.0"

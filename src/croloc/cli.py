@@ -335,14 +335,12 @@ def cmd_qrels(args: argparse.Namespace) -> int:
     reports = load_bug_reports(reports_path)
     commits = load_commit_log(args.commit_log) if args.commit_log else []
     qrels = link_oracles(reports, commits)
-    out = sys.stdout if args.out in (None, "-") else None
-    if out is None:
-        write_qrels(args.out, qrels)
-        log.info("wrote qrels for %d queries -> %s", len(qrels.grades), args.out)
+    if args.out in (None, "-"):
+        write_qrels(sys.stdout, qrels)
     else:
-        for query_id in sorted(qrels.grades):
-            for doc_path in sorted(qrels.grades[query_id]):
-                out.write(f"{query_id} 0 {doc_path} {qrels.grades[query_id][doc_path]}\n")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_qrels(fh, qrels)
+        log.info("wrote qrels for %d queries -> %s", len(qrels.grades), args.out)
     return 0
 
 
@@ -479,7 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except CrolocError as exc:
+    except (CrolocError, OSError, UnicodeDecodeError) as exc:
+        # A missing or unreadable input file is the user's error, not a bug.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterable
+from collections.abc import Collection
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -30,7 +30,7 @@ class Language(str, Enum):
     GENERIC = "generic"
 
 
-DEFAULT_LANGUAGE_MAP = {".java": Language.JAVA, ".cs": Language.CSHARP}
+_LANGUAGES = {".java": Language.JAVA, ".cs": Language.CSHARP}
 
 
 def normalize_path(path: str) -> str:
@@ -98,10 +98,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    @property
-    def paths(self) -> set[str]:
-        return {d.path for d in self.documents}
-
 
 def parse_rfc3339(value: str) -> datetime:
     """Parse an RFC 3339 timestamp; naive values are taken as UTC."""
@@ -120,21 +116,18 @@ def parse_rfc3339(value: str) -> datetime:
 def load_source_tree(
     root: str | Path,
     include_patterns: list[str],
-    language_map: dict[str, Language] | None = None,
     permissive: bool = False,
 ) -> Corpus:
     """Load every file under `root` matching one of `include_patterns`.
 
-    Languages are inferred from file extension via `language_map` (unknown
-    extensions become GENERIC). Ordering is deterministic: lexicographic by
+    Languages follow the file extension: .java and .cs (other
+    extensions are GENERIC). Ordering is deterministic: lexicographic by
     normalized relative path. A file that does not decode as UTF-8 is a fatal
     error unless `permissive` is set, in which case it is skipped and recorded.
     """
     root_path = Path(root)
     if not root_path.is_dir():
         raise CorpusError(f"source root does not exist or is not a directory: {root}")
-    if language_map is None:
-        language_map = DEFAULT_LANGUAGE_MAP
 
     matched: set[Path] = set()
     for pattern in include_patterns:
@@ -157,9 +150,9 @@ def load_source_tree(
             continue
         except OSError as exc:
             raise CorpusError(f"cannot read {rel}: {exc}") from exc
-        language = language_map.get(file_path.suffix.lower(), Language.GENERIC)
+        language = _LANGUAGES.get(file_path.suffix.lower(), Language.GENERIC)
         documents.append(
-            SourceDocument(path=rel, language=Language(language), raw_text=text, doc_id=len(documents))
+            SourceDocument(path=rel, language=language, raw_text=text, doc_id=len(documents))
         )
     return Corpus(documents=tuple(documents), root=str(root_path), skipped=tuple(skipped))
 
@@ -241,17 +234,15 @@ class ExcludedReport:
 
 def filter_usable_reports(
     reports: list[BugReport],
-    corpus: Corpus | Iterable[str],
+    corpus_paths: Collection[str],
     source_extensions: set[str],
 ) -> tuple[list[BugReport], list[ExcludedReport]]:
     """Split reports into evaluation-usable and excluded (with the failed criterion).
 
     Usable iff: the report is tagged functional, its fix is completed
     (resolved with nonempty fixed_files), and at least one fixed file both
-    has a source extension and exists in the corpus. ``corpus`` may be a
-    Corpus or any collection of normalized paths.
+    has a source extension and is one of the normalized ``corpus_paths``.
     """
-    corpus_paths = corpus.paths if isinstance(corpus, Corpus) else set(corpus)
     extensions = {e.lower() for e in source_extensions}
     usable: list[BugReport] = []
     excluded: list[ExcludedReport] = []

@@ -11,6 +11,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from .corpus import BugReport, normalize_path
 from .errors import EvalError
@@ -69,11 +70,12 @@ def read_qrels(path: str) -> Qrels:
     return qrels
 
 
-def write_qrels(path: str, qrels: Qrels) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for query_id in sorted(qrels.grades):
-            for doc_path in sorted(qrels.grades[query_id]):
-                fh.write(f"{query_id} 0 {doc_path} {qrels.grades[query_id][doc_path]}\n")
+def write_qrels(out: TextIO, qrels: Qrels) -> None:
+    """TREC qrels lines, sorted by query id and then by path."""
+    for query_id in sorted(qrels.grades):
+        grades = qrels.grades[query_id]
+        for doc_path in sorted(grades):
+            out.write(f"{query_id} 0 {doc_path} {grades[doc_path]}\n")
 
 
 def load_commit_log(path: str) -> list[dict]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import logging
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,41 +59,31 @@ JAPANESE_RANGES: tuple[tuple[int, int], ...] = (
 )
 
 
-@functools.lru_cache(maxsize=16)
-def _run_pattern(ranges: tuple[tuple[int, int], ...]) -> tuple[re.Pattern[str], bool]:
-    """The pattern of one Japanese run over ``ranges``, and whether any range
-    holds an ASCII code point. Built on first use, so that no command pays
-    the compile at import. ``\\s`` matches exactly where str.isspace() holds."""
-    bounds = [(max(lo, 0), min(hi, sys.maxunicode)) for lo, hi in ranges]
-    bounds = [(lo, hi) for lo, hi in bounds if lo <= hi]
-    members = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in bounds)
-    japanese = f"[{members}]" if members else "(?!)"  # no range: never matches
-    pattern = re.compile(f"{japanese}(?:\\s*{japanese})*")
-    return pattern, any(lo < 0x80 for lo, _ in bounds)
+@functools.cache
+def _run_pattern() -> re.Pattern[str]:
+    """The pattern of one Japanese run. Built on first use, so that no
+    command pays the compile at import. ``\\s`` matches exactly where
+    str.isspace() holds."""
+    japanese = "[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in JAPANESE_RANGES) + "]"
+    return re.compile(f"{japanese}(?:\\s*{japanese})*")
 
 
-def detect_japanese(text: str, ranges: tuple[tuple[int, int], ...] = JAPANESE_RANGES) -> bool:
+def detect_japanese(text: str) -> bool:
     """True iff any character's codepoint falls in one of the Japanese ranges."""
-    pattern, ascii_ranges = _run_pattern(ranges)
-    if text.isascii() and not ascii_ranges:
-        return False
-    return pattern.search(text) is not None
+    return not text.isascii() and _run_pattern().search(text) is not None
 
 
-def japanese_segments(
-    span_text: str, ranges: tuple[tuple[int, int], ...] = JAPANESE_RANGES
-) -> list[Segment]:
+def japanese_segments(span_text: str) -> list[Segment]:
     """Maximal Japanese runs within a span text.
 
     A run covers Japanese characters plus any whitespace strictly between two
     of them; surrounding ASCII words and trailing/leading whitespace stay out.
     """
-    pattern, ascii_ranges = _run_pattern(ranges)
-    if span_text.isascii() and not ascii_ranges:
+    if span_text.isascii():
         return []
     segments: list[Segment] = []
     char_pos = byte_pos = 0
-    for match in pattern.finditer(span_text):
+    for match in _run_pattern().finditer(span_text):
         start, text = match.start(), match.group()
         byte_pos += len(span_text[char_pos:start].encode("utf-8"))
         byte_end = byte_pos + len(text.encode("utf-8"))

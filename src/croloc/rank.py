@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter
@@ -114,7 +114,7 @@ def _stack(entries: Iterable[HistoryEntry]) -> _Stacked:
     )
 
 
-class HistorySet(Sequence):
+class HistorySet:
     """Prior-report evidence with temporal filtering.
 
     A report is usable for a query only when it was resolved strictly before
@@ -183,19 +183,6 @@ class HistorySet(Sequence):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self) -> Iterator[HistoryEntry]:
-        return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HistorySet):
-            return self.entries == other.entries
-        if isinstance(other, (list, tuple)):
-            return list(self.entries) == list(other)
-        return NotImplemented
-
 
 def vsm_scores(query: QueryVector, index: Index) -> np.ndarray:
     indptr, indices, data, norms = index.csr()
@@ -210,7 +197,7 @@ def rvsm_scores(query: QueryVector, index: Index) -> np.ndarray:
 def simi_scores(
     query: QueryVector,
     index: Index,
-    history: Sequence[HistoryEntry],
+    history: HistorySet | Iterable[HistoryEntry],
 ) -> np.ndarray:
     """Sum over usable prior reports of cosine(query, report)/n_fixed, added
     to every file that report's fix touched.
@@ -232,7 +219,7 @@ def simi_scores(
 def buglocator_scores(
     query: QueryVector,
     index: Index,
-    history: Sequence[HistoryEntry],
+    history: HistorySet | Iterable[HistoryEntry],
     alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
@@ -246,7 +233,7 @@ def score_documents(
     query: QueryVector,
     index: Index,
     technique: str,
-    history: Sequence[HistoryEntry] | None = None,
+    history: HistorySet | Iterable[HistoryEntry] | None = None,
     alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     if technique == "vsm":
@@ -281,30 +268,10 @@ def make_ranking(scores: np.ndarray, index: Index, top_k: int = DEFAULT_TOP_K) -
     ]
 
 
-def _check_field(value: str, what: str) -> str:
+def _check_field(value: str, what: str) -> None:
     if not value or any(ch.isspace() for ch in value):
         raise EvalError(f"{what} {value!r} is empty or contains whitespace; "
                         "run files are whitespace-delimited")
-    return value
-
-
-def _run_lines(query_id: str, entries: list[RankingEntry], tag: str,
-               checked_paths: set[str]) -> list[str]:
-    """Run lines of one block; paths already in ``checked_paths`` passed
-    their check earlier and are not checked again."""
-    _check_field(query_id, "query id")
-    _check_field(tag, "run tag")
-    lines = []
-    for e in entries:
-        if e.path not in checked_paths:
-            _check_field(e.path, "document path")
-            checked_paths.add(e.path)
-        lines.append(f"{query_id} Q0 {e.path} {e.rank} {e.score:.6f} {tag}")
-    return lines
-
-
-def format_run_lines(query_id: str, entries: list[RankingEntry], tag: str) -> list[str]:
-    return _run_lines(query_id, entries, tag, set())
 
 
 def write_run_file(
@@ -312,9 +279,16 @@ def write_run_file(
     rankings: list[tuple[str, list[RankingEntry]]],
     tag: str,
 ) -> None:
-    """TREC run format: qid Q0 path rank score tag, scores to six decimals."""
+    """TREC run format: qid Q0 path rank score tag, scores to six decimals.
+    The query id and tag are checked once per block, each distinct path once
+    per file."""
     checked_paths: set[str] = set()
     with open(path, "w", encoding="utf-8") as fh:
         for query_id, entries in rankings:
-            for line in _run_lines(query_id, entries, tag, checked_paths):
-                fh.write(line + "\n")
+            _check_field(query_id, "query id")
+            _check_field(tag, "run tag")
+            for e in entries:
+                if e.path not in checked_paths:
+                    _check_field(e.path, "document path")
+                    checked_paths.add(e.path)
+                fh.write(f"{query_id} Q0 {e.path} {e.rank} {e.score:.6f} {tag}\n")

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from .corpus import BugReport, SourceDocument
 from .errors import ProtocolError, TranslationError
-from .extract import JAPANESE_RANGES, detect_japanese, extract_spans, japanese_segments, reembed
+from .extract import detect_japanese, extract_spans, japanese_segments, reembed
 
 if TYPE_CHECKING:
     import requests
@@ -341,14 +341,13 @@ def translate_document(
     doc: SourceDocument,
     backend: TranslatorBackend,
     cache: TranslationCache | None = None,
-    ranges: tuple[tuple[int, int], ...] = JAPANESE_RANGES,
 ) -> tuple[SourceDocument, int]:
     """Replace every Japanese segment in the document's comments and string
     literals; bytes outside those segments are untouched. Returns the new
     document and the number of segments translated."""
     targets = []
     for span in extract_spans(doc):
-        for segment in japanese_segments(span.text, ranges):
+        for segment in japanese_segments(span.text):
             targets.append((span, segment))
     if not targets:
         return doc, 0
@@ -361,13 +360,12 @@ def translate_report(
     report: BugReport,
     backend: TranslatorBackend,
     cache: TranslationCache | None = None,
-    ranges: tuple[tuple[int, int], ...] = JAPANESE_RANGES,
 ) -> BugReport:
     """Translate the summary and description fields that contain Japanese."""
     wanted = []
-    if detect_japanese(report.summary, ranges):
+    if detect_japanese(report.summary):
         wanted.append("summary")
-    if report.description and detect_japanese(report.description, ranges):
+    if report.description and detect_japanese(report.description):
         wanted.append("description")
     if not wanted:
         return report

@@ -287,6 +287,89 @@ class TestImports:
                                 env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 
+    def test_array_free_modules_leave_numpy_unloaded(self, tmp_path):
+        # Only index, rank and their kernel work on arrays; loading, extraction,
+        # translation and evaluation should not pay for numpy's import.
+        code = ("import sys, croloc.corpus, croloc.evalharness, croloc.extract, "
+                "croloc.translate; sys.exit('numpy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
+        result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe not utf-8 \x80\n")
+    return path
+
+
+def _qrels_file(path):
+    path.write_text("Q1 0 src/A.java 2\n", encoding="utf-8")
+    return path
+
+
+def _run_file(path):
+    path.write_text("Q1 Q0 src/A.java 1 0.500000 t\n", encoding="utf-8")
+    return path
+
+
+# Each case names a missing or undecodable input file of one command.
+UNREADABLE_INPUTS = {
+    "eval-missing-run": lambda d: (
+        "eval", "--run", d / "missing.trec", "--qrels", _qrels_file(d / "qrels.txt")),
+    "locate-missing-index": lambda d: (
+        "locate", "--index", d / "missing.json", "--reports", REPORTS),
+    "index-missing-glossary": lambda d: (
+        "index", "--tree", TREE, "--glossary", d / "missing.tsv", "--out-dir", d),
+    "qrels-missing-commit-log": lambda d: (
+        "qrels", "--reports", REPORTS, "--commit-log", d / "missing.jsonl"),
+    "eval-non-utf8-run": lambda d: (
+        "eval", "--run", _not_utf8(d / "run.trec"), "--qrels", _qrels_file(d / "qrels.txt")),
+    "eval-non-utf8-qrels": lambda d: (
+        "eval", "--run", _run_file(d / "run.trec"), "--qrels", _not_utf8(d / "qrels.txt")),
+    "locate-non-utf8-index": lambda d: (
+        "locate", "--index", _not_utf8(d / "index.json"), "--reports", REPORTS),
+}
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+    def test_error_line_and_exit_1(self, tmp_path, case):
+        result = run_cli(*UNREADABLE_INPUTS[case](tmp_path), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error:"), result.stderr
+        assert "Traceback" not in result.stderr
+
+
+class TestTracerSeam:
+    """perfbench/tracer.py wraps croloc functions by name; a renamed one
+    would make its per-layer metric read 0 without any error."""
+
+    TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+    def _trace(self, tmp_path, name, *args):
+        out = tmp_path / f"{name}.trace.json"
+        env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
+        result = subprocess.run(
+            [sys.executable, str(self.TRACER), str(out), *[str(a) for a in args]],
+            cwd=str(tmp_path), env=env, capture_output=True, text=True, timeout=180)
+        assert result.returncode == 0, result.stderr
+        return json.loads(out.read_text(encoding="utf-8"))["calls"]
+
+    def test_every_patched_layer_records_calls(self, tmp_path):
+        calls = self._trace(tmp_path, "index", "index", "--tree", TREE,
+                            "--glossary", GLOSSARY, "--out-dir", tmp_path)
+        located = self._trace(tmp_path, "locate", "locate", "--technique", "buglocator",
+                              "--glossary", GLOSSARY, "--index", tmp_path / "index.json",
+                              "--reports", REPORTS, "--out-dir", tmp_path)
+        for name, n in located.items():
+            calls[name] = calls.get(name, 0) + n
+        spans = ("index.documents", "index.save", "index.load", "index.vectorize",
+                 "rank.score", "rank.ranking", "rank.write", "rank.simi",
+                 "rank.history_build", "kernels.cosine", "extract.spans",
+                 "translate.texts")
+        assert [s for s in spans if not calls.get(s)] == []
+
 
 class TestQrelsCommand:
     def test_stdout_rows(self, tmp_path):

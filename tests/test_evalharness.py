@@ -135,7 +135,8 @@ class TestQrels:
         qrels.add("Q1", "a.java", 2)
         qrels.add("Q1", "c.java", 1)
         target = tmp_path / "qrels.txt"
-        write_qrels(str(target), qrels)
+        with open(target, "w", encoding="utf-8") as fh:
+            write_qrels(fh, qrels)
         loaded = read_qrels(str(target))
         assert loaded.grades == qrels.grades
         lines = target.read_text(encoding="utf-8").splitlines()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from croloc.corpus import Language, SourceDocument, load_source_tree
 from croloc.errors import SpanError
 from croloc.extract import (
-    JAPANESE_RANGES,
     Segment,
     Span,
     SpanKind,
@@ -107,11 +106,6 @@ class TestDetectJapanese:
     ])
     def test_negative(self, text):
         assert not detect_japanese(text)
-
-    def test_custom_ranges(self):
-        hiragana_only = ((0x3040, 0x309F),)
-        assert detect_japanese("ひらがな", hiragana_only)
-        assert not detect_japanese("カタカナ", hiragana_only)
 
 
 class TestJapaneseSegments:
@@ -266,28 +260,18 @@ _SEGMENT_PIECES = st.sampled_from([
 _segment_text = st.lists(
     st.one_of(_SEGMENT_PIECES, st.characters(blacklist_categories=("Cs",))), max_size=40,
 ).map("".join)
-_code_point = st.one_of(
-    st.integers(0, 0x7F), st.integers(0x2000, 0x3100), st.integers(0x3400, 0xFFFF),
-    st.integers(-5, sys.maxunicode + 5),
-)
-# Default ranges, or up to four custom ones, some empty (lo > hi), some
-# holding ASCII or whitespace, a few reaching outside the code-point space.
-_ranges = st.one_of(
-    st.just(JAPANESE_RANGES),
-    st.lists(st.tuples(_code_point, _code_point), max_size=4).map(tuple),
-)
 
 
 class TestSegmentOracle:
     @settings(max_examples=400)
-    @given(text=_segment_text, ranges=_ranges)
-    def test_same_segments_as_reference(self, text, ranges):
-        assert japanese_segments(text, ranges) == ref_japanese_segments(text, ranges)
+    @given(text=_segment_text)
+    def test_same_segments_as_reference(self, text):
+        assert japanese_segments(text) == ref_japanese_segments(text)
 
     @settings(max_examples=400)
-    @given(text=_segment_text, ranges=_ranges)
-    def test_same_detection_as_reference(self, text, ranges):
-        assert detect_japanese(text, ranges) == ref_detect_japanese(text, ranges)
+    @given(text=_segment_text)
+    def test_same_detection_as_reference(self, text):
+        assert detect_japanese(text) == ref_detect_japanese(text)
 
     def test_whitespace_class_is_isspace_at_every_code_point(self):
         # Runs bridge whitespace with \s; a Python whose re disagrees with

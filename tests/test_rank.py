@@ -21,7 +21,6 @@ from croloc.rank import (
     RankingEntry,
     buglocator_scores,
     cosine,
-    format_run_lines,
     make_ranking,
     minmax,
     rvsm_scores,
@@ -381,9 +380,9 @@ class TestHistorySet:
         t0 = datetime(2024, 1, 1, tzinfo=UTC)
         resolved = datetime(2024, 3, 15, 12, 0, tzinfo=UTC)
         hs = HistorySet.build([self._report("R1", t0, resolved, ("src/A.java",))], index)
-        assert hs.before(resolved) == []  # equal timestamp is not "before"
+        assert hs.before(resolved).entries == ()  # equal timestamp is not "before"
         after = datetime(2024, 3, 15, 12, 0, 1, tzinfo=UTC)
-        assert [e.report_id for e in hs.before(after)] == ["R1"]
+        assert [e.report_id for e in hs.before(after).entries] == ["R1"]
 
     def test_before_filters_mixed_timeline(self):
         index = self._index()
@@ -394,7 +393,7 @@ class TestHistorySet:
         ]
         hs = HistorySet.build(reports, index)
         cut = datetime(2024, 4, 1, tzinfo=UTC)
-        assert [e.report_id for e in hs.before(cut)] == ["OLD"]
+        assert [e.report_id for e in hs.before(cut).entries] == ["OLD"]
 
 
 class TestMakeRanking:
@@ -444,25 +443,30 @@ class TestRunFiles:
             RankingEntry(rank=2, path="src/B.java", score=0.5, doc_id=1),
         ]
 
-    def test_line_format(self):
-        lines = format_run_lines("BUG-1", self._entries(), "mytag")
+    def _write(self, tmp_path, query_id, entries, tag):
+        target = tmp_path / "run.trec"
+        write_run_file(str(target), [(query_id, entries)], tag)
+        return target.read_text(encoding="utf-8").splitlines()
+
+    def test_line_format(self, tmp_path):
+        lines = self._write(tmp_path, "BUG-1", self._entries(), "mytag")
         assert lines[0] == "BUG-1 Q0 src/A.java 1 0.987654 mytag"
         assert lines[1] == "BUG-1 Q0 src/B.java 2 0.500000 mytag"
 
-    def test_rejects_whitespace_in_fields(self):
+    def test_rejects_whitespace_in_fields(self, tmp_path):
         with pytest.raises(EvalError):
-            format_run_lines("BUG 1", self._entries(), "tag")
+            self._write(tmp_path, "BUG 1", self._entries(), "tag")
         with pytest.raises(EvalError):
-            format_run_lines("BUG-1", self._entries(), "my tag")
+            self._write(tmp_path, "BUG-1", self._entries(), "my tag")
         bad = [RankingEntry(rank=1, path="src/A file.java", score=0.1, doc_id=0)]
         with pytest.raises(EvalError):
-            format_run_lines("BUG-1", bad, "tag")
+            self._write(tmp_path, "BUG-1", bad, "tag")
 
-    def test_rejects_empty_fields(self):
+    def test_rejects_empty_fields(self, tmp_path):
         with pytest.raises(EvalError):
-            format_run_lines("", self._entries(), "tag")
+            self._write(tmp_path, "", self._entries(), "tag")
         with pytest.raises(EvalError):
-            format_run_lines("BUG-1", self._entries(), "")
+            self._write(tmp_path, "BUG-1", self._entries(), "")
 
     def test_write_read_round_trip(self, tmp_path):
         target = tmp_path / "run.trec"
@@ -545,7 +549,7 @@ class TestVectorizedPathsProperties:
         query_vec = vectorize_tokens(query, index)
         prior = [e for e in entries if e.resolved_at < cut]
         prefix = HistorySet(entries).before(cut)
-        assert prefix == sorted(prior, key=lambda e: e.resolved_at)
+        assert prefix.entries == tuple(sorted(prior, key=lambda e: e.resolved_at))
         got = simi_scores(query_vec, index, prefix)
         assert np.array_equal(got, simi_scores(query_vec, index, prior))
         want = ref_simi(query, token_lists, paths,
