@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import sys
+from collections.abc import Callable, Sequence
 from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path, PurePosixPath
 
@@ -38,6 +39,7 @@ from .evalharness import (
     read_qrels,
     read_run_file,
     write_qrels,
+    write_run_file,
 )
 from .extract import extract_spans, japanese_segments
 from .index import (
@@ -55,7 +57,6 @@ from .rank import (
     HistorySet,
     make_ranking,
     score_documents,
-    write_run_file,
 )
 from .translate import (
     GlossaryBackend,
@@ -163,14 +164,19 @@ def _make_cache(args: argparse.Namespace) -> AbstractContextManager[TranslationC
     return TranslationCache(path) if path else nullcontext()
 
 
+def _translated(args: argparse.Namespace, items: Sequence, translate: Callable) -> Sequence:
+    """``items`` mapped through ``translate(item, backend, cache)``; as they
+    are with --no-translate or the identity backend. Callers pass lambdas that
+    look their translate function up at call time, so that wrappers installed
+    on this module (perfbench/tracer.py) see every call."""
+    if args.no_translate or isinstance(backend := _make_backend(args), IdentityBackend):
+        return items
+    with _make_cache(args) as cache:
+        return [translate(item, backend, cache) for item in items]
+
+
 def _tokenizer_options(args: argparse.Namespace) -> TokenizerOptions:
     return TokenizerOptions(stemming=bool(getattr(args, "stemming", False)))
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"--alpha must lie in [0, 1], got {alpha}")
-    return alpha
 
 
 def _default_index_path(args: argparse.Namespace) -> str:
@@ -251,14 +257,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     _fill(args, out_dir=".", stemming=False)
     corpus = load_source_tree(tree, _include_patterns(args),
                               permissive=bool(args.permissive))
-    documents = corpus.documents
-    if not args.no_translate:
-        backend = _make_backend(args)
-        if not isinstance(backend, IdentityBackend):
-            with _make_cache(args) as cache:
-                documents = tuple(
-                    translate_document(doc, backend, cache)[0] for doc in documents
-                )
+    documents = _translated(args, corpus.documents,
+                            lambda doc, backend, cache: translate_document(doc, backend, cache)[0])
     options = _tokenizer_options(args)
     index = index_documents([d.raw_text for d in documents],
                             [d.path for d in documents], options)
@@ -277,16 +277,13 @@ def cmd_locate(args: argparse.Namespace) -> int:
     if args.technique not in TECHNIQUES:
         raise ConfigError(f"unknown technique {args.technique!r}; "
                           f"expected one of {TECHNIQUES}")
-    alpha = _check_alpha(float(args.alpha))
+    alpha = float(args.alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"--alpha must lie in [0, 1], got {alpha}")
     index_path = args.index or _default_index_path(args)
     index = load_index(index_path)
-    reports = load_bug_reports(reports_path)
-
-    if not args.no_translate:
-        backend = _make_backend(args)
-        if not isinstance(backend, IdentityBackend):
-            with _make_cache(args) as cache:
-                reports = [translate_report(r, backend, cache) for r in reports]
+    reports = _translated(args, load_bug_reports(reports_path),
+                          lambda report, backend, cache: translate_report(report, backend, cache))
 
     if args.query:
         by_id = {r.id: r for r in reports}

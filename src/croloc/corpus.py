@@ -4,18 +4,24 @@ A corpus is an immutable snapshot of source files on disk; bug reports come
 from a JSON Lines file (one object per report). Reports are filtered for
 evaluation usability with the three criteria: functional bug, completed fix,
 and at least one fixed source file present in the corpus.
+
+The line-oriented readers and the run and index writers share this module's
+text-file helpers, ``read_lines`` and ``write_atomically``.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
-from collections.abc import Collection
+import os
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import TextIO
 
-from .errors import CorpusError, ReportFormatError
+from .errors import CorpusError, CrolocError, ReportFormatError
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +45,33 @@ def normalize_path(path: str) -> str:
     while p.startswith("./"):
         p = p[2:]
     return p
+
+
+def read_lines(path: str | Path, error: type[CrolocError]) -> Iterator[tuple[int, str]]:
+    """(line number, line) of a UTF-8 text file, numbered from 1. A file
+    that does not decode raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
+@contextlib.contextmanager
+def write_atomically(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle whose content replaces ``path`` only once the
+    block completes. It writes to a temporary file beside ``path``, which a
+    failure removes, so ``path`` holds either its old or all of its new
+    content."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -76,6 +109,12 @@ class BugReport:
     def query_text(self) -> str:
         """Query form of the report: summary + newline + description."""
         return self.summary + "\n" + self.description
+
+    @property
+    def fixed_paths(self) -> tuple[str, ...]:
+        """The fixed files as normalized corpus paths, each once, in report
+        order; empty when the report has no fix list."""
+        return tuple(dict.fromkeys(map(normalize_path, self.fixed_files or ())))
 
 
 @dataclass(frozen=True)
@@ -208,21 +247,20 @@ def load_bug_reports(path: str | Path) -> list[BugReport]:
     file_path = Path(path)
     if not file_path.is_file():
         raise CorpusError(f"bug report file does not exist: {path}")
-    with open(file_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReportFormatError(f"line {line_no}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ReportFormatError(f"line {line_no}: expected a JSON object")
-            report = _report_from_obj(obj, line_no)
-            if report.id in seen_ids:
-                raise ReportFormatError(f"line {line_no}: duplicate report id {report.id!r}")
-            seen_ids.add(report.id)
-            reports.append(report)
+    for line_no, line in read_lines(file_path, ReportFormatError):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ReportFormatError(f"line {line_no}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ReportFormatError(f"line {line_no}: expected a JSON object")
+        report = _report_from_obj(obj, line_no)
+        if report.id in seen_ids:
+            raise ReportFormatError(f"line {line_no}: duplicate report id {report.id!r}")
+        seen_ids.add(report.id)
+        reports.append(report)
     return reports
 
 
@@ -253,8 +291,8 @@ def filter_usable_reports(
         if report.resolved_at is None or not report.fixed_files:
             excluded.append(ExcludedReport(report, REASON_FIX_NOT_COMPLETED))
             continue
-        fixed = [normalize_path(f) for f in report.fixed_files]
-        if not any(Path(f).suffix.lower() in extensions and f in corpus_paths for f in fixed):
+        if not any(Path(f).suffix.lower() in extensions and f in corpus_paths
+                   for f in report.fixed_paths):
             excluded.append(ExcludedReport(report, REASON_NO_SOURCE_FILE))
             continue
         usable.append(report)

@@ -1,4 +1,4 @@
-"""Ranking evaluation: qrels handling, oracle linking, MAP/MRR/Success@N.
+"""Ranking evaluation: TREC run and qrels files, oracle linking, MAP/MRR/Success@N.
 
 Metric semantics match trec_eval: average precision divides by the total
 number of relevant files in the qrels (retrieved or not), reciprocal rank is
@@ -11,10 +11,13 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .corpus import BugReport, normalize_path
+from .corpus import BugReport, normalize_path, read_lines, write_atomically
 from .errors import EvalError
+
+if TYPE_CHECKING:
+    from .rank import RankingEntry
 
 log = logging.getLogger(__name__)
 
@@ -52,21 +55,20 @@ def _mode_threshold(mode: str) -> int:
 def read_qrels(path: str) -> Qrels:
     """TREC qrels: `qid 0 path grade`, whitespace-separated."""
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise EvalError(f"{path}:{lineno}: expected 4 fields, found {len(parts)}")
-            query_id, _, doc_path, grade_text = parts
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise EvalError(f"{path}:{lineno}: grade {grade_text!r} is not an integer")
-            if grade < 0:
-                raise EvalError(f"{path}:{lineno}: negative grade {grade}")
-            qrels.add(query_id, doc_path, grade)
+    for lineno, line in read_lines(path, EvalError):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise EvalError(f"{path}:{lineno}: expected 4 fields, found {len(parts)}")
+        query_id, _, doc_path, grade_text = parts
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise EvalError(f"{path}:{lineno}: grade {grade_text!r} is not an integer")
+        if grade < 0:
+            raise EvalError(f"{path}:{lineno}: negative grade {grade}")
+        qrels.add(query_id, doc_path, grade)
     return qrels
 
 
@@ -81,22 +83,21 @@ def write_qrels(out: TextIO, qrels: Qrels) -> None:
 def load_commit_log(path: str) -> list[dict]:
     """JSONL commits: {"hash": ..., "message": ..., "changed_files": [...]}."""
     commits = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise EvalError(f"{path}:{lineno}: commit entry must be an object")
-            for key, kind in (("hash", str), ("message", str), ("changed_files", list)):
-                if not isinstance(obj.get(key), kind):
-                    raise EvalError(f"{path}:{lineno}: missing or malformed {key!r}")
-            if not all(isinstance(f, str) for f in obj["changed_files"]):
-                raise EvalError(f"{path}:{lineno}: changed_files must be strings")
-            commits.append(obj)
+    for lineno, line in read_lines(path, EvalError):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise EvalError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise EvalError(f"{path}:{lineno}: commit entry must be an object")
+        for key, kind in (("hash", str), ("message", str), ("changed_files", list)):
+            if not isinstance(obj.get(key), kind):
+                raise EvalError(f"{path}:{lineno}: missing or malformed {key!r}")
+        if not all(isinstance(f, str) for f in obj["changed_files"]):
+            raise EvalError(f"{path}:{lineno}: changed_files must be strings")
+        commits.append(obj)
     return commits
 
 
@@ -114,7 +115,7 @@ def link_oracles(reports: list[BugReport], commits: list[dict]) -> Qrels:
     """
     qrels = Qrels()
     for report in reports:
-        direct = {normalize_path(f) for f in (report.fixed_files or ())}
+        direct = set(report.fixed_paths)
         for p in sorted(direct):
             qrels.add(report.id, p, GRADE_DIRECT)
         pattern = _id_pattern(report.id)
@@ -128,23 +129,48 @@ def link_oracles(reports: list[BugReport], commits: list[dict]) -> Qrels:
     return qrels
 
 
+def _check_field(value: str, what: str) -> None:
+    if not value or any(ch.isspace() for ch in value):
+        raise EvalError(f"{what} {value!r} is empty or contains whitespace; "
+                        "run files are whitespace-delimited")
+
+
+def write_run_file(
+    path: str,
+    rankings: list[tuple[str, list[RankingEntry]]],
+    tag: str,
+) -> None:
+    """TREC run format: qid Q0 path rank score tag, scores to six decimals.
+    The query id and tag are checked once per block, each distinct path once
+    per file. The file is replaced only once every line is written."""
+    checked_paths: set[str] = set()
+    with write_atomically(path) as fh:
+        for query_id, entries in rankings:
+            _check_field(query_id, "query id")
+            _check_field(tag, "run tag")
+            for e in entries:
+                if e.path not in checked_paths:
+                    _check_field(e.path, "document path")
+                    checked_paths.add(e.path)
+                fh.write(f"{query_id} Q0 {e.path} {e.rank} {e.score:.6f} {tag}\n")
+
+
 def read_run_file(path: str) -> dict[str, list[str]]:
     """Parse a TREC run file into ranked path lists keyed by query id."""
     rows: dict[str, list[tuple[int, str]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise EvalError(f"{path}:{lineno}: expected 6 fields, found {len(parts)}")
-            query_id, _, doc_path, rank_text, score_text, _tag = parts
-            try:
-                rank = int(rank_text)
-                float(score_text)
-            except ValueError:
-                raise EvalError(f"{path}:{lineno}: malformed rank or score")
-            rows.setdefault(query_id, []).append((rank, doc_path))
+    for lineno, line in read_lines(path, EvalError):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise EvalError(f"{path}:{lineno}: expected 6 fields, found {len(parts)}")
+        query_id, _, doc_path, rank_text, score_text, _tag = parts
+        try:
+            rank = int(rank_text)
+            float(score_text)
+        except ValueError:
+            raise EvalError(f"{path}:{lineno}: malformed rank or score")
+        rows.setdefault(query_id, []).append((rank, doc_path))
     run: dict[str, list[str]] = {}
     for query_id, entries in rows.items():
         entries.sort()
@@ -171,18 +197,16 @@ def average_precision(ranked: list[str], relevant: set[str]) -> float:
     return total / len(relevant)
 
 
-def reciprocal_rank(ranked: list[str], relevant: set[str]) -> float:
-    for k, path in enumerate(ranked, start=1):
-        if path in relevant:
-            return 1.0 / k
-    return 0.0
-
-
 def first_relevant_rank(ranked: list[str], relevant: set[str]) -> int | None:
     for k, path in enumerate(ranked, start=1):
         if path in relevant:
             return k
     return None
+
+
+def reciprocal_rank(ranked: list[str], relevant: set[str]) -> float:
+    k = first_relevant_rank(ranked, relevant)
+    return 0.0 if k is None else 1.0 / k
 
 
 def success_at_n(ranked: list[str], relevant: set[str], n: int) -> int:

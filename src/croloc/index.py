@@ -15,11 +15,13 @@ import functools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
+from .corpus import write_atomically
 from .errors import IndexFormatError
 from .porter import stem as porter_stem
 
@@ -27,19 +29,10 @@ INDEX_FORMAT = "croloc-index"
 INDEX_VERSION = 2
 
 
-def _load_default_stopwords() -> frozenset[str]:
+@functools.cache
+def default_stopwords() -> frozenset[str]:
     text = resources.files("croloc.data").joinpath("stopwords_en.txt").read_text("utf-8")
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
-
-
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
-
-
-def default_stopwords() -> frozenset[str]:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = _load_default_stopwords()
-    return _DEFAULT_STOPWORDS
 
 
 @dataclass(frozen=True)
@@ -151,8 +144,6 @@ class Index:
     data: np.ndarray
     norms: np.ndarray
     term_counts: np.ndarray
-    _term_ids: dict[str, int] | None = field(default=None, repr=False)
-    _path_rank: np.ndarray | None = field(default=None, repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Index):
@@ -177,23 +168,23 @@ class Index:
                 zip(indptr, indptr[1:], self.term_counts.tolist(), self.norms.tolist()))
         )
 
-    def term_id(self, term: str) -> int | None:
-        if self._term_ids is None:
-            self._term_ids = {t: i for i, t in enumerate(self.vocabulary)}
-        return self._term_ids.get(term)
+    @functools.cached_property
+    def term_ids(self) -> dict[str, int]:
+        """Id of each vocabulary term, built once."""
+        return {t: i for i, t in enumerate(self.vocabulary)}
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, data, norms) over doc_id order."""
         return self.indptr, self.indices, self.data, self.norms
 
+    @functools.cached_property
     def path_rank(self) -> np.ndarray:
         """Position of each document's path in lexicographic path order,
         built once; the tie-break key of every ranking."""
-        if self._path_rank is None:
-            order = sorted(range(self.n_docs), key=self.paths.__getitem__)
-            self._path_rank = np.empty(self.n_docs, dtype=np.int64)
-            self._path_rank[order] = np.arange(self.n_docs)
-        return self._path_rank
+        order = sorted(range(self.n_docs), key=self.paths.__getitem__)
+        path_rank = np.empty(self.n_docs, dtype=np.int64)
+        path_rank[order] = np.arange(self.n_docs)
+        return path_rank
 
 
 def stack_weights(rows: list[dict[int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,6 +202,22 @@ def _vector_norm(weights: dict[int, float]) -> float:
     return math.sqrt(math.fsum(w * w for w in weights.values()))
 
 
+def tfidf_weights(tokens: list[str], term_ids: dict[str, int],
+                  doc_freq: tuple[int, ...], n_docs: int) -> dict[int, float]:
+    """tf-idf weights of a token stream, keyed by term id. The tf denominator
+    counts every token, terms outside ``term_ids`` are skipped, and zero
+    weights are dropped."""
+    c_d = len(tokens)
+    weights: dict[int, float] = {}
+    for term, c_td in Counter(tokens).items():
+        term_id = term_ids.get(term)
+        if term_id is not None:
+            w = tf(c_td, c_d) * idf(doc_freq[term_id], n_docs)
+            if w != 0.0:
+                weights[term_id] = w
+    return weights
+
+
 def build_index(
     token_lists: list[list[str]],
     paths: list[str],
@@ -224,33 +231,18 @@ def build_index(
     if len(token_lists) != len(paths):
         raise ValueError("token_lists and paths must be parallel")
     opts = options if options is not None else TokenizerOptions()
-    n_docs = len(paths)
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for tokens in token_lists:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
+        df.update(set(tokens))
     vocabulary = tuple(sorted(df))
     term_ids = {t: i for i, t in enumerate(vocabulary)}
     doc_freq = tuple(df[t] for t in vocabulary)
-
-    rows: list[dict[int, float]] = []
-    for tokens in token_lists:
-        counts: dict[str, int] = {}
-        for term in tokens:
-            counts[term] = counts.get(term, 0) + 1
-        c_d = len(tokens)
-        weights: dict[int, float] = {}
-        for term, c_td in counts.items():
-            w = tf(c_td, c_d) * idf(df[term], n_docs)
-            if w != 0.0:
-                weights[term_ids[term]] = w
-        rows.append(weights)
-
+    rows = [tfidf_weights(tokens, term_ids, doc_freq, len(paths)) for tokens in token_lists]
     indptr, indices, data = stack_weights(rows)
     norms = np.array([_vector_norm(w) for w in rows], dtype=np.float64)
     term_counts = np.array([len(t) for t in token_lists], dtype=np.int64)
     return Index(opts, tuple(paths), vocabulary, doc_freq,
-                 indptr, indices, data, norms, term_counts, _term_ids=term_ids)
+                 indptr, indices, data, norms, term_counts)
 
 
 def index_documents(raw_texts: list[str], paths: list[str],
@@ -264,24 +256,9 @@ def index_documents(raw_texts: list[str], paths: list[str],
 
 
 def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
-    """Query vector over the index vocabulary.
-
-    The tf denominator is the full token count including terms absent from
-    the vocabulary; those terms then simply contribute no component.
-    """
-    counts: dict[str, int] = {}
-    for term in tokens:
-        counts[term] = counts.get(term, 0) + 1
-    c_q = len(tokens)
-    weights: dict[int, float] = {}
-    for term, c_tq in counts.items():
-        term_id = index.term_id(term)
-        if term_id is None:
-            continue
-        w = tf(c_tq, c_q) * idf(index.doc_freq[term_id], index.n_docs)
-        if w != 0.0:
-            weights[term_id] = w
-    return QueryVector(c_q, weights, _vector_norm(weights))
+    """Query vector over the index vocabulary, weighted as documents are."""
+    weights = tfidf_weights(tokens, index.term_ids, index.doc_freq, index.n_docs)
+    return QueryVector(len(tokens), weights, _vector_norm(weights))
 
 
 def vectorize_query(text: str, index: Index) -> QueryVector:
@@ -308,7 +285,8 @@ _ARRAYS = {
 def save_index(index: Index, path: str) -> None:
     """Write the index as one JSON object and a newline, the bytes of
     ``json.dump(payload, fh, ensure_ascii=False)``, serializing one value at
-    a time so that at most one array exists as Python objects at once."""
+    a time so that at most one array exists as Python objects at once. The
+    file is replaced only once it is complete."""
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -322,7 +300,7 @@ def save_index(index: Index, path: str) -> None:
         "doc_freq": index.doc_freq,
         **{name: getattr(index, name) for name in _ARRAYS},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         separator = "{"
         for key, value in payload.items():
             if isinstance(value, np.ndarray):
@@ -354,7 +332,7 @@ def load_index(path: str) -> Index:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise IndexFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise IndexFormatError(f"{path}: not a {INDEX_FORMAT} file")

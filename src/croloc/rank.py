@@ -14,7 +14,7 @@ final score break on lexicographic path order.
 """
 from __future__ import annotations
 
-import logging
+import copy
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
@@ -24,12 +24,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._kernels import csr_cosine
-from .corpus import BugReport, normalize_path
-from .errors import EvalError
+from .corpus import BugReport
 from .index import Index, QueryVector, query_dense, stack_weights
-
-log = logging.getLogger(__name__)
 
 TECHNIQUES = ("vsm", "rvsm", "buglocator")
 DEFAULT_ALPHA = 0.2
@@ -74,59 +70,32 @@ class HistoryEntry:
     n_fixed: int
 
 
-@dataclass(frozen=True)
-class _Stacked:
-    """History entries in resolution-time order, as arrays.
-
-    Row r of the CSR matrix (indptr, indices, data, norms) is entry r's
-    vector. Each (row, doc) pair of a fix is one incidence: rows ascend, so
-    the incidences of the first n rows are a prefix too.
-    """
-
-    entries: tuple[HistoryEntry, ...]
-    times: list[datetime]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    norms: np.ndarray
-    n_fixed: np.ndarray
-    inc_rows: np.ndarray
-    inc_docs: np.ndarray
-
-
-def _stack(entries: Iterable[HistoryEntry]) -> _Stacked:
-    ordered = tuple(sorted(entries, key=attrgetter("resolved_at")))
-    indptr, indices, data = stack_weights([e.vector.weights for e in ordered])
-    # An entry without a fix divisor or without a file in the index credits
-    # nothing.
-    pairs = [(row, doc_id) for row, e in enumerate(ordered) if e.n_fixed
-             for doc_id in e.fixed_doc_ids]
-    return _Stacked(
-        entries=ordered,
-        times=[e.resolved_at for e in ordered],
-        indptr=indptr,
-        indices=indices,
-        data=data,
-        norms=np.array([e.vector.norm for e in ordered], dtype=np.float64),
-        n_fixed=np.array([e.n_fixed for e in ordered], dtype=np.float64),
-        inc_rows=np.array([row for row, _ in pairs], dtype=np.int64),
-        inc_docs=np.array([doc_id for _, doc_id in pairs], dtype=np.int64),
-    )
-
-
 class HistorySet:
     """Prior-report evidence with temporal filtering.
 
     A report is usable for a query only when it was resolved strictly before
     the query was reported; unresolved reports and reports without fixed
     files never contribute. Entries are held in stable resolution-time
-    order, so ``before`` is a bisection that returns a prefix sharing this
-    set's arrays.
+    order, as arrays: row r of the CSR matrix (indptr, indices, data, norms)
+    is entry r's vector, and each (row, doc) pair of a fix is one incidence.
+    Rows ascend, so the first n entries' rows and incidences are prefixes,
+    and ``before`` is a bisection that returns a view sharing these arrays.
     """
 
     def __init__(self, entries: Iterable[HistoryEntry]):
-        self._stacked = _stack(entries)
-        self._n = len(self._stacked.entries)
+        self._entries = tuple(sorted(entries, key=attrgetter("resolved_at")))
+        self._times = [e.resolved_at for e in self._entries]
+        self._n = len(self._entries)
+        self._indptr, self._indices, self._data = stack_weights(
+            [e.vector.weights for e in self._entries])
+        self._norms = np.array([e.vector.norm for e in self._entries], dtype=np.float64)
+        self._n_fixed = np.array([e.n_fixed for e in self._entries], dtype=np.float64)
+        # An entry without a fix divisor or without a file in the index
+        # credits nothing.
+        pairs = [(row, doc_id) for row, e in enumerate(self._entries) if e.n_fixed
+                 for doc_id in e.fixed_doc_ids]
+        self._inc_rows = np.array([row for row, _ in pairs], dtype=np.int64)
+        self._inc_docs = np.array([doc_id for _, doc_id in pairs], dtype=np.int64)
 
     @classmethod
     def build(
@@ -148,40 +117,71 @@ class HistorySet:
         doc_ids = {p: i for i, p in enumerate(index.paths)}
         entries = []
         for report in reports:
-            if report.resolved_at is None or not report.fixed_files:
+            fixed = report.fixed_paths
+            if report.resolved_at is None or not fixed:
                 continue
-            fixed = []
-            seen = set()
-            for f in report.fixed_files:
-                norm = normalize_path(f)
-                if norm not in seen:
-                    seen.add(norm)
-                    fixed.append(norm)
             ids = tuple(doc_ids[p] for p in fixed if p in doc_ids)
-            entries.append(
-                HistoryEntry(
-                    report_id=report.id,
-                    resolved_at=report.resolved_at,
-                    vector=vectorize(report),
-                    fixed_doc_ids=ids,
-                    n_fixed=len(fixed),
-                )
-            )
+            entries.append(HistoryEntry(report.id, report.resolved_at, vectorize(report),
+                                        fixed_doc_ids=ids, n_fixed=len(fixed)))
         return cls(entries)
 
     def before(self, reported_at: datetime) -> "HistorySet":
         """The entries resolved strictly before ``reported_at``."""
-        view = object.__new__(HistorySet)
-        view._stacked = self._stacked
-        view._n = bisect_left(self._stacked.times, reported_at, hi=self._n)
+        view = copy.copy(self)
+        view._n = bisect_left(self._times, reported_at, hi=self._n)
         return view
 
     @property
     def entries(self) -> tuple[HistoryEntry, ...]:
-        return self._stacked.entries[:self._n]
+        return self._entries[:self._n]
 
     def __len__(self) -> int:
         return self._n
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, data, norms) of this set's rows."""
+        n = self._n
+        nnz = self._indptr[n]
+        return self._indptr[:n + 1], self._indices[:nnz], self._data[:nnz], self._norms[:n]
+
+    def incidences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, doc id) of every file this set's fixes touched, and each
+        row's number of fixed files."""
+        k = np.searchsorted(self._inc_rows, self._n)
+        return self._inc_rows[:k], self._inc_docs[:k], self._n_fixed
+
+
+def csr_cosine(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    norms: np.ndarray,
+    qdense: np.ndarray,
+    qnorm: float,
+) -> np.ndarray:
+    """Cosine of one dense query against every row of a CSR matrix, once per
+    bug report and once per history sweep.
+
+    ``indptr``/``indices``/``data`` form the per-row term weights, ``norms``
+    the per-row Euclidean norms, ``qdense`` the query weights over the same
+    vocabulary. Zero-norm rows or a zero-norm query score 0. Each row's
+    products are summed on their own, in stored order, starting from
+    ``0.0``, so two identical rows get identical cosines wherever they sit
+    in the matrix, and true ties break on path order.
+    """
+    n_docs = indptr.shape[0] - 1
+    out = np.zeros(n_docs, dtype=np.float64)
+    if qnorm <= 0.0:
+        return out
+    products = data * qdense[indices]
+    # bincount adds each product into its row's bin in stored order, starting
+    # from 0.0, and leaves empty rows at exactly 0.
+    row_ids = np.repeat(np.arange(n_docs), np.diff(indptr))
+    dots = np.bincount(row_ids, weights=products, minlength=n_docs)
+    denom = norms * qnorm
+    mask = denom > 0.0
+    out[mask] = dots[mask] / denom[mask]
+    return out
 
 
 def vsm_scores(query: QueryVector, index: Index) -> np.ndarray:
@@ -206,14 +206,9 @@ def simi_scores(
     share onto its fixed files, in row order."""
     if not isinstance(history, HistorySet):
         history = HistorySet(history)
-    h, n = history._stacked, history._n
-    nnz = h.indptr[n]
-    sims = csr_cosine(h.indptr[:n + 1], h.indices[:nnz], h.data[:nnz], h.norms[:n],
-                      query_dense(query, index), query.norm)
-    k = np.searchsorted(h.inc_rows, n)
-    rows = h.inc_rows[:k]
-    return np.bincount(h.inc_docs[:k], weights=sims[rows] / h.n_fixed[rows],
-                       minlength=index.n_docs)
+    sims = csr_cosine(*history.csr(), query_dense(query, index), query.norm)
+    rows, docs, n_fixed = history.incidences()
+    return np.bincount(docs, weights=sims[rows] / n_fixed[rows], minlength=index.n_docs)
 
 
 def buglocator_scores(
@@ -258,7 +253,7 @@ def make_ranking(scores: np.ndarray, index: Index, top_k: int = DEFAULT_TOP_K) -
     scores = np.asarray(scores, dtype=np.float64)
     # lexsort is stable and sorts by its last key first: the order of
     # sorted(key=(-score, path)).
-    order = np.lexsort((index.path_rank(), -scores))
+    order = np.lexsort((index.path_rank, -scores))
     if top_k > 0:
         order = order[:top_k]
     paths = index.paths
@@ -266,29 +261,3 @@ def make_ranking(scores: np.ndarray, index: Index, top_k: int = DEFAULT_TOP_K) -
         RankingEntry(rank=r, path=paths[d], score=score, doc_id=d)
         for r, (d, score) in enumerate(zip(order.tolist(), scores[order].tolist()), start=1)
     ]
-
-
-def _check_field(value: str, what: str) -> None:
-    if not value or any(ch.isspace() for ch in value):
-        raise EvalError(f"{what} {value!r} is empty or contains whitespace; "
-                        "run files are whitespace-delimited")
-
-
-def write_run_file(
-    path: str,
-    rankings: list[tuple[str, list[RankingEntry]]],
-    tag: str,
-) -> None:
-    """TREC run format: qid Q0 path rank score tag, scores to six decimals.
-    The query id and tag are checked once per block, each distinct path once
-    per file."""
-    checked_paths: set[str] = set()
-    with open(path, "w", encoding="utf-8") as fh:
-        for query_id, entries in rankings:
-            _check_field(query_id, "query id")
-            _check_field(tag, "run tag")
-            for e in entries:
-                if e.path not in checked_paths:
-                    _check_field(e.path, "document path")
-                    checked_paths.add(e.path)
-                fh.write(f"{query_id} Q0 {e.path} {e.rank} {e.score:.6f} {tag}\n")

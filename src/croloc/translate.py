@@ -2,8 +2,8 @@
 
 Backends share one batch contract; the pipeline only ever sends text that
 actually contains Japanese. The service backend speaks a minimal JSON POST
-protocol and retries transient failures with capped exponential backoff;
-responses that violate the protocol are never retried.
+protocol and retries transient failures with exponential backoff; responses
+that violate the protocol are never retried.
 """
 from __future__ import annotations
 
@@ -14,19 +14,19 @@ import logging
 import os
 import time
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, TextIO
+from typing import TextIO
 
-from .corpus import BugReport, SourceDocument
+from .corpus import BugReport, SourceDocument, read_lines
 from .errors import ProtocolError, TranslationError
 from .extract import detect_japanese, extract_spans, japanese_segments, reembed
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
 BATCH_SIZE = 32
 SERVICE_TOKEN_ENV = "CROLOC_SERVICE_TOKEN"
+_TIMEOUT_S = 30.0
+_ATTEMPTS = 3
+_BACKOFF_S = 0.5  # doubled after each failed attempt: 0.5 s, then 1 s
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 
@@ -52,28 +52,22 @@ class IdentityBackend(TranslatorBackend):
 def load_glossary(path: str) -> dict[str, str]:
     """Tab-separated source/translation pairs, one per line; # starts a comment."""
     glossary: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise TranslationError(
-                    f"{path}:{lineno}: expected exactly two tab-separated fields"
-                )
-            source, target = parts
-            if source in glossary and glossary[source] != target:
-                raise TranslationError(
-                    f"{path}:{lineno}: conflicting entries for {source!r}"
-                )
-            glossary[source] = target
+    for lineno, line in read_lines(path, TranslationError):
+        line = line.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise TranslationError(
+                f"{path}:{lineno}: expected exactly two tab-separated fields"
+            )
+        source, target = parts
+        if source in glossary and glossary[source] != target:
+            raise TranslationError(
+                f"{path}:{lineno}: conflicting entries for {source!r}"
+            )
+        glossary[source] = target
     return glossary
-
-
-def glossary_translate(text: str, glossary: dict[str, str]) -> str:
-    """Greedy longest-match replacement, scanning left to right."""
-    return GlossaryBackend(glossary).translate_batch([text])[0]
 
 
 def _glossary_scan(text: str, glossary: dict[str, str],
@@ -97,7 +91,8 @@ def _glossary_scan(text: str, glossary: dict[str, str],
 
 
 class GlossaryBackend(TranslatorBackend):
-    """Deterministic offline translation from a fixed phrase table."""
+    """Deterministic offline translation from a fixed phrase table: greedy
+    longest-match replacement, scanning left to right."""
 
     name = "glossary"
 
@@ -120,36 +115,20 @@ class ServiceBackend(TranslatorBackend):
 
     POSTs {"texts": [...], "source": "ja", "target": "en"} and expects
     {"translations": [...]} of equal length. Transient failures (connection
-    errors, 429, 5xx) are retried up to max_attempts with capped exponential
-    backoff; anything else fails immediately.
+    errors, 429, 5xx) get 3 attempts in all, 0.5 s and then 1 s apart;
+    anything else fails immediately.
     """
 
     name = "service"
 
-    def __init__(
-        self,
-        url: str,
-        token: str | None = None,
-        timeout: float = 30.0,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 2.0,
-        session: requests.Session | None = None,
-        sleep=time.sleep,
-    ):
+    def __init__(self, url: str, token: str | None = None, sleep=time.sleep):
+        # Imported here: only this backend needs it, and every other command
+        # would pay its import time and memory.
+        import requests
+
         self.url = url
         self.token = token if token is not None else os.environ.get(SERVICE_TOKEN_ENV)
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        if session is None:
-            # Imported here: only this backend needs it, and every other
-            # command would pay its import time and memory.
-            import requests
-
-            session = requests.Session()
-        self.session = session
+        self._session = requests.Session()
         self._sleep = sleep
 
     def translate_batch(self, texts: list[str]) -> list[str]:
@@ -162,10 +141,10 @@ class ServiceBackend(TranslatorBackend):
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         last_error: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, _ATTEMPTS + 1):
             try:
-                response = self.session.post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout
+                response = self._session.post(
+                    self.url, json=payload, headers=headers, timeout=_TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_error = exc
@@ -179,13 +158,13 @@ class ServiceBackend(TranslatorBackend):
                 last_error = TranslationError(
                     f"translation service returned HTTP {response.status_code}"
                 )
-            if attempt < self.max_attempts:
-                delay = min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap)
+            if attempt < _ATTEMPTS:
+                delay = _BACKOFF_S * 2 ** (attempt - 1)
                 log.warning("translation attempt %d/%d failed (%s); retrying in %.1fs",
-                            attempt, self.max_attempts, last_error, delay)
+                            attempt, _ATTEMPTS, last_error, delay)
                 self._sleep(delay)
         raise TranslationError(
-            f"translation service failed after {self.max_attempts} attempts: {last_error}"
+            f"translation service failed after {_ATTEMPTS} attempts: {last_error}"
         )
 
     @staticmethod

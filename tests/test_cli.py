@@ -1,6 +1,7 @@
 """End-to-end command line tests, driven through subprocesses."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -276,6 +277,19 @@ class TestGoldenRuns:
         golden = FIXTURES / "golden" / f"run.{technique}.trec"
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_index_files_match_golden_digests(self, built, tmp_path):
+        # index.sha256 pins the translated index the ``built`` fixture writes
+        # and the untranslated one, in ``sha256sum`` format.
+        result = run_cli("index", "--tree", TREE, "--no-translate", "--out-dir", tmp_path,
+                         cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        written = {"index.json": built / "index.json",
+                   "index.notranslate.json": tmp_path / "index.notranslate.json"}
+        golden = (FIXTURES / "golden" / "index.sha256").read_text(encoding="utf-8")
+        for line in golden.splitlines():
+            digest, name = line.split()
+            assert hashlib.sha256(written[name].read_bytes()).hexdigest() == digest, name
+
 
 class TestImports:
     def test_cli_import_leaves_requests_unloaded(self, tmp_path):
@@ -298,8 +312,11 @@ class TestImports:
         assert result.returncode == 0, result.stderr
 
 
+NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
+
+
 def _not_utf8(path):
-    path.write_bytes(b"\xff\xfe not utf-8 \x80\n")
+    path.write_bytes(NOT_UTF8)
     return path
 
 
@@ -329,16 +346,28 @@ UNREADABLE_INPUTS = {
         "eval", "--run", _run_file(d / "run.trec"), "--qrels", _not_utf8(d / "qrels.txt")),
     "locate-non-utf8-index": lambda d: (
         "locate", "--index", _not_utf8(d / "index.json"), "--reports", REPORTS),
+    "qrels-non-utf8-reports": lambda d: (
+        "qrels", "--reports", _not_utf8(d / "reports.jsonl")),
+    "qrels-non-utf8-commit-log": lambda d: (
+        "qrels", "--reports", REPORTS, "--commit-log", _not_utf8(d / "commits.jsonl")),
+    "index-non-utf8-glossary": lambda d: (
+        "index", "--tree", TREE, "--glossary", _not_utf8(d / "glossary.tsv"), "--out-dir", d),
 }
 
 
 class TestUnreadableInputs:
     @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
     def test_error_line_and_exit_1(self, tmp_path, case):
-        result = run_cli(*UNREADABLE_INPUTS[case](tmp_path), cwd=tmp_path)
+        args = UNREADABLE_INPUTS[case](tmp_path)
+        result = run_cli(*args, cwd=tmp_path)
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith("error:"), result.stderr
         assert "Traceback" not in result.stderr
+        undecodable = [a for a in args if isinstance(a, pathlib.Path) and a.is_file()
+                       and a.read_bytes() == NOT_UTF8]
+        assert len(undecodable) == ("non-utf8" in case)
+        for path in undecodable:
+            assert str(path) in result.stderr, result.stderr
 
 
 class TestTracerSeam:
@@ -364,10 +393,14 @@ class TestTracerSeam:
                               "--reports", REPORTS, "--out-dir", tmp_path)
         for name, n in located.items():
             calls[name] = calls.get(name, 0) + n
-        spans = ("index.documents", "index.save", "index.load", "index.vectorize",
-                 "rank.score", "rank.ranking", "rank.write", "rank.simi",
-                 "rank.history_build", "kernels.cosine", "extract.spans",
-                 "translate.texts")
+        spans = ("corpus.filter", "corpus.load", "corpus.reports_load",
+                 "extract.reembed", "extract.segments", "extract.spans",
+                 "index.build", "index.csr", "index.documents", "index.load",
+                 "index.save", "index.tokenize", "index.vectorize",
+                 "kernels.cosine", "rank.history_before", "rank.history_build",
+                 "rank.ranking", "rank.rvsm", "rank.score", "rank.simi",
+                 "rank.write", "translate.backend", "translate.document",
+                 "translate.glossary_load", "translate.report", "translate.texts")
         assert [s for s in spans if not calls.get(s)] == []
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 
 import pytest
 
@@ -23,7 +24,9 @@ from croloc.evalharness import (
     reciprocal_rank,
     success_at_n,
     write_qrels,
+    write_run_file,
 )
+from croloc.rank import RankingEntry
 from reference import ref_average_precision, ref_reciprocal_rank, ref_success_at
 
 
@@ -419,3 +422,17 @@ class TestEvaluate:
         report = evaluate(run, qrels, mode="direct")
         assert isinstance(report, EvalReport)
         assert report.mode == "direct"
+
+
+class TestWriteRunFile:
+    def test_failed_write_keeps_the_old_run(self, tmp_path):
+        # A block that fails its field check after earlier blocks were
+        # formatted must not leave a partial run that eval would score.
+        target = tmp_path / "p.trec"
+        target.write_text("OLD Q0 src/Z.java 1 1.000000 t\n", encoding="utf-8")
+        ok = [RankingEntry(rank=1, path="src/A.java", score=0.5, doc_id=0)]
+        bad = [RankingEntry(rank=1, path="src/A b.java", score=0.5, doc_id=1)]
+        with pytest.raises(EvalError, match="whitespace"):
+            write_run_file(str(target), [("Q1", ok), ("Q2", bad)], "t")
+        assert target.read_text(encoding="utf-8") == "OLD Q0 src/Z.java 1 1.000000 t\n"
+        assert os.listdir(tmp_path) == ["p.trec"]

