@@ -11,3 +11,7 @@ and ``croloc.evalharness``.
 """
 
 __version__ = "0.1.0"
+
+# The scoring techniques of ``croloc.rank``, named here so that building the
+# command line parser loads no numpy.
+TECHNIQUES = ("vsm", "rvsm", "buglocator")

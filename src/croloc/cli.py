@@ -16,19 +16,23 @@ the long option names; explicit flags win over config values. Exit status is
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import sys
 from collections.abc import Callable, Sequence
 from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path, PurePosixPath
+from typing import TYPE_CHECKING
 
+from . import TECHNIQUES
 from .corpus import (
     BugReport,
     filter_usable_reports,
     load_bug_reports,
     load_source_tree,
     report_to_obj,
+    write_atomically,
 )
 from .errors import ConfigError, CrolocError
 from .evalharness import (
@@ -41,33 +45,48 @@ from .evalharness import (
     write_qrels,
     write_run_file,
 )
-from .extract import extract_spans, japanese_segments
-from .index import (
-    QueryVector,
-    TokenizerOptions,
-    index_documents,
-    load_index,
-    save_index,
-    vectorize_query,
-)
-from .rank import (
-    DEFAULT_ALPHA,
-    DEFAULT_TOP_K,
-    TECHNIQUES,
-    HistorySet,
-    make_ranking,
-    score_documents,
-)
-from .translate import (
-    GlossaryBackend,
-    IdentityBackend,
-    ServiceBackend,
-    TranslationCache,
-    TranslatorBackend,
-    load_glossary,
-    translate_document,
-    translate_report,
-)
+
+if TYPE_CHECKING:
+    from .index import QueryVector
+    from .translate import TranslatorBackend
+
+# Names taken from modules that not every command needs. They become globals
+# of this module when a command that calls them starts (``_bind``), not at
+# import: ``index`` and ``rank`` import numpy, which qrels and eval never use.
+# Commands call them through these globals, so a wrapper set on this module
+# (perfbench/tracer.py) sees every call.
+_LAZY = {
+    "extract": ("extract_spans", "japanese_segments"),
+    "index": ("TokenizerOptions", "index_documents", "load_index", "save_index",
+              "vectorize_query"),
+    "rank": ("DEFAULT_ALPHA", "DEFAULT_TOP_K", "HistorySet", "make_ranking",
+             "score_documents"),
+    "translate": ("GlossaryBackend", "IdentityBackend", "ServiceBackend",
+                  "TranslationCache", "load_glossary", "translate_document",
+                  "translate_report"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Bind the names ``_LAZY`` lists for ``modules`` as globals of this
+    module, keeping any that is bound already."""
+    scope = globals()
+    for module in modules:
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            scope.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """``croloc.cli.<name>`` of a ``_LAZY`` name, read from outside before any
+    command bound it (PEP 562)."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +107,8 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -190,12 +211,13 @@ def _default_run_path(args: argparse.Namespace) -> str:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    _bind("extract")
     tree = _require(args, "tree")
     corpus = load_source_tree(tree, _include_patterns(args),
                               permissive=bool(args.permissive))
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
-    try:
-        n_spans = 0
+    to_stdout = args.out in (None, "-")
+    n_spans = 0
+    with nullcontext(sys.stdout) if to_stdout else write_atomically(args.out) as out:
         for doc in corpus.documents:
             for span in extract_spans(doc):
                 segments = japanese_segments(span.text)
@@ -212,14 +234,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 }
                 out.write(json.dumps(obj, ensure_ascii=False) + "\n")
                 n_spans += 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
     log.info("extracted %d spans from %d files", n_spans, len(corpus))
     return 0
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
+    _bind("translate")
     _fill(args, out_dir=".")
     if getattr(args, "tree", None) is None and getattr(args, "reports", None) is None:
         raise ConfigError("translate needs --tree and/or --reports")
@@ -244,7 +264,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
             reports = load_bug_reports(args.reports)
             out_path = out_dir / "reports.translated.jsonl"
             out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with write_atomically(out_path) as fh:
                 for report in reports:
                     translated = translate_report(report, backend, cache)
                     fh.write(json.dumps(report_to_obj(translated), ensure_ascii=False) + "\n")
@@ -253,6 +273,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    _bind("index", "translate")
     tree = _require(args, "tree")
     _fill(args, out_dir=".", stemming=False)
     corpus = load_source_tree(tree, _include_patterns(args),
@@ -271,6 +292,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
+    _bind("index", "rank", "translate")
     reports_path = _require(args, "reports")
     _fill(args, out_dir=".", technique="buglocator", alpha=DEFAULT_ALPHA,
           top_k=DEFAULT_TOP_K)
@@ -335,7 +357,7 @@ def cmd_qrels(args: argparse.Namespace) -> int:
     if args.out in (None, "-"):
         write_qrels(sys.stdout, qrels)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with write_atomically(args.out) as fh:
             write_qrels(fh, qrels)
         log.info("wrote qrels for %d queries -> %s", len(qrels.grades), args.out)
     return 0
@@ -352,7 +374,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(run, qrels, args.mode)
     print(report.format_table())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with write_atomically(args.json) as fh:
             json.dump(report.to_json(), fh, ensure_ascii=False, indent=2)
             fh.write("\n")
     return 0

@@ -186,6 +186,14 @@ class Index:
         path_rank[order] = np.arange(self.n_docs)
         return path_rank
 
+    @functools.cached_property
+    def length_factor(self) -> np.ndarray:
+        """rVSM's length factor of each document (``croloc.rank.length_factor``),
+        built once."""
+        from .rank import length_factor
+
+        return length_factor(self.term_counts)
+
 
 def stack_weights(rows: list[dict[int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR (indptr, indices, data) of sparse weight rows, with term ids in

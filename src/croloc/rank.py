@@ -24,10 +24,10 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import TECHNIQUES
 from .corpus import BugReport
 from .index import Index, QueryVector, query_dense, stack_weights
 
-TECHNIQUES = ("vsm", "rvsm", "buglocator")
 DEFAULT_ALPHA = 0.2
 DEFAULT_TOP_K = 100
 
@@ -55,8 +55,10 @@ def minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def length_factor(term_counts: np.ndarray) -> np.ndarray:
+    """rVSM's weight of each document by its token count, 1/(1 + e^-N(len_d));
+    ``Index.length_factor`` holds it once per index."""
+    return 1.0 / (1.0 + np.exp(-minmax(term_counts)))
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def vsm_scores(query: QueryVector, index: Index) -> np.ndarray:
 
 
 def rvsm_scores(query: QueryVector, index: Index) -> np.ndarray:
-    return _sigmoid(minmax(index.term_counts)) * vsm_scores(query, index)
+    return index.length_factor * vsm_scores(query, index)
 
 
 def simi_scores(

@@ -12,12 +12,14 @@ import pytest
 
 import croloc
 from conftest import FIXTURES
+from croloc import cli
 
 PROJECT = FIXTURES / "synthetic_project"
 TREE = PROJECT  # fixed_files paths in reports.jsonl are rooted here
 REPORTS = PROJECT / "reports.jsonl"
 COMMITS = PROJECT / "commit_log.jsonl"
 GLOSSARY = PROJECT / "glossary.tsv"
+GOLDEN_RUN = FIXTURES / "golden" / "run.buglocator.trec"
 
 ENTRY = "import sys; from croloc.cli import main; sys.exit(main())"
 # The directory holding the croloc package this test process imported, so the
@@ -291,25 +293,66 @@ class TestGoldenRuns:
             assert hashlib.sha256(written[name].read_bytes()).hexdigest() == digest, name
 
 
+RUN_MAIN = """
+import contextlib, io, sys
+from croloc.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            status = main([str(a) for a in argv])
+        except SystemExit as exc:  # --help
+            status = exc.code
+    if status != 0:
+        sys.exit(f"{argv} exited with {status}")
+"""
+
+
+def _runs(*argvs):
+    return RUN_MAIN + "".join(f"run(*{[str(a) for a in argv]!r})\n" for argv in argvs)
+
+
+# Code that must not load numpy: only index and locate work on arrays. Each
+# case gets a scratch directory ``d`` for its outputs.
+NUMPY_FREE = {
+    "import": lambda d: "import croloc.cli",
+    "build-parser": lambda d: "from croloc.cli import build_parser; build_parser()",
+    **{f"help-{command}": (lambda d, command=command: _runs((command, "--help")))
+       for command in ("extract", "translate", "index", "locate", "qrels", "eval")},
+    "qrels": lambda d: _runs(
+        ("qrels", "--reports", REPORTS, "--commit-log", COMMITS, "-o", d / "qrels.txt")),
+    "eval": lambda d: _runs(
+        ("qrels", "--reports", REPORTS, "--commit-log", COMMITS, "-o", d / "qrels.txt"),
+        ("eval", "--run", GOLDEN_RUN, "--qrels", d / "qrels.txt", "--json", d / "eval.json")),
+    "extract": lambda d: _runs(("extract", "--tree", TREE, "-o", d / "spans.jsonl")),
+    "translate": lambda d: _runs(
+        ("translate", "--tree", TREE, "--reports", REPORTS, "--glossary", GLOSSARY,
+         "--cache", d / "cache.jsonl", "--out-dir", d)),
+}
+
+
 class TestImports:
-    def test_cli_import_leaves_requests_unloaded(self, tmp_path):
-        # Only the service backend needs requests; every command would
-        # otherwise pay its import time and memory.
-        code = "import sys, croloc.cli; sys.exit('requests' in sys.modules)"
+    def _leaves_unloaded(self, tmp_path, code, module):
+        code += f"\nimport sys; sys.exit({module!r} in sys.modules and '{module} loaded')"
         env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
         result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
                                 env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 
+    def test_cli_import_leaves_requests_unloaded(self, tmp_path):
+        # Only the service backend needs requests; every command would
+        # otherwise pay its import time and memory.
+        self._leaves_unloaded(tmp_path, "import croloc.cli", "requests")
+
     def test_array_free_modules_leave_numpy_unloaded(self, tmp_path):
-        # Only index, rank and their kernel work on arrays; loading, extraction,
+        # Only index and rank work on arrays; loading, extraction,
         # translation and evaluation should not pay for numpy's import.
-        code = ("import sys, croloc.corpus, croloc.evalharness, croloc.extract, "
-                "croloc.translate; sys.exit('numpy' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
-        result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
-                                env=env, capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
+        self._leaves_unloaded(tmp_path, "import croloc.corpus, croloc.evalharness, "
+                              "croloc.extract, croloc.translate", "numpy")
+
+    @pytest.mark.parametrize("case", sorted(NUMPY_FREE))
+    def test_array_free_commands_leave_numpy_unloaded(self, tmp_path, case):
+        self._leaves_unloaded(tmp_path, NUMPY_FREE[case](tmp_path), "numpy")
 
 
 NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
@@ -352,6 +395,8 @@ UNREADABLE_INPUTS = {
         "qrels", "--reports", REPORTS, "--commit-log", _not_utf8(d / "commits.jsonl")),
     "index-non-utf8-glossary": lambda d: (
         "index", "--tree", TREE, "--glossary", _not_utf8(d / "glossary.tsv"), "--out-dir", d),
+    "config-non-utf8": lambda d: (
+        "qrels", "--config", _not_utf8(d / "config.json"), "--reports", REPORTS),
 }
 
 
@@ -402,6 +447,77 @@ class TestTracerSeam:
                  "rank.write", "translate.backend", "translate.document",
                  "translate.glossary_load", "translate.report", "translate.texts")
         assert [s for s in spans if not calls.get(s)] == []
+
+    def test_qrels_and_eval_layers_record_calls(self, tmp_path):
+        qrels = tmp_path / "qrels.txt"
+        calls = self._trace(tmp_path, "qrels", "qrels", "--reports", REPORTS,
+                            "--commit-log", COMMITS, "-o", qrels)
+        evaluated = self._trace(tmp_path, "eval", "eval", "--run", GOLDEN_RUN,
+                                "--qrels", qrels)
+        for name, n in evaluated.items():
+            calls[name] = calls.get(name, 0) + n
+        spans = ("corpus.reports_load", "eval.commit_log_load", "eval.evaluate",
+                 "eval.link", "eval.read_qrels", "eval.read_run", "eval.write_qrels")
+        assert [s for s in spans if not calls.get(s)] == []
+
+
+OLD_OUTPUT = "old output\n"
+
+
+def _fail_on_call(real, n):
+    """``real``, except that its ``n``-th call raises."""
+    calls = 0
+
+    def fn(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise OSError("No space left on device")
+        return real(*args, **kwargs)
+    return fn
+
+
+def _write_then_fail(out):
+    out.write("partial\n")
+    raise OSError("No space left on device")
+
+
+class TestAtomicOutputs:
+    """A command that fails partway through its output leaves the file it
+    would replace as it was, and no temporary file beside it."""
+
+    def _fails_keeping_old(self, tmp_path, out, *args):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(OLD_OUTPUT, encoding="utf-8")
+        before = set(tmp_path.rglob("*"))
+        assert cli.main([str(a) for a in args]) == 1
+        assert out.read_text(encoding="utf-8") == OLD_OUTPUT
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_qrels_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "write_qrels", lambda out, qrels: _write_then_fail(out))
+        out = tmp_path / "qrels.txt"
+        self._fails_keeping_old(tmp_path, out, "qrels", "--reports", REPORTS,
+                                "--commit-log", COMMITS, "-o", out)
+
+    def test_eval_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.json, "dump", lambda obj, out, **kw: _write_then_fail(out))
+        qrels = tmp_path / "qrels.txt"
+        assert cli.main(["qrels", "--reports", str(REPORTS), "-o", str(qrels)]) == 0
+        out = tmp_path / "eval.json"
+        self._fails_keeping_old(tmp_path, out, "eval", "--run", GOLDEN_RUN,
+                                "--qrels", qrels, "--json", out)
+
+    def test_translated_reports(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "translate_report", _fail_on_call(cli.translate_report, 2))
+        out = tmp_path / "reports.translated.jsonl"
+        self._fails_keeping_old(tmp_path, out, "translate", "--reports", REPORTS,
+                                "--out-dir", tmp_path)
+
+    def test_extract_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "extract_spans", _fail_on_call(cli.extract_spans, 2))
+        out = tmp_path / "spans.jsonl"
+        self._fails_keeping_old(tmp_path, out, "extract", "--tree", TREE, "-o", out)
 
 
 class TestQrelsCommand:
