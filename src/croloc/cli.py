@@ -299,9 +299,15 @@ def cmd_locate(args: argparse.Namespace) -> int:
     if args.technique not in TECHNIQUES:
         raise ConfigError(f"unknown technique {args.technique!r}; "
                           f"expected one of {TECHNIQUES}")
-    alpha = float(args.alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"--alpha must lie in [0, 1], got {alpha}")
+    alpha, top_k = args.alpha, args.top_k
+    # Config values skip argparse's type conversion; a bool is an int to
+    # Python but is no count or weight here.
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) \
+            or not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"--alpha must be a number in [0, 1], got {alpha!r}")
+    if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0:
+        raise ConfigError(f"--top-k must be a non-negative integer, got {top_k!r}")
+    alpha = float(alpha)
     index_path = args.index or _default_index_path(args)
     index = load_index(index_path)
     reports = _translated(args, load_bug_reports(reports_path),
@@ -333,12 +339,14 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
     history = (HistorySet.build(reports, index, vectorize)
                if args.technique == "buglocator" else None)
+    paths = index.paths
     rankings = []
     for report in queries:
         query = vectorize(report)
         usable_history = history.before(report.reported_at) if history is not None else ()
         scores = score_documents(query, index, args.technique, usable_history, alpha)
-        rankings.append((report.id, make_ranking(scores, index, int(args.top_k))))
+        order = make_ranking(scores, index, top_k)
+        rankings.append((report.id, [paths[d] for d in order.tolist()], scores[order].tolist()))
 
     out_path = args.out or _default_run_path(args)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)

@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, TextIO
+from itertools import count
+from typing import TextIO
 
 from .corpus import BugReport, normalize_path, read_lines, write_atomically
 from .errors import EvalError
-
-if TYPE_CHECKING:
-    from .rank import RankingEntry
 
 log = logging.getLogger(__name__)
 
@@ -118,9 +117,16 @@ def link_oracles(reports: list[BugReport], commits: list[dict]) -> Qrels:
         direct = set(report.fixed_paths)
         for p in sorted(direct):
             qrels.add(report.id, p, GRADE_DIRECT)
-        pattern = _id_pattern(report.id)
+        pattern = None
         for commit in commits:
-            if not pattern.search(commit["message"]):
+            message = commit["message"]
+            # The pattern matches only where the id occurs verbatim, so a
+            # substring test rules out most commits before any regex runs.
+            if report.id not in message:
+                continue
+            if pattern is None:
+                pattern = _id_pattern(report.id)
+            if not pattern.search(message):
                 continue
             for f in commit["changed_files"]:
                 p = normalize_path(f)
@@ -137,22 +143,26 @@ def _check_field(value: str, what: str) -> None:
 
 def write_run_file(
     path: str,
-    rankings: list[tuple[str, list[RankingEntry]]],
+    rankings: Iterable[tuple[str, Sequence[str], Sequence[float]]],
     tag: str,
 ) -> None:
     """TREC run format: qid Q0 path rank score tag, scores to six decimals.
-    The query id and tag are checked once per block, each distinct path once
-    per file. The file is replaced only once every line is written."""
+    Each ranking is a query id with its ranked paths and their scores; a
+    path's rank is its position, from 1. The query id and tag are checked
+    once per block, each distinct path once per file. The file is replaced
+    only once every line is written."""
     checked_paths: set[str] = set()
     with write_atomically(path) as fh:
-        for query_id, entries in rankings:
+        for query_id, paths, scores in rankings:
             _check_field(query_id, "query id")
             _check_field(tag, "run tag")
-            for e in entries:
-                if e.path not in checked_paths:
-                    _check_field(e.path, "document path")
-                    checked_paths.add(e.path)
-                fh.write(f"{query_id} Q0 {e.path} {e.rank} {e.score:.6f} {tag}\n")
+            for p in paths:
+                if p not in checked_paths:
+                    _check_field(p, "document path")
+                    checked_paths.add(p)
+            head, tail = f"{query_id} Q0 ", f" {tag}\n"
+            fh.write("".join([f"{head}{p} {rank} {score:.6f}{tail}"
+                              for rank, p, score in zip(count(1), paths, scores)]))
 
 
 def read_run_file(path: str) -> dict[str, list[str]]:

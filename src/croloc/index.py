@@ -178,6 +178,20 @@ class Index:
         return self.indptr, self.indices, self.data, self.norms
 
     @functools.cached_property
+    def postings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The term→document transpose of the CSR matrix, built once:
+        (ptr, docs, weights), where term t's postings are the entries
+        ``ptr[t]:ptr[t + 1]`` of ``docs`` and ``weights``, in ascending
+        doc id order."""
+        indptr, indices, data, _ = self.csr()
+        # A stable sort keeps each term's entries in row, hence doc id, order.
+        order = np.argsort(indices, kind="stable")
+        rows = np.repeat(np.arange(self.n_docs, dtype=np.int64), np.diff(indptr))
+        ptr = np.zeros(len(self.vocabulary) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(indices, minlength=len(self.vocabulary)), out=ptr[1:])
+        return ptr, rows[order], data[order]
+
+    @functools.cached_property
     def path_rank(self) -> np.ndarray:
         """Position of each document's path in lexicographic path order,
         built once; the tie-break key of every ranking."""
@@ -361,7 +375,7 @@ def load_index(path: str) -> Index:
             tuple(_array(payload, "doc_freq", np.int64).tolist()),
             *(_array(payload, key, dtype) for key, dtype in _ARRAYS.items()),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IndexFormatError(f"{path}: malformed index payload: {exc}") from exc
     problem = _array_problem(index)
     if problem:

@@ -172,14 +172,18 @@ def csr_cosine(
     in the matrix, and true ties break on path order.
     """
     n_docs = indptr.shape[0] - 1
-    out = np.zeros(n_docs, dtype=np.float64)
     if qnorm <= 0.0:
-        return out
+        return np.zeros(n_docs, dtype=np.float64)
     products = data * qdense[indices]
     # bincount adds each product into its row's bin in stored order, starting
     # from 0.0, and leaves empty rows at exactly 0.
     row_ids = np.repeat(np.arange(n_docs), np.diff(indptr))
-    dots = np.bincount(row_ids, weights=products, minlength=n_docs)
+    return _cosines(np.bincount(row_ids, weights=products, minlength=n_docs), norms, qnorm)
+
+
+def _cosines(dots: np.ndarray, norms: np.ndarray, qnorm: float) -> np.ndarray:
+    """dots / (norms * qnorm), and 0 where that product is not positive."""
+    out = np.zeros(dots.shape[0], dtype=np.float64)
     denom = norms * qnorm
     mask = denom > 0.0
     out[mask] = dots[mask] / denom[mask]
@@ -187,9 +191,31 @@ def csr_cosine(
 
 
 def vsm_scores(query: QueryVector, index: Index) -> np.ndarray:
-    indptr, indices, data, norms = index.csr()
-    qdense = query_dense(query, index)
-    return csr_cosine(indptr, indices, data, norms, qdense, query.norm)
+    """Cosine of the query against every document, over the postings of the
+    query's terms only.
+
+    The query's terms are taken in ascending id order and their postings
+    gathered in one go, so ``np.bincount`` adds each document's products in
+    ascending term id order from 0.0: the order of ``csr_cosine``'s row sum.
+    There, the terms a query lacks add a zero product, and adding a zero
+    leaves a sum begun at +0.0 unchanged, so both give bit-identical cosines.
+    Zero norms score 0, as in ``csr_cosine``.
+    """
+    n_docs = index.n_docs
+    if query.norm <= 0.0:
+        return np.zeros(n_docs, dtype=np.float64)
+    ptr, docs, weights = index.postings
+    term_list = sorted(query.weights)
+    terms = np.array(term_list, dtype=np.int64)
+    qweights = np.array([query.weights[t] for t in term_list], dtype=np.float64)
+    starts = ptr[terms]
+    lengths = ptr[terms + 1] - starts
+    # Entry j of the i-th term's postings is at starts[i] + j.
+    firsts = np.cumsum(lengths) - lengths
+    entries = np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
+    dots = np.bincount(docs[entries], weights=np.repeat(qweights, lengths) * weights[entries],
+                       minlength=n_docs)
+    return _cosines(dots, index.norms, query.norm)
 
 
 def rvsm_scores(query: QueryVector, index: Index) -> np.ndarray:
@@ -242,24 +268,19 @@ def score_documents(
     raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
 
 
-@dataclass(frozen=True)
-class RankingEntry:
-    rank: int
-    path: str
-    score: float
-    doc_id: int
-
-
-def make_ranking(scores: np.ndarray, index: Index, top_k: int = DEFAULT_TOP_K) -> list[RankingEntry]:
-    """Top-k documents ordered by descending score, path-lexicographic on ties."""
+def make_ranking(scores: np.ndarray, index: Index, top_k: int = DEFAULT_TOP_K) -> np.ndarray:
+    """Doc ids of the top-k documents (every document when ``top_k`` is 0),
+    by descending score and then by path."""
     scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[0]
+    if 0 < top_k < n:
+        # Only documents scoring at least the k-th largest score can rank in
+        # the top k; ties with it stay in until the path order decides.
+        kth = np.partition(scores, n - top_k)[n - top_k]
+        candidates = np.flatnonzero(scores >= kth)
+    else:
+        candidates = np.arange(n)
     # lexsort is stable and sorts by its last key first: the order of
     # sorted(key=(-score, path)).
-    order = np.lexsort((index.path_rank, -scores))
-    if top_k > 0:
-        order = order[:top_k]
-    paths = index.paths
-    return [
-        RankingEntry(rank=r, path=paths[d], score=score, doc_id=d)
-        for r, (d, score) in enumerate(zip(order.tolist(), scores[order].tolist()), start=1)
-    ]
+    order = candidates[np.lexsort((index.path_rank[candidates], -scores[candidates]))]
+    return order[:top_k] if top_k > 0 else order

@@ -8,10 +8,15 @@ the earlier per-character implementations, kept verbatim as oracles for the
 regex and ``bytes.find`` versions that replaced them. They reuse only the
 package's data types, the Porter stemmer and the scanner's string-literal
 helpers, none of which changed.
+
+Oracle linking: the earlier loop that runs every report's id pattern over
+every commit message, kept verbatim as the oracle of the substring-prefiltered
+``link_oracles``.
 """
 import math
 
-from croloc.corpus import Language
+from croloc.corpus import Language, normalize_path
+from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
 from croloc.extract import JAPANESE_RANGES, Segment, SpanKind, _Scanner
 from croloc.index import TokenizerOptions
 from croloc.porter import stem as porter_stem
@@ -131,6 +136,23 @@ def ref_reciprocal_rank(ranked, relevant):
 
 def ref_success_at(ranked, relevant, n):
     return 1 if any(p in relevant for p in ranked[:n]) else 0
+
+
+def ref_link_oracles(reports, commits):
+    qrels = Qrels()
+    for report in reports:
+        direct = set(report.fixed_paths)
+        for p in sorted(direct):
+            qrels.add(report.id, p, GRADE_DIRECT)
+        pattern = _id_pattern(report.id)
+        for commit in commits:
+            if not pattern.search(commit["message"]):
+                continue
+            for f in commit["changed_files"]:
+                p = normalize_path(f)
+                if p not in direct:
+                    qrels.add(report.id, p, GRADE_INDIRECT)
+    return qrels
 
 
 # --- Tokenizer oracle ------------------------------------------------------

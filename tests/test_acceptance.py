@@ -235,8 +235,8 @@ def test_acceptance_2_alpha_zero_order():
             q, index = c["query_vec"], c["index"]
             combined = buglocator_scores(q, index, c["entries"], alpha=0.0)
             rvsm = rvsm_scores(q, index)
-            order_combined = [e.path for e in make_ranking(combined, index, top_k=0)]
-            order_rvsm = [e.path for e in make_ranking(rvsm, index, top_k=0)]
+            order_combined = [index.paths[d] for d in make_ranking(combined, index, top_k=0)]
+            order_rvsm = [index.paths[d] for d in make_ranking(rvsm, index, top_k=0)]
             assert order_combined == order_rvsm
 
 
@@ -407,7 +407,7 @@ def _project_run(translate: bool):
             query, index, "buglocator",
             history.before(report.reported_at), DEFAULT_ALPHA,
         )
-        run[report.id] = [e.path for e in make_ranking(scores, index, top_k=0)]
+        run[report.id] = [index.paths[d] for d in make_ranking(scores, index, top_k=0)]
     return run, corpus, reports
 
 
@@ -483,8 +483,8 @@ def test_acceptance_8_known_item_sanity():
         query = vectorize_query(report.query_text, index)
         for technique in ("vsm", "rvsm", "buglocator"):
             scores = score_documents(query, index, technique, history=[])
-            ranking = make_ranking(scores, index, top_k=0)
-            assert ranking[0].path == target.path, (technique, ranking[:3])
+            ranked = [index.paths[d] for d in make_ranking(scores, index, top_k=0)]
+            assert ranked[0] == target.path, (technique, ranked[:3])
 
 
 def test_acceptance_9_temporal_safety():

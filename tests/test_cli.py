@@ -624,6 +624,25 @@ class TestConfigFile:
         assert result.returncode == 1
         assert "bogus" in result.stderr
 
+    @pytest.mark.parametrize("setting", [
+        {"top_k": "ten"}, {"top_k": True}, {"top_k": 2.7}, {"top_k": -3},
+        {"alpha": "x"}, {"alpha": True}, {"alpha": 1.5},
+    ], ids=repr)
+    def test_bad_locate_setting_is_config_error(self, tmp_path, capsys, setting):
+        # Checked before the index is read, so none is needed.
+        cfg = tmp_path / "croloc.json"
+        cfg.write_text(json.dumps(setting), encoding="utf-8")
+        assert cli.main(["locate", "--config", str(cfg), "--reports", str(REPORTS),
+                         "--index", str(tmp_path / "missing.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --top-k" if "top_k" in setting else "error: --alpha")
+        assert not (tmp_path / "run.buglocator.trec").exists()
+
+    def test_negative_top_k_flag_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["locate", "--top-k", "-3", "--reports", str(REPORTS),
+                         "--index", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: --top-k")
+
     def test_config_missing_file(self, tmp_path):
         result = run_cli("index", "--config", tmp_path / "nope.json", cwd=tmp_path)
         assert result.returncode == 1

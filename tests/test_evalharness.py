@@ -6,6 +6,8 @@ import logging
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from croloc.corpus import BugReport, parse_rfc3339
 from croloc.errors import EvalError
@@ -26,8 +28,12 @@ from croloc.evalharness import (
     write_qrels,
     write_run_file,
 )
-from croloc.rank import RankingEntry
-from reference import ref_average_precision, ref_reciprocal_rank, ref_success_at
+from reference import (
+    ref_average_precision,
+    ref_link_oracles,
+    ref_reciprocal_rank,
+    ref_success_at,
+)
 
 
 class TestAveragePrecision:
@@ -286,6 +292,36 @@ class TestLinkOracles:
         assert "src/Helper.java" in qrels.grades["BUG-1"]
 
 
+# Ids that overlap as substrings, plus short ids over digits, "-" and "_".
+_IDS = st.one_of(st.sampled_from(["BUG-7", "BUG-73", "A-1", "1", "A_1", "7"]),
+                 st.text(alphabet="AB17-_", min_size=1, max_size=4))
+
+
+@st.composite
+def _link_cases(draw):
+    ids = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
+    paths = st.sampled_from(["src/A.java", "src\\B.java", "./src/C.cs", "src/D.java"])
+    reports = [_report(rid, draw(st.lists(paths, max_size=2))) for rid in ids]
+    pieces = st.one_of(st.sampled_from(ids), st.text(alphabet="AB17-_ (x", max_size=4))
+    commits = [{"hash": f"c{i}", "message": "".join(draw(st.lists(pieces, max_size=5))),
+                "changed_files": draw(st.lists(paths, max_size=3))}
+               for i in range(draw(st.integers(min_value=0, max_value=6)))]
+    return reports, commits
+
+
+class TestLinkOraclesProperties:
+    @given(case=_link_cases())
+    @settings(max_examples=300)
+    def test_matches_the_regex_over_every_message(self, case):
+        reports, commits = case
+        got = link_oracles(reports, commits).grades
+        want = ref_link_oracles(reports, commits).grades
+        assert got == want
+        assert list(got) == list(want)
+        assert [list(g.items()) for g in got.values()] == \
+            [list(g.items()) for g in want.values()]
+
+
 class TestReadRunFile:
     def _write(self, tmp_path, lines):
         target = tmp_path / "run.trec"
@@ -430,9 +466,9 @@ class TestWriteRunFile:
         # formatted must not leave a partial run that eval would score.
         target = tmp_path / "p.trec"
         target.write_text("OLD Q0 src/Z.java 1 1.000000 t\n", encoding="utf-8")
-        ok = [RankingEntry(rank=1, path="src/A.java", score=0.5, doc_id=0)]
-        bad = [RankingEntry(rank=1, path="src/A b.java", score=0.5, doc_id=1)]
+        ok = ("Q1", ["src/A.java"], [0.5])
+        bad = ("Q2", ["src/A b.java"], [0.5])
         with pytest.raises(EvalError, match="whitespace"):
-            write_run_file(str(target), [("Q1", ok), ("Q2", bad)], "t")
+            write_run_file(str(target), [ok, bad], "t")
         assert target.read_text(encoding="utf-8") == "OLD Q0 src/Z.java 1 1.000000 t\n"
         assert os.listdir(tmp_path) == ["p.trec"]

@@ -529,6 +529,16 @@ class TestLoadValidation:
         with pytest.raises(IndexFormatError):
             load_index(target)
 
+    def test_rejects_infinite_min_token_length(self, tmp_path):
+        # JSON's Infinity parses to a float that int() cannot convert.
+        target = tmp_path / "idx.json"
+        save_index(index_documents(["cache miss"], ["a.java"]), target)
+        payload = json.loads(target.read_text(encoding="utf-8"))
+        payload["options"]["min_token_length"] = float("inf")
+        target.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="malformed index payload"):
+            load_index(target)
+
 
 @functools.cache
 def _saved_index_text() -> str:
@@ -593,7 +603,7 @@ class TestLoadFuzz:
             return
         query = vectorize_tokens(["cache", "order", "sync", *index.vocabulary[:2]], index)
         ranking = make_ranking(vsm_scores(query, index), index, top_k=0)
-        assert sorted(e.doc_id for e in ranking) == list(range(index.n_docs))
+        assert sorted(ranking.tolist()) == list(range(index.n_docs))
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Cosine kernel tests against a brute-force sum and a per-row loop."""
+"""Cosine kernel tests against a brute-force sum and a per-row loop, and the
+postings kernel of ``vsm_scores`` against both CSR sweeps."""
 from __future__ import annotations
 
 import math
@@ -7,7 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from croloc.rank import csr_cosine
+from croloc.index import Index, QueryVector, TokenizerOptions
+from croloc.rank import csr_cosine, vsm_scores
 
 
 def _csr_from_rows(rows):
@@ -143,3 +145,67 @@ class TestNumpyKernel:
             out = csr_cosine(*args)
             assert np.all(out <= 1.0 + 1e-9)
             assert np.all(out >= -1e-9)  # all weights here are nonnegative
+
+
+def _as_index(indptr, indices, data, norms, n_terms):
+    """An Index over the CSR arrays, with placeholder paths and vocabulary."""
+    n_docs = len(indptr) - 1
+    doc_freq = tuple(max(1, n) for n in np.bincount(indices, minlength=n_terms).tolist())
+    return Index(TokenizerOptions(), tuple(f"d{d}" for d in range(n_docs)),
+                 tuple(f"t{t}" for t in range(n_terms)), doc_freq,
+                 indptr, indices, data, norms, np.ones(n_docs, dtype=np.int64))
+
+
+def _query(qdense, qnorm):
+    return QueryVector(1, {t: float(qdense[t]) for t in np.flatnonzero(qdense).tolist()},
+                       qnorm)
+
+
+def _assert_postings_bit_identical(args):
+    indptr, indices, data, norms, qdense, qnorm = args
+    index = _as_index(indptr, indices, data, norms, len(qdense))
+    got = vsm_scores(_query(qdense, qnorm), index)
+    want = csr_cosine(*args)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got.tolist() == _per_row_loop(*args)
+    return got
+
+
+class TestPostingsKernel:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_identical_to_csr_sweep(self, seed):
+        # Rows may be empty, and the query may hold terms no row has.
+        rng = random.Random(seed)
+        _, args = _random_csr(seed, n_docs=rng.randint(0, 60), n_terms=rng.randint(1, 80))
+        _assert_postings_bit_identical(args)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_duplicated_rows_get_identical_cosines(self, seed):
+        args, dup_rows = _with_duplicated_rows(seed)
+        got = _assert_postings_bit_identical(args).tolist()
+        assert len({got[d] for d in dup_rows}) == 1
+
+    def test_zero_norm_rows_and_query_terms_without_postings(self):
+        _, (indptr, indices, data, norms, qdense, qnorm) = _random_csr(7, 30, 20)
+        norms = norms.copy()
+        norms[::4] = 0.0  # rows with weights but zero norm score 0
+        qdense = np.concatenate([qdense, [0.5, 1.5]])  # terms 20 and 21 occur nowhere
+        qnorm = float(np.sqrt((qdense * qdense).sum()))
+        got = _assert_postings_bit_identical((indptr, indices, data, norms, qdense, qnorm))
+        assert not got[::4].any()
+
+    def test_zero_norm_query_scores_zero(self):
+        _, (indptr, indices, data, norms, qdense, _) = _random_csr(11, 20, 15)
+        qdense = np.zeros_like(qdense)
+        qdense[3] = 1.0  # a weight, but a zero norm
+        assert not _assert_postings_bit_identical(
+            (indptr, indices, data, norms, qdense, 0.0)).any()
+
+    def test_postings_are_the_transpose(self):
+        rows, (indptr, indices, data, norms, qdense, _) = _random_csr(5, 25, 30)
+        ptr, docs, weights = _as_index(indptr, indices, data, norms, len(qdense)).postings
+        assert len(ptr) == len(qdense) + 1
+        for t in range(len(qdense)):
+            lo, hi = ptr[t], ptr[t + 1]
+            assert docs[lo:hi].tolist() == [d for d, row in enumerate(rows) if t in row]
+            assert weights[lo:hi].tolist() == [row[t] for row in rows if t in row]

@@ -18,7 +18,6 @@ from croloc.rank import (
     DEFAULT_ALPHA,
     HistoryEntry,
     HistorySet,
-    RankingEntry,
     buglocator_scores,
     cosine,
     make_ranking,
@@ -399,28 +398,36 @@ class TestMakeRanking:
     def _index(self, paths):
         return build_index([["t"] for _ in paths], paths)
 
-    def test_orders_by_score_descending(self):
+    def _ranked(self, tmp_path, index, scores, ranking):
+        """(rank, path, score) of each run line written from the ranking."""
+        target = tmp_path / "run.trec"
+        write_run_file(str(target), [("Q", [index.paths[d] for d in ranking],
+                                      scores[ranking].tolist())], "tag")
+        return [(int(r), p, float(s)) for _, _, p, r, s, _ in
+                (line.split() for line in target.read_text(encoding="utf-8").splitlines())]
+
+    def test_orders_by_score_descending(self, tmp_path):
         paths = ["a", "b", "c"]
         index = self._index(paths)
         scores = np.array([0.2, 0.9, 0.5])
         ranking = make_ranking(scores, index, top_k=0)
-        assert [e.path for e in ranking] == ["b", "c", "a"]
-        assert [e.rank for e in ranking] == [1, 2, 3]
+        assert [paths[d] for d in ranking] == ["b", "c", "a"]
+        assert [r for r, _, _ in self._ranked(tmp_path, index, scores, ranking)] == [1, 2, 3]
 
     def test_ties_break_by_path(self):
         paths = ["zz", "aa", "mm"]
         index = self._index(paths)
         scores = np.array([0.5, 0.5, 0.5])
         ranking = make_ranking(scores, index, top_k=0)
-        assert [e.path for e in ranking] == ["aa", "mm", "zz"]
+        assert [paths[d] for d in ranking] == ["aa", "mm", "zz"]
 
-    def test_top_k_cuts(self):
+    def test_top_k_cuts(self, tmp_path):
         paths = [f"p{i}" for i in range(10)]
         index = self._index(paths)
         scores = np.linspace(1.0, 0.1, 10)
         ranking = make_ranking(scores, index, top_k=3)
         assert len(ranking) == 3
-        assert [e.rank for e in ranking] == [1, 2, 3]
+        assert [r for r, _, _ in self._ranked(tmp_path, index, scores, ranking)] == [1, 2, 3]
 
     def test_top_k_zero_returns_all(self):
         paths = [f"p{i}" for i in range(7)]
@@ -428,49 +435,54 @@ class TestMakeRanking:
         ranking = make_ranking(np.zeros(7), index, top_k=0)
         assert len(ranking) == 7
 
-    def test_entries_carry_doc_ids_and_scores(self):
+    def test_returns_doc_ids_whose_lines_carry_path_and_score(self, tmp_path):
         paths = ["a", "b"]
         index = self._index(paths)
-        ranking = make_ranking(np.array([0.25, 0.75]), index, top_k=0)
-        assert ranking[0] == RankingEntry(rank=1, path="b", score=0.75, doc_id=1)
+        scores = np.array([0.25, 0.75])
+        ranking = make_ranking(scores, index, top_k=0)
+        assert ranking.dtype == np.int64
+        assert ranking[0] == 1
+        assert self._ranked(tmp_path, index, scores, ranking)[0] == (1, "b", 0.75)
 
 
 class TestRunFiles:
-    def _entries(self):
-        return [
-            RankingEntry(rank=1, path="src/A.java", score=0.987654321, doc_id=0),
-            RankingEntry(rank=2, path="src/B.java", score=0.5, doc_id=1),
-        ]
+    def _ranking(self):
+        return ["src/A.java", "src/B.java"], [0.987654321, 0.5]
 
-    def _write(self, tmp_path, query_id, entries, tag):
+    def _write(self, tmp_path, query_id, ranking, tag):
         target = tmp_path / "run.trec"
-        write_run_file(str(target), [(query_id, entries)], tag)
+        write_run_file(str(target), [(query_id, *ranking)], tag)
         return target.read_text(encoding="utf-8").splitlines()
 
     def test_line_format(self, tmp_path):
-        lines = self._write(tmp_path, "BUG-1", self._entries(), "mytag")
+        lines = self._write(tmp_path, "BUG-1", self._ranking(), "mytag")
         assert lines[0] == "BUG-1 Q0 src/A.java 1 0.987654 mytag"
         assert lines[1] == "BUG-1 Q0 src/B.java 2 0.500000 mytag"
 
+    def test_accepts_any_sequences(self, tmp_path):
+        paths, scores = self._ranking()
+        lines = self._write(tmp_path, "BUG-1", (tuple(paths), np.array(scores)), "mytag")
+        assert lines == self._write(tmp_path, "BUG-1", (paths, scores), "mytag")
+
     def test_rejects_whitespace_in_fields(self, tmp_path):
         with pytest.raises(EvalError):
-            self._write(tmp_path, "BUG 1", self._entries(), "tag")
+            self._write(tmp_path, "BUG 1", self._ranking(), "tag")
         with pytest.raises(EvalError):
-            self._write(tmp_path, "BUG-1", self._entries(), "my tag")
-        bad = [RankingEntry(rank=1, path="src/A file.java", score=0.1, doc_id=0)]
+            self._write(tmp_path, "BUG-1", self._ranking(), "my tag")
+        bad = (["src/A file.java"], [0.1])
         with pytest.raises(EvalError):
             self._write(tmp_path, "BUG-1", bad, "tag")
 
     def test_rejects_empty_fields(self, tmp_path):
         with pytest.raises(EvalError):
-            self._write(tmp_path, "", self._entries(), "tag")
+            self._write(tmp_path, "", self._ranking(), "tag")
         with pytest.raises(EvalError):
-            self._write(tmp_path, "BUG-1", self._entries(), "")
+            self._write(tmp_path, "BUG-1", self._ranking(), "")
 
     def test_write_read_round_trip(self, tmp_path):
         target = tmp_path / "run.trec"
-        rankings = [("BUG-1", self._entries()),
-                    ("BUG-2", [RankingEntry(rank=1, path="x.java", score=1.0, doc_id=2)])]
+        rankings = [("BUG-1", *self._ranking()),
+                    ("BUG-2", ["x.java"], [1.0])]
         write_run_file(str(target), rankings, "tag")
         run = read_run_file(target)
         assert set(run) == {"BUG-1", "BUG-2"}
@@ -517,17 +529,23 @@ class TestVectorizedPathsProperties:
     @given(case=_tied_scores(), data=st.data())
     @settings(max_examples=150)
     def test_make_ranking_matches_sorted(self, case, data):
-        paths, scores = case
+        paths, scores = case[0], list(case[1])
         n = len(paths)
-        top_k = data.draw(st.sampled_from(
-            [0, 1, data.draw(st.integers(min_value=1, max_value=n)), n]))
-        index = build_index([["t"] for _ in paths], paths)
         order = sorted(range(n), key=lambda d: (-scores[d], paths[d]))
-        if top_k > 0:
-            order = order[:top_k]
-        want = [RankingEntry(rank=r, path=paths[d], score=scores[d], doc_id=d)
-                for r, d in enumerate(order, start=1)]
-        assert make_ranking(np.array(scores), index, top_k=top_k) == want
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        if data.draw(st.booleans()) and k < n:
+            # Tie the k-th score with some documents ranked below the cut.
+            below = data.draw(st.lists(st.sampled_from(order[k:]), min_size=1, unique=True))
+            for d in below:
+                scores[d] = scores[order[k - 1]]
+            order = sorted(range(n), key=lambda d: (-scores[d], paths[d]))
+        top_k = data.draw(st.sampled_from([0, 1, k, n, n + 3]))
+        index = build_index([["t"] for _ in paths], paths)
+        want = order[:top_k] if top_k > 0 else order
+        got = make_ranking(np.array(scores), index, top_k=top_k)
+        assert got.dtype == np.int64
+        assert [(paths[d], scores[d]) for d in got] == [(paths[d], scores[d]) for d in want]
+        assert got.tolist() == want
 
     @given(case=_timelines())
     @settings(max_examples=150)
@@ -556,10 +574,10 @@ class TestVectorizedPathsProperties:
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_write_run_file_rejects_whitespace_path_in_later_block(self, tmp_path):
-        ok = [RankingEntry(rank=1, path="src/A.java", score=0.5, doc_id=0)]
-        bad = ok + [RankingEntry(rank=2, path="src/A file.java", score=0.25, doc_id=1)]
+        ok = (["src/A.java"], [0.5])
+        bad = (["src/A.java", "src/A file.java"], [0.5, 0.25])
         with pytest.raises(EvalError):
-            write_run_file(str(tmp_path / "run.trec"), [("BUG-1", ok), ("BUG-2", bad)],
+            write_run_file(str(tmp_path / "run.trec"), [("BUG-1", *ok), ("BUG-2", *bad)],
                            "tag")
 
 
