@@ -435,7 +435,7 @@ class TestMakeRanking:
         ranking = make_ranking(np.zeros(7), index, top_k=0)
         assert len(ranking) == 7
 
-    def test_returns_doc_ids_whose_lines_carry_path_and_score(self, tmp_path):
+    def test_entries_carry_doc_ids_and_scores(self, tmp_path):
         paths = ["a", "b"]
         index = self._index(paths)
         scores = np.array([0.25, 0.75])
