@@ -201,7 +201,7 @@ def _tokenizer_options(args: argparse.Namespace) -> TokenizerOptions:
 
 
 def _default_index_path(args: argparse.Namespace) -> str:
-    name = "index.notranslate.json" if args.no_translate else "index.json"
+    name = "index.notranslate.npz" if args.no_translate else "index.npz"
     return str(Path(args.out_dir) / name)
 
 
@@ -446,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply Porter stemming to tokens")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
     p.add_argument("-o", "--out",
-                   help="index file (default OUT_DIR/index.json, or "
-                        "index.notranslate.json with --no-translate)")
+                   help="index file (default OUT_DIR/index.npz, or "
+                        "index.notranslate.npz with --no-translate)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("locate", help="rank files per bug report into a run file")

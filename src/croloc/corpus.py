@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import TextIO
+from typing import IO
 
 from .errors import CorpusError, CrolocError, ReportFormatError
 
@@ -58,14 +58,14 @@ def read_lines(path: str | Path, error: type[CrolocError]) -> Iterator[tuple[int
 
 
 @contextlib.contextmanager
-def write_atomically(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text handle whose content replaces ``path`` only once the
-    block completes. It writes to a temporary file beside ``path``, which a
-    failure removes, so ``path`` holds either its old or all of its new
-    content."""
+def write_atomically(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A UTF-8 text handle, or a binary one, whose content replaces ``path``
+    only once the block completes. It writes to a temporary file beside
+    ``path``, which a failure removes, so ``path`` holds either its old or
+    all of its new content."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -12,21 +12,25 @@ and documents are compared by cosine over these weights. All logs natural.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import re
+import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, pairwise
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .corpus import write_atomically
 from .errors import IndexFormatError
 from .porter import stem as porter_stem
 
 INDEX_FORMAT = "croloc-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 
 @functools.cache
@@ -248,22 +252,49 @@ def build_index(
     """Index pre-tokenized documents given in doc_id order.
 
     Vocabulary ids follow sorted term order, so the index is identical no
-    matter how the corpus was traversed.
+    matter how the corpus was traversed. Every weight and norm is the one
+    ``tfidf_weights`` and ``math.fsum`` give, bit for bit.
     """
     if len(token_lists) != len(paths):
         raise ValueError("token_lists and paths must be parallel")
     opts = options if options is not None else TokenizerOptions()
-    df: Counter[str] = Counter()
-    for tokens in token_lists:
-        df.update(set(tokens))
-    vocabulary = tuple(sorted(df))
-    term_ids = {t: i for i, t in enumerate(vocabulary)}
-    doc_freq = tuple(df[t] for t in vocabulary)
-    rows = [tfidf_weights(tokens, term_ids, doc_freq, len(paths)) for tokens in token_lists]
-    indptr, indices, data = stack_weights(rows)
-    norms = np.array([_vector_norm(w) for w in rows], dtype=np.float64)
-    term_counts = np.array([len(t) for t in token_lists], dtype=np.int64)
-    return Index(opts, tuple(paths), vocabulary, doc_freq,
+    n_docs = len(paths)
+    vocabulary = tuple(sorted(set(chain.from_iterable(token_lists))))
+    n_terms = len(vocabulary)
+    term_counts = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_docs)
+    # One key per token, doc * n_terms + term id. Sorted, equal keys run
+    # together, in row order and with ascending term ids within each row.
+    # Each step drops what the next no longer needs: the token lists are
+    # alive throughout, so what this adds on top sets the build's peak memory.
+    keys = np.fromiter(map({t: i for i, t in enumerate(vocabulary)}.__getitem__,
+                           chain.from_iterable(token_lists)),
+                       dtype=np.int64, count=int(term_counts.sum()))
+    keys += np.repeat(np.arange(n_docs, dtype=np.int64) * n_terms, term_counts)
+    keys.sort()
+    run_start = np.empty(len(keys), dtype=bool)
+    run_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    counts = np.diff(starts, append=len(keys))
+    docs, terms = np.divmod(keys[starts], n_terms)
+    del keys, run_start, starts
+    doc_freq = np.bincount(terms, minlength=n_terms)
+    # tf and idf through math.log, as tf() and idf() take them, each
+    # distinct value once.
+    tf_values, tf_at = np.unique(counts / term_counts[docs] + 1.0, return_inverse=True)
+    del counts
+    data = np.array([math.log(v) for v in tf_values.tolist()])[tf_at]
+    del tf_at
+    data *= np.array([idf(df, n_docs) for df in doc_freq.tolist()])[terms]
+    keep = data != 0.0
+    data, indices = data[keep], terms[keep]
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(docs[keep], minlength=n_docs), out=indptr[1:])
+    del docs, terms, keep
+    squares = data * data
+    norms = np.sqrt([math.fsum(squares[lo:hi].tolist())
+                     for lo, hi in pairwise(indptr.tolist())], dtype=np.float64)
+    return Index(opts, tuple(paths), vocabulary, tuple(doc_freq.tolist()),
                  indptr, indices, data, norms, term_counts)
 
 
@@ -296,20 +327,24 @@ def query_dense(query: QueryVector, index: Index) -> np.ndarray:
 
 # The index's arrays as saved, with their dtypes.
 _ARRAYS = {
-    "indptr": np.int64,
-    "indices": np.int64,
-    "data": np.float64,
-    "norms": np.float64,
-    "term_counts": np.int64,
+    "indptr": np.dtype("<i8"),
+    "indices": np.dtype("<i8"),
+    "data": np.dtype("<f8"),
+    "norms": np.dtype("<f8"),
+    "term_counts": np.dtype("<i8"),
 }
+# The members of a saved index, in file order: UTF-8 JSON metadata as
+# bytes, then the arrays.
+_MEMBERS = {"meta": np.dtype("u1"), **_ARRAYS}
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index as one JSON object and a newline, the bytes of
-    ``json.dump(payload, fh, ensure_ascii=False)``, serializing one value at
-    a time so that at most one array exists as Python objects at once. The
-    file is replaced only once it is complete."""
-    payload = {
+    """Write the index as an uncompressed ``np.savez`` archive: one
+    ``.npy`` member per array, and a ``meta`` member with the format marker,
+    version, tokenizer options, paths, vocabulary and document frequencies
+    as UTF-8 JSON. The bytes depend on the index alone, and the file is
+    replaced only once it is complete."""
+    meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "options": {
@@ -320,62 +355,100 @@ def save_index(index: Index, path: str) -> None:
         "paths": index.paths,
         "vocabulary": index.vocabulary,
         "doc_freq": index.doc_freq,
-        **{name: getattr(index, name) for name in _ARRAYS},
     }
-    with write_atomically(path) as fh:
-        separator = "{"
-        for key, value in payload.items():
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            fh.write(f"{separator}{json.dumps(key)}: {json.dumps(value, ensure_ascii=False)}")
-            separator = ", "
-        fh.write("}\n")
+    members = {"meta": np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"),
+                                     dtype=_MEMBERS["meta"])}
+    members.update((name, np.asarray(getattr(index, name), dtype=dtype))
+                   for name, dtype in _ARRAYS.items())
+    with write_atomically(path, binary=True) as fh:
+        np.savez(fh, allow_pickle=False, **members)
 
 
-def _typed_list(payload: dict, key: str, kinds: tuple[type, ...]) -> list:
-    """payload[key], which must be a list whose elements are all of
-    ``kinds``: numpy would coerce True, "3" or None without a word."""
-    values = payload[key]
-    if not isinstance(values, list) or not set(map(type, values)) <= set(kinds):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"{key} must be a list of {names}")
-    return values
+def _npy_header(dtype: np.dtype, length: int) -> bytes:
+    """The .npy header np.save writes for a 1-d array of ``length`` elements."""
+    fp = io.BytesIO()
+    npy.write_array_header_1_0(fp, {"descr": dtype.str, "fortran_order": False,
+                                    "shape": (length,)})
+    return fp.getvalue()
 
 
-def _array(payload: dict, key: str, dtype) -> np.ndarray:
-    kinds = (int,) if dtype is np.int64 else (int, float)
-    try:
-        return np.array(_typed_list(payload, key, kinds), dtype=dtype)
-    except OverflowError as exc:
-        raise ValueError(f"{key} out of range: {exc}") from exc
+# The element count of an .npy header as np.save writes it for a 1-d array.
+_NPY_LENGTH = re.compile(rb"\x93NUMPY\x01\x00..\{'descr': '[^']*', 'fortran_order': "
+                         rb"False, 'shape': \((\d{1,20}),\), \} *\n", re.DOTALL)
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """Member ``name`` as a 1-d array of its dtype. The member must be
+    stored uncompressed, and start with the header np.save writes for such
+    an array, which no parser reads: it is compared with the one written
+    for the element count it states. Its data must fill exactly that count,
+    which is checked before an array of that size exists."""
+    info = archive.getinfo(f"{name}.npy")
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"member {name} is compressed")
+    content = archive.read(info)
+    dtype = _MEMBERS[name]
+    match = _NPY_LENGTH.match(content)
+    length = int(match[1]) if match else 0
+    header = _npy_header(dtype, length)
+    if not match or not content.startswith(header):
+        raise ValueError(f"member {name} is not a 1-d {dtype.str} array in .npy format 1.0")
+    if len(content) - len(header) != length * dtype.itemsize:
+        raise ValueError(f"member {name} declares {length} elements "
+                         f"but holds {len(content) - len(header)} bytes")
+    return np.frombuffer(content, dtype=dtype, offset=len(header))
+
+
+def _json_list(meta: dict, key: str, kind: type) -> tuple:
+    """meta[key], which must be a list whose elements are all of ``kind``."""
+    values = meta[key]
+    if not isinstance(values, list) or not set(map(type, values)) <= {kind}:
+        raise ValueError(f"{key} must be a list of {kind.__name__}")
+    return tuple(values)
 
 
 def load_index(path: str) -> Index:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise IndexFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
-        raise IndexFormatError(f"{path}: not a {INDEX_FORMAT} file")
-    if payload.get("version") != INDEX_VERSION:
-        raise IndexFormatError(
-            f"{path}: unsupported index version {payload.get('version')!r}"
-        )
+    """Read an index written by ``save_index``. Anything that is not such a
+    file, or whose content could not rank correctly, raises
+    ``IndexFormatError``; nothing is unpickled."""
+    # Read whole, so that no size a member states makes zipfile read more.
+    with open(path, "rb") as fh:
+        content = fh.read()
     try:
+        archive = zipfile.ZipFile(io.BytesIO(content))
+    except zipfile.BadZipFile as exc:
+        raise IndexFormatError(
+            f"{path}: not a {INDEX_FORMAT} version {INDEX_VERSION} file ({exc}); "
+            "an index written by an older croloc must be rebuilt with 'croloc index'"
+        ) from exc
+    try:
+        names = archive.namelist()
+        if names != [f"{name}.npy" for name in _MEMBERS]:
+            raise ValueError(f"members {names}, expected {list(_MEMBERS)} as .npy")
+        meta = json.loads(_read_member(archive, "meta").tobytes().decode("utf-8"))
+        if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
+            raise IndexFormatError(f"{path}: not a {INDEX_FORMAT} file")
+        if meta.get("version") != INDEX_VERSION:
+            raise IndexFormatError(
+                f"{path}: unsupported index version {meta.get('version')!r}"
+            )
         opts = TokenizerOptions(
-            stemming=bool(payload["options"]["stemming"]),
-            min_token_length=int(payload["options"]["min_token_length"]),
-            stopwords=frozenset(payload["options"]["stopwords"]),
+            stemming=bool(meta["options"]["stemming"]),
+            min_token_length=int(meta["options"]["min_token_length"]),
+            stopwords=frozenset(meta["options"]["stopwords"]),
         )
         index = Index(
             opts,
-            tuple(_typed_list(payload, "paths", (str,))),
-            tuple(_typed_list(payload, "vocabulary", (str,))),
-            tuple(_array(payload, "doc_freq", np.int64).tolist()),
-            *(_array(payload, key, dtype) for key, dtype in _ARRAYS.items()),
+            _json_list(meta, "paths", str),
+            _json_list(meta, "vocabulary", str),
+            _json_list(meta, "doc_freq", int),
+            *(_read_member(archive, name) for name in _ARRAYS),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    # zipfile raises RuntimeError for an encrypted member and
+    # NotImplementedError for one it cannot unpack; json.loads raises
+    # RecursionError, a RuntimeError, for JSON nested too deep.
+    except (zipfile.BadZipFile, EOFError, RuntimeError, NotImplementedError, KeyError,
+            TypeError, ValueError, OverflowError) as exc:
         raise IndexFormatError(f"{path}: malformed index payload: {exc}") from exc
     problem = _array_problem(index)
     if problem:

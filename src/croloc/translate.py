@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
+import re
 import time
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
 from typing import TextIO
 
 from .corpus import BugReport, SourceDocument, read_lines
@@ -185,6 +188,41 @@ class ServiceBackend(TranslatorBackend):
         return translations
 
 
+def _cache_lines(content: bytes) -> Iterator[str | bytes]:
+    """The newline-terminated lines of ``content``, each with its newline:
+    as str, decoded at once, when ``content`` is UTF-8, and otherwise as
+    bytes, for json.loads to decode or reject one line at a time."""
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError:
+        return io.BytesIO(content)
+    return (match.group() for match in re.finditer(".*\n", text))
+
+
+# The scanner behind json.loads, which reads one value at a position; called
+# directly, it skips json.loads' per-call overhead, most of a line's cost.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str | bytes):
+    """json.loads of one newline-terminated line, as it parses the line's
+    bytes. A str line that is one JSON value and its newline goes straight
+    to the scanner; any other line, and any error, comes from json.loads."""
+    if isinstance(line, str):
+        if line.startswith("\ufeff") or "\x00" in line[:2]:
+            # json.loads reads bytes that begin so as UTF-8 with a BOM, or
+            # as UTF-16 or UTF-32: give it those bytes.
+            return json.loads(line.encode("utf-8"))
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError):
+            pass
+        else:
+            if end == len(line) - 1:
+                return obj
+    return json.loads(line)
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -215,41 +253,37 @@ class TranslationCache:
             self._fh = None
 
     def _load(self) -> None:
-        whole = 0  # bytes up to the end of the last terminated line
-        torn = 0  # number of an unterminated last line
         with open(self.path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.endswith(b"\n"):
-                    torn = lineno
-                    break
-                whole += len(line)
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:
-                    raise TranslationError(
-                        f"{self.path}:{lineno}: corrupt cache line: {exc}"
-                    ) from exc
-                try:
-                    backend = obj["backend"]
-                    digest = obj["sha256"]
-                    source = obj["source"]
-                    translation = obj["translation"]
-                except (KeyError, TypeError) as exc:
-                    raise TranslationError(
-                        f"{self.path}:{lineno}: cache entry missing fields"
-                    ) from exc
-                if _sha256(source) != digest:
-                    raise TranslationError(
-                        f"{self.path}:{lineno}: cache digest does not match source text"
-                    )
-                self._entries[(backend, digest)] = translation
-        if torn:
+            content = fh.read()
+        whole = content.rfind(b"\n") + 1  # bytes up to the end of the last terminated line
+        for lineno, line in enumerate(_cache_lines(content[:whole]), start=1):
+            try:
+                obj = _json_line(line)
+            except ValueError as exc:
+                if not (line if isinstance(line, bytes) else line.encode("utf-8")).strip():
+                    continue  # a blank line, which json.loads rejects too
+                raise TranslationError(
+                    f"{self.path}:{lineno}: corrupt cache line: {exc}"
+                ) from exc
+            try:
+                backend = obj["backend"]
+                digest = obj["sha256"]
+                source = obj["source"]
+                translation = obj["translation"]
+            except (KeyError, TypeError) as exc:
+                raise TranslationError(
+                    f"{self.path}:{lineno}: cache entry missing fields"
+                ) from exc
+            if _sha256(source) != digest:
+                raise TranslationError(
+                    f"{self.path}:{lineno}: cache digest does not match source text"
+                )
+            self._entries[(backend, digest)] = translation
+        if whole < len(content):
             # A run killed mid-append leaves its last line unterminated. Cut
             # it off, so that the next append starts on a line of its own.
             log.warning("%s:%d: dropping an unterminated last line left by an "
-                        "interrupted write", self.path, torn)
+                        "interrupted write", self.path, content.count(b"\n") + 1)
             os.truncate(self.path, whole)
 
     def __len__(self) -> int:

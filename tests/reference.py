@@ -12,10 +12,17 @@ helpers, none of which changed.
 Oracle linking: the earlier loop that runs every report's id pattern over
 every commit message, kept verbatim as the oracle of the substring-prefiltered
 ``link_oracles``.
+
+Translation cache load: the earlier loop that hands each line's bytes to
+``json.loads``, kept as the oracle of the loader that decodes the file once.
 """
+import hashlib
+import json
 import math
+import os
 
 from croloc.corpus import Language, normalize_path
+from croloc.errors import TranslationError
 from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
 from croloc.extract import JAPANESE_RANGES, Segment, SpanKind, _Scanner
 from croloc.index import TokenizerOptions
@@ -341,3 +348,42 @@ class RefScanner(_Scanner):
         self._warn_unterminated("block comment", start - 2)
         self._emit(SpanKind.BLOCK_COMMENT, start, n)
         return n
+
+
+def ref_load_cache(path):
+    """(entries, number of the torn last line or 0) of a translation cache
+    file, cutting a torn last line off the file as ``TranslationCache`` does."""
+    entries = {}
+    whole = 0  # bytes up to the end of the last terminated line
+    torn = 0  # number of an unterminated last line
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                torn = lineno
+                break
+            whole += len(line)
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise TranslationError(
+                    f"{path}:{lineno}: corrupt cache line: {exc}"
+                ) from exc
+            try:
+                backend = obj["backend"]
+                digest = obj["sha256"]
+                source = obj["source"]
+                translation = obj["translation"]
+            except (KeyError, TypeError) as exc:
+                raise TranslationError(
+                    f"{path}:{lineno}: cache entry missing fields"
+                ) from exc
+            if hashlib.sha256(source.encode("utf-8")).hexdigest() != digest:
+                raise TranslationError(
+                    f"{path}:{lineno}: cache digest does not match source text"
+                )
+            entries[(backend, digest)] = translation
+    if torn:
+        os.truncate(path, whole)
+    return entries, torn

@@ -162,7 +162,7 @@ class TestIndexCommand:
             "--out-dir", tmp_path, cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "index.json").exists()
+        assert (tmp_path / "index.npz").exists()
 
     def test_no_translate_artifact_name(self, tmp_path):
         result = run_cli(
@@ -170,7 +170,7 @@ class TestIndexCommand:
             "--out-dir", tmp_path, cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "index.notranslate.json").exists()
+        assert (tmp_path / "index.notranslate.npz").exists()
 
     def test_verbose_logs_to_stderr(self, tmp_path):
         result = run_cli(
@@ -192,7 +192,7 @@ class TestIndexCommand:
 class TestLocateCommand:
     def test_buglocator_run_file(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
             "--translator", "glossary", "--glossary", GLOSSARY,
             "--technique", "buglocator", "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -213,7 +213,7 @@ class TestLocateCommand:
 
     def test_no_translate_artifact_name(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
             "--no-translate", "--technique", "vsm",
             "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -222,7 +222,7 @@ class TestLocateCommand:
 
     def test_query_subset(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
             "--translator", "glossary", "--glossary", GLOSSARY,
             "--technique", "vsm", "--query", "SHOP-101",
             "--out-dir", tmp_path, cwd=tmp_path,
@@ -233,7 +233,7 @@ class TestLocateCommand:
 
     def test_unknown_query_id(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
             "--technique", "vsm", "--query", "SHOP-999",
             "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -242,7 +242,7 @@ class TestLocateCommand:
 
     def test_bad_technique_is_usage_error(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
             "--technique", "pagerank", cwd=tmp_path,
         )
         assert result.returncode == 2
@@ -250,7 +250,7 @@ class TestLocateCommand:
 
     def test_custom_tag(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
             "--no-translate", "--technique", "vsm", "--tag", "exp7",
             "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -271,7 +271,7 @@ class TestGoldenRuns:
     def test_run_file_matches_golden(self, built, tmp_path, technique):
         out = tmp_path / f"run.{technique}.trec"
         result = run_cli(
-            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
             "--glossary", GLOSSARY, "--technique", technique, "-o", out,
             cwd=tmp_path,
         )
@@ -285,8 +285,8 @@ class TestGoldenRuns:
         result = run_cli("index", "--tree", TREE, "--no-translate", "--out-dir", tmp_path,
                          cwd=tmp_path)
         assert result.returncode == 0, result.stderr
-        written = {"index.json": built / "index.json",
-                   "index.notranslate.json": tmp_path / "index.notranslate.json"}
+        written = {"index.npz": built / "index.npz",
+                   "index.notranslate.npz": tmp_path / "index.notranslate.npz"}
         golden = (FIXTURES / "golden" / "index.sha256").read_text(encoding="utf-8")
         for line in golden.splitlines():
             digest, name = line.split()
@@ -434,7 +434,7 @@ class TestTracerSeam:
         calls = self._trace(tmp_path, "index", "index", "--tree", TREE,
                             "--glossary", GLOSSARY, "--out-dir", tmp_path)
         located = self._trace(tmp_path, "locate", "locate", "--technique", "buglocator",
-                              "--glossary", GLOSSARY, "--index", tmp_path / "index.json",
+                              "--glossary", GLOSSARY, "--index", tmp_path / "index.npz",
                               "--reports", REPORTS, "--out-dir", tmp_path)
         for name, n in located.items():
             calls[name] = calls.get(name, 0) + n
@@ -546,7 +546,7 @@ class TestQrelsCommand:
 class TestEvalCommand:
     def _locate(self, built, tmp_path, technique="buglocator"):
         result = run_cli(
-            "locate", "--index", built / "index.json", "--reports", REPORTS,
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
             "--translator", "glossary", "--glossary", GLOSSARY,
             "--technique", technique, "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -599,7 +599,7 @@ class TestConfigFile:
         }), encoding="utf-8")
         result = run_cli("index", "--config", cfg, cwd=tmp_path)
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "index.json").exists()
+        assert (tmp_path / "index.npz").exists()
 
     def test_flag_overrides_config(self, built, tmp_path):
         cfg = tmp_path / "croloc.json"
@@ -609,7 +609,7 @@ class TestConfigFile:
             "out_dir": str(tmp_path),
         }), encoding="utf-8")
         result = run_cli(
-            "locate", "--config", cfg, "--index", built / "index.json",
+            "locate", "--config", cfg, "--index", built / "index.npz",
             "--no-translate", "--technique", "rvsm", cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
@@ -655,7 +655,7 @@ class TestFullPipeline:
             ("index", "--tree", TREE, "--translator", "glossary",
              "--glossary", GLOSSARY, "--cache", tmp_path / "cache.jsonl",
              "--out-dir", tmp_path),
-            ("locate", "--index", tmp_path / "index.json", "--reports", REPORTS,
+            ("locate", "--index", tmp_path / "index.npz", "--reports", REPORTS,
              "--translator", "glossary", "--glossary", GLOSSARY,
              "--cache", tmp_path / "cache.jsonl",
              "--technique", "buglocator", "--out-dir", tmp_path),

@@ -6,14 +6,22 @@ import io
 import json
 import math
 import os
+import random
 import re
+import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
+import zipfile
 
+import numpy as np
 import pytest
+from numpy.lib import format as npy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import croloc
 from croloc.errors import IndexFormatError
 from croloc.index import (
     Index,
@@ -26,12 +34,15 @@ from croloc.index import (
     query_dense,
     save_index,
     tf,
+    tfidf_weights,
     tokenize,
     vectorize_query,
     vectorize_tokens,
 )
 from croloc.rank import make_ranking, vsm_scores
 from reference import ref_tokenize
+
+ARRAY_NAMES = ("indptr", "indices", "data", "norms", "term_counts")
 
 
 class TestTokenize:
@@ -318,6 +329,37 @@ class TestCsr:
         assert first[0] is second[0]
 
 
+def _read_payload(path) -> dict:
+    """A saved index as one dict: the fields of its meta member's JSON,
+    then each array member as a writable array."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name.removesuffix(".npy"): np.load(io.BytesIO(archive.read(name))).copy()
+                   for name in archive.namelist()}
+    return {**json.loads(members.pop("meta").tobytes().decode("utf-8")), **members}
+
+
+def _write_payload(path, payload, savez=np.savez) -> None:
+    """Write a payload as ``_read_payload`` returns it: its non-array fields
+    as the meta member, then its arrays, each as a member of its own."""
+    meta = {k: v for k, v in payload.items() if not isinstance(v, np.ndarray)}
+    members = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
+    members.update((k, v) for k, v in payload.items() if isinstance(v, np.ndarray))
+    with open(path, "wb") as fh:
+        savez(fh, **members)
+
+
+def _write_members(path, members: dict[str, bytes]) -> None:
+    """A zip of raw members, stored uncompressed, as np.savez lays them out."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, content in members.items():
+            archive.writestr(name, content)
+
+
+def _member_bytes(path) -> dict[str, bytes]:
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
 class TestPersistence:
     def _index(self):
         return index_documents(
@@ -328,7 +370,7 @@ class TestPersistence:
 
     def test_round_trip_equality(self, tmp_path):
         index = self._index()
-        target = tmp_path / "idx.json"
+        target = tmp_path / "idx.npz"
         save_index(index, target)
         loaded = load_index(target)
         assert loaded == index
@@ -336,16 +378,18 @@ class TestPersistence:
         assert loaded.options.stopwords == index.options.stopwords
 
     def test_bytes_equal_one_json_dump_of_the_payload(self, tmp_path):
+        # The meta member holds one JSON dump of the payload; the file is
+        # np.savez of that member and the arrays, in that order.
         index = index_documents(
             ["cache miss rate", "order total", "キャッシュ miss \"quoted\"", ""],
             ["a.java", "dir/在庫.java", "c.java", "d.java"],
             TokenizerOptions(stemming=True),
         )
-        target = tmp_path / "idx.json"
+        target = tmp_path / "idx.npz"
         save_index(index, target)
         payload = {
             "format": "croloc-index",
-            "version": 2,
+            "version": 3,
             "options": {
                 "stemming": True,
                 "min_token_length": index.options.min_token_length,
@@ -354,80 +398,250 @@ class TestPersistence:
             "paths": list(index.paths),
             "vocabulary": list(index.vocabulary),
             "doc_freq": list(index.doc_freq),
-            **{name: getattr(index, name).tolist()
-               for name in ("indptr", "indices", "data", "norms", "term_counts")},
         }
-        expected = io.StringIO()
-        json.dump(payload, expected, ensure_ascii=False)
-        expected.write("\n")
-        assert target.read_bytes() == expected.getvalue().encode("utf-8")
+        meta = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        expected = io.BytesIO()
+        np.savez(expected, meta=np.frombuffer(meta, dtype=np.uint8),
+                 **{name: getattr(index, name) for name in ARRAY_NAMES})
+        assert target.read_bytes() == expected.getvalue()
 
     def test_round_trip_preserves_scores(self, tmp_path):
         index = self._index()
-        target = tmp_path / "idx.json"
+        target = tmp_path / "idx.npz"
         save_index(index, target)
         loaded = load_index(target)
         qv_a = vectorize_query("cache miss", index)
         qv_b = vectorize_query("cache miss", loaded)
         assert qv_a.weights == qv_b.weights
 
-    def test_file_is_json_with_format_marker(self, tmp_path):
+    def test_file_is_npz_with_format_marker(self, tmp_path):
         index = self._index()
-        target = tmp_path / "idx.json"
+        target = tmp_path / "idx.npz"
         save_index(index, target)
-        payload = json.loads(target.read_text(encoding="utf-8"))
-        assert payload["format"] == "croloc-index"
-        assert payload["version"] == 2
-        assert payload["indptr"] == index.indptr.tolist()
-        assert payload["data"] == index.data.tolist()
+        with zipfile.ZipFile(target) as archive:
+            assert archive.namelist() == [f"{n}.npy" for n in ("meta", *ARRAY_NAMES)]
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(target, allow_pickle=False) as saved:
+            payload = json.loads(saved["meta"].tobytes().decode("utf-8"))
+            assert payload["format"] == "croloc-index"
+            assert payload["version"] == 3
+            assert saved["indptr"].dtype == np.dtype("<i8")
+            assert saved["indptr"].tolist() == index.indptr.tolist()
+            assert saved["data"].dtype == np.dtype("<f8")
+            assert saved["data"].tolist() == index.data.tolist()
 
     def test_load_rejects_bad_json(self, tmp_path):
-        target = tmp_path / "idx.json"
-        target.write_text("{not json", encoding="utf-8")
-        with pytest.raises(IndexFormatError):
+        target = tmp_path / "idx.npz"
+        save_index(self._index(), target)
+        members = _member_bytes(target)
+        buffer = io.BytesIO()
+        np.save(buffer, np.frombuffer(b"{not json", dtype=np.uint8))
+        members["meta.npy"] = buffer.getvalue()
+        _write_members(target, members)
+        with pytest.raises(IndexFormatError, match="malformed index payload"):
+            load_index(target)
+
+    def test_load_rejects_json_nested_too_deep(self, tmp_path):
+        target = tmp_path / "idx.npz"
+        save_index(self._index(), target)
+        members = _member_bytes(target)
+        buffer = io.BytesIO()
+        np.save(buffer, np.frombuffer(b"[" * 100_000, dtype=np.uint8))
+        members["meta.npy"] = buffer.getvalue()
+        _write_members(target, members)
+        with pytest.raises(IndexFormatError, match="malformed index payload"):
             load_index(target)
 
     def test_load_rejects_wrong_format(self, tmp_path):
-        target = tmp_path / "idx.json"
-        target.write_text(json.dumps({"format": "other", "version": 2}), encoding="utf-8")
-        with pytest.raises(IndexFormatError):
+        target = tmp_path / "idx.npz"
+        save_index(self._index(), target)
+        payload = _read_payload(target)
+        payload["format"] = "other"
+        _write_payload(target, payload)
+        with pytest.raises(IndexFormatError, match="not a croloc-index file"):
             load_index(target)
 
     def test_load_rejects_wrong_version(self, tmp_path):
         index = self._index()
-        target = tmp_path / "idx.json"
+        target = tmp_path / "idx.npz"
         save_index(index, target)
-        payload = json.loads(target.read_text(encoding="utf-8"))
-        for version in (1, 99):  # 1 is the retired per-document format
+        payload = _read_payload(target)
+        for version in (1, 2, 99):  # 1 and 2 are the retired JSON formats
             payload["version"] = version
-            target.write_text(json.dumps(payload), encoding="utf-8")
+            _write_payload(target, payload)
             with pytest.raises(IndexFormatError, match="unsupported index version"):
                 load_index(target)
 
     def test_load_rejects_malformed_payload(self, tmp_path):
-        index = self._index()
-        target = tmp_path / "idx.json"
-        save_index(index, target)
-        payload = json.loads(target.read_text(encoding="utf-8"))
+        target = tmp_path / "idx.npz"
+        save_index(self._index(), target)
+        payload = _read_payload(target)
         del payload["vocabulary"]
-        target.write_text(json.dumps(payload), encoding="utf-8")
+        _write_payload(target, payload)
         with pytest.raises(IndexFormatError):
             load_index(target)
 
     def test_load_rejects_vector_count_mismatch(self, tmp_path):
         """A matrix one row short of the paths, consistent otherwise."""
-        index = self._index()
-        target = tmp_path / "idx.json"
-        save_index(index, target)
-        payload = json.loads(target.read_text(encoding="utf-8"))
+        target = tmp_path / "idx.npz"
+        save_index(self._index(), target)
+        payload = _read_payload(target)
         nnz = payload["indptr"][-2]
         payload["indptr"] = payload["indptr"][:-1]
         payload["indices"] = payload["indices"][:nnz]
         payload["data"] = payload["data"][:nnz]
         payload["norms"] = payload["norms"][:-1]
         payload["term_counts"] = payload["term_counts"][:-1]
-        target.write_text(json.dumps(payload), encoding="utf-8")
+        _write_payload(target, payload)
         with pytest.raises(IndexFormatError, match="path count"):
+            load_index(target)
+
+
+# The index file as format 2 wrote it: one JSON object.
+_V2_INDEX = json.dumps({
+    "format": "croloc-index", "version": 2,
+    "options": {"stemming": False, "min_token_length": 2, "stopwords": []},
+    "paths": ["a.java"], "vocabulary": ["cache"], "doc_freq": [1], "indptr": [0, 0],
+    "indices": [], "data": [], "norms": [0.0], "term_counts": [1],
+}) + "\n"
+
+
+def _npy_header(descr: str, shape: tuple) -> bytes:
+    buffer = io.BytesIO()
+    npy.write_array_header_1_0(buffer, {"descr": descr, "fortran_order": False,
+                                        "shape": shape})
+    return buffer.getvalue()
+
+
+class TestLoadHardening:
+    """Files that are not what ``save_index`` writes fail with an
+    IndexFormatError that names them, and nothing is unpickled."""
+
+    def _saved(self, tmp_path):
+        target = tmp_path / "idx.npz"
+        save_index(index_documents(["cache miss rate", "order total"],
+                                   ["a.java", "b.java"]), target)
+        return target
+
+    @pytest.mark.parametrize("content", [b"", b"\xff\xfe not utf-8 \x80\n", b"PK\x03\x04",
+                                         b"\x93NUMPY"], ids=["empty", "not-utf8", "zip-magic",
+                                                             "npy-magic"])
+    def test_not_a_zip(self, tmp_path, content):
+        target = tmp_path / "idx.npz"
+        target.write_bytes(content)
+        with pytest.raises(IndexFormatError, match="not a croloc-index version 3 file") as exc:
+            load_index(target)
+        assert str(target) in str(exc.value)
+
+    def test_v2_json_file_names_the_path_and_asks_for_a_rebuild(self, tmp_path):
+        target = tmp_path / "index.json"
+        target.write_text(_V2_INDEX, encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="must be rebuilt") as exc:
+            load_index(target)
+        assert str(exc.value).startswith(f"{target}: ")
+
+    def test_missing_member(self, tmp_path):
+        target = self._saved(tmp_path)
+        members = _member_bytes(target)
+        del members["norms.npy"]
+        _write_members(target, members)
+        with pytest.raises(IndexFormatError, match="members"):
+            load_index(target)
+
+    @pytest.mark.parametrize("name", ["extra.npy", "meta.npy"])
+    @pytest.mark.filterwarnings("ignore:Duplicate name")
+    def test_extra_member(self, tmp_path, name):
+        target = self._saved(tmp_path)
+        members = _member_bytes(target)
+        with zipfile.ZipFile(target, "a") as archive:
+            archive.writestr(name, members["meta.npy"])
+        with pytest.raises(IndexFormatError, match="members"):
+            load_index(target)
+
+    def test_members_out_of_order(self, tmp_path):
+        target = self._saved(tmp_path)
+        members = _member_bytes(target)
+        _write_members(target, dict(reversed(members.items())))
+        with pytest.raises(IndexFormatError, match="members"):
+            load_index(target)
+
+    def test_compressed_member(self, tmp_path):
+        target = self._saved(tmp_path)
+        _write_payload(target, _read_payload(target), savez=np.savez_compressed)
+        with pytest.raises(IndexFormatError, match="compressed"):
+            load_index(target)
+
+    @pytest.mark.parametrize("name,dtype", [
+        ("norms", object), ("data", ">f8"), ("indices", "<i4"), ("indices", "<u8"),
+        ("term_counts", "<f8"), ("meta", "<i8"), ("indptr", [("x", "<i8")]),
+    ], ids=["object", "byte-swapped", "narrower", "unsigned", "float-count", "wide-meta",
+            "structured"])
+    def test_wrong_dtype(self, tmp_path, name, dtype):
+        target = self._saved(tmp_path)
+        members = _member_bytes(target)
+        saved = np.load(io.BytesIO(members[f"{name}.npy"]))
+        buffer = io.BytesIO()
+        np.save(buffer, saved.astype(dtype), allow_pickle=True)
+        members[f"{name}.npy"] = buffer.getvalue()
+        _write_members(target, members)
+        with pytest.raises(IndexFormatError, match=f"member {name} is not a 1-d"):
+            load_index(target)
+
+    @pytest.mark.parametrize("shape", [(), (3, 1), (1, 3)])
+    def test_not_one_dimensional(self, tmp_path, shape):
+        target = self._saved(tmp_path)
+        members = _member_bytes(target)
+        members["norms.npy"] = _npy_header("<f8", shape) + bytes(8 * math.prod(shape))
+        _write_members(target, members)
+        with pytest.raises(IndexFormatError, match="member norms is not a 1-d"):
+            load_index(target)
+
+    def test_unpickles_nothing(self, tmp_path, monkeypatch):
+        target = self._saved(tmp_path)
+        payload = _read_payload(target)
+        payload["norms"] = payload["norms"].astype(object)
+        _write_payload(target, payload)
+        monkeypatch.setattr("pickle.loads", None)
+        monkeypatch.setattr("pickle.load", None)
+        with pytest.raises(IndexFormatError, match="member norms is not a 1-d"):
+            load_index(target)
+
+    @pytest.mark.parametrize("n_bytes", [0, 8, 16, 24, 40])
+    def test_data_must_fill_the_declared_shape(self, tmp_path, n_bytes):
+        target = self._saved(tmp_path)
+        members = _member_bytes(target)
+        assert len(np.load(io.BytesIO(members["norms.npy"]))) == 2
+        members["norms.npy"] = _npy_header("<f8", (2,)) + bytes(n_bytes)
+        _write_members(target, members)
+        if n_bytes == 16:
+            with pytest.raises(IndexFormatError, match="norm differs"):
+                load_index(target)
+        else:
+            with pytest.raises(IndexFormatError, match="declares 2 elements"):
+                load_index(target)
+
+    def test_huge_declared_shape_fails_before_allocating(self, tmp_path):
+        target = self._saved(tmp_path)
+        members = _member_bytes(target)
+        members["data.npy"] = _npy_header("<f8", (2 ** 40,)) + bytes(16)
+        _write_members(target, members)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexFormatError, match=f"declares {2 ** 40} elements"):
+                load_index(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_npy_version_2_member(self, tmp_path):
+        target = self._saved(tmp_path)
+        members = _member_bytes(target)
+        buffer = io.BytesIO()
+        npy.write_array(buffer, np.load(io.BytesIO(members["norms.npy"])), version=(2, 0))
+        members["norms.npy"] = buffer.getvalue()
+        _write_members(target, members)
+        with pytest.raises(IndexFormatError, match=r"member norms is not a 1-d <f8 array in \.npy format 1\.0"):
             load_index(target)
 
 
@@ -440,11 +654,11 @@ def _mutate_doc_order(payload):
 def _mutate_duplicate_doc_id(payload):
     """The first document's row is stored again, one row more than paths."""
     lo, hi = payload["indptr"][0], payload["indptr"][1]
-    payload["indices"] += payload["indices"][lo:hi]
-    payload["data"] += payload["data"][lo:hi]
-    payload["indptr"].append(payload["indptr"][-1] + hi - lo)
-    payload["norms"].append(payload["norms"][0])
-    payload["term_counts"].append(payload["term_counts"][0])
+    for key in ("indices", "data"):
+        payload[key] = np.append(payload[key], payload[key][lo:hi])
+    payload["indptr"] = np.append(payload["indptr"], payload["indptr"][-1] + hi - lo)
+    for key in ("norms", "term_counts"):
+        payload[key] = np.append(payload[key], payload[key][0])
 
 
 def _set(key, position, value):
@@ -474,15 +688,25 @@ def _repeat_first_term_id(payload):
     payload["indices"][1] = payload["indices"][0]
 
 
+def _stored_as(key, dtype, position=None, value=None):
+    """The member ``key`` stored with another dtype, one value optionally
+    set after the conversion."""
+    def mutate(payload):
+        payload[key] = payload[key].astype(dtype)
+        if position is not None:
+            payload[key][position] = value
+    return mutate
+
+
 class TestLoadValidation:
-    """Payloads that parse but would index wrongly are rejected on load."""
+    """Payloads that load but would index wrongly are rejected."""
 
     @pytest.mark.parametrize("mutate", [
         _mutate_doc_order,
         _mutate_duplicate_doc_id,
         _set("indices", 0, 6),
         _set("indices", 0, -1),
-        _set("indices", 0, 2 ** 70),
+        _stored_as("indices", "<u8", 0, 2 ** 64 - 1),
         _set("data", 3, float("nan")),
         _set("norms", 2, float("inf")),
         _scale("norms", 1, 1 + 1e-6),
@@ -498,12 +722,12 @@ class TestLoadValidation:
         _set("term_counts", 1, -1),
         _set("doc_freq", 0, 0),
         _set("doc_freq", 0, 4),
-        _set("indices", 0, True),
-        _set("indptr", 1, 3.0),
-        _set("term_counts", 0, "3"),
-        _set("data", 0, "0.5"),
-        _set("data", 0, True),
-        _set("norms", 0, None),
+        _stored_as("indices", bool),
+        _stored_as("indptr", "<f8"),
+        _stored_as("term_counts", "<U1"),
+        _stored_as("data", "<U8"),
+        _stored_as("data", bool),
+        _stored_as("norms", object, 0, None),
         _set("doc_freq", 0, 1.0),
         _set("paths", 0, 7),
         _set("vocabulary", 0, None),
@@ -520,35 +744,37 @@ class TestLoadValidation:
             ["cache miss rate", "order total", "cache order sync"],
             ["a.java", "b.java", "c.java"],
         )
-        target = tmp_path / "idx.json"
+        target = tmp_path / "idx.npz"
         save_index(index, target)
-        payload = json.loads(target.read_text(encoding="utf-8"))
-        assert payload["indptr"] == [0, 3, 5, 8] and len(payload["vocabulary"]) == 6
+        payload = _read_payload(target)
+        assert payload["indptr"].tolist() == [0, 3, 5, 8] and len(payload["vocabulary"]) == 6
+        _write_payload(target, payload)
+        assert load_index(target) == index  # the unmutated payload loads
         mutate(payload)
-        target.write_text(json.dumps(payload), encoding="utf-8")
+        _write_payload(target, payload)
         with pytest.raises(IndexFormatError):
             load_index(target)
 
     def test_rejects_infinite_min_token_length(self, tmp_path):
         # JSON's Infinity parses to a float that int() cannot convert.
-        target = tmp_path / "idx.json"
+        target = tmp_path / "idx.npz"
         save_index(index_documents(["cache miss"], ["a.java"]), target)
-        payload = json.loads(target.read_text(encoding="utf-8"))
+        payload = _read_payload(target)
         payload["options"]["min_token_length"] = float("inf")
-        target.write_text(json.dumps(payload), encoding="utf-8")
+        _write_payload(target, payload)
         with pytest.raises(IndexFormatError, match="malformed index payload"):
             load_index(target)
 
 
 @functools.cache
-def _saved_index_text() -> str:
+def _saved_index_bytes() -> bytes:
     """A small saved index, with an empty document."""
     index = index_documents(["cache miss rate", "order total", "cache order sync", ""],
                             ["a.java", "b.java", "c.java", "d.java"])
     with tempfile.TemporaryDirectory() as tmp:
-        target = os.path.join(tmp, "idx.json")
+        target = os.path.join(tmp, "idx.npz")
         save_index(index, target)
-        with open(target, encoding="utf-8") as fh:
+        with open(target, "rb") as fh:
             return fh.read()
 
 
@@ -565,19 +791,36 @@ def _json_values():
 _ARRAY_KEYS = ["indptr", "indices", "data", "norms", "term_counts", "doc_freq"]
 
 
+def _as_member(values) -> np.ndarray:
+    """values as an array member, of whatever dtype numpy infers for them."""
+    try:
+        return np.array(values)
+    except (ValueError, OverflowError):
+        return np.array(values, dtype=object)
+
+
 @st.composite
 def _mutated_payloads(draw):
-    """A saved index payload with one to three random edits."""
-    payload = json.loads(_saved_index_text())
+    """A saved index payload with one to three random edits. An edited
+    array member is stored with the dtype and shape numpy infers for it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "idx.npz")
+        with open(target, "wb") as fh:
+            fh.write(_saved_index_bytes())
+        payload = _read_payload(target)
     for _ in range(draw(st.integers(1, 3))):
         key = draw(st.one_of(st.sampled_from(_ARRAY_KEYS), st.sampled_from(sorted(payload))))
         value = payload.get(key)
+        is_array = isinstance(value, np.ndarray)
+        if is_array:
+            value = value.tolist()
         action = draw(st.sampled_from(["set", "set", "delete", "insert", "replace",
                                        "delete-key"]))
         if action == "replace" or value is None:
-            payload[key] = draw(_json_values())
+            value = draw(_json_values())
         elif action == "delete-key":
             del payload[key]
+            continue
         elif isinstance(value, dict) and value:
             value[draw(st.sampled_from(sorted(value)))] = draw(_json_values())
         elif isinstance(value, list) and value:
@@ -588,22 +831,72 @@ def _mutated_payloads(draw):
                 del value[i]
             else:
                 value.insert(i, draw(_json_values()))
+        payload[key] = _as_member(value) if is_array else value
     return payload
+
+
+def _edits(content: bytes):
+    """content with one to four random byte edits: set, delete, insert or
+    truncate."""
+    @st.composite
+    def edited(draw):
+        out = bytearray(content)
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, max(len(out) - 1, 0)))
+            action = draw(st.sampled_from(["set", "set", "delete", "insert", "truncate"]))
+            if action == "set" and out:
+                out[i] = draw(st.integers(0, 255))
+            elif action == "delete":
+                del out[i:i + draw(st.integers(1, 8))]
+            elif action == "insert":
+                out[i:i] = draw(st.binary(min_size=1, max_size=8))
+            else:
+                del out[i:]
+        return bytes(out)
+    return edited()
+
+
+def _loads_and_ranks_or_is_rejected(target):
+    try:
+        index = load_index(target)
+    except IndexFormatError:
+        return
+    query = vectorize_tokens(["cache", "order", "sync", *index.vocabulary[:2]], index)
+    ranking = make_ranking(vsm_scores(query, index), index, top_k=0)
+    assert sorted(ranking.tolist()) == list(range(index.n_docs))
+
+
+@functools.cache
+def _saved_members() -> dict[str, bytes]:
+    with zipfile.ZipFile(io.BytesIO(_saved_index_bytes())) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
 
 
 class TestLoadFuzz:
     @given(payload=_mutated_payloads())
     @settings(max_examples=300, deadline=None)
     def test_mutated_payload_is_rejected_or_ranks(self, payload, tmp_path_factory):
-        target = tmp_path_factory.mktemp("fuzz") / "idx.json"
-        target.write_text(json.dumps(payload), encoding="utf-8")
-        try:
-            index = load_index(target)
-        except IndexFormatError:
-            return
-        query = vectorize_tokens(["cache", "order", "sync", *index.vocabulary[:2]], index)
-        ranking = make_ranking(vsm_scores(query, index), index, top_k=0)
-        assert sorted(ranking.tolist()) == list(range(index.n_docs))
+        target = tmp_path_factory.mktemp("fuzz") / "idx.npz"
+        _write_payload(target, payload)
+        _loads_and_ranks_or_is_rejected(target)
+
+    @given(content=_edits(_saved_index_bytes()))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_zip_bytes_are_rejected_or_rank(self, content, tmp_path_factory):
+        target = tmp_path_factory.mktemp("fuzz") / "idx.npz"
+        target.write_bytes(content)
+        _loads_and_ranks_or_is_rejected(target)
+
+    @given(data=st.data(), name=st.sampled_from(sorted(_saved_members())))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_member_bytes_are_rejected_or_rank(self, data, name, tmp_path_factory):
+        # The zip around the edited member is sound, so the edit reaches the
+        # .npy header and data checks.
+        members = dict(_saved_members())
+        members[name] = data.draw(_edits(members[name]))
+        target = tmp_path_factory.mktemp("fuzz") / "idx.npz"
+        _write_members(target, members)
+        _loads_and_ranks_or_is_rejected(target)
 
 
 @st.composite
@@ -631,7 +924,7 @@ class TestIndexProperties:
     def test_round_trip_any_corpus(self, corpus, tmp_path_factory):
         docs, paths = corpus
         index = build_index(docs, paths)
-        target = tmp_path_factory.mktemp("idx") / "i.json"
+        target = tmp_path_factory.mktemp("idx") / "i.npz"
         save_index(index, target)
         assert load_index(target) == index
 
@@ -661,20 +954,136 @@ class TestIndexProperties:
             assert qv.term_count == index.term_counts[d]
 
 
+@st.composite
+def _build_corpora(draw):
+    """Documents of words from a small vocabulary, so that some term may be
+    in every document; with empty documents, zero or one document, and
+    documents repeated verbatim."""
+    words = st.sampled_from(["cache", "miss", "order", "total", "sync", "在庫"])
+    docs = draw(st.lists(st.lists(words, max_size=10), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if docs else 0):
+        docs.insert(draw(st.integers(0, len(docs))), docs[draw(st.integers(0, len(docs) - 1))])
+    return docs
+
+
+class TestArrayBuild:
+    """build_index counts in arrays; its rows and norms are what
+    tfidf_weights and math.fsum give each document, bit for bit."""
+
+    @staticmethod
+    def _check(docs):
+        index = build_index(docs, [f"f{i}.java" for i in range(len(docs))])
+        vocabulary = sorted({t for tokens in docs for t in tokens})
+        doc_freq = tuple(sum(t in tokens for tokens in docs) for t in vocabulary)
+        assert index.vocabulary == tuple(vocabulary) and index.doc_freq == doc_freq
+        term_ids = {t: i for i, t in enumerate(vocabulary)}
+        assert len(index.indptr) == len(docs) + 1 and index.indptr[0] == 0
+        for d, tokens in enumerate(docs):
+            weights = tfidf_weights(tokens, term_ids, doc_freq, len(docs))
+            lo, hi = index.indptr[d], index.indptr[d + 1]
+            assert index.indices[lo:hi].tolist() == sorted(weights)
+            expected = np.array([weights[t] for t in sorted(weights)], dtype=np.float64)
+            assert (index.data[lo:hi].view(np.int64) == expected.view(np.int64)).all()
+            norm = np.float64(math.sqrt(math.fsum(w * w for w in weights.values())))
+            assert index.norms[d:d + 1].view(np.int64)[0] == norm.view(np.int64)
+            assert index.term_counts[d] == len(tokens)
+        for name in ARRAY_NAMES:
+            assert getattr(index, name).dtype == (np.float64 if name in ("data", "norms")
+                                                  else np.int64)
+        return index
+
+    @given(docs=_build_corpora())
+    @settings(max_examples=300)
+    def test_rows_and_norms_equal_tfidf_weights(self, docs):
+        self._check(docs)
+
+    def test_zero_documents(self):
+        index = self._check([])
+        assert index.n_docs == 0 and index.vocabulary == () and index.indptr.tolist() == [0]
+
+    def test_one_document(self):
+        # Every term is in the one document, so every weight is 0 and dropped.
+        index = self._check([["cache", "miss", "cache"]])
+        assert index.indptr.tolist() == [0, 0] and index.norms.tolist() == [0.0]
+
+    def test_empty_documents(self):
+        index = self._check([[], ["cache"], [], ["miss", "cache"], []])
+        assert index.indptr.tolist() == [0, 0, 1, 1, 3, 3]
+
+    def test_term_in_every_document_is_dropped(self):
+        index = self._check([["common", "alpha"], ["common"], ["common", "beta", "beta"]])
+        assert index.vocabulary.index("common") not in index.indices.tolist()
+
+    def test_many_distinct_ratios(self):
+        # np.log differs from math.log in the last bit on a fraction of a
+        # percent of inputs; thousands of distinct c_td / c_d values show it.
+        rng = random.Random(7)
+        words = [f"w{i}" for i in range(40)]
+        docs = [[rng.choice(words[:rng.randint(1, 40)]) for _ in range(rng.randint(1, 400))]
+                for _ in range(150)]
+        self._check(docs)
+
+    def test_duplicate_documents(self):
+        index = self._check([["cache", "miss"], ["order"], ["cache", "miss"]])
+        rows = [index.data[index.indptr[d]:index.indptr[d + 1]].tolist() for d in (0, 2)]
+        assert rows[0] == rows[1] and index.norms[0] == index.norms[2]
+
+
+_SAVE_IN_CHILD = """
+import sys
+from croloc.index import TokenizerOptions, index_documents, save_index
+save_index(index_documents(["cache miss rate", "order total", "キャッシュ miss", ""],
+                           ["a.java", "b/在庫.java", "c.java", "d.java"],
+                           TokenizerOptions(stemming=True)), sys.argv[1])
+"""
+
+
+class TestDeterministicSave:
+    """Equal indexes save to equal bytes: the benchmark and the golden
+    digests compare index files byte for byte."""
+
+    def _index(self):
+        return index_documents(["cache miss rate", "order total", "キャッシュ miss", ""],
+                               ["a.java", "b/在庫.java", "c.java", "d.java"],
+                               TokenizerOptions(stemming=True))
+
+    def test_same_bytes_at_another_time(self, tmp_path, monkeypatch):
+        saved = []
+        for clock in (0.0, 2e9):
+            monkeypatch.setattr(time, "time", lambda clock=clock: clock)
+            monkeypatch.setattr(time, "localtime", lambda *_, clock=clock: time.gmtime(clock))
+            target = tmp_path / f"idx{len(saved)}.npz"
+            save_index(self._index(), target)
+            saved.append(target.read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_same_bytes_from_two_processes(self, tmp_path):
+        here = tmp_path / "here.npz"
+        save_index(self._index(), here)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(croloc.__file__)))
+        for seed in ("1", "2"):
+            target = tmp_path / f"child{seed}.npz"
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            result = subprocess.run([sys.executable, "-c", _SAVE_IN_CHILD, str(target)],
+                                    env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert target.read_bytes() == here.read_bytes()
+
+
 class TestAtomicSave:
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
-        target = tmp_path / "idx.json"
+        target = tmp_path / "idx.npz"
         target.write_text("old index\n", encoding="utf-8")
         index = build_index([["alpha", "beta"], ["beta"]], ["a", "b"])
-        real_dumps = json.dumps
+        real_write_array = npy.write_array
 
-        def failing_dumps(value, **kwargs):
-            if value == "data":  # after the head of the file is written
+        def failing_write_array(fp, array, *args, **kwargs):
+            if array.dtype == np.float64:  # after the head of the file is written
                 raise OSError("disk full")
-            return real_dumps(value, **kwargs)
+            return real_write_array(fp, array, *args, **kwargs)
 
-        monkeypatch.setattr("croloc.index.json.dumps", failing_dumps)
+        monkeypatch.setattr(npy, "write_array", failing_write_array)
         with pytest.raises(OSError, match="disk full"):
             save_index(index, target)
         assert target.read_text(encoding="utf-8") == "old index\n"
-        assert os.listdir(tmp_path) == ["idx.json"]
+        assert os.listdir(tmp_path) == ["idx.npz"]

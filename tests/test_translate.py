@@ -1,12 +1,16 @@
 """Translation backend, glossary, cache, and batching tests."""
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from croloc.corpus import BugReport, Language, SourceDocument
 from croloc.errors import ProtocolError, TranslationError
@@ -23,6 +27,7 @@ from croloc.translate import (
 )
 from croloc.corpus import parse_rfc3339
 import croloc.translate as translate_module
+from reference import ref_load_cache
 
 
 class RecordingBackend:
@@ -235,6 +240,74 @@ class TestTranslationCache:
         path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
         assert len(TranslationCache(str(path))) == 1
 
+
+
+def _entry(backend, source, translation="t", digest=None, ensure_ascii=False):
+    digest = digest or hashlib.sha256(source.encode("utf-8")).hexdigest()
+    return json.dumps({"backend": backend, "sha256": digest, "source": source,
+                       "translation": translation}, ensure_ascii=ensure_ascii) + "\n"
+
+
+# Lines and fragments that reach each branch of the cache loader, and each way
+# json.loads decodes bytes: UTF-8, UTF-8 with a BOM, UTF-16 and UTF-32 when
+# NUL bytes lead, and surrogates passed through.
+_CACHE_PIECES = st.sampled_from([
+    _entry("glossary", "在庫").encode("utf-8"),
+    _entry("glossary", "在庫", "inventory").encode("utf-8"),
+    _entry("identity", "同期する", ensure_ascii=True).encode("utf-8"),
+    _entry("glossary", "x", digest="0" * 64).encode("utf-8"),
+    _entry("g", "a").rstrip("\n").encode("utf-8") + b"\r\n",
+    b"\xef\xbb\xbf" + _entry("glossary", "bom").encode("utf-8"),
+    b"\xef\xbb\xbf\n",
+    _entry("g", "be").encode("utf-16-be"),
+    _entry("g", "le").encode("utf-16-le"),
+    _entry("g", "32").encode("utf-32-be"),
+    b"\x00\n", b"\x00\x00\x00\n", b"a\x00\n", b"a\x00b\n", b"\x00a\n", b"\x00ab\n",
+    b'{"backend": "\xed\xa0\x80", "sha256": "", "source": "", "translation": ""}\n',
+    b'{"backend": "g", "sha256": "", "source": "\xed\xa0\x80", "translation": ""}\n',
+    b'{"backend": "g", "sha256": "", "source": "\\ud800", "translation": ""}\n',
+    b'{"backend": "\xff"}\n', b"\xe5\x9c\n", b"\xe5\x9c",
+    b"\n", b"  \n", b"\t\r\n", b"\x0b\x0c\n", b"\x1c\n", b"\xc2\x85\n", b"\xe3\x80\x80\n",
+    b"{bad\n", b'{"a": \n', b"[]\n", b'"str"\n', b"1\n", b"NaN\n", b"{} {}\n",
+    b'{"backend": "g"}  \n', b' {"backend": "g"}\n', b"[" * 3000 + b"\n", b'"a\tb"\n',
+    b'{"backend": "g", "sha256": "s", "source": 1, "translation": "t"}\n',
+    b'{"backend": "g", "source": "s"}\n', b"\r", b"\n\n",
+])
+
+
+class TestTranslationCacheOracle:
+    """The loader that decodes the file once against the one that passed
+    each line's bytes to json.loads."""
+
+    @given(pieces=st.lists(_CACHE_PIECES, max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_same_entries_errors_and_truncation(self, pieces, tmp_path_factory):
+        content = b"".join(pieces)
+        path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+        outcomes = []
+        for load in (ref_load_cache, self._load):
+            path.write_bytes(content)
+            try:
+                result = load(str(path))
+            except Exception as exc:  # whatever the old loader raised
+                result = (type(exc), str(exc))
+            outcomes.append((result, path.read_bytes()))
+        assert outcomes[1] == outcomes[0]
+
+    @staticmethod
+    def _load(path):
+        logger = logging.getLogger("croloc.translate")
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger.addHandler(handler)
+        try:
+            with TranslationCache(path) as cache:
+                entries = dict(cache._entries)
+        finally:
+            logger.removeHandler(handler)
+        torn = [int(r.args[1]) for r in records if "unterminated" in r.getMessage()]
+        return entries, torn[0] if torn else 0
 
 class TestTranslateTexts:
     def test_preserves_order(self):
