@@ -28,10 +28,14 @@ from typing import TYPE_CHECKING
 from . import TECHNIQUES
 from .corpus import (
     BugReport,
+    Corpus,
     filter_usable_reports,
     load_bug_reports,
     load_source_tree,
+    parse_json,
+    read_lines,
     report_to_obj,
+    typed,
     write_atomically,
 )
 from .errors import ConfigError, CrolocError
@@ -95,35 +99,28 @@ TRANSLATORS = ("identity", "glossary", "service")
 
 # Config keys mirror long option names; anything else is a typo worth failing on.
 CONFIG_KEYS = {
-    "tree", "reports", "include", "permissive", "translator", "glossary",
-    "cache", "service_url", "alpha", "top_k", "technique", "mode",
-    "stemming", "out_dir",
+    "tree": str, "reports": str, "include": list, "permissive": bool, "translator": str,
+    "glossary": str, "cache": str, "service_url": str, "alpha": float, "top_k": int,
+    "technique": str, "mode": str, "stemming": bool, "out_dir": str,
 }
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+def _apply_config(args: argparse.Namespace) -> None:
+    """Check every --config setting and give it to each option no flag set."""
+    if not (path := args.config):
+        return
+    cfg = parse_json("".join(line for _, line in read_lines(path, ConfigError)), ConfigError, path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = set(cfg) - CONFIG_KEYS
-    if unknown:
+    if unknown := set(cfg) - set(CONFIG_KEYS):
         raise ConfigError(f"config {path} has unknown keys: {', '.join(sorted(unknown))}")
-    return cfg
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
     for key, value in cfg.items():
+        if value is None:
+            continue
+        try:
+            value = typed(value, CONFIG_KEYS[key])
+        except ValueError as exc:
+            raise ConfigError(f"--{key.replace('_', '-')} in config {path} {exc}") from None
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
 
@@ -141,15 +138,9 @@ def _fill(args: argparse.Namespace, **defaults) -> None:
             setattr(args, key, value)
 
 
-def _include_patterns(args: argparse.Namespace) -> list[str]:
-    include = getattr(args, "include", None)
-    if include is None:
-        return list(DEFAULT_INCLUDE)
-    if isinstance(include, str):
-        return [include]
-    if not isinstance(include, list) or not all(isinstance(p, str) for p in include):
-        raise ConfigError("include must be a list of glob patterns")
-    return include
+def _load_tree(args: argparse.Namespace, tree: str) -> Corpus:
+    include = list(DEFAULT_INCLUDE) if args.include is None else args.include
+    return load_source_tree(tree, include, permissive=bool(args.permissive))
 
 
 def _make_backend(args: argparse.Namespace) -> TranslatorBackend:
@@ -196,10 +187,6 @@ def _translated(args: argparse.Namespace, items: Sequence, translate: Callable) 
         return [translate(item, backend, cache) for item in items]
 
 
-def _tokenizer_options(args: argparse.Namespace) -> TokenizerOptions:
-    return TokenizerOptions(stemming=bool(getattr(args, "stemming", False)))
-
-
 def _default_index_path(args: argparse.Namespace) -> str:
     name = "index.notranslate.npz" if args.no_translate else "index.npz"
     return str(Path(args.out_dir) / name)
@@ -213,8 +200,7 @@ def _default_run_path(args: argparse.Namespace) -> str:
 def cmd_extract(args: argparse.Namespace) -> int:
     _bind("extract")
     tree = _require(args, "tree")
-    corpus = load_source_tree(tree, _include_patterns(args),
-                              permissive=bool(args.permissive))
+    corpus = _load_tree(args, tree)
     to_stdout = args.out in (None, "-")
     n_spans = 0
     with nullcontext(sys.stdout) if to_stdout else write_atomically(args.out) as out:
@@ -247,8 +233,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     with _make_cache(args) as cache:
         if getattr(args, "tree", None) is not None:
-            corpus = load_source_tree(args.tree, _include_patterns(args),
-                                      permissive=bool(args.permissive))
+            corpus = _load_tree(args, args.tree)
             dest_root = out_dir / "translated"
             total_segments = 0
             for doc in corpus.documents:
@@ -276,13 +261,11 @@ def cmd_index(args: argparse.Namespace) -> int:
     _bind("index", "translate")
     tree = _require(args, "tree")
     _fill(args, out_dir=".", stemming=False)
-    corpus = load_source_tree(tree, _include_patterns(args),
-                              permissive=bool(args.permissive))
+    corpus = _load_tree(args, tree)
     documents = _translated(args, corpus.documents,
                             lambda doc, backend, cache: translate_document(doc, backend, cache)[0])
-    options = _tokenizer_options(args)
-    index = index_documents([d.raw_text for d in documents],
-                            [d.path for d in documents], options)
+    index = index_documents([d.raw_text for d in documents], [d.path for d in documents],
+                            TokenizerOptions(stemming=args.stemming))
     out_path = args.out or _default_index_path(args)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out_path)
@@ -299,15 +282,11 @@ def cmd_locate(args: argparse.Namespace) -> int:
     if args.technique not in TECHNIQUES:
         raise ConfigError(f"unknown technique {args.technique!r}; "
                           f"expected one of {TECHNIQUES}")
-    alpha, top_k = args.alpha, args.top_k
-    # Config values skip argparse's type conversion; a bool is an int to
-    # Python but is no count or weight here.
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) \
-            or not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"--alpha must be a number in [0, 1], got {alpha!r}")
-    if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0:
-        raise ConfigError(f"--top-k must be a non-negative integer, got {top_k!r}")
-    alpha = float(alpha)
+    # Flags and config values (CONFIG_KEYS) arrive typed; ranges are left.
+    if not 0.0 <= args.alpha <= 1.0:
+        raise ConfigError(f"--alpha must be a number in [0, 1], got {args.alpha!r}")
+    if args.top_k < 0:
+        raise ConfigError(f"--top-k must be a non-negative integer, got {args.top_k!r}")
     index_path = args.index or _default_index_path(args)
     index = load_index(index_path)
     reports = _translated(args, load_bug_reports(reports_path),
@@ -344,8 +323,8 @@ def cmd_locate(args: argparse.Namespace) -> int:
     for report in queries:
         query = vectorize(report)
         usable_history = history.before(report.reported_at) if history is not None else ()
-        scores = score_documents(query, index, args.technique, usable_history, alpha)
-        order = make_ranking(scores, index, top_k)
+        scores = score_documents(query, index, args.technique, usable_history, args.alpha)
+        order = make_ranking(scores, index, args.top_k)
         rankings.append((report.id, [paths[d] for d in order.tolist()], scores[order].tolist()))
 
     out_path = args.out or _default_run_path(args)

@@ -6,13 +6,15 @@ evaluation usability with the three criteria: functional bug, completed fix,
 and at least one fixed source file present in the corpus.
 
 The line-oriented readers and the run and index writers share this module's
-text-file helpers, ``read_lines`` and ``write_atomically``.
+text-file helpers, ``read_lines`` and ``write_atomically``, and every reader
+of JSON input parses it with ``parse_json`` and checks its fields with ``typed``.
 """
 from __future__ import annotations
 
 import contextlib
 import json
 import logging
+import math
 import os
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
@@ -152,6 +154,85 @@ def parse_rfc3339(value: str) -> datetime:
     return dt
 
 
+def is_text(value) -> bool:
+    """Whether ``value`` is a str that encodes as UTF-8: a JSON escape such
+    as ``\\ud800`` can give a str a lone surrogate, which does not."""
+    try:
+        return isinstance(value, str) and (value.isascii() or bool(value.encode("utf-8")))
+    except UnicodeEncodeError:
+        return False
+
+
+# Each kind of JSON field ``typed`` accepts, with its test and name: a list
+# holds strings, a float is any finite number, and a datetime an RFC 3339 time.
+_KINDS = {
+    str: (is_text, "a UTF-8 string"),
+    list: (lambda v: isinstance(v, list) and all(map(is_text, v)), "a list of UTF-8 strings"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) is int or type(v) is float and math.isfinite(v), "a finite number"),
+    datetime: (is_text, "an RFC 3339 time"),
+}
+
+
+def typed(value, kind: type):
+    """``value`` if it is of ``kind`` (a ``_KINDS`` type), or the datetime it
+    names; anything else raises ValueError. It coerces nothing."""
+    test, name = _KINDS[kind]
+    if test(value):
+        if kind is not datetime:
+            return value
+        with contextlib.suppress(ReportFormatError):
+            return parse_rfc3339(value)
+    raise ValueError(f"must be {name}")
+
+
+def check_record(obj, kinds: dict[str, type], required: Collection[str],
+                 error: type[CrolocError], where: str) -> dict:
+    """The fields of JSON object ``obj`` that ``kinds`` names, checked by ``typed``.
+    An absent or null one is left out, or if ``required`` raises ``error``, as a
+    bad one does; messages begin with ``where``."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected a JSON object")
+    fields = {}
+    for key, kind in kinds.items():
+        value = obj.get(key)
+        if value is None:
+            if key in required:
+                raise error(f"{where}: required field {key!r} is missing or null")
+            continue
+        try:
+            fields[key] = typed(value, kind)
+        except ValueError as exc:
+            raise error(f"{where}: {key} {exc}") from None
+    return fields
+
+
+def check_token(value: str, what: str, error: type[CrolocError]) -> None:
+    """Reject an empty ``value`` or one with whitespace: run and qrels files
+    are whitespace-delimited."""
+    if not value or any(ch.isspace() for ch in value):
+        raise error(f"{what} {value!r} is empty or contains whitespace; "
+                    "run and qrels files are whitespace-delimited")
+
+
+def parse_json(text: str | bytes, error: type[CrolocError], where: str):
+    """The JSON value ``text`` holds; text that is not JSON, or nests too
+    deep to parse, raises ``error`` with ``where`` in front."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: not valid JSON: {exc}") from exc
+
+
+def read_json_lines(path: str | Path, error: type[CrolocError]) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each nonblank line of a UTF-8 JSON Lines
+    file, as ``parse_json`` reads it, with ``{path}:{lineno}`` as ``where``."""
+    for lineno, line in read_lines(path, error):
+        if line.strip():
+            yield lineno, parse_json(line, error, f"{path}:{lineno}")
+
+
 def load_source_tree(
     root: str | Path,
     include_patterns: list[str],
@@ -196,32 +277,22 @@ def load_source_tree(
     return Corpus(documents=tuple(documents), root=str(root_path), skipped=tuple(skipped))
 
 
+_REPORT_FIELDS = {"id": str, "summary": str, "description": str, "reported_at": datetime,
+                  "resolved_at": datetime, "fixed_files": list, "functional": bool}
 _REQUIRED_REPORT_FIELDS = ("id", "summary", "reported_at")
 
 
-def _report_from_obj(obj: dict, line_no: int) -> BugReport:
-    for key in _REQUIRED_REPORT_FIELDS:
-        if key not in obj:
-            raise ReportFormatError(f"line {line_no}: missing required field {key!r}")
-    fixed_files = obj.get("fixed_files")
-    if fixed_files is not None:
-        if not isinstance(fixed_files, list) or any(not isinstance(f, str) or not f for f in fixed_files):
-            raise ReportFormatError(f"line {line_no}: fixed_files must be a list of nonempty strings")
-        fixed_files = tuple(fixed_files)
-    reported_at = parse_rfc3339(str(obj["reported_at"]))
-    resolved_raw = obj.get("resolved_at")
-    resolved_at = parse_rfc3339(str(resolved_raw)) if resolved_raw is not None else None
-    if resolved_at is not None and resolved_at < reported_at:
-        raise ReportFormatError(f"line {line_no}: resolved_at precedes reported_at for report {obj['id']!r}")
-    return BugReport(
-        id=str(obj["id"]),
-        summary=str(obj["summary"]),
-        description=str(obj.get("description", "")),
-        reported_at=reported_at,
-        resolved_at=resolved_at,
-        fixed_files=fixed_files,
-        functional=bool(obj.get("functional", True)),
-    )
+def _report_from_obj(obj, where: str) -> BugReport:
+    fields = check_record(obj, _REPORT_FIELDS, _REQUIRED_REPORT_FIELDS, ReportFormatError, where)
+    if "fixed_files" in fields:
+        fields["fixed_files"] = tuple(fields["fixed_files"])
+    report = BugReport(**{"description": "", **fields})
+    check_token(report.id, f"{where}: report id", ReportFormatError)
+    if not all(report.fixed_files or ()):
+        raise ReportFormatError(f"{where}: fixed_files must not hold an empty path")
+    if report.resolved_at is not None and report.resolved_at < report.reported_at:
+        raise ReportFormatError(f"{where}: resolved_at precedes reported_at for report {report.id!r}")
+    return report
 
 
 def report_to_obj(report: BugReport) -> dict:
@@ -242,26 +313,13 @@ def report_to_obj(report: BugReport) -> dict:
 
 def load_bug_reports(path: str | Path) -> list[BugReport]:
     """Read bug reports from a JSON Lines file, one object per line."""
-    reports: list[BugReport] = []
-    seen_ids: set[str] = set()
-    file_path = Path(path)
-    if not file_path.is_file():
-        raise CorpusError(f"bug report file does not exist: {path}")
-    for line_no, line in read_lines(file_path, ReportFormatError):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ReportFormatError(f"line {line_no}: malformed JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise ReportFormatError(f"line {line_no}: expected a JSON object")
-        report = _report_from_obj(obj, line_no)
-        if report.id in seen_ids:
-            raise ReportFormatError(f"line {line_no}: duplicate report id {report.id!r}")
-        seen_ids.add(report.id)
-        reports.append(report)
-    return reports
+    reports: dict[str, BugReport] = {}
+    for lineno, obj in read_json_lines(path, ReportFormatError):
+        report = _report_from_obj(obj, f"{path}:{lineno}")
+        if report.id in reports:
+            raise ReportFormatError(f"{path}:{lineno}: duplicate report id {report.id!r}")
+        reports[report.id] = report
+    return list(reports.values())
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,16 @@ queries with a relevant file in the top N.
 """
 from __future__ import annotations
 
-import json
 import logging
+import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import count
 from typing import TextIO
 
-from .corpus import BugReport, normalize_path, read_lines, write_atomically
+from .corpus import (BugReport, check_record, check_token, normalize_path, read_json_lines,
+                     read_lines, write_atomically)
 from .errors import EvalError
 
 log = logging.getLogger(__name__)
@@ -72,32 +73,24 @@ def read_qrels(path: str) -> Qrels:
 
 
 def write_qrels(out: TextIO, qrels: Qrels) -> None:
-    """TREC qrels lines, sorted by query id and then by path."""
+    """TREC qrels lines, sorted by query id and then by path, all checked first."""
+    lines = []
     for query_id in sorted(qrels.grades):
+        check_token(query_id, "query id", EvalError)
         grades = qrels.grades[query_id]
         for doc_path in sorted(grades):
-            out.write(f"{query_id} 0 {doc_path} {grades[doc_path]}\n")
+            check_token(doc_path, "document path", EvalError)
+            lines.append(f"{query_id} 0 {doc_path} {grades[doc_path]}\n")
+    out.write("".join(lines))
+
+
+_COMMIT_FIELDS = {"hash": str, "message": str, "changed_files": list}
 
 
 def load_commit_log(path: str) -> list[dict]:
     """JSONL commits: {"hash": ..., "message": ..., "changed_files": [...]}."""
-    commits = []
-    for lineno, line in read_lines(path, EvalError):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EvalError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise EvalError(f"{path}:{lineno}: commit entry must be an object")
-        for key, kind in (("hash", str), ("message", str), ("changed_files", list)):
-            if not isinstance(obj.get(key), kind):
-                raise EvalError(f"{path}:{lineno}: missing or malformed {key!r}")
-        if not all(isinstance(f, str) for f in obj["changed_files"]):
-            raise EvalError(f"{path}:{lineno}: changed_files must be strings")
-        commits.append(obj)
-    return commits
+    return [check_record(obj, _COMMIT_FIELDS, _COMMIT_FIELDS, EvalError, f"{path}:{lineno}")
+            for lineno, obj in read_json_lines(path, EvalError)]
 
 
 def _id_pattern(report_id: str) -> re.Pattern:
@@ -135,12 +128,6 @@ def link_oracles(reports: list[BugReport], commits: list[dict]) -> Qrels:
     return qrels
 
 
-def _check_field(value: str, what: str) -> None:
-    if not value or any(ch.isspace() for ch in value):
-        raise EvalError(f"{what} {value!r} is empty or contains whitespace; "
-                        "run files are whitespace-delimited")
-
-
 def write_run_file(
     path: str,
     rankings: Iterable[tuple[str, Sequence[str], Sequence[float]]],
@@ -154,11 +141,11 @@ def write_run_file(
     checked_paths: set[str] = set()
     with write_atomically(path) as fh:
         for query_id, paths, scores in rankings:
-            _check_field(query_id, "query id")
-            _check_field(tag, "run tag")
+            check_token(query_id, "query id", EvalError)
+            check_token(tag, "run tag", EvalError)
             for p in paths:
                 if p not in checked_paths:
-                    _check_field(p, "document path")
+                    check_token(p, "document path", EvalError)
                     checked_paths.add(p)
             head, tail = f"{query_id} Q0 ", f" {tag}\n"
             fh.write("".join([f"{head}{p} {rank} {score:.6f}{tail}"
@@ -177,9 +164,11 @@ def read_run_file(path: str) -> dict[str, list[str]]:
         query_id, _, doc_path, rank_text, score_text, _tag = parts
         try:
             rank = int(rank_text)
-            float(score_text)
+            if rank < 1 or not math.isfinite(float(score_text)):
+                raise ValueError
         except ValueError:
-            raise EvalError(f"{path}:{lineno}: malformed rank or score")
+            raise EvalError(f"{path}:{lineno}: malformed rank or score (a rank counts "
+                            "from 1, a score is finite)") from None
         rows.setdefault(query_id, []).append((rank, doc_path))
     run: dict[str, list[str]] = {}
     for query_id, entries in rows.items():

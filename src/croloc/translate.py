@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import logging
+import operator
 import os
 import re
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
 from typing import TextIO
 
-from .corpus import BugReport, SourceDocument, read_lines
+from .corpus import (BugReport, SourceDocument, check_record, is_text, parse_json,
+                     read_lines)
 from .errors import ProtocolError, TranslationError
 from .extract import detect_japanese, extract_spans, japanese_segments, reembed
 
@@ -73,26 +73,6 @@ def load_glossary(path: str) -> dict[str, str]:
     return glossary
 
 
-def _glossary_scan(text: str, glossary: dict[str, str],
-                   by_first: dict[str, list[str]]) -> str:
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        matched = None
-        for key in by_first.get(text[i], ()):
-            if text.startswith(key, i):
-                matched = key
-                break
-        if matched is not None:
-            out.append(glossary[matched])
-            i += len(matched)
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
-
-
 class GlossaryBackend(TranslatorBackend):
     """Deterministic offline translation from a fixed phrase table: greedy
     longest-match replacement, scanning left to right."""
@@ -101,16 +81,16 @@ class GlossaryBackend(TranslatorBackend):
 
     def __init__(self, glossary: dict[str, str]):
         self.glossary = dict(glossary)
-        self._by_first: dict[str, list[str]] = {}
-        for key in self.glossary:
-            if not key:
-                raise TranslationError("glossary contains an empty source phrase")
-            self._by_first.setdefault(key[0], []).append(key)
-        for keys in self._by_first.values():
-            keys.sort(key=len, reverse=True)
+        if "" in self.glossary:
+            raise TranslationError("glossary contains an empty source phrase")
+        # An alternation takes the first alternative that matches, so with
+        # the longest phrases first it takes the longest. "(?!)" never matches.
+        phrases = sorted(self.glossary, key=len, reverse=True)
+        self._pattern = re.compile("|".join(map(re.escape, phrases)) or "(?!)")
 
     def translate_batch(self, texts: list[str]) -> list[str]:
-        return [_glossary_scan(t, self.glossary, self._by_first) for t in texts]
+        glossary = self.glossary
+        return [self._pattern.sub(lambda m: glossary[m[0]], t) for t in texts]
 
 
 class ServiceBackend(TranslatorBackend):
@@ -125,78 +105,75 @@ class ServiceBackend(TranslatorBackend):
     name = "service"
 
     def __init__(self, url: str, token: str | None = None, sleep=time.sleep):
-        # Imported here: only this backend needs it, and every other command
-        # would pay its import time and memory.
-        import requests
+        # Imported where used: other commands would pay its import time.
+        import urllib.request
 
+        try:
+            if urllib.request.Request(url).type not in ("http", "https") or not url.isascii():
+                raise ValueError("not an ASCII http or https URL")
+        except ValueError as exc:
+            raise TranslationError(f"unusable translation service URL {url!r}: {exc}") from exc
         self.url = url
         self.token = token if token is not None else os.environ.get(SERVICE_TOKEN_ENV)
-        self._session = requests.Session()
         self._sleep = sleep
 
     def translate_batch(self, texts: list[str]) -> list[str]:
-        import requests
+        import urllib.error
+        import urllib.request
+        from http.client import HTTPException
 
         if not texts:
             return []
-        payload = {"texts": list(texts), "source": "ja", "target": "en"}
-        headers = {}
+        body = json.dumps({"texts": list(texts), "source": "ja", "target": "en"}).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        request = urllib.request.Request(self.url, data=body, headers=headers, method="POST")
         last_error: Exception | None = None
         for attempt in range(1, _ATTEMPTS + 1):
+            status = None
             try:
-                response = self._session.post(
-                    self.url, json=payload, headers=headers, timeout=_TIMEOUT_S
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(request, timeout=_TIMEOUT_S) as response:
+                    status, payload = response.status, response.read()
+            except urllib.error.HTTPError as exc:  # a status outside 2xx
+                status = exc.code
+                exc.close()
+            except (OSError, HTTPException) as exc:  # connection errors and timeouts
                 last_error = exc
-            else:
-                if response.status_code == 200:
-                    return self._parse(response, len(texts))
-                if response.status_code not in _RETRYABLE_STATUS:
-                    raise TranslationError(
-                        f"translation service returned HTTP {response.status_code}"
-                    )
-                last_error = TranslationError(
-                    f"translation service returned HTTP {response.status_code}"
-                )
+            if status == 200:
+                where = "translation service response"
+                translations = check_record(parse_json(payload, ProtocolError, where),
+                                            {"translations": list}, ("translations",),
+                                            ProtocolError, where)["translations"]
+                if len(translations) != len(texts):
+                    raise ProtocolError(f"translation count mismatch: sent {len(texts)}, "
+                                        f"got {len(translations)}")
+                return translations
+            if status is not None:
+                last_error = TranslationError(f"translation service returned HTTP {status}")
+                if status not in _RETRYABLE_STATUS:
+                    raise last_error
             if attempt < _ATTEMPTS:
                 delay = _BACKOFF_S * 2 ** (attempt - 1)
                 log.warning("translation attempt %d/%d failed (%s); retrying in %.1fs",
                             attempt, _ATTEMPTS, last_error, delay)
                 self._sleep(delay)
-        raise TranslationError(
-            f"translation service failed after {_ATTEMPTS} attempts: {last_error}"
-        )
+        raise TranslationError(f"translation service failed after {_ATTEMPTS} attempts: "
+                               f"{last_error}")
 
-    @staticmethod
-    def _parse(response, expected: int) -> list[str]:
+
+def _cache_lines(content: bytes) -> list[str] | list[bytes]:
+    """The lines of ``content``, which ends in a newline if not empty, less
+    their newlines: str, decoded at once, if ``content`` is UTF-8 with no BOM
+    or NUL, which can make json.loads read a line as UTF-16 or UTF-32, and no
+    ``\\u`` escape, which alone gives a str from UTF-8 a lone surrogate;
+    otherwise bytes, for json.loads to decode or reject one at a time."""
+    if not any(mark in content for mark in (b"\\u", b"\x00", "\ufeff".encode())):
         try:
-            body = response.json()
-        except ValueError as exc:
-            raise ProtocolError(f"translation service sent invalid JSON: {exc}") from exc
-        translations = body.get("translations") if isinstance(body, dict) else None
-        if not isinstance(translations, list) or not all(
-            isinstance(t, str) for t in translations
-        ):
-            raise ProtocolError("translation response lacks a 'translations' string list")
-        if len(translations) != expected:
-            raise ProtocolError(
-                f"translation count mismatch: sent {expected}, got {len(translations)}"
-            )
-        return translations
-
-
-def _cache_lines(content: bytes) -> Iterator[str | bytes]:
-    """The newline-terminated lines of ``content``, each with its newline:
-    as str, decoded at once, when ``content`` is UTF-8, and otherwise as
-    bytes, for json.loads to decode or reject one line at a time."""
-    try:
-        text = content.decode("utf-8")
-    except UnicodeDecodeError:
-        return io.BytesIO(content)
-    return (match.group() for match in re.finditer(".*\n", text))
+            return content.decode("utf-8").split("\n")[:-1]
+        except UnicodeDecodeError:
+            pass
+    return content.split(b"\n")[:-1]
 
 
 # The scanner behind json.loads, which reads one value at a position; called
@@ -205,22 +182,21 @@ _scan_json = json.JSONDecoder().scan_once
 
 
 def _json_line(line: str | bytes):
-    """json.loads of one newline-terminated line, as it parses the line's
-    bytes. A str line that is one JSON value and its newline goes straight
-    to the scanner; any other line, and any error, comes from json.loads."""
-    if isinstance(line, str):
-        if line.startswith("\ufeff") or "\x00" in line[:2]:
-            # json.loads reads bytes that begin so as UTF-8 with a BOM, or
-            # as UTF-16 or UTF-32: give it those bytes.
-            return json.loads(line.encode("utf-8"))
-        try:
-            obj, end = _scan_json(line, 0)
-        except (StopIteration, ValueError):
-            pass
-        else:
-            if end == len(line) - 1:
-                return obj
-    return json.loads(line)
+    """json.loads of one line and the newline it lacks; a str line that is
+    one JSON value goes straight to the scanner."""
+    if isinstance(line, bytes):
+        return json.loads(line + b"\n")
+    try:
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    else:
+        if end == len(line):
+            return obj
+    return json.loads(line + "\n")
+
+
+_CACHE_FIELDS = operator.itemgetter("backend", "sha256", "source", "translation")
 
 
 def _sha256(text: str) -> str:
@@ -259,25 +235,22 @@ class TranslationCache:
         for lineno, line in enumerate(_cache_lines(content[:whole]), start=1):
             try:
                 obj = _json_line(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 if not (line if isinstance(line, bytes) else line.encode("utf-8")).strip():
                     continue  # a blank line, which json.loads rejects too
-                raise TranslationError(
-                    f"{self.path}:{lineno}: corrupt cache line: {exc}"
-                ) from exc
+                raise TranslationError(f"{self.path}:{lineno}: corrupt cache line: {exc}") from exc
             try:
-                backend = obj["backend"]
-                digest = obj["sha256"]
-                source = obj["source"]
-                translation = obj["translation"]
+                fields = backend, digest, source, translation = _CACHE_FIELDS(obj)
             except (KeyError, TypeError) as exc:
-                raise TranslationError(
-                    f"{self.path}:{lineno}: cache entry missing fields"
-                ) from exc
+                raise TranslationError(f"{self.path}:{lineno}: cache entry missing fields") from exc
+            # A str line holds no lone surrogate (see _cache_lines).
+            if not (type(backend) is type(digest) is type(source) is type(translation) is str
+                    and (isinstance(line, str) or all(map(is_text, fields)))):
+                raise TranslationError(f"{self.path}:{lineno}: cache entry fields must be "
+                                       "strings that encode as UTF-8")
             if _sha256(source) != digest:
                 raise TranslationError(
-                    f"{self.path}:{lineno}: cache digest does not match source text"
-                )
+                    f"{self.path}:{lineno}: cache digest does not match source text")
             self._entries[(backend, digest)] = translation
         if whole < len(content):
             # A run killed mid-append leaves its last line unterminated. Cut

@@ -13,8 +13,15 @@ Oracle linking: the earlier loop that runs every report's id pattern over
 every commit message, kept verbatim as the oracle of the substring-prefiltered
 ``link_oracles``.
 
+Glossary translation: the earlier scan that tries, at each position, the
+phrases beginning with its character from the longest down, kept as the
+oracle of the backend's one compiled alternation.
+
 Translation cache load: the earlier loop that hands each line's bytes to
 ``json.loads``, kept as the oracle of the loader that decodes the file once.
+It has since learnt two rules: a line nested too deep for ``json.loads``
+(``RecursionError``) is a corrupt line, and every field must be a str that
+encodes as UTF-8.
 """
 import hashlib
 import json
@@ -350,6 +357,16 @@ class RefScanner(_Scanner):
         return n
 
 
+def _encodes(value):
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def ref_load_cache(path):
     """(entries, number of the torn last line or 0) of a translation cache
     file, cutting a torn last line off the file as ``TranslationCache`` does."""
@@ -366,7 +383,7 @@ def ref_load_cache(path):
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TranslationError(
                     f"{path}:{lineno}: corrupt cache line: {exc}"
                 ) from exc
@@ -379,6 +396,10 @@ def ref_load_cache(path):
                 raise TranslationError(
                     f"{path}:{lineno}: cache entry missing fields"
                 ) from exc
+            if not all(map(_encodes, (backend, digest, source, translation))):
+                raise TranslationError(
+                    f"{path}:{lineno}: cache entry fields must be strings "
+                    "that encode as UTF-8")
             if hashlib.sha256(source.encode("utf-8")).hexdigest() != digest:
                 raise TranslationError(
                     f"{path}:{lineno}: cache digest does not match source text"
@@ -387,3 +408,27 @@ def ref_load_cache(path):
     if torn:
         os.truncate(path, whole)
     return entries, torn
+
+
+def ref_glossary_translate(text, glossary):
+    by_first = {}
+    for key in glossary:
+        by_first.setdefault(key[0], []).append(key)
+    for keys in by_first.values():
+        keys.sort(key=len, reverse=True)
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        matched = None
+        for key in by_first.get(text[i], ()):
+            if text.startswith(key, i):
+                matched = key
+                break
+        if matched is not None:
+            out.append(glossary[matched])
+            i += len(matched)
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)

@@ -1,6 +1,7 @@
 """End-to-end command line tests, driven through subprocesses."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,10 +10,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import croloc
 from conftest import FIXTURES
 from croloc import cli
+from croloc.errors import CrolocError
+from strategies import any_text, bad_json_lines, json_records
 
 PROJECT = FIXTURES / "synthetic_project"
 TREE = PROJECT  # fixed_files paths in reports.jsonl are rooted here
@@ -339,10 +344,10 @@ class TestImports:
                                 env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 
-    def test_cli_import_leaves_requests_unloaded(self, tmp_path):
-        # Only the service backend needs requests; every command would
+    def test_cli_import_leaves_urllib_request_unloaded(self, tmp_path):
+        # Only the service backend needs urllib.request; every command would
         # otherwise pay its import time and memory.
-        self._leaves_unloaded(tmp_path, "import croloc.cli", "requests")
+        self._leaves_unloaded(tmp_path, "import croloc.cli", "urllib.request")
 
     def test_array_free_modules_leave_numpy_unloaded(self, tmp_path):
         # Only index and rank work on arrays; loading, extraction,
@@ -360,6 +365,15 @@ NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
 
 def _not_utf8(path):
     path.write_bytes(NOT_UTF8)
+    return path
+
+
+# A line nested too deep for json.loads, which raises RecursionError.
+DEEP = b"[" * 5000 + b"\n"
+
+
+def _deep(path):
+    path.write_bytes(DEEP)
     return path
 
 
@@ -397,6 +411,11 @@ UNREADABLE_INPUTS = {
         "index", "--tree", TREE, "--glossary", _not_utf8(d / "glossary.tsv"), "--out-dir", d),
     "config-non-utf8": lambda d: (
         "qrels", "--config", _not_utf8(d / "config.json"), "--reports", REPORTS),
+    "qrels-deep-reports": lambda d: ("qrels", "--reports", _deep(d / "reports.jsonl")),
+    "qrels-deep-commit-log": lambda d: (
+        "qrels", "--reports", REPORTS, "--commit-log", _deep(d / "commits.jsonl")),
+    "config-deep": lambda d: (
+        "qrels", "--config", _deep(d / "config.json"), "--reports", REPORTS),
 }
 
 
@@ -407,12 +426,72 @@ class TestUnreadableInputs:
         result = run_cli(*args, cwd=tmp_path)
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith("error:"), result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
         assert "Traceback" not in result.stderr
-        undecodable = [a for a in args if isinstance(a, pathlib.Path) and a.is_file()
-                       and a.read_bytes() == NOT_UTF8]
-        assert len(undecodable) == ("non-utf8" in case)
-        for path in undecodable:
+        unreadable = [a for a in args if isinstance(a, pathlib.Path) and a.is_file()
+                      and a.read_bytes() in (NOT_UTF8, DEEP)]
+        assert len(unreadable) == ("non-utf8" in case or "deep" in case)
+        for path in unreadable:
             assert str(path) in result.stderr, result.stderr
+            if path.read_bytes() == DEEP and path.suffix == ".jsonl":
+                assert f"{path}:1:" in result.stderr, result.stderr
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _report_file(path, **fields):
+    obj = {"id": "A-1", "summary": "s", "reported_at": "2024-01-01T00:00:00Z", **fields}
+    return _write(path, json.dumps(obj) + "\n")
+
+
+def _cache_file(path, **fields):
+    obj = {"backend": "glossary", "sha256": hashlib.sha256(b"x").hexdigest(),
+           "source": "x", "translation": "t", **fields}
+    return _write(path, json.dumps(obj) + "\n")
+
+
+def _index_with_cache(d, cache):
+    return ("index", "--tree", TREE, "--glossary", GLOSSARY, "--cache", cache, "--out-dir", d)
+
+
+# Each case: a command given one malformed input, and what its error line
+# must name: the file, and the line of a line-based file.
+MALFORMED_INPUTS = {
+    "report-id-with-space": lambda d: (
+        ("qrels", "--reports", _report_file(d / "r.jsonl", id="A 1")), "r.jsonl:1:"),
+    "report-null-summary": lambda d: (
+        ("qrels", "--reports", _report_file(d / "r.jsonl", summary=None)), "r.jsonl:1:"),
+    "report-surrogate-summary": lambda d: (
+        ("qrels", "--reports", _report_file(d / "r.jsonl", summary="\ud800")), "r.jsonl:1:"),
+    "run-rank-0-nan-score": lambda d: (
+        ("eval", "--run", _write(d / "run.trec", "q Q0 a.java 0 nan t\n"),
+         "--qrels", _write(d / "qrels.txt", "q 0 a.java 2\n")), "run.trec:1:"),
+    "config-tree-3": lambda d: (
+        ("extract", "--config", _write(d / "c.json", '{"tree": 3}')), "c.json"),
+    "config-stemming-no": lambda d: (
+        ("index", "--config", _write(d / "c.json", '{"stemming": "no"}'), "--tree", TREE,
+         "--out-dir", d), "c.json"),
+    "cache-source-1": lambda d: (
+        _index_with_cache(d, _cache_file(d / "c.jsonl", source=1)), "c.jsonl:1:"),
+    "cache-translation-5": lambda d: (
+        _index_with_cache(d, _cache_file(d / "c.jsonl", translation=5)), "c.jsonl:1:"),
+    "cache-surrogate-source": lambda d: (
+        _index_with_cache(d, _cache_file(d / "c.jsonl", source="\ud800")), "c.jsonl:1:"),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_error_line_names_file_and_exit_1(self, tmp_path, capsys, case):
+        args, where = MALFORMED_INPUTS[case](tmp_path)
+        assert cli.main([str(a) for a in args]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert where in err, err
+        assert out == ""
 
 
 class TestTracerSeam:
@@ -642,6 +721,32 @@ class TestConfigFile:
         assert cli.main(["locate", "--top-k", "-3", "--reports", str(REPORTS),
                          "--index", str(tmp_path / "missing.json")]) == 1
         assert capsys.readouterr().err.startswith("error: --top-k")
+
+    def test_null_setting_counts_as_absent(self, tmp_path):
+        cfg = tmp_path / "croloc.json"
+        cfg.write_text(json.dumps({"tree": "t", "out_dir": None}), encoding="utf-8")
+        args = argparse.Namespace(config=str(cfg), tree=None, out_dir=None)
+        cli._apply_config(args)
+        assert (args.tree, args.out_dir) == ("t", None)
+
+    @given(text=st.integers(0, 5).flatmap(lambda i: bad_json_lines if i == 0 else json_records({
+        key: {str: any_text, list: st.lists(any_text, max_size=2), bool: st.booleans(),
+              int: st.integers(), float: st.floats() | st.integers()}[kind]
+        for key, kind in cli.CONFIG_KEYS.items()})))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_config_round_trips_or_fails_cleanly(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("config") / "croloc.json"
+        path.write_text(text, encoding="utf-8")
+        args = argparse.Namespace(config=str(path), **dict.fromkeys(cli.CONFIG_KEYS))
+        try:
+            cli._apply_config(args)
+        except CrolocError:
+            return
+        path.write_text(json.dumps({k: v for k, v in vars(args).items()
+                                    if v is not None and k != "config"}), encoding="utf-8")
+        again = argparse.Namespace(config=str(path), **dict.fromkeys(cli.CONFIG_KEYS))
+        cli._apply_config(again)
+        assert again == args
 
     def test_config_missing_file(self, tmp_path):
         result = run_cli("index", "--config", tmp_path / "nope.json", cwd=tmp_path)

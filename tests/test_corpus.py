@@ -2,7 +2,7 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croloc.corpus import (
@@ -17,8 +17,10 @@ from croloc.corpus import (
     normalize_path,
     parse_rfc3339,
     report_to_obj,
+    typed,
 )
-from croloc.errors import CorpusError, ReportFormatError
+from croloc.errors import CorpusError, CrolocError, ReportFormatError
+from strategies import any_text, json_lines, json_records
 
 
 def _write_tree(root, files):
@@ -114,6 +116,31 @@ class TestParseRfc3339:
             parse_rfc3339("yesterday")
 
 
+class TestTyped:
+    @pytest.mark.parametrize("value, kind", [
+        ("s", str), ("在庫", str), ("", str), (["a", ""], list), ([], list),
+        (True, bool), (False, bool), (0, int), (-3, int), (10 ** 30, int),
+        (0.5, float), (1, float), (-1e300, float),
+    ], ids=repr)
+    def test_accepts_its_kind_unchanged(self, value, kind):
+        assert typed(value, kind) is value
+
+    @pytest.mark.parametrize("value, kind", [
+        (None, str), (1, str), ("\udc80", str), (["a", 1], list), (("a",), list),
+        (["\ud800"], list), ("ab", list), (1, bool), ("true", bool), (True, int),
+        (1.0, int), ("1", int), (True, float), (float("nan"), float),
+        (float("inf"), float), ("0.5", float), ("2024-13-01", datetime),
+        (1704067200, datetime), ("\ud800", datetime), (None, datetime),
+    ], ids=repr)
+    def test_rejects_any_other_value(self, value, kind):
+        with pytest.raises(ValueError, match="must be"):
+            typed(value, kind)
+
+    def test_parses_a_time(self):
+        assert typed("2024-03-01T19:00:00+09:00", datetime) == datetime(
+            2024, 3, 1, 10, tzinfo=timezone.utc)
+
+
 class TestLoadBugReports:
     def _load(self, tmp_path, lines):
         p = tmp_path / "reports.jsonl"
@@ -135,11 +162,11 @@ class TestLoadBugReports:
             json.dumps({"id": "B-1", "summary": "s", "reported_at": "2024-01-01T00:00:00Z"}),
             json.dumps({"id": "B-2", "summary": "s"}),
         ]
-        with pytest.raises(ReportFormatError, match="line 2"):
+        with pytest.raises(ReportFormatError, match=":2:"):
             self._load(tmp_path, lines)
 
     def test_malformed_json_line(self, tmp_path):
-        with pytest.raises(ReportFormatError, match="line 1"):
+        with pytest.raises(ReportFormatError, match=":1:"):
             self._load(tmp_path, ["{not json"])
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -167,6 +194,58 @@ class TestLoadBugReports:
         p.write_text('\n{"id": "B-1", "summary": "s", '
                      '"reported_at": "2024-01-01T00:00:00Z"}\n\n', encoding="utf-8")
         assert len(load_bug_reports(p)) == 1
+
+    def test_nesting_too_deep_to_parse(self, tmp_path):
+        with pytest.raises(ReportFormatError, match=":1: not valid JSON"):
+            self._load(tmp_path, ["[" * 5000])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", "A 1", "report id 'A 1' is empty or contains whitespace"),
+        ("id", "", "report id '' is empty"),
+        ("id", 7, "id must be a UTF-8 string"),
+        ("summary", None, "required field 'summary' is missing or null"),
+        ("summary", ["s"], "summary must be a UTF-8 string"),
+        ("summary", "\ud800", "summary must be a UTF-8 string"),
+        ("description", 1.5, "description must be a UTF-8 string"),
+        ("reported_at", 20240101, "reported_at must be an RFC 3339 time"),
+        ("resolved_at", "soon", "resolved_at must be an RFC 3339 time"),
+        ("fixed_files", "a.java", "fixed_files must be a list of UTF-8 strings"),
+        ("functional", "no", "functional must be true or false"),
+        ("functional", 0, "functional must be true or false"),
+    ], ids=repr)
+    def test_field_of_the_wrong_kind_rejected(self, tmp_path, field, value, message):
+        # Nothing is coerced: str(7) and bool("no") once passed silently.
+        obj = {"id": "B-1", "summary": "s", "reported_at": "2024-01-01T00:00:00Z", field: value}
+        with pytest.raises(ReportFormatError, match=f"reports.jsonl:1: {message}"):
+            self._load(tmp_path, [json.dumps(obj)])
+
+    def test_null_optional_fields_count_as_absent(self, tmp_path):
+        reports = self._load(tmp_path, [json.dumps({
+            "id": "B-1", "summary": "s", "reported_at": "2024-01-01T00:00:00Z",
+            "description": None, "resolved_at": None, "fixed_files": None,
+            "functional": None})])
+        assert reports[0] == BugReport("B-1", "s", "", parse_rfc3339("2024-01-01T00:00:00Z"))
+
+    @given(lines=json_lines(json_records({
+        "id": st.sampled_from(["B-1", "B-2", "B-3", "A 1", ""]),
+        "summary": any_text,
+        "description": any_text,
+        "reported_at": st.datetimes().map(datetime.isoformat) | st.just("2024-01-01T00:00:00Z"),
+        "resolved_at": st.datetimes().map(datetime.isoformat) | st.just("yesterday"),
+        "fixed_files": st.lists(st.sampled_from(["a.java", "src\\b.java", ""]), max_size=3),
+        "functional": st.booleans(),
+    }, required=("id", "summary", "reported_at"))))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_file_round_trips_or_fails_cleanly(self, lines, tmp_path_factory):
+        path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            reports = load_bug_reports(path)
+        except CrolocError:
+            return
+        path.write_text("".join(json.dumps(report_to_obj(r)) + "\n" for r in reports),
+                        encoding="utf-8")
+        assert load_bug_reports(path) == reports
 
     def test_round_trip_through_obj(self, tmp_path):
         obj = {"id": "B-1", "summary": "概要", "description": "詳細",

@@ -1,6 +1,7 @@
 """Qrels, oracle linking, and retrieval metric tests."""
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croloc.corpus import BugReport, parse_rfc3339
-from croloc.errors import EvalError
+from croloc.errors import CrolocError, EvalError
 from croloc.evalharness import (
     GRADE_DIRECT,
     GRADE_INDIRECT,
@@ -34,6 +35,20 @@ from reference import (
     ref_reciprocal_rank,
     ref_success_at,
 )
+from strategies import any_text, json_lines, json_records
+
+# Whitespace-free words, and now and then a run of any characters, which can
+# hold whitespace or be empty, for the TREC file fuzzers.
+_WORDS = st.sampled_from(["Q1", "Q2", "a.java", "b.java"]) | st.text(
+    st.characters(exclude_categories=("Cs",)), max_size=3)
+
+
+def _trec_lines(*fields):
+    """Lists of lines that mostly hold ``fields``, one value of each,
+    and otherwise up to seven words."""
+    line = st.tuples(*fields).map(" ".join)
+    other = st.lists(_WORDS, max_size=7).map(" ".join)
+    return st.lists(st.integers(0, 5).flatmap(lambda i: other if i == 0 else line), max_size=5)
 
 
 class TestAveragePrecision:
@@ -174,6 +189,37 @@ class TestQrels:
         target.write_text("\nQ1 0 a.java 2\n\n", encoding="utf-8")
         assert read_qrels(str(target)).grades == {"Q1": {"a.java": 2}}
 
+    def test_write_rejects_path_with_whitespace(self, tmp_path):
+        # A commit may change a path with a space, which eval could not read.
+        qrels = Qrels()
+        qrels.add("Q1", "a.java", 2)
+        qrels.add("Q1", "src/A b.java", 1)
+        target = tmp_path / "qrels.txt"
+        with open(target, "w", encoding="utf-8") as fh:
+            with pytest.raises(EvalError, match="whitespace"):
+                write_qrels(fh, qrels)
+        assert target.read_text(encoding="utf-8") == ""
+
+    def test_write_rejects_query_id_with_whitespace(self):
+        qrels = Qrels()
+        qrels.add("A 1", "a.java", 2)
+        with pytest.raises(EvalError, match="query id 'A 1'"):
+            write_qrels(io.StringIO(), qrels)
+
+    @given(lines=_trec_lines(_WORDS, st.just("0"), _WORDS,
+                             st.sampled_from(["0", "1", "2", "+2", "-1", "x"])))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_file_round_trips_or_fails_cleanly(self, lines, tmp_path_factory):
+        path = tmp_path_factory.mktemp("qrels") / "qrels.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            qrels = read_qrels(str(path))
+        except CrolocError:
+            return
+        with open(path, "w", encoding="utf-8") as fh:
+            write_qrels(fh, qrels)
+        assert read_qrels(str(path)).grades == qrels.grades
+
     def test_zero_grade_is_never_relevant(self, tmp_path):
         target = tmp_path / "qrels.txt"
         target.write_text("Q1 0 a.java 0\nQ1 0 b.java 2\n", encoding="utf-8")
@@ -219,6 +265,38 @@ class TestLoadCommitLog:
         ])
         with pytest.raises(EvalError, match="strings"):
             load_commit_log(path)
+
+    def test_nesting_too_deep_to_parse(self, tmp_path):
+        path = self._write(tmp_path, ["[" * 5000])
+        with pytest.raises(EvalError, match=":1: not valid JSON"):
+            load_commit_log(path)
+
+    @pytest.mark.parametrize("obj", [
+        {"hash": "a", "message": None, "changed_files": []},
+        {"hash": "a", "message": 5, "changed_files": []},
+        {"hash": "a", "message": "\ud800", "changed_files": []},
+        {"hash": "a", "message": "m", "changed_files": "a.java"},
+    ], ids=repr)
+    def test_field_of_the_wrong_kind_rejected(self, tmp_path, obj):
+        path = self._write(tmp_path, [json.dumps(obj)])
+        with pytest.raises(EvalError, match=":1: (message|changed_files|required)"):
+            load_commit_log(path)
+
+    @given(lines=json_lines(json_records({
+        "hash": st.sampled_from(["abc", "def"]),
+        "message": any_text | st.just("fix B-1"),
+        "changed_files": st.lists(any_text, max_size=3),
+    }, required=("hash", "message", "changed_files"))))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_file_round_trips_or_fails_cleanly(self, lines, tmp_path_factory):
+        path = tmp_path_factory.mktemp("commits") / "commits.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            commits = load_commit_log(str(path))
+        except CrolocError:
+            return
+        path.write_text("".join(json.dumps(c) + "\n" for c in commits), encoding="utf-8")
+        assert load_commit_log(str(path)) == commits
 
 
 def _report(rid, fixed=None):
@@ -349,6 +427,30 @@ class TestReadRunFile:
         path = self._write(tmp_path, ["Q1 Q0 a.java 1 high tag"])
         with pytest.raises(EvalError, match="malformed"):
             read_run_file(path)
+
+    @pytest.mark.parametrize("rank, score", [
+        ("0", "0.5"), ("-2", "0.5"), ("1", "nan"), ("1", "-inf"), ("1", "1e999"),
+    ])
+    def test_rank_below_one_or_score_not_finite(self, tmp_path, rank, score):
+        path = self._write(tmp_path, [f"Q1 Q0 a.java {rank} {score} tag"])
+        with pytest.raises(EvalError, match=":1: malformed rank or score"):
+            read_run_file(path)
+
+    @given(lines=_trec_lines(_WORDS, st.just("Q0"), _WORDS,
+                             st.sampled_from(["1", "2", "3", "4", "5", "0", "x"]),
+                             st.sampled_from(["0.5", "-1", "0", "2.25", "nan", "inf"]),
+                             st.just("t")))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_file_round_trips_or_fails_cleanly(self, lines, tmp_path_factory):
+        path = tmp_path_factory.mktemp("run") / "run.trec"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            run = read_run_file(str(path))
+        except CrolocError:
+            return
+        write_run_file(str(path), [(q, paths, [0.0] * len(paths)) for q, paths in run.items()],
+                       "t")
+        assert read_run_file(str(path)) == run
 
     def test_duplicate_rank(self, tmp_path):
         path = self._write(tmp_path, [

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from croloc.corpus import BugReport, Language, SourceDocument
-from croloc.errors import ProtocolError, TranslationError
+from croloc.errors import CrolocError, ProtocolError, TranslationError
 from croloc.translate import (
     BATCH_SIZE,
     GlossaryBackend,
@@ -27,7 +28,8 @@ from croloc.translate import (
 )
 from croloc.corpus import parse_rfc3339
 import croloc.translate as translate_module
-from reference import ref_load_cache
+from reference import ref_glossary_translate, ref_load_cache
+from strategies import any_text, json_lines, mostly
 
 
 class RecordingBackend:
@@ -90,6 +92,9 @@ class TestLoadGlossary:
         assert load_glossary(path) == {"在庫": "inventory"}
 
 
+FIXTURE_GLOSSARY = load_glossary(str(FIXTURES / "synthetic_project" / "glossary.tsv"))
+
+
 def glossary_translate(text, glossary):
     return GlossaryBackend(glossary).translate_batch([text])[0]
 
@@ -125,6 +130,19 @@ class TestGlossaryTranslate:
     def test_rejects_empty_source(self):
         with pytest.raises(TranslationError):
             glossary_translate("x", {"": "y"})
+
+    @given(text=st.text("在庫同期ab.*(|\\", max_size=30),
+           glossary=st.dictionaries(st.text("在庫同期ab.*(|\\", min_size=1, max_size=4),
+                                    st.text(max_size=4), max_size=8))
+    def test_matches_reference_scan(self, text, glossary):
+        assert glossary_translate(text, glossary) == ref_glossary_translate(text, glossary)
+
+    @given(pieces=st.lists(st.sampled_from(sorted(FIXTURE_GLOSSARY)) | st.characters(),
+                           max_size=20))
+    def test_fixture_glossary_matches_reference_scan(self, pieces):
+        text = "".join(pieces)
+        assert glossary_translate(text, FIXTURE_GLOSSARY) == ref_glossary_translate(
+            text, FIXTURE_GLOSSARY)
 
 
 @pytest.fixture
@@ -272,7 +290,42 @@ _CACHE_PIECES = st.sampled_from([
     b'{"backend": "g"}  \n', b' {"backend": "g"}\n', b"[" * 3000 + b"\n", b'"a\tb"\n',
     b'{"backend": "g", "sha256": "s", "source": 1, "translation": "t"}\n',
     b'{"backend": "g", "source": "s"}\n', b"\r", b"\n\n",
+    _entry("g", "x", translation=5).encode("utf-8"),
+    _entry("g", "x").replace('"g"', "null").encode("utf-8"),
 ])
+
+
+def _fuzz_entry(backend, source, translation, digest_ok, ensure_ascii):
+    digest = hashlib.sha256(source.encode("utf-8", "surrogatepass")).hexdigest()
+    return json.dumps({"backend": backend, "sha256": digest if digest_ok else "0" * 64,
+                       "source": source, "translation": translation}, ensure_ascii=ensure_ascii)
+
+
+class TestTranslationCacheFuzz:
+    @given(records=json_lines(st.tuples(
+        mostly(st.sampled_from(["glossary", "identity"])), any_text, mostly(any_text),
+        st.integers(0, 9).map(bool), st.booleans())))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_file_round_trips_or_fails_cleanly(self, records, tmp_path_factory):
+        # An ensure_ascii=False line keeps lone surrogates, which encode to
+        # bytes that are not UTF-8.
+        lines = [r if isinstance(r, str) else _fuzz_entry(*r) for r in records]
+        path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+        path.write_bytes(b"".join(line.encode("utf-8", "surrogatepass") + b"\n"
+                                  for line in lines))
+        try:
+            with TranslationCache(str(path)) as cache:
+                entries = dict(cache._entries)
+        except CrolocError:
+            return
+        sources = {hashlib.sha256(r[1].encode("utf-8", "surrogatepass")).hexdigest(): r[1]
+                   for r in records if not isinstance(r, str)}
+        fresh = path.with_name("fresh.jsonl")
+        with TranslationCache(str(fresh)) as cache:
+            for (backend, digest), translation in entries.items():
+                cache.put_many(backend, [(sources[digest], translation)])
+        with TranslationCache(str(fresh)) as cache:
+            assert cache._entries == entries
 
 
 class TestTranslationCacheOracle:
@@ -507,6 +560,22 @@ class TestServiceBackend:
 
     def test_protocol_error_is_translation_error(self):
         assert issubclass(ProtocolError, TranslationError)
+
+
+class TestServiceBackendRequests:
+    @pytest.mark.parametrize("url", [
+        "", "translate", "ftp://127.0.0.1/t", "file:///etc/hosts", "http://[::1",
+        "http://例え.jp/t",
+    ])
+    def test_unusable_url(self, url):
+        with pytest.raises(TranslationError, match="unusable translation service URL"):
+            ServiceBackend(url, sleep=lambda s: None)
+
+    def test_only_200_counts_as_success(self, service):
+        url, seen = service([201])
+        with pytest.raises(TranslationError, match="HTTP 201"):
+            ServiceBackend(url, sleep=lambda s: None).translate_batch(["x"])
+        assert len(seen) == 1
 
 
 def _doc(text, path="src/X.java"):
