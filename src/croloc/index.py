@@ -25,7 +25,7 @@ from itertools import chain, pairwise
 import numpy as np
 from numpy.lib import format as npy
 
-from .corpus import write_atomically
+from .corpus import check_record, write_atomically
 from .errors import IndexFormatError
 from .porter import stem as porter_stem
 
@@ -258,6 +258,9 @@ def build_index(
     if len(token_lists) != len(paths):
         raise ValueError("token_lists and paths must be parallel")
     opts = options if options is not None else TokenizerOptions()
+    # The word memo has paid off once the corpus is tokenized; building and
+    # saving the index reuse its memory instead of adding to it.
+    _word_tokens.cache_clear()
     n_docs = len(paths)
     vocabulary = tuple(sorted(set(chain.from_iterable(token_lists))))
     n_terms = len(vocabulary)
@@ -301,11 +304,7 @@ def build_index(
 def index_documents(raw_texts: list[str], paths: list[str],
                     options: TokenizerOptions | None = None) -> Index:
     opts = options if options is not None else TokenizerOptions()
-    token_lists = [tokenize(t, opts) for t in raw_texts]
-    # The word memo has paid off once the corpus is tokenized; building and
-    # saving the index reuse its memory instead of adding to it.
-    _word_tokens.cache_clear()
-    return build_index(token_lists, paths, opts)
+    return build_index([tokenize(t, opts) for t in raw_texts], paths, opts)
 
 
 def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
@@ -399,12 +398,8 @@ def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
     return np.frombuffer(content, dtype=dtype, offset=len(header))
 
 
-def _json_list(meta: dict, key: str, kind: type) -> tuple:
-    """meta[key], which must be a list whose elements are all of ``kind``."""
-    values = meta[key]
-    if not isinstance(values, list) or not set(map(type, values)) <= {kind}:
-        raise ValueError(f"{key} must be a list of {kind.__name__}")
-    return tuple(values)
+# The tokenizer options in an index's meta member, each a ``typed`` kind.
+_OPTIONS = {"stemming": bool, "min_token_length": int, "stopwords": list}
 
 
 def load_index(path: str) -> Index:
@@ -432,16 +427,21 @@ def load_index(path: str) -> Index:
             raise IndexFormatError(
                 f"{path}: unsupported index version {meta.get('version')!r}"
             )
-        opts = TokenizerOptions(
-            stemming=bool(meta["options"]["stemming"]),
-            min_token_length=int(meta["options"]["min_token_length"]),
-            stopwords=frozenset(meta["options"]["stopwords"]),
-        )
+        where = f"{path}: malformed index payload: meta"
+        options = check_record(meta.get("options"), _OPTIONS, _OPTIONS, IndexFormatError,
+                               f"{where} options")
+        lists = check_record(meta, {"paths": list, "vocabulary": list},
+                             ("paths", "vocabulary"), IndexFormatError, where)
+        doc_freq = meta.get("doc_freq")
+        if not (isinstance(doc_freq, list) and all(type(df) is int for df in doc_freq)):
+            raise IndexFormatError(f"{where}: doc_freq must be a list of integers")
         index = Index(
-            opts,
-            _json_list(meta, "paths", str),
-            _json_list(meta, "vocabulary", str),
-            _json_list(meta, "doc_freq", int),
+            TokenizerOptions(stemming=options["stemming"],
+                             min_token_length=options["min_token_length"],
+                             stopwords=frozenset(options["stopwords"])),
+            tuple(lists["paths"]),
+            tuple(lists["vocabulary"]),
+            tuple(doc_freq),
             *(_read_member(archive, name) for name in _ARRAYS),
         )
     # zipfile raises RuntimeError for an encrypted member and

@@ -203,17 +203,27 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# A cache row: its key, (backend name, source digest), its translation and
+# its line in the cache file.
+CacheRow = tuple[tuple[str, str], str, str]
+
+
 class TranslationCache:
     """Append-only JSONL store keyed by backend name and source-text digest.
 
     The append handle opens on the first new entry and stays open until
     ``close()``, or the end of a ``with`` block; each ``put_many`` flushes it.
+    Only the process that opened the cache writes to the file. In a process
+    forked from it, new rows are held in memory instead, for ``take_held`` to
+    hand back and the opener to ``adopt`` in the order it chooses.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._entries: dict[tuple[str, str], str] = {}
         self._fh: TextIO | None = None
+        self._owner = os.getpid()
+        self._held: list[CacheRow] = []
         if os.path.exists(path):
             self._load()
 
@@ -266,25 +276,40 @@ class TranslationCache:
         return self._entries.get((backend_name, _sha256(source)))
 
     def put_many(self, backend_name: str, pairs: list[tuple[str, str]]) -> None:
-        new_lines = []
+        rows = []
         for source, translation in pairs:
             digest = _sha256(source)
-            key = (backend_name, digest)
-            if key in self._entries:
-                continue
-            self._entries[key] = translation
-            new_lines.append(json.dumps(
-                {"backend": backend_name, "sha256": digest,
-                 "source": source, "translation": translation},
-                ensure_ascii=False,
-            ))
-        if new_lines:
+            line = json.dumps({"backend": backend_name, "sha256": digest,
+                               "source": source, "translation": translation},
+                              ensure_ascii=False)
+            rows.append(((backend_name, digest), translation, line))
+        self.adopt(rows)
+
+    def adopt(self, rows: list[CacheRow]) -> None:
+        """Add ``rows``, as ``put_many`` makes them or ``take_held`` returns
+        them, in order, except those whose key the cache has; in the opening
+        process, append them to the file in one write and flush."""
+        new = []
+        for row in rows:
+            key, translation, _ = row
+            if key not in self._entries:
+                self._entries[key] = translation
+                new.append(row)
+        if os.getpid() != self._owner:
+            self._held += new
+        elif new:
             if self._fh is None:
                 self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.writelines(line + "\n" for line in new_lines)
+            self._fh.writelines(line + "\n" for _, _, line in new)
             # A killed process keeps what the OS accepted, so every put_many
-            # hands its lines over before returning.
+            # and adopt hands its lines over before returning.
             self._fh.flush()
+
+    def take_held(self) -> list[CacheRow]:
+        """The rows held since the last call, in the order they were added
+        (empty in the process that opened the cache)."""
+        held, self._held = self._held, []
+        return held
 
 
 def translate_texts(

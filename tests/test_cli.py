@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -14,8 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import croloc
+import croloc.corpus
+import croloc.index
+import croloc.translate
 from conftest import FIXTURES
 from croloc import cli
+from croloc.corpus import load_source_tree
 from croloc.errors import CrolocError
 from strategies import any_text, bad_json_lines, json_records
 
@@ -359,6 +364,12 @@ class TestImports:
     def test_array_free_commands_leave_numpy_unloaded(self, tmp_path, case):
         self._leaves_unloaded(tmp_path, NUMPY_FREE[case](tmp_path), "numpy")
 
+    @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
+    def test_index_leaves_process_pools_unloaded(self, tmp_path, module):
+        # index forks with os.fork; a pool module would add its import time.
+        code = _runs(("index", "--tree", TREE, "--glossary", GLOSSARY, "--out-dir", tmp_path))
+        self._leaves_unloaded(tmp_path, code, module)
+
 
 NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
 
@@ -480,6 +491,13 @@ MALFORMED_INPUTS = {
         _index_with_cache(d, _cache_file(d / "c.jsonl", translation=5)), "c.jsonl:1:"),
     "cache-surrogate-source": lambda d: (
         _index_with_cache(d, _cache_file(d / "c.jsonl", source="\ud800")), "c.jsonl:1:"),
+    "config-include-empty": lambda d: (
+        ("extract", "--config", _write(d / "c.json", '{"include": [""]}'), "--tree", TREE),
+        "pattern ''"),
+    "include-double-star-word": lambda d: (
+        ("index", "--include", "**a", "--tree", TREE, "--out-dir", d), "pattern '**a'"),
+    "include-absolute": lambda d: (
+        ("translate", "--include", "/abs", "--tree", TREE, "--out-dir", d), "pattern '/abs'"),
 }
 
 
@@ -492,6 +510,137 @@ class TestMalformedInputs:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert where in err, err
         assert out == ""
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def small_project(tmp_path_factory):
+    """A 40-file bilingual project from perfbench/genproject.py."""
+    sys.path.insert(0, str(PERFBENCH))
+    from genproject import Shape, generate, load_material
+
+    return generate(tmp_path_factory.mktemp("generated") / "project",
+                    load_material(FIXTURES), Shape(files=40, reports=5), "fan-out:1")
+
+
+def _force_chunks(monkeypatch, n):
+    """Make index split any tree into ``n`` chunks: ``n`` usable CPUs, and
+    one byte enough for a chunk. Returns the list of pids os.fork gives."""
+    monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# A segment that no generated document holds.
+UNIQUE_SEGMENT = "唯一無二の区切り"
+
+
+class TestIndexFanOut:
+    """index translates and tokenizes chunks of the tree in forked
+    processes; its outputs must be those of a serial run."""
+
+    def _index(self, tree, glossary, cache, out):
+        return cli.main(["index", "--tree", str(tree), "--glossary", str(glossary),
+                         "--cache", str(cache), "-o", str(out)])
+
+    def test_same_bytes_for_any_chunk_count(self, small_project, tmp_path, monkeypatch):
+        outputs = {}
+        for n in (1, 2, 3):
+            forked = _force_chunks(monkeypatch, n)
+            cache = tmp_path / f"cache{n}.jsonl"
+            runs = []
+            for temperature in ("cold", "warm"):
+                out = tmp_path / f"{temperature}{n}.npz"
+                assert self._index(small_project.tree, small_project.glossary, cache, out) == 0
+                runs += [cache.read_bytes(), out.read_bytes()]
+            assert len(forked) == 2 * (n - 1)
+            assert_no_child_left()
+            outputs[n] = runs
+        assert outputs[1][0], "the cold run wrote no cache rows"
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+        assert outputs[1][2] == outputs[1][0]  # the warm run added no row
+
+    def test_backend_error_in_a_child_stops_as_a_serial_run_does(
+            self, small_project, tmp_path, monkeypatch, capsys):
+        # A document 3/5 of the way through the tree, in a child's chunk with
+        # two or three chunks, holds one segment no other document has, and
+        # the backend answers its batch short.
+        tree = tmp_path / "tree"
+        shutil.copytree(small_project.tree, tree)
+        documents = load_source_tree(tree, list(cli.DEFAULT_INCLUDE)).documents
+        stem, ext = documents[len(documents) * 3 // 5].path.rsplit(".", 1)
+        (tree / f"{stem}0.{ext}").write_text(f"// {UNIQUE_SEGMENT}\nclass Unique {{}}\n",
+                                             encoding="utf-8")
+        translate_batch = croloc.translate.GlossaryBackend.translate_batch
+
+        def short_answer(self, texts):
+            out = translate_batch(self, texts)
+            return out[:-1] if UNIQUE_SEGMENT in texts else out
+        monkeypatch.setattr(croloc.translate.GlossaryBackend, "translate_batch", short_answer)
+        outcomes = {}
+        for n in (1, 2, 3):
+            forked = _force_chunks(monkeypatch, n)
+            cache = tmp_path / f"cache{n}.jsonl"
+            status = self._index(tree, small_project.glossary, cache, tmp_path / f"{n}.npz")
+            err = capsys.readouterr().err
+            assert status == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+            assert len(forked) == n - 1
+            assert_no_child_left()
+            outcomes[n] = (err, cache.read_bytes())
+        assert "returned 0 results for 1 inputs" in outcomes[1][0]
+        assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
+        assert not (tmp_path / "1.npz").exists()
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_in_a_child_never_leaves_main_there(self, small_project, tmp_path,
+                                                          monkeypatch, interrupt):
+        forked = _force_chunks(monkeypatch, 2)
+        parent, tokenize = os.getpid(), croloc.index.tokenize
+
+        def interrupted(text, options=None):
+            if os.getpid() != parent:
+                raise interrupt()
+            return tokenize(text, options)
+        monkeypatch.setattr(croloc.index, "tokenize", interrupted)
+        escaped = tmp_path / "escaped"
+        try:
+            with pytest.raises(interrupt):
+                self._index(small_project.tree, small_project.glossary,
+                            tmp_path / "cache.jsonl", tmp_path / "index.npz")
+        finally:
+            if os.getpid() != parent:
+                escaped.write_text("a child came back out of main", encoding="utf-8")
+                os._exit(0)
+        assert len(forked) == 1 and not escaped.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, min_bytes", [(1, 1), (2, None)],
+                             ids=["one-cpu", "tree-under-the-minimum"])
+    def test_no_fork(self, tmp_path, monkeypatch, cpus, min_bytes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if min_bytes is not None:
+            monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", min_bytes)
+
+        def fork():
+            raise AssertionError("os.fork called")
+        monkeypatch.setattr(os, "fork", fork)
+        assert self._index(TREE, GLOSSARY, tmp_path / "cache.jsonl",
+                           tmp_path / "index.npz") == 0
 
 
 class TestTracerSeam:

@@ -1,16 +1,24 @@
+import contextlib
 import json
+import os
+import re
+import subprocess
+import sys
+import time
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import croloc.corpus
 from croloc.corpus import (
     REASON_FIX_NOT_COMPLETED,
     REASON_NO_SOURCE_FILE,
     REASON_NOT_FUNCTIONAL,
     BugReport,
     Language,
+    fan_out,
     filter_usable_reports,
     load_bug_reports,
     load_source_tree,
@@ -90,11 +98,171 @@ class TestLoadSourceTree:
         with pytest.raises(CorpusError):
             load_source_tree(tmp_path / "nope", ["**/*.java"])
 
+    @pytest.mark.parametrize("pattern", ["", "**a", "/abs"])
+    def test_unusable_pattern_is_corpus_error(self, tmp_path, pattern):
+        with pytest.raises(CorpusError, match=re.escape(f"--include pattern {pattern!r}")):
+            load_source_tree(tmp_path, ["**/*.java", pattern])
+
     def test_byte_len_counts_utf8_bytes(self, tmp_path):
         _write_tree(tmp_path, {"J.java": "// 在庫\n"})
         corpus = load_source_tree(tmp_path, ["**/*.java"])
         doc = corpus.documents[0]
         assert doc.byte_len == len(doc.raw_text.encode("utf-8")) == 10
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the number of usable CPUs that ``fan_out`` sees, with one byte
+    enough for a chunk of its own."""
+    monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", 1)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cpus
+
+
+def _chunked(work, items, sizes=None):
+    """The result of ``work`` for each chunk ``fan_out`` makes, each item
+    weighing 1 by default."""
+    with contextlib.closing(fan_out(work, items, sizes or [1] * len(items))) as chunks:
+        return list(chunks)
+
+
+def _squares(chunk):
+    return [x * x for x in chunk]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_forbidden():
+    raise AssertionError("os.fork called")
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_results_come_in_item_order(self, cpus, n):
+        cpus(n)
+        chunks = _chunked(_squares, list(range(11)))
+        assert len(chunks) == n
+        assert [r for chunk in chunks for r in chunk] == [x * x for x in range(11)]
+        assert_no_child_left()
+
+    def test_chunks_balance_sizes(self, cpus):
+        cpus(2)
+        assert _chunked(list, list(range(5)), [8, 1, 1, 1, 1]) == [[0], [1, 2, 3, 4]]
+        assert _chunked(list, list(range(5)), [1, 1, 1, 1, 8]) == [[0, 1, 2, 3], [4]]
+
+    def test_at_most_one_chunk_per_minimum_size(self, cpus, monkeypatch):
+        cpus(4)
+        monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", 10)
+        assert len(_chunked(list, list(range(30)))) == 3
+
+    @pytest.mark.parametrize("n, min_bytes", [(1, 1), (2, 31)], ids=["one-cpu", "under-minimum"])
+    def test_no_fork_with_one_cpu_or_under_the_minimum(self, cpus, monkeypatch, n, min_bytes):
+        cpus(n)
+        monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", min_bytes)
+        monkeypatch.setattr(os, "fork", _fork_forbidden)
+        assert _chunked(list, list(range(30))) == [list(range(30))]
+
+    def test_one_chunk_where_fork_is_missing(self, cpus, monkeypatch):
+        cpus(4)
+        monkeypatch.delattr(os, "fork")
+        assert _chunked(list, list(range(30))) == [list(range(30))]
+
+    def test_no_items(self, cpus):
+        cpus(2)
+        assert _chunked(list, []) == [[]]
+
+    def test_child_exception_raised_in_its_turn(self, cpus):
+        cpus(3)
+
+        def work(chunk):
+            chunk = list(chunk)
+            if 5 in chunk:
+                raise ValueError("bad chunk")
+            return chunk
+        with contextlib.closing(fan_out(work, list(range(9)), [1] * 9)) as chunks:
+            assert next(chunks) == [0, 1, 2]
+            with pytest.raises(ValueError, match="bad chunk"):
+                next(chunks)
+        assert_no_child_left()
+
+    def test_unpicklable_exception_becomes_croloc_error(self, cpus):
+        cpus(2)
+
+        class Local(Exception):
+            """Pickled by a qualified name that no import finds."""
+
+        def work(chunk):
+            if 9 in list(chunk):
+                raise Local("no way back")
+            return []
+        with pytest.raises(CrolocError, match="Local: no way back"):
+            _chunked(work, list(range(10)))
+        assert_no_child_left()
+
+    def test_child_exiting_without_a_result(self, cpus):
+        cpus(2)
+        parent = os.getpid()
+
+        def work(chunk):
+            if os.getpid() != parent:
+                os._exit(3)
+            return list(chunk)
+        with pytest.raises(CrolocError, match="exit code 3"):
+            _chunked(work, list(range(10)))
+        assert_no_child_left()
+
+    def test_failure_here_kills_the_children(self, cpus):
+        cpus(3)
+        parent = os.getpid()
+
+        def work(chunk):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError("first chunk failed")
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="first chunk failed"):
+            _chunked(work, list(range(3)))
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_closing_early_kills_the_children(self, cpus):
+        cpus(2)
+        parent = os.getpid()
+
+        def work(chunk):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return list(chunk)
+        with contextlib.closing(fan_out(work, [0, 1], [1, 1])) as chunks:
+            assert next(chunks) == [0]
+        assert_no_child_left()
+
+    def test_child_stops_once_its_parent_is_gone(self):
+        # The parent exits during its own chunk. Its child, which takes
+        # 0.5 s per item, holds the stdout pipe open until it exits, so the
+        # run takes 10 s unless the child stops after its current item.
+        script = (
+            "import os, time\n"
+            "import croloc.corpus as c\n"
+            "c.MIN_CHUNK_BYTES = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "parent = os.getpid()\n"
+            "def work(chunk):\n"
+            "    if os.getpid() == parent:\n"
+            "        time.sleep(0.2)\n"
+            "        os._exit(0)\n"
+            "    return [time.sleep(0.5) for x in chunk]\n"
+            "list(c.fan_out(work, list(range(40)), [1] * 40))\n"
+        )
+        start = time.monotonic()
+        subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert time.monotonic() - start < 5
 
 
 class TestParseRfc3339:

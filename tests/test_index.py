@@ -731,6 +731,8 @@ class TestLoadValidation:
         _set("doc_freq", 0, 1.0),
         _set("paths", 0, 7),
         _set("vocabulary", 0, None),
+        _set("options", "stemming", "no"),
+        _set("paths", 0, "\ud800"),
     ], ids=["doc-order", "duplicate-doc-id", "term-id-past-vocab", "negative-term-id",
             "term-id-beyond-int64", "nan-weight", "infinite-norm", "edited-norm",
             "edited-weight", "doc-freq-length",
@@ -738,7 +740,8 @@ class TestLoadValidation:
             "indptr-end", "term-ids-descending", "term-id-repeated", "negative-term-count",
             "doc-freq-zero", "doc-freq-above-doc-count", "bool-term-id", "float-indptr",
             "string-term-count", "string-weight", "bool-weight", "null-norm",
-            "float-doc-freq", "non-string-path", "non-string-term"])
+            "float-doc-freq", "non-string-path", "non-string-term", "string-stemming",
+            "surrogate-path"])
     def test_rejects_mutated_payload(self, tmp_path, mutate):
         index = index_documents(
             ["cache miss rate", "order total", "cache order sync"],
@@ -754,6 +757,26 @@ class TestLoadValidation:
         _write_payload(target, payload)
         with pytest.raises(IndexFormatError):
             load_index(target)
+
+    @pytest.mark.parametrize("key, position, value, message", [
+        ("options", "stemming", "no", "stemming must be true or false"),
+        ("options", "min_token_length", 2.0, "min_token_length must be an integer"),
+        ("options", "stopwords", "the", "stopwords must be a list of UTF-8 strings"),
+        ("paths", 0, "\ud800", "paths must be a list of UTF-8 strings"),
+        ("vocabulary", 1, ["cache"], "vocabulary must be a list of UTF-8 strings"),
+        ("doc_freq", 0, True, "doc_freq must be a list of integers"),
+    ])
+    def test_meta_field_error_names_the_file(self, tmp_path, key, position, value, message):
+        # The meta member is checked by corpus.typed, which converts nothing.
+        target = tmp_path / "idx.npz"
+        save_index(index_documents(["cache miss"], ["a.java"]), target)
+        payload = _read_payload(target)
+        _set(key, position, value)(payload)
+        _write_payload(target, payload)
+        with pytest.raises(IndexFormatError) as raised:
+            load_index(target)
+        assert str(raised.value).startswith(f"{target}: ")
+        assert message in str(raised.value)
 
     def test_rejects_infinite_min_token_length(self, tmp_path):
         # JSON's Infinity parses to a float that int() cannot convert.
