@@ -1,3 +1,4 @@
+import os
 import pathlib
 import sys
 
@@ -16,3 +17,9 @@ def lexer_corpus_dir() -> pathlib.Path:
 @pytest.fixture(scope="session")
 def project_dir() -> pathlib.Path:
     return FIXTURES / "synthetic_project"
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

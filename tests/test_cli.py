@@ -18,7 +18,7 @@ import croloc
 import croloc.corpus
 import croloc.index
 import croloc.translate
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_no_child_left
 from croloc import cli
 from croloc.corpus import load_source_tree
 from croloc.errors import CrolocError
@@ -539,11 +539,6 @@ def _force_chunks(monkeypatch, n):
         return pid
     monkeypatch.setattr(os, "fork", counted_fork)
     return forked
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # A segment that no generated document holds.

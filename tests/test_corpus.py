@@ -28,6 +28,7 @@ from croloc.corpus import (
     typed,
 )
 from croloc.errors import CorpusError, CrolocError, ReportFormatError
+from conftest import assert_no_child_left
 from strategies import any_text, json_lines, json_records
 
 
@@ -130,11 +131,6 @@ def _chunked(work, items, sizes=None):
 
 def _squares(chunk):
     return [x * x for x in chunk]
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _fork_forbidden():
