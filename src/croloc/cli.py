@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 # (perfbench/tracer.py) sees every call.
 _LAZY = {
     "extract": ("extract_spans", "japanese_segments"),
-    "index": ("TokenizerOptions", "load_index", "save_index", "vectorize_query"),
+    "index": ("load_index", "save_index", "vectorize_query"),
     "rank": ("DEFAULT_ALPHA", "DEFAULT_TOP_K", "HistorySet", "make_ranking",
              "score_documents"),
     "translate": ("GlossaryBackend", "IdentityBackend", "ServiceBackend",
@@ -187,16 +187,14 @@ def _translating_backend(args: argparse.Namespace) -> TranslatorBackend | None:
 
 def _translated(args: argparse.Namespace, items: Sequence, translate: Callable) -> Sequence:
     """``items`` mapped through ``translate(item, backend, cache)``; as they
-    are with --no-translate or the identity backend. Callers pass lambdas that
-    look their translate function up at call time, so that wrappers installed
-    on this module (perfbench/tracer.py) see every call."""
+    are with --no-translate or the identity backend."""
     if (backend := _translating_backend(args)) is None:
         return items
     with _make_cache(args.cache) as cache:
         return [translate(item, backend, cache) for item in items]
 
 
-def _translated_tokens(documents: Sequence[SourceDocument], options: TokenizerOptions,
+def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
                        backend: TranslatorBackend | None,
                        cache_path: str | None) -> list[list[str]]:
     """The tokens of each of ``documents``, translated through ``backend``
@@ -205,7 +203,8 @@ def _translated_tokens(documents: Sequence[SourceDocument], options: TokenizerOp
     ``fan_out`` spreads that step over the usable CPUs; each chunk a child
     process ran hands back the cache rows it made, and this process adds them
     to the cache in document order, as a serial run would have. The cache is
-    closed, and its entries freed, on return."""
+    closed, which frees its entries, on return, or before tokenizing when this
+    process runs the only chunk."""
     # Looked up now, not at import, so that a wrapper set on croloc.index
     # (perfbench/tracer.py) sees every call.
     from .index import tokenize
@@ -224,8 +223,12 @@ def _translated_tokens(documents: Sequence[SourceDocument], options: TokenizerOp
                 # The chunk stops at the failing document, as a serial run
                 # does; the rows made before it still go back.
                 return [], [] if cache is None else cache.take_held(), exc
-            return ([tokenize(doc.raw_text, options) for doc in translated],
-                    [] if cache is None else cache.take_held(), None)
+            rows = [] if cache is None else cache.take_held()
+            if cache is not None and len(translated) == len(documents):
+                # This process ran the only chunk, so no child's rows are
+                # left to adopt: free the entries before tokenizing.
+                cache.close()
+            return [tokenize(doc.raw_text, stemming) for doc in translated], rows, None
 
         token_lists: list[list[str]] = []
         with closing(fan_out(translate_and_tokenize, documents,
@@ -239,13 +242,13 @@ def _translated_tokens(documents: Sequence[SourceDocument], options: TokenizerOp
     return token_lists
 
 
-def index_documents(documents: Sequence[SourceDocument], options: TokenizerOptions,
+def index_documents(documents: Sequence[SourceDocument], stemming: bool,
                     backend: TranslatorBackend | None, cache_path: str | None) -> Index:
     """The index of ``documents``, translated as ``_translated_tokens`` says."""
     from .index import build_index
 
-    tokens = _translated_tokens(documents, options, backend, cache_path)
-    return build_index(tokens, [d.path for d in documents], options)
+    tokens = _translated_tokens(documents, stemming, backend, cache_path)
+    return build_index(tokens, [d.path for d in documents], stemming)
 
 
 def _default_index_path(args: argparse.Namespace) -> str:
@@ -324,8 +327,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     _fill(args, out_dir=".", stemming=False)
     corpus = _load_tree(args, tree)
     backend = _translating_backend(args)
-    index = index_documents(corpus.documents, TokenizerOptions(stemming=args.stemming),
-                            backend, args.cache if backend is not None else None)
+    index = index_documents(corpus.documents, args.stemming, backend,
+                            args.cache if backend is not None else None)
     out_path = args.out or _default_index_path(args)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out_path)
@@ -349,8 +352,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--top-k must be a non-negative integer, got {args.top_k!r}")
     index_path = args.index or _default_index_path(args)
     index = load_index(index_path)
-    reports = _translated(args, load_bug_reports(reports_path),
-                          lambda report, backend, cache: translate_report(report, backend, cache))
+    reports = _translated(args, load_bug_reports(reports_path), translate_report)
 
     if args.query:
         by_id = {r.id: r for r in reports}
@@ -382,7 +384,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
     rankings = []
     for report in queries:
         query = vectorize(report)
-        usable_history = history.before(report.reported_at) if history is not None else ()
+        usable_history = history.before(report.reported_at) if history is not None else None
         scores = score_documents(query, index, args.technique, usable_history, args.alpha)
         order = make_ranking(scores, index, args.top_k)
         rankings.append((report.id, [paths[d] for d in order.tolist()], scores[order].tolist()))

@@ -224,21 +224,19 @@ def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
 
 @dataclass(frozen=True)
 class SourceDocument:
-    """One source file: repo-relative path, language, full text, stable id."""
+    """One source file: repo-relative path, language and full text."""
 
     path: str
     language: Language
     raw_text: str
-    doc_id: int
-    byte_len: int = -1
-
-    def __post_init__(self):
-        if self.byte_len < 0:
-            object.__setattr__(self, "byte_len", len(self.raw_text.encode("utf-8")))
 
     @property
     def raw_bytes(self) -> bytes:
         return self.raw_text.encode("utf-8")
+
+    @property
+    def byte_len(self) -> int:
+        return len(self.raw_bytes)
 
 
 @dataclass(frozen=True)
@@ -267,17 +265,14 @@ class BugReport:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable set of source documents with contiguous doc_ids 0..n-1."""
+    """Immutable set of source documents, each with its own path."""
 
     documents: tuple[SourceDocument, ...]
-    root: str
     skipped: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         seen = set()
-        for i, doc in enumerate(self.documents):
-            if doc.doc_id != i:
-                raise CorpusError(f"doc_ids must be contiguous; got {doc.doc_id} at position {i}")
+        for doc in self.documents:
             if doc.path in seen:
                 raise CorpusError(f"duplicate document path: {doc.path}")
             seen.add(doc.path)
@@ -404,8 +399,8 @@ def load_source_tree(
 
     documents = []
     skipped = []
-    for file_path in sorted(matched, key=lambda p: normalize_path(str(p.relative_to(root_path).as_posix()))):
-        rel = normalize_path(file_path.relative_to(root_path).as_posix())
+    rel_paths = sorted((normalize_path(p.relative_to(root_path).as_posix()), p) for p in matched)
+    for rel, file_path in rel_paths:
         try:
             raw = file_path.read_bytes()
             text = raw.decode("utf-8")
@@ -418,10 +413,8 @@ def load_source_tree(
         except OSError as exc:
             raise CorpusError(f"cannot read {rel}: {exc}") from exc
         language = _LANGUAGES.get(file_path.suffix.lower(), Language.GENERIC)
-        documents.append(
-            SourceDocument(path=rel, language=language, raw_text=text, doc_id=len(documents))
-        )
-    return Corpus(documents=tuple(documents), root=str(root_path), skipped=tuple(skipped))
+        documents.append(SourceDocument(path=rel, language=language, raw_text=text))
+    return Corpus(documents=tuple(documents), skipped=tuple(skipped))
 
 
 _REPORT_FIELDS = {"id": str, "summary": str, "description": str, "reported_at": datetime,

@@ -325,9 +325,4 @@ def reembed(
         parts.append(new_text.encode("utf-8"))
         cursor = abs_end
     parts.append(raw[cursor:])
-    return SourceDocument(
-        path=doc.path,
-        language=doc.language,
-        raw_text=b"".join(parts).decode("utf-8"),
-        doc_id=doc.doc_id,
-    )
+    return SourceDocument(doc.path, doc.language, b"".join(parts).decode("utf-8"))

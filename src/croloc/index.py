@@ -18,7 +18,7 @@ import math
 import re
 import zipfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, pairwise
 
@@ -33,17 +33,10 @@ INDEX_FORMAT = "croloc-index"
 INDEX_VERSION = 3
 
 
-@functools.cache
-def default_stopwords() -> frozenset[str]:
-    text = resources.files("croloc.data").joinpath("stopwords_en.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
-
-
-@dataclass(frozen=True)
-class TokenizerOptions:
-    stemming: bool = False
-    min_token_length: int = 2
-    stopwords: frozenset[str] = field(default_factory=default_stopwords)
+# The tokenizer drops these words and tokens shorter than MIN_TOKEN_LENGTH.
+STOPWORDS = frozenset(
+    resources.files("croloc.data").joinpath("stopwords_en.txt").read_text("utf-8").split())
+MIN_TOKEN_LENGTH = 2
 
 
 # Words are maximal alphanumeric runs: [^\W_] is exactly str.isalnum().
@@ -58,10 +51,8 @@ _ASCII_FRAGMENT = re.compile(r"[0-9]+|[A-Z]?[a-z]+|[A-Z]+(?![a-z])")
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _word_tokens(word: str, stopwords: frozenset[str], min_token_length: int,
-                 stemming: bool) -> tuple[str, ...]:
-    """Tokens of one alphanumeric word; they depend on nothing else. The
-    options come as fields, whose hashes are cheaper than the dataclass's."""
+def _word_tokens(word: str, stemming: bool) -> tuple[str, ...]:
+    """Tokens of one alphanumeric word; they depend on nothing else."""
     raw: list[str] = []
     for piece in _SCRIPT_PIECE.findall(word):
         if piece.isascii():
@@ -75,9 +66,7 @@ def _word_tokens(word: str, stopwords: frozenset[str], min_token_length: int,
     out: list[str] = []
     for token in raw:
         token = token.lower()
-        if token in stopwords:
-            continue
-        if len(token) < min_token_length:
+        if token in STOPWORDS or len(token) < MIN_TOKEN_LENGTH:
             continue
         if stemming:
             token = porter_stem(token)
@@ -85,7 +74,7 @@ def _word_tokens(word: str, stopwords: frozenset[str], min_token_length: int,
     return tuple(out)
 
 
-def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
+def tokenize(text: str, stemming: bool = False) -> list[str]:
     """Token stream of a text: identifier-aware, lowercased, stopped, and
     optionally stemmed.
 
@@ -95,10 +84,7 @@ def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
     that splits into two or more fragments and contains no digit also emits
     itself whole, before its fragments. Stemming, when enabled, runs last.
     """
-    opts = options if options is not None else TokenizerOptions()
-    stopwords, min_length, stemming = opts.stopwords, opts.min_token_length, opts.stemming
-    return [token for word in _WORD.findall(text)
-            for token in _word_tokens(word, stopwords, min_length, stemming)]
+    return [token for word in _WORD.findall(text) for token in _word_tokens(word, stemming)]
 
 
 def tf(count: int, doc_length: int) -> float:
@@ -139,7 +125,7 @@ class Index:
     ``indices``, which ascend within each row; ``norms[d]`` is the row's
     Euclidean norm and ``term_counts[d]`` the document's token count."""
 
-    options: TokenizerOptions
+    stemming: bool
     paths: tuple[str, ...]
     vocabulary: tuple[str, ...]
     doc_freq: tuple[int, ...]
@@ -153,8 +139,8 @@ class Index:
         if not isinstance(other, Index):
             return NotImplemented
         return (
-            (self.options, self.paths, self.vocabulary, self.doc_freq)
-            == (other.options, other.paths, other.vocabulary, other.doc_freq)
+            (self.stemming, self.paths, self.vocabulary, self.doc_freq)
+            == (other.stemming, other.paths, other.vocabulary, other.doc_freq)
             and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS)
         )
 
@@ -247,7 +233,7 @@ def tfidf_weights(tokens: list[str], term_ids: dict[str, int],
 def build_index(
     token_lists: list[list[str]],
     paths: list[str],
-    options: TokenizerOptions | None = None,
+    stemming: bool = False,
 ) -> Index:
     """Index pre-tokenized documents given in doc_id order.
 
@@ -257,7 +243,6 @@ def build_index(
     """
     if len(token_lists) != len(paths):
         raise ValueError("token_lists and paths must be parallel")
-    opts = options if options is not None else TokenizerOptions()
     # The word memo has paid off once the corpus is tokenized; building and
     # saving the index reuse its memory instead of adding to it.
     _word_tokens.cache_clear()
@@ -297,14 +282,12 @@ def build_index(
     squares = data * data
     norms = np.sqrt([math.fsum(squares[lo:hi].tolist())
                      for lo, hi in pairwise(indptr.tolist())], dtype=np.float64)
-    return Index(opts, tuple(paths), vocabulary, tuple(doc_freq.tolist()),
+    return Index(stemming, tuple(paths), vocabulary, tuple(doc_freq.tolist()),
                  indptr, indices, data, norms, term_counts)
 
 
-def index_documents(raw_texts: list[str], paths: list[str],
-                    options: TokenizerOptions | None = None) -> Index:
-    opts = options if options is not None else TokenizerOptions()
-    return build_index([tokenize(t, opts) for t in raw_texts], paths, opts)
+def index_documents(raw_texts: list[str], paths: list[str], stemming: bool = False) -> Index:
+    return build_index([tokenize(t, stemming) for t in raw_texts], paths, stemming)
 
 
 def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
@@ -314,7 +297,7 @@ def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
 
 
 def vectorize_query(text: str, index: Index) -> QueryVector:
-    return vectorize_tokens(tokenize(text, index.options), index)
+    return vectorize_tokens(tokenize(text, index.stemming), index)
 
 
 def query_dense(query: QueryVector, index: Index) -> np.ndarray:
@@ -347,9 +330,9 @@ def save_index(index: Index, path: str) -> None:
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "options": {
-            "stemming": index.options.stemming,
-            "min_token_length": index.options.min_token_length,
-            "stopwords": sorted(index.options.stopwords),
+            "stemming": index.stemming,
+            "min_token_length": MIN_TOKEN_LENGTH,
+            "stopwords": sorted(STOPWORDS),
         },
         "paths": index.paths,
         "vocabulary": index.vocabulary,
@@ -430,15 +413,18 @@ def load_index(path: str) -> Index:
         where = f"{path}: malformed index payload: meta"
         options = check_record(meta.get("options"), _OPTIONS, _OPTIONS, IndexFormatError,
                                f"{where} options")
+        if (options["min_token_length"] != MIN_TOKEN_LENGTH
+                or set(options["stopwords"]) != STOPWORDS):
+            raise IndexFormatError(
+                f"{path}: built with a minimum token length or stop list other than "
+                "croloc's own; rebuild it with 'croloc index'")
         lists = check_record(meta, {"paths": list, "vocabulary": list},
                              ("paths", "vocabulary"), IndexFormatError, where)
         doc_freq = meta.get("doc_freq")
         if not (isinstance(doc_freq, list) and all(type(df) is int for df in doc_freq)):
             raise IndexFormatError(f"{where}: doc_freq must be a list of integers")
         index = Index(
-            TokenizerOptions(stemming=options["stemming"],
-                             min_token_length=options["min_token_length"],
-                             stopwords=frozenset(options["stopwords"])),
+            options["stemming"],
             tuple(lists["paths"]),
             tuple(lists["vocabulary"]),
             tuple(doc_freq),

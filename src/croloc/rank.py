@@ -222,18 +222,12 @@ def rvsm_scores(query: QueryVector, index: Index) -> np.ndarray:
     return index.length_factor * vsm_scores(query, index)
 
 
-def simi_scores(
-    query: QueryVector,
-    index: Index,
-    history: HistorySet | Iterable[HistoryEntry],
-) -> np.ndarray:
+def simi_scores(query: QueryVector, index: Index, history: HistorySet) -> np.ndarray:
     """Sum over usable prior reports of cosine(query, report)/n_fixed, added
     to every file that report's fix touched.
 
     One cosine sweep over the history rows, then one scatter of each row's
     share onto its fixed files, in row order."""
-    if not isinstance(history, HistorySet):
-        history = HistorySet(history)
     sims = csr_cosine(*history.csr(), query_dense(query, index), query.norm)
     rows, docs, n_fixed = history.incidences()
     return np.bincount(docs, weights=sims[rows] / n_fixed[rows], minlength=index.n_docs)
@@ -242,7 +236,7 @@ def simi_scores(
 def buglocator_scores(
     query: QueryVector,
     index: Index,
-    history: HistorySet | Iterable[HistoryEntry],
+    history: HistorySet,
     alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
@@ -256,15 +250,18 @@ def score_documents(
     query: QueryVector,
     index: Index,
     technique: str,
-    history: HistorySet | Iterable[HistoryEntry] | None = None,
+    history: HistorySet | None = None,
     alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
+    """Scores of every document under ``technique``; buglocator takes its
+    evidence from ``history``, and None means no history."""
     if technique == "vsm":
         return vsm_scores(query, index)
     if technique == "rvsm":
         return rvsm_scores(query, index)
     if technique == "buglocator":
-        return buglocator_scores(query, index, history if history is not None else (), alpha)
+        return buglocator_scores(query, index, HistorySet(()) if history is None else history,
+                                 alpha)
     raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
 
 

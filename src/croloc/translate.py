@@ -234,9 +234,12 @@ class TranslationCache:
         self.close()
 
     def close(self) -> None:
+        """Close the append handle and free the entries: a closed cache is
+        done with, and only its file remains."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+        self._entries = {}
 
     def _load(self) -> None:
         with open(self.path, "rb") as fh:

@@ -32,7 +32,7 @@ from croloc.corpus import Language, normalize_path
 from croloc.errors import TranslationError
 from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
 from croloc.extract import JAPANESE_RANGES, Segment, SpanKind, _Scanner
-from croloc.index import TokenizerOptions
+from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS
 from croloc.porter import stem as porter_stem
 
 
@@ -220,8 +220,7 @@ def _alnum_runs(text: str) -> list[str]:
     return runs
 
 
-def ref_tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
-    opts = options if options is not None else TokenizerOptions()
+def ref_tokenize(text: str, stemming: bool = False) -> list[str]:
     raw: list[str] = []
     for word in _alnum_runs(text):
         for piece in _split_scripts(word):
@@ -237,11 +236,11 @@ def ref_tokenize(text: str, options: TokenizerOptions | None = None) -> list[str
     out: list[str] = []
     for token in raw:
         token = token.lower()
-        if token in opts.stopwords:
+        if token in STOPWORDS:
             continue
-        if len(token) < opts.min_token_length:
+        if len(token) < MIN_TOKEN_LENGTH:
             continue
-        if opts.stemming:
+        if stemming:
             token = porter_stem(token)
         out.append(token)
     return out

@@ -17,7 +17,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, history_entries
 from croloc.corpus import (
     BugReport,
     filter_usable_reports,
@@ -35,7 +35,6 @@ from croloc.evalharness import (
 )
 from croloc.extract import detect_japanese, extract_spans, japanese_segments
 from croloc.index import (
-    TokenizerOptions,
     build_index,
     idf,
     index_documents,
@@ -45,7 +44,6 @@ from croloc.index import (
 )
 from croloc.rank import (
     DEFAULT_ALPHA,
-    HistoryEntry,
     HistorySet,
     buglocator_scores,
     make_ranking,
@@ -128,23 +126,6 @@ _N_CORPORA = 100
 _corpora_cache = None
 
 
-def _make_history_entries(history, paths, index):
-    pos = {p: i for i, p in enumerate(paths)}
-    entries = []
-    for i, (toks, fixed) in enumerate(history):
-        deduped = list(dict.fromkeys(fixed))
-        entries.append(
-            HistoryEntry(
-                report_id=f"H{i}",
-                resolved_at=parse_rfc3339("2020-01-01T00:00:00Z"),
-                vector=vectorize_tokens(toks, index),
-                fixed_doc_ids=tuple(pos[p] for p in deduped if p in pos),
-                n_fixed=len(deduped),
-            )
-        )
-    return entries
-
-
 def _random_corpora():
     global _corpora_cache
     if _corpora_cache is not None:
@@ -179,7 +160,7 @@ def _random_corpora():
             "history": history,
             "index": index,
             "query_vec": vectorize_tokens(query, index),
-            "entries": _make_history_entries(history, paths, index),
+            "entries": HistorySet(history_entries(index, history)),
         })
     _corpora_cache = corpora
     return corpora
@@ -396,7 +377,6 @@ def _project_run(translate: bool):
     index = index_documents(
         [d.raw_text for d in documents],
         [d.path for d in documents],
-        TokenizerOptions(),
     )
     usable, _ = filter_usable_reports(reports, {d.path for d in documents}, {".java"})
     history = HistorySet.build(reports, index)
@@ -472,7 +452,6 @@ def test_acceptance_8_known_item_sanity():
         index = index_documents(
             [d.raw_text for d in corpus.documents],
             [d.path for d in corpus.documents],
-            TokenizerOptions(),
         )
         report = BugReport(
             id="KNOWN-1",
@@ -482,7 +461,7 @@ def test_acceptance_8_known_item_sanity():
         )
         query = vectorize_query(report.query_text, index)
         for technique in ("vsm", "rvsm", "buglocator"):
-            scores = score_documents(query, index, technique, history=[])
+            scores = score_documents(query, index, technique)
             ranked = [index.paths[d] for d in make_ranking(scores, index, top_k=0)]
             assert ranked[0] == target.path, (technique, ranked[:3])
 
@@ -496,7 +475,6 @@ def test_acceptance_9_temporal_safety():
         index = index_documents(
             [d.raw_text for d in corpus.documents],
             [d.path for d in corpus.documents],
-            TokenizerOptions(),
         )
         # SHOP-109 is written in English, so its query tokens exist in the
         # untranslated index and the potency check below has teeth

@@ -601,16 +601,44 @@ class TestIndexFanOut:
         assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
         assert not (tmp_path / "1.npz").exists()
 
+    def test_one_process_frees_the_cache_before_tokenizing(self, small_project, tmp_path,
+                                                          monkeypatch):
+        # With no child's rows left to adopt, the translation cache's entries
+        # need not stay alive while the documents are tokenized.
+        forked = _force_chunks(monkeypatch, 1)
+        cache_class, tokenize = croloc.translate.TranslationCache, croloc.index.tokenize
+        init = cache_class.__init__
+        caches, loaded, at_tokenize = [], [], []
+
+        def recorded_init(self, path):
+            init(self, path)
+            caches.append(self)
+            loaded.append(len(self))
+
+        def recorded_tokenize(text, stemming=False):
+            at_tokenize.append([len(c) for c in caches])
+            return tokenize(text, stemming)
+        monkeypatch.setattr(cache_class, "__init__", recorded_init)
+        monkeypatch.setattr(croloc.index, "tokenize", recorded_tokenize)
+        for temperature in ("cold", "warm"):
+            for recorded in (caches, loaded, at_tokenize):
+                recorded.clear()
+            assert self._index(small_project.tree, small_project.glossary,
+                               tmp_path / "cache.jsonl", tmp_path / f"{temperature}.npz") == 0
+            assert len(caches) == 1 and at_tokenize[0] == [0]
+        assert loaded[0] > 0, "the warm run loaded no cache entries"
+        assert forked == []
+
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
     def test_interrupt_in_a_child_never_leaves_main_there(self, small_project, tmp_path,
                                                           monkeypatch, interrupt):
         forked = _force_chunks(monkeypatch, 2)
         parent, tokenize = os.getpid(), croloc.index.tokenize
 
-        def interrupted(text, options=None):
+        def interrupted(text, stemming=False):
             if os.getpid() != parent:
                 raise interrupt()
-            return tokenize(text, options)
+            return tokenize(text, stemming)
         monkeypatch.setattr(croloc.index, "tokenize", interrupted)
         escaped = tmp_path / "escaped"
         try:

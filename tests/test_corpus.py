@@ -55,7 +55,7 @@ class TestNormalizePath:
 
 
 class TestLoadSourceTree:
-    def test_lexicographic_order_and_contiguous_ids(self, tmp_path):
+    def test_lexicographic_order(self, tmp_path):
         _write_tree(tmp_path, {
             "b/Two.java": "class Two {}",
             "a/One.java": "class One {}",
@@ -64,7 +64,6 @@ class TestLoadSourceTree:
         corpus = load_source_tree(tmp_path, ["**/*.java", "**/*.cs"])
         assert [d.path for d in corpus.documents] == [
             "a/One.java", "a/Zed.cs", "b/Two.java"]
-        assert [d.doc_id for d in corpus.documents] == [0, 1, 2]
 
     def test_language_mapping(self, tmp_path):
         _write_tree(tmp_path, {
@@ -103,6 +102,12 @@ class TestLoadSourceTree:
     def test_unusable_pattern_is_corpus_error(self, tmp_path, pattern):
         with pytest.raises(CorpusError, match=re.escape(f"--include pattern {pattern!r}")):
             load_source_tree(tmp_path, ["**/*.java", pattern])
+
+    def test_paths_equal_once_normalized_are_duplicates(self, tmp_path):
+        # A file literally named "src\A.java" normalizes to src/A.java too.
+        _write_tree(tmp_path, {"src/A.java": "class A {}", "src\\A.java": "class A {}"})
+        with pytest.raises(CorpusError, match="duplicate document path: src/A.java"):
+            load_source_tree(tmp_path, ["**/*.java"])
 
     def test_byte_len_counts_utf8_bytes(self, tmp_path):
         _write_tree(tmp_path, {"J.java": "// 在庫\n"})

@@ -23,7 +23,7 @@ from reference import RefScanner, ref_detect_japanese, ref_japanese_segments
 
 
 def _doc(text, language=Language.JAVA, path="T.java"):
-    return SourceDocument(path=path, language=language, raw_text=text, doc_id=0)
+    return SourceDocument(path=path, language=language, raw_text=text)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,6 @@ class TestReembed:
         seg = japanese_segments(span.text)[0]
         out = reembed(doc, [(span, seg, "fix this")])
         assert out.raw_text == "// fix this\nint x;\n"
-        assert out.doc_id == doc.doc_id
         assert out.path == doc.path
 
     def test_identity_round_trip_on_fixture_corpus(self, lexer_corpus):

@@ -18,16 +18,16 @@ import zipfile
 import numpy as np
 import pytest
 from numpy.lib import format as npy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import croloc
 from croloc.errors import IndexFormatError
 from croloc.index import (
+    MIN_TOKEN_LENGTH,
+    STOPWORDS,
     Index,
-    TokenizerOptions,
     build_index,
-    default_stopwords,
     idf,
     index_documents,
     load_index,
@@ -80,12 +80,10 @@ class TestTokenize:
         assert tokenize("a x of io") == ["io"]
 
     def test_stemming_applied_last(self):
-        opts = TokenizerOptions(stemming=True)
-        assert tokenize("parse_error2x", opts) == ["pars", "error"]
+        assert tokenize("parse_error2x", stemming=True) == ["pars", "error"]
 
     def test_stemming_whole_and_parts(self):
-        opts = TokenizerOptions(stemming=True)
-        assert tokenize("parsingErrors", opts) == ["parsingerror", "pars", "error"]
+        assert tokenize("parsingErrors", stemming=True) == ["parsingerror", "pars", "error"]
 
     def test_compound_requires_two_subtokens(self):
         assert tokenize("request") == ["request"]
@@ -99,16 +97,8 @@ class TestTokenize:
         assert tokenize("") == []
         assert tokenize("!!! ---") == []
 
-    def test_custom_stopwords(self):
-        opts = TokenizerOptions(stopwords=frozenset({"file"}))
-        assert tokenize("the file", opts) == ["the"]
-
-    def test_min_token_length_option(self):
-        opts = TokenizerOptions(min_token_length=5, stopwords=frozenset())
-        assert tokenize("parse io", opts) == ["parse"]
-
     def test_default_stopwords_loaded(self):
-        words = default_stopwords()
+        words = STOPWORDS
         assert "the" in words
         assert "of" in words
         assert "file" not in words
@@ -116,11 +106,10 @@ class TestTokenize:
     @given(st.text(max_size=80))
     @settings(max_examples=200)
     def test_tokens_are_lowercase_and_long_enough(self, text):
-        opts = TokenizerOptions()
-        for tok in tokenize(text, opts):
+        for tok in tokenize(text):
             assert tok == tok.lower()
-            assert len(tok) >= opts.min_token_length
-            assert tok not in opts.stopwords
+            assert len(tok) >= MIN_TOKEN_LENGTH
+            assert tok not in STOPWORDS
 
     @given(st.text(max_size=60))
     @settings(max_examples=100)
@@ -142,26 +131,17 @@ _tokenizer_text = st.lists(
     st.one_of(_TOKENIZER_PIECES, st.characters(blacklist_categories=("Cs",))),
     max_size=40,
 ).map("".join)
-_tokenizer_options = st.builds(
-    TokenizerOptions,
-    stemming=st.booleans(),
-    min_token_length=st.integers(1, 4),
-    stopwords=st.one_of(
-        st.just(default_stopwords()),
-        st.frozensets(st.sampled_from(
-            ["get", "user", "name", "http", "server", "the", "file", "修正", "pars", "é"]
-        )),
-    ),
-)
 
 
 class TestTokenizeOracle:
     """The regex tokenizer against the per-character one it replaced."""
 
-    @given(text=_tokenizer_text, opts=_tokenizer_options)
+    @given(text=_tokenizer_text, stemming=st.booleans())
+    @example(text="parsingErrors getUserName", stemming=False)
+    @example(text="parsingErrors getUserName", stemming=True)
     @settings(max_examples=400)
-    def test_same_tokens_as_reference(self, text, opts):
-        assert tokenize(text, opts) == ref_tokenize(text, opts)
+    def test_same_tokens_as_reference(self, text, stemming):
+        assert tokenize(text, stemming) == ref_tokenize(text, stemming)
 
     @given(text=st.text(max_size=80))
     @settings(max_examples=200)
@@ -252,9 +232,7 @@ class TestBuildIndex:
             build_index([["a"]], ["x", "y"])
 
     def test_index_documents_tokenizes(self):
-        index = index_documents(
-            ["cache miss", "order total"], ["a.java", "b.java"], TokenizerOptions()
-        )
+        index = index_documents(["cache miss", "order total"], ["a.java", "b.java"])
         assert set(index.vocabulary) == {"cache", "miss", "order", "total"}
         assert index.vectors[0].term_count == 2
 
@@ -280,7 +258,7 @@ class TestQueryVector:
         index = index_documents(
             ["parsing errors happen", "order total"],
             ["a.java", "b.java"],
-            TokenizerOptions(stemming=True),
+            stemming=True,
         )
         qv = vectorize_query("parsing errors", index)
         assert qv.weights  # stems line up only if the query was stemmed too
@@ -365,7 +343,7 @@ class TestPersistence:
         return index_documents(
             ["cache miss rate", "order total", "キャッシュ miss"],
             ["a.java", "b.java", "c.java"],
-            TokenizerOptions(stemming=True),
+            stemming=True,
         )
 
     def test_round_trip_equality(self, tmp_path):
@@ -374,8 +352,7 @@ class TestPersistence:
         save_index(index, target)
         loaded = load_index(target)
         assert loaded == index
-        assert loaded.options.stemming is True
-        assert loaded.options.stopwords == index.options.stopwords
+        assert loaded.stemming is True
 
     def test_bytes_equal_one_json_dump_of_the_payload(self, tmp_path):
         # The meta member holds one JSON dump of the payload; the file is
@@ -383,7 +360,7 @@ class TestPersistence:
         index = index_documents(
             ["cache miss rate", "order total", "キャッシュ miss \"quoted\"", ""],
             ["a.java", "dir/在庫.java", "c.java", "d.java"],
-            TokenizerOptions(stemming=True),
+            stemming=True,
         )
         target = tmp_path / "idx.npz"
         save_index(index, target)
@@ -392,8 +369,8 @@ class TestPersistence:
             "version": 3,
             "options": {
                 "stemming": True,
-                "min_token_length": index.options.min_token_length,
-                "stopwords": sorted(index.options.stopwords),
+                "min_token_length": 2,
+                "stopwords": sorted(STOPWORDS),
             },
             "paths": list(index.paths),
             "vocabulary": list(index.vocabulary),
@@ -698,6 +675,9 @@ def _stored_as(key, dtype, position=None, value=None):
     return mutate
 
 
+REBUILD = "stop list other than croloc's own; rebuild it with 'croloc index'"
+
+
 class TestLoadValidation:
     """Payloads that load but would index wrongly are rejected."""
 
@@ -765,6 +745,13 @@ class TestLoadValidation:
         ("paths", 0, "\ud800", "paths must be a list of UTF-8 strings"),
         ("vocabulary", 1, ["cache"], "vocabulary must be a list of UTF-8 strings"),
         ("doc_freq", 0, True, "doc_freq must be a list of integers"),
+        # Only the built-in stop list and minimum length tokenize queries as
+        # the index's documents were.
+        ("options", "min_token_length", 1, REBUILD),
+        ("options", "min_token_length", 3, REBUILD),
+        ("options", "stopwords", [], REBUILD),
+        ("options", "stopwords", ["the", "of"], REBUILD),
+        ("options", "stopwords", sorted(STOPWORDS | {"cache"}), REBUILD),
     ])
     def test_meta_field_error_names_the_file(self, tmp_path, key, position, value, message):
         # The meta member is checked by corpus.typed, which converts nothing.
@@ -1054,10 +1041,10 @@ class TestArrayBuild:
 
 _SAVE_IN_CHILD = """
 import sys
-from croloc.index import TokenizerOptions, index_documents, save_index
+from croloc.index import index_documents, save_index
 save_index(index_documents(["cache miss rate", "order total", "キャッシュ miss", ""],
                            ["a.java", "b/在庫.java", "c.java", "d.java"],
-                           TokenizerOptions(stemming=True)), sys.argv[1])
+                           stemming=True), sys.argv[1])
 """
 
 
@@ -1068,7 +1055,7 @@ class TestDeterministicSave:
     def _index(self):
         return index_documents(["cache miss rate", "order total", "キャッシュ miss", ""],
                                ["a.java", "b/在庫.java", "c.java", "d.java"],
-                               TokenizerOptions(stemming=True))
+                               stemming=True)
 
     def test_same_bytes_at_another_time(self, tmp_path, monkeypatch):
         saved = []

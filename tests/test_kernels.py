@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from croloc.index import Index, QueryVector, TokenizerOptions
+from croloc.index import Index, QueryVector
 from croloc.rank import csr_cosine, vsm_scores
 
 
@@ -151,7 +151,7 @@ def _as_index(indptr, indices, data, norms, n_terms):
     """An Index over the CSR arrays, with placeholder paths and vocabulary."""
     n_docs = len(indptr) - 1
     doc_freq = tuple(max(1, n) for n in np.bincount(indices, minlength=n_terms).tolist())
-    return Index(TokenizerOptions(), tuple(f"d{d}" for d in range(n_docs)),
+    return Index(False, tuple(f"d{d}" for d in range(n_docs)),
                  tuple(f"t{t}" for t in range(n_terms)), doc_freq,
                  indptr, indices, data, norms, np.ones(n_docs, dtype=np.int64))
 

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import history_entries
 from croloc.corpus import BugReport
 from croloc.errors import EvalError
 from croloc.evalharness import read_run_file, write_run_file
 from croloc.index import build_index, vectorize_tokens
 from croloc.rank import (
     DEFAULT_ALPHA,
-    HistoryEntry,
     HistorySet,
     buglocator_scores,
     cosine,
@@ -122,19 +122,7 @@ class TestMinmax:
 def _package_scores(technique, query_tokens, token_lists, paths, history=None, alpha=DEFAULT_ALPHA):
     index = build_index(token_lists, paths)
     query = vectorize_tokens(query_tokens, index)
-    entries = []
-    for report_tokens, fixed_paths in history or []:
-        deduped = list(dict.fromkeys(fixed_paths))
-        pos = {p: i for i, p in enumerate(paths)}
-        entries.append(
-            HistoryEntry(
-                report_id="H",
-                resolved_at=datetime(2020, 1, 1, tzinfo=UTC),
-                vector=vectorize_tokens(report_tokens, index),
-                fixed_doc_ids=tuple(pos[p] for p in deduped if p in pos),
-                n_fixed=len(deduped),
-            )
-        )
+    entries = HistorySet(history_entries(index, history or []))
     return score_documents(query, index, technique, history=entries, alpha=alpha)
 
 
@@ -199,19 +187,8 @@ class TestSimiAgainstReference:
         index = build_index(token_lists, paths)
         query = vectorize_tokens(["cache", "miss"], index)
 
-        pos = {p: i for i, p in enumerate(paths)}
-        entries = []
-        for report_tokens, fixed in history:
-            entries.append(
-                HistoryEntry(
-                    report_id="H",
-                    resolved_at=datetime(2020, 1, 1, tzinfo=UTC),
-                    vector=vectorize_tokens(report_tokens, index),
-                    fixed_doc_ids=tuple(pos[p] for p in fixed if p in pos),
-                    n_fixed=len(fixed),
-                )
-            )
-        got = simi_scores(query, index, entries)
+        entries = history_entries(index, history)
+        got = simi_scores(query, index, HistorySet(entries))
         want = ref_simi(["cache", "miss"], token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -231,18 +208,7 @@ class TestSimiAgainstReference:
             history.append((_random_query(rng), fixed))
         index = build_index(token_lists, paths)
         query_vec = vectorize_tokens(query, index)
-        pos = {p: i for i, p in enumerate(paths)}
-        entries = [
-            HistoryEntry(
-                report_id=f"H{i}",
-                resolved_at=datetime(2020, 1, 1, tzinfo=UTC),
-                vector=vectorize_tokens(toks, index),
-                fixed_doc_ids=tuple(pos[p] for p in dict.fromkeys(fixed) if p in pos),
-                n_fixed=len(dict.fromkeys(fixed)),
-            )
-            for i, (toks, fixed) in enumerate(history)
-        ]
-        got = simi_scores(query_vec, index, entries)
+        got = simi_scores(query_vec, index, HistorySet(history_entries(index, history)))
         want = ref_simi(query, token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -250,7 +216,7 @@ class TestSimiAgainstReference:
         token_lists = [["cache"], ["order"]]
         index = build_index(token_lists, ["a", "b"])
         query = vectorize_tokens(["cache"], index)
-        assert simi_scores(query, index, []).tolist() == [0.0, 0.0]
+        assert simi_scores(query, index, HistorySet([])).tolist() == [0.0, 0.0]
 
 
 class TestBugLocatorAgainstReference:
@@ -274,7 +240,7 @@ class TestBugLocatorAgainstReference:
         index = build_index(token_lists, paths)
         query = vectorize_tokens(["cache", "miss"], index)
         alpha = DEFAULT_ALPHA
-        got = buglocator_scores(query, index, [], alpha=alpha)
+        got = buglocator_scores(query, index, HistorySet([]), alpha=alpha)
         expected = (1.0 - alpha) * minmax(rvsm_scores(query, index)) + alpha * 0.5
         assert np.array_equal(got, expected)
         # and the induced order matches plain rvsm
@@ -289,7 +255,7 @@ class TestBugLocatorAgainstReference:
         query = vectorize_tokens(["cache"], index)
         for alpha in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                buglocator_scores(query, index, [], alpha=alpha)
+                buglocator_scores(query, index, HistorySet([]), alpha=alpha)
 
     def test_alpha_one_is_pure_history(self):
         token_lists = [["cache", "miss"], ["order"]]
@@ -552,23 +518,13 @@ class TestVectorizedPathsProperties:
     def test_simi_over_prefix_matches_list_and_reference(self, case):
         token_lists, paths, history, query, cut = case
         index = build_index(token_lists, paths)
-        pos = {p: i for i, p in enumerate(paths)}
-        entries = []
-        for i, (toks, fixed, resolved_at) in enumerate(history):
-            deduped = list(dict.fromkeys(fixed))
-            entries.append(HistoryEntry(
-                report_id=f"H{i}",
-                resolved_at=resolved_at,
-                vector=vectorize_tokens(toks, index),
-                fixed_doc_ids=tuple(pos[p] for p in deduped if p in pos),
-                n_fixed=len(deduped),
-            ))
+        entries = history_entries(index, history)
         query_vec = vectorize_tokens(query, index)
         prior = [e for e in entries if e.resolved_at < cut]
         prefix = HistorySet(entries).before(cut)
         assert prefix.entries == tuple(sorted(prior, key=lambda e: e.resolved_at))
         got = simi_scores(query_vec, index, prefix)
-        assert np.array_equal(got, simi_scores(query_vec, index, prior))
+        assert np.array_equal(got, simi_scores(query_vec, index, HistorySet(prior)))
         want = ref_simi(query, token_lists, paths,
                         [(toks, fixed) for toks, fixed, t in history if t < cut])
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)

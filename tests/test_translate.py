@@ -579,7 +579,7 @@ class TestServiceBackendRequests:
 
 
 def _doc(text, path="src/X.java"):
-    return SourceDocument(path=path, language=Language.JAVA, raw_text=text, doc_id=0)
+    return SourceDocument(path=path, language=Language.JAVA, raw_text=text)
 
 
 class TestTranslateDocument:
@@ -589,7 +589,6 @@ class TestTranslateDocument:
         assert out.raw_text == doc.raw_text
         assert count == 2
         assert out.path == doc.path
-        assert out.doc_id == doc.doc_id
 
     def test_glossary_changes_only_segments(self):
         doc = _doc('int n = 1; // 在庫\nString s = "keep";\n')
