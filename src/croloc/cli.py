@@ -359,7 +359,8 @@ def cmd_locate(args: argparse.Namespace) -> int:
         missing = [q for q in args.query if q not in by_id]
         if missing:
             raise ConfigError(f"unknown report ids: {', '.join(missing)}")
-        queries = [by_id[q] for q in args.query]
+        # A run file ranks each query once.
+        queries = [by_id[q] for q in dict.fromkeys(args.query)]
     else:
         extensions = {PurePosixPath(p).suffix for p in index.paths}
         queries, excluded = filter_usable_reports(reports, set(index.paths), extensions)

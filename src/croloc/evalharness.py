@@ -136,12 +136,17 @@ def write_run_file(
     """TREC run format: qid Q0 path rank score tag, scores to six decimals.
     Each ranking is a query id with its ranked paths and their scores; a
     path's rank is its position, from 1. The query id and tag are checked
-    once per block, each distinct path once per file. The file is replaced
-    only once every line is written."""
+    once per block, each distinct path once per file; a query id may rank
+    only once, as ``read_run_file`` requires. The file is replaced only once
+    every line is written."""
     checked_paths: set[str] = set()
+    query_ids: set[str] = set()
     with write_atomically(path) as fh:
         for query_id, paths, scores in rankings:
             check_token(query_id, "query id", EvalError)
+            if query_id in query_ids:
+                raise EvalError(f"query id {query_id} is ranked twice")
+            query_ids.add(query_id)
             check_token(tag, "run tag", EvalError)
             for p in paths:
                 if p not in checked_paths:

@@ -113,7 +113,6 @@ class DocumentVector:
 
 @dataclass(frozen=True)
 class QueryVector:
-    term_count: int
     weights: dict[int, float]
     norm: float
 
@@ -199,17 +198,6 @@ class Index:
         return length_factor(self.term_counts)
 
 
-def stack_weights(rows: list[dict[int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR (indptr, indices, data) of sparse weight rows, with term ids in
-    ascending order within each row."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(w) for w in rows])
-    nnz = int(indptr[-1])
-    indices = np.fromiter((t for w in rows for t in sorted(w)), dtype=np.int64, count=nnz)
-    data = np.fromiter((w[t] for w in rows for t in sorted(w)), dtype=np.float64, count=nnz)
-    return indptr, indices, data
-
-
 def _vector_norm(weights: dict[int, float]) -> float:
     return math.sqrt(math.fsum(w * w for w in weights.values()))
 
@@ -293,7 +281,7 @@ def index_documents(raw_texts: list[str], paths: list[str], stemming: bool = Fal
 def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
     """Query vector over the index vocabulary, weighted as documents are."""
     weights = tfidf_weights(tokens, index.term_ids, index.doc_freq, index.n_docs)
-    return QueryVector(len(tokens), weights, _vector_norm(weights))
+    return QueryVector(weights, _vector_norm(weights))
 
 
 def vectorize_query(text: str, index: Index) -> QueryVector:
@@ -461,6 +449,11 @@ def _array_problem(index: Index) -> str | None:
     rows = np.repeat(np.arange(n_docs), np.diff(indptr))
     if ((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])).any():
         return "term ids must ascend strictly within each row"
+    # A term in every document weighs 0 (idf ln 1) and is stored in no row.
+    stored = np.bincount(indices, minlength=n_terms)
+    doc_freq = np.array(index.doc_freq, dtype=np.int64)
+    if ((stored != doc_freq) & ((stored != 0) | (doc_freq != n_docs))).any():
+        return "a document frequency differs from the number of rows that store its term"
     if not (np.isfinite(data).all() and np.isfinite(index.norms).all()):
         return "non-finite weight or norm"
     with np.errstate(over="ignore"):  # an overflowing square differs from any finite norm

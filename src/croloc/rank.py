@@ -14,19 +14,17 @@ final score break on lexicographic path order.
 """
 from __future__ import annotations
 
-import copy
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
-from operator import attrgetter
 
 import numpy as np
 
 from . import TECHNIQUES
 from .corpus import BugReport
-from .index import Index, QueryVector, query_dense, stack_weights
+from .index import Index, QueryVector, query_dense
 
 DEFAULT_ALPHA = 0.2
 DEFAULT_TOP_K = 100
@@ -61,48 +59,34 @@ def length_factor(term_counts: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-minmax(term_counts)))
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One earlier resolved report usable as similarity evidence."""
-
-    report_id: str
-    resolved_at: datetime
-    vector: QueryVector
-    fixed_doc_ids: tuple[int, ...]
-    n_fixed: int
-
-
+@dataclass(frozen=True, eq=False)
 class HistorySet:
     """Prior-report evidence with temporal filtering.
 
     A report is usable for a query only when it was resolved strictly before
     the query was reported; unresolved reports and reports without fixed
-    files never contribute. Entries are held in stable resolution-time
-    order, as arrays: row r of the CSR matrix (indptr, indices, data, norms)
-    is entry r's vector, and each (row, doc) pair of a fix is one incidence.
-    Rows ascend, so the first n entries' rows and incidences are prefixes,
-    and ``before`` is a bisection that returns a view sharing these arrays.
+    files never contribute. The usable reports are held in stable
+    resolution-time order, as arrays: row r of the CSR matrix (indptr,
+    indices, data, norms) is report r's vector, ``n_fixed[r]`` its number of
+    fixed files, and each (row, doc) pair of its fix is one incidence. The
+    set is its first ``n`` rows, whose rows and incidences are prefixes, so
+    ``before`` is a bisection that returns a view sharing these arrays.
     """
 
-    def __init__(self, entries: Iterable[HistoryEntry]):
-        self._entries = tuple(sorted(entries, key=attrgetter("resolved_at")))
-        self._times = [e.resolved_at for e in self._entries]
-        self._n = len(self._entries)
-        self._indptr, self._indices, self._data = stack_weights(
-            [e.vector.weights for e in self._entries])
-        self._norms = np.array([e.vector.norm for e in self._entries], dtype=np.float64)
-        self._n_fixed = np.array([e.n_fixed for e in self._entries], dtype=np.float64)
-        # An entry without a fix divisor or without a file in the index
-        # credits nothing.
-        pairs = [(row, doc_id) for row, e in enumerate(self._entries) if e.n_fixed
-                 for doc_id in e.fixed_doc_ids]
-        self._inc_rows = np.array([row for row, _ in pairs], dtype=np.int64)
-        self._inc_docs = np.array([doc_id for _, doc_id in pairs], dtype=np.int64)
+    times: tuple[datetime, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    norms: np.ndarray
+    n_fixed: np.ndarray
+    inc_rows: np.ndarray
+    inc_docs: np.ndarray
+    n: int
 
     @classmethod
     def build(
         cls,
-        reports: list[BugReport],
+        reports: Iterable[BugReport],
         index: Index,
         vectorize: Callable[[BugReport], QueryVector] | None = None,
     ) -> "HistorySet":
@@ -116,41 +100,46 @@ class HistorySet:
             def vectorize(report: BugReport) -> QueryVector:
                 return vectorize_query(report.query_text, index)
 
+        usable = [(r, fixed) for r in reports
+                  if r.resolved_at is not None and (fixed := r.fixed_paths)]
+        usable.sort(key=lambda pair: pair[0].resolved_at)
+        vectors = [vectorize(r) for r, _ in usable]
+        # Each row's term ids ascend, as in the index's rows.
+        rows = [sorted(v.weights.items()) for v in vectors]
         doc_ids = {p: i for i, p in enumerate(index.paths)}
-        entries = []
-        for report in reports:
-            fixed = report.fixed_paths
-            if report.resolved_at is None or not fixed:
-                continue
-            ids = tuple(doc_ids[p] for p in fixed if p in doc_ids)
-            entries.append(HistoryEntry(report.id, report.resolved_at, vectorize(report),
-                                        fixed_doc_ids=ids, n_fixed=len(fixed)))
-        return cls(entries)
+        # A fixed file outside the index counts in n_fixed but credits nothing.
+        incidences = np.array([(row, doc_ids[p]) for row, (_, fixed) in enumerate(usable)
+                               for p in fixed if p in doc_ids], dtype=np.int64).reshape(-1, 2)
+        return cls(
+            times=tuple(r.resolved_at for r, _ in usable),
+            indptr=np.cumsum([0, *map(len, rows)], dtype=np.int64),
+            indices=np.fromiter((t for row in rows for t, _ in row), dtype=np.int64),
+            data=np.fromiter((w for row in rows for _, w in row), dtype=np.float64),
+            norms=np.array([v.norm for v in vectors], dtype=np.float64),
+            n_fixed=np.array([len(fixed) for _, fixed in usable], dtype=np.float64),
+            inc_rows=incidences[:, 0],
+            inc_docs=incidences[:, 1],
+            n=len(usable),
+        )
 
     def before(self, reported_at: datetime) -> "HistorySet":
-        """The entries resolved strictly before ``reported_at``."""
-        view = copy.copy(self)
-        view._n = bisect_left(self._times, reported_at, hi=self._n)
-        return view
-
-    @property
-    def entries(self) -> tuple[HistoryEntry, ...]:
-        return self._entries[:self._n]
+        """The reports resolved strictly before ``reported_at``."""
+        return replace(self, n=bisect_left(self.times, reported_at, hi=self.n))
 
     def __len__(self) -> int:
-        return self._n
+        return self.n
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, data, norms) of this set's rows."""
-        n = self._n
-        nnz = self._indptr[n]
-        return self._indptr[:n + 1], self._indices[:nnz], self._data[:nnz], self._norms[:n]
+        n = self.n
+        nnz = self.indptr[n]
+        return self.indptr[:n + 1], self.indices[:nnz], self.data[:nnz], self.norms[:n]
 
     def incidences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, doc id) of every file this set's fixes touched, and each
         row's number of fixed files."""
-        k = np.searchsorted(self._inc_rows, self._n)
-        return self._inc_rows[:k], self._inc_docs[:k], self._n_fixed
+        k = np.searchsorted(self.inc_rows, self.n)
+        return self.inc_rows[:k], self.inc_docs[:k], self.n_fixed[:self.n]
 
 
 def csr_cosine(
@@ -260,8 +249,9 @@ def score_documents(
     if technique == "rvsm":
         return rvsm_scores(query, index)
     if technique == "buglocator":
-        return buglocator_scores(query, index, HistorySet(()) if history is None else history,
-                                 alpha)
+        if history is None:
+            history = HistorySet.build((), index)
+        return buglocator_scores(query, index, history, alpha)
     raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
 
 

@@ -5,8 +5,9 @@ from datetime import datetime, timezone
 
 import pytest
 
+from croloc.corpus import BugReport
 from croloc.index import vectorize_tokens
-from croloc.rank import HistoryEntry
+from croloc.rank import HistorySet
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -23,26 +24,21 @@ def project_dir() -> pathlib.Path:
     return FIXTURES / "synthetic_project"
 
 
-# When a history entry was resolved, unless it says otherwise.
+# When a history report was resolved, unless it says otherwise.
 RESOLVED_AT = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
-def history_entries(index, history):
-    """A ``HistoryEntry`` for each ``(tokens, fixed paths[, resolved_at])``
-    of ``history``, vectorized over ``index``. Its fix counts each path once,
-    and it was resolved at ``RESOLVED_AT`` unless it says otherwise."""
-    doc_ids = {p: i for i, p in enumerate(index.paths)}
-    entries = []
+def history_set(index, history):
+    """``HistorySet.build`` over a resolved report for each
+    ``(tokens, fixed paths[, resolved_at])`` of ``history``, whose query
+    vector is its tokens' over ``index``. Its fix counts each path once, and
+    it was resolved at ``RESOLVED_AT`` unless it says otherwise."""
+    reports, vectors = [], {}
     for i, (tokens, fixed, *when) in enumerate(history):
-        fixed = list(dict.fromkeys(fixed))
-        entries.append(HistoryEntry(
-            report_id=f"H{i}",
-            resolved_at=when[0] if when else RESOLVED_AT,
-            vector=vectorize_tokens(tokens, index),
-            fixed_doc_ids=tuple(doc_ids[p] for p in fixed if p in doc_ids),
-            n_fixed=len(fixed),
-        ))
-    return entries
+        resolved_at = when[0] if when else RESOLVED_AT
+        reports.append(BugReport(f"H{i}", "", "", resolved_at, resolved_at, tuple(fixed)))
+        vectors[reports[-1].id] = vectorize_tokens(tokens, index)
+    return HistorySet.build(reports, index, lambda report: vectors[report.id])
 
 
 def assert_no_child_left():

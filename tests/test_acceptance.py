@@ -17,7 +17,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, history_entries
+from conftest import FIXTURES, history_set
 from croloc.corpus import (
     BugReport,
     filter_usable_reports,
@@ -160,7 +160,7 @@ def _random_corpora():
             "history": history,
             "index": index,
             "query_vec": vectorize_tokens(query, index),
-            "entries": HistorySet(history_entries(index, history)),
+            "entries": history_set(index, history),
         })
     _corpora_cache = corpora
     return corpora

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import croloc
 import croloc.corpus
+import croloc.evalharness
 import croloc.index
 import croloc.translate
 from conftest import FIXTURES, assert_no_child_left
@@ -240,6 +241,17 @@ class TestLocateCommand:
         assert result.returncode == 0, result.stderr
         lines = (tmp_path / "run.vsm.trec").read_text(encoding="utf-8").splitlines()
         assert {l.split()[0] for l in lines} == {"SHOP-101"}
+
+    def test_repeated_query_ranked_once(self, built, tmp_path):
+        result = run_cli(
+            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "--translator", "glossary", "--glossary", GLOSSARY,
+            "--technique", "vsm", "--query", "SHOP-102", "--query", "SHOP-101",
+            "--query", "SHOP-102", "--out-dir", tmp_path, cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        run = croloc.evalharness.read_run_file(str(tmp_path / "run.vsm.trec"))
+        assert list(run) == ["SHOP-102", "SHOP-101"]
 
     def test_unknown_query_id(self, built, tmp_path):
         result = run_cli(

@@ -574,3 +574,13 @@ class TestWriteRunFile:
             write_run_file(str(target), [ok, bad], "t")
         assert target.read_text(encoding="utf-8") == "OLD Q0 src/Z.java 1 1.000000 t\n"
         assert os.listdir(tmp_path) == ["p.trec"]
+
+    def test_repeated_query_id_keeps_the_old_run(self, tmp_path):
+        # read_run_file rejects a query ranked twice, so no such run is written.
+        target = tmp_path / "p.trec"
+        target.write_text("OLD Q0 src/Z.java 1 1.000000 t\n", encoding="utf-8")
+        ranking = ("Q1", ["src/A.java"], [0.5])
+        with pytest.raises(EvalError, match="Q1 is ranked twice"):
+            write_run_file(str(target), [ranking, ranking], "t")
+        assert target.read_text(encoding="utf-8") == "OLD Q0 src/Z.java 1 1.000000 t\n"
+        assert os.listdir(tmp_path) == ["p.trec"]

@@ -241,9 +241,8 @@ class TestQueryVector:
     def test_oov_counts_in_denominator(self):
         index = build_index([["alpha", "beta"], ["gamma"]], ["a", "b"])
         qv = vectorize_tokens(["alpha", "alpha", "zzz"], index)
-        assert qv.term_count == 3  # unseen token still counts toward length
         tid = index.vocabulary.index("alpha")
-        expected = tf(2, 3) * idf(1, 2)
+        expected = tf(2, 3) * idf(1, 2)  # the unseen token counts toward the length, 3
         assert qv.weights[tid] == pytest.approx(expected, rel=1e-12)
         assert len(qv.weights) == 1
 
@@ -252,7 +251,6 @@ class TestQueryVector:
         qv = vectorize_tokens(["zzz", "yyy"], index)
         assert qv.weights == {}
         assert qv.norm == 0.0
-        assert qv.term_count == 2
 
     def test_vectorize_query_uses_index_options(self):
         index = index_documents(
@@ -702,6 +700,7 @@ class TestLoadValidation:
         _set("term_counts", 1, -1),
         _set("doc_freq", 0, 0),
         _set("doc_freq", 0, 4),
+        _set("doc_freq", 0, 1),
         _stored_as("indices", bool),
         _stored_as("indptr", "<f8"),
         _stored_as("term_counts", "<U1"),
@@ -718,7 +717,8 @@ class TestLoadValidation:
             "edited-weight", "doc-freq-length",
             "norms-length", "term-counts-length", "data-length", "indptr-start",
             "indptr-end", "term-ids-descending", "term-id-repeated", "negative-term-count",
-            "doc-freq-zero", "doc-freq-above-doc-count", "bool-term-id", "float-indptr",
+            "doc-freq-zero", "doc-freq-above-doc-count", "doc-freq-not-row-count",
+            "bool-term-id", "float-indptr",
             "string-term-count", "string-weight", "bool-weight", "null-norm",
             "float-doc-freq", "non-string-path", "non-string-term", "string-stemming",
             "surrogate-path"])
@@ -961,7 +961,6 @@ class TestIndexProperties:
             qv = vectorize_tokens(tokens, index)
             assert qv.weights == dict(zip(indices[lo:hi].tolist(), data[lo:hi].tolist()))
             assert qv.norm == norms[d]
-            assert qv.term_count == index.term_counts[d]
 
 
 @st.composite

@@ -157,8 +157,7 @@ def _as_index(indptr, indices, data, norms, n_terms):
 
 
 def _query(qdense, qnorm):
-    return QueryVector(1, {t: float(qdense[t]) for t in np.flatnonzero(qdense).tolist()},
-                       qnorm)
+    return QueryVector({t: float(qdense[t]) for t in np.flatnonzero(qdense).tolist()}, qnorm)
 
 
 def _assert_postings_bit_identical(args):

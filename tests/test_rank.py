@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import history_entries
+from conftest import history_set
 from croloc.corpus import BugReport
 from croloc.errors import EvalError
 from croloc.evalharness import read_run_file, write_run_file
@@ -122,7 +122,7 @@ class TestMinmax:
 def _package_scores(technique, query_tokens, token_lists, paths, history=None, alpha=DEFAULT_ALPHA):
     index = build_index(token_lists, paths)
     query = vectorize_tokens(query_tokens, index)
-    entries = HistorySet(history_entries(index, history or []))
+    entries = history_set(index, history or [])
     return score_documents(query, index, technique, history=entries, alpha=alpha)
 
 
@@ -187,13 +187,12 @@ class TestSimiAgainstReference:
         index = build_index(token_lists, paths)
         query = vectorize_tokens(["cache", "miss"], index)
 
-        entries = history_entries(index, history)
-        got = simi_scores(query, index, HistorySet(entries))
+        got = simi_scores(query, index, history_set(index, history))
         want = ref_simi(["cache", "miss"], token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
-        sim1 = cosine(query.weights, query.norm,
-                      entries[0].vector.weights, entries[0].vector.norm)
+        first = vectorize_tokens(history[0][0], index)
+        sim1 = cosine(query.weights, query.norm, first.weights, first.norm)
         assert got[0] == pytest.approx(sim1 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(24, 32))
@@ -208,7 +207,7 @@ class TestSimiAgainstReference:
             history.append((_random_query(rng), fixed))
         index = build_index(token_lists, paths)
         query_vec = vectorize_tokens(query, index)
-        got = simi_scores(query_vec, index, HistorySet(history_entries(index, history)))
+        got = simi_scores(query_vec, index, history_set(index, history))
         want = ref_simi(query, token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -216,7 +215,7 @@ class TestSimiAgainstReference:
         token_lists = [["cache"], ["order"]]
         index = build_index(token_lists, ["a", "b"])
         query = vectorize_tokens(["cache"], index)
-        assert simi_scores(query, index, HistorySet([])).tolist() == [0.0, 0.0]
+        assert simi_scores(query, index, HistorySet.build([], index)).tolist() == [0.0, 0.0]
 
 
 class TestBugLocatorAgainstReference:
@@ -240,7 +239,7 @@ class TestBugLocatorAgainstReference:
         index = build_index(token_lists, paths)
         query = vectorize_tokens(["cache", "miss"], index)
         alpha = DEFAULT_ALPHA
-        got = buglocator_scores(query, index, HistorySet([]), alpha=alpha)
+        got = buglocator_scores(query, index, HistorySet.build([], index), alpha=alpha)
         expected = (1.0 - alpha) * minmax(rvsm_scores(query, index)) + alpha * 0.5
         assert np.array_equal(got, expected)
         # and the induced order matches plain rvsm
@@ -255,7 +254,7 @@ class TestBugLocatorAgainstReference:
         query = vectorize_tokens(["cache"], index)
         for alpha in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                buglocator_scores(query, index, HistorySet([]), alpha=alpha)
+                buglocator_scores(query, index, HistorySet.build([], index), alpha=alpha)
 
     def test_alpha_one_is_pure_history(self):
         token_lists = [["cache", "miss"], ["order"]]
@@ -315,7 +314,10 @@ class TestHistorySet:
         ]
         hs = HistorySet.build(reports, index)
         assert len(hs) == 1
-        assert hs.entries[0].report_id == "R1"
+        # R1 is the only resolved report with a fix.
+        assert hs.times == (t1,)
+        rows, docs, n_fixed = hs.incidences()
+        assert (rows.tolist(), docs.tolist(), n_fixed.tolist()) == ([0], [0], [1.0])
 
     def test_build_dedupes_normalized_paths(self):
         index = self._index()
@@ -325,9 +327,9 @@ class TestHistorySet:
             "R1", t0, t1, ("src\\A.java", "./src/A.java", "src/A.java")
         )
         hs = HistorySet.build([report], index)
-        entry = hs.entries[0]
-        assert entry.n_fixed == 1
-        assert entry.fixed_doc_ids == (0,)
+        _, docs, n_fixed = hs.incidences()
+        assert n_fixed.tolist() == [1.0]
+        assert docs.tolist() == [0]
 
     def test_build_counts_out_of_corpus_fixed_files(self):
         index = self._index()
@@ -335,18 +337,20 @@ class TestHistorySet:
         t1 = datetime(2024, 2, 1, tzinfo=UTC)
         report = self._report("R1", t0, t1, ("src/A.java", "src/Gone.java"))
         hs = HistorySet.build([report], index)
-        entry = hs.entries[0]
-        assert entry.n_fixed == 2
-        assert entry.fixed_doc_ids == (0,)
+        _, docs, n_fixed = hs.incidences()
+        assert n_fixed.tolist() == [2.0]
+        assert docs.tolist() == [0]
 
     def test_before_is_strict(self):
         index = self._index()
         t0 = datetime(2024, 1, 1, tzinfo=UTC)
         resolved = datetime(2024, 3, 15, 12, 0, tzinfo=UTC)
         hs = HistorySet.build([self._report("R1", t0, resolved, ("src/A.java",))], index)
-        assert hs.before(resolved).entries == ()  # equal timestamp is not "before"
+        assert len(hs.before(resolved)) == 0  # equal timestamp is not "before"
+        assert [a.size for a in hs.before(resolved).incidences()] == [0, 0, 0]
         after = datetime(2024, 3, 15, 12, 0, 1, tzinfo=UTC)
-        assert [e.report_id for e in hs.before(after).entries] == ["R1"]
+        assert len(hs.before(after)) == 1
+        assert [a.size for a in hs.before(after).incidences()] == [1, 1, 1]
 
     def test_before_filters_mixed_timeline(self):
         index = self._index()
@@ -357,7 +361,11 @@ class TestHistorySet:
         ]
         hs = HistorySet.build(reports, index)
         cut = datetime(2024, 4, 1, tzinfo=UTC)
-        assert [e.report_id for e in hs.before(cut).entries] == ["OLD"]
+        old = hs.before(cut)
+        assert len(old) == 1
+        # OLD's fix, src/A.java, and not NEW's.
+        rows, docs, n_fixed = old.incidences()
+        assert (rows.tolist(), docs.tolist(), n_fixed.tolist()) == ([0], [0], [1.0])
 
 
 class TestMakeRanking:
@@ -518,13 +526,15 @@ class TestVectorizedPathsProperties:
     def test_simi_over_prefix_matches_list_and_reference(self, case):
         token_lists, paths, history, query, cut = case
         index = build_index(token_lists, paths)
-        entries = history_entries(index, history)
         query_vec = vectorize_tokens(query, index)
-        prior = [e for e in entries if e.resolved_at < cut]
-        prefix = HistorySet(entries).before(cut)
-        assert prefix.entries == tuple(sorted(prior, key=lambda e: e.resolved_at))
+        prior = history_set(index, [h for h in history if h[2] < cut])
+        prefix = history_set(index, history).before(cut)
+        assert prefix.times[:len(prefix)] == prior.times
+        for got, want in zip((*prefix.csr(), *prefix.incidences()),
+                             (*prior.csr(), *prior.incidences()), strict=True):
+            assert np.array_equal(got, want)
         got = simi_scores(query_vec, index, prefix)
-        assert np.array_equal(got, simi_scores(query_vec, index, HistorySet(prior)))
+        assert np.array_equal(got, simi_scores(query_vec, index, prior))
         want = ref_simi(query, token_lists, paths,
                         [(toks, fixed) for toks, fixed, t in history if t < cut])
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)

@@ -62,6 +62,11 @@ class TestLoadGlossary:
         path = self._write(tmp_path, "在庫\tinventory\r\n同期\tsync\r\n")
         assert load_glossary(path) == {"在庫": "inventory", "同期": "sync"}
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = self._write(tmp_path, "\ufeff在庫\tinventory\n同期\tsync\n")
+        assert load_glossary(path) == {"在庫": "inventory", "同期": "sync"}
+        assert GlossaryBackend(load_glossary(path)).translate_batch(["在庫"]) == ["inventory"]
+
     def test_one_field_rejected(self, tmp_path):
         path = self._write(tmp_path, "在庫inventory\n")
         with pytest.raises(TranslationError, match=":1:"):
