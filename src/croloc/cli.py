@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 
 from . import TECHNIQUES
 from .corpus import (
-    BugReport,
     Corpus,
     SourceDocument,
     fan_out,
@@ -53,7 +52,7 @@ from .evalharness import (
 )
 
 if TYPE_CHECKING:
-    from .index import Index, QueryVector
+    from .index import Index
     from .translate import CacheRow, TranslatorBackend
 
 # Names taken from modules that not every command needs. They become globals
@@ -63,9 +62,9 @@ if TYPE_CHECKING:
 # (perfbench/tracer.py) sees every call.
 _LAZY = {
     "extract": ("extract_spans", "japanese_segments"),
-    "index": ("load_index", "save_index", "vectorize_query"),
+    "index": ("QueryRows", "load_index", "save_index", "vectorize_query"),
     "rank": ("DEFAULT_ALPHA", "DEFAULT_TOP_K", "HistorySet", "make_ranking",
-             "score_documents"),
+             "query_chunks", "score_documents"),
     "translate": ("GlossaryBackend", "IdentityBackend", "ServiceBackend",
                   "TranslationCache", "load_glossary", "translate_document",
                   "translate_report"),
@@ -370,25 +369,24 @@ def cmd_locate(args: argparse.Namespace) -> int:
             raise ConfigError("no usable bug reports to rank; "
                               "use --query to force specific ids")
 
-    vectors: dict[str, QueryVector] = {}
-
-    def vectorize(report: BugReport) -> QueryVector:
-        # Queries are usually history too: vectorize each text once.
-        text = report.query_text
-        if text not in vectors:
-            vectors[text] = vectorize_query(text, index)
-        return vectors[text]
-
-    history = (HistorySet.build(reports, index, vectorize)
-               if args.technique == "buglocator" else None)
+    # Queries are usually history too: vectorize each distinct text once,
+    # into one matrix that the history and the queries take their rows from.
+    buglocator = args.technique == "buglocator"
+    texts = list(dict.fromkeys(r.query_text for r in (reports if buglocator else queries)))
+    rows = QueryRows.pack([vectorize_query(text, index) for text in texts])
+    row_of = {text: i for i, text in enumerate(texts)}
+    history = HistorySet.build(reports, index, rows, row_of) if buglocator else None
+    query_rows = rows.take([row_of[r.query_text] for r in queries])
+    reported_at = [r.reported_at for r in queries]
     paths = index.paths
     rankings = []
-    for report in queries:
-        query = vectorize(report)
-        usable_history = history.before(report.reported_at) if history is not None else None
-        scores = score_documents(query, index, args.technique, usable_history, args.alpha)
-        order = make_ranking(scores, index, args.top_k)
-        rankings.append((report.id, [paths[d] for d in order.tolist()], scores[order].tolist()))
+    for lo, hi in query_chunks(query_rows, index, history):
+        scores = score_documents(query_rows.take(range(lo, hi)), index, args.technique,
+                                 history, args.alpha, reported_at[lo:hi])
+        for report, row in zip(queries[lo:hi], scores):
+            order = make_ranking(row, index, args.top_k)
+            rankings.append((report.id, [paths[d] for d in order.tolist()],
+                             row[order].tolist()))
 
     out_path = args.out or _default_run_path(args)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import os
+import re
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -53,10 +54,12 @@ def normalize_path(path: str) -> str:
 
 
 def read_lines(path: str | Path, error: type[CrolocError]) -> Iterator[tuple[int, str]]:
-    """(line number, line) of a UTF-8 text file, numbered from 1. A file
-    that does not decode raises ``error`` naming it."""
+    """(line number, line) of a UTF-8 text file, numbered from 1, without
+    the byte order mark that may start the file. A file that does not decode
+    raises ``error`` naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading U+FEFF once, and no other.
+        with open(path, encoding="utf-8-sig") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not valid UTF-8 ({exc})") from exc
@@ -349,10 +352,14 @@ def check_record(obj, kinds: dict[str, type], required: Collection[str],
     return fields
 
 
+# \s matches exactly the characters for which str.isspace() holds.
+_WHITESPACE = re.compile(r"\s")
+
+
 def check_token(value: str, what: str, error: type[CrolocError]) -> None:
     """Reject an empty ``value`` or one with whitespace: run and qrels files
     are whitespace-delimited."""
-    if not value or any(ch.isspace() for ch in value):
+    if not value or _WHITESPACE.search(value):
         raise error(f"{what} {value!r} is empty or contains whitespace; "
                     "run and qrels files are whitespace-delimited")
 

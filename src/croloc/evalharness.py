@@ -12,7 +12,6 @@ import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import count
 from typing import TextIO
 
 from .corpus import (BugReport, check_record, check_token, normalize_path, read_json_lines,
@@ -152,9 +151,15 @@ def write_run_file(
                 if p not in checked_paths:
                     check_token(p, "document path", EvalError)
                     checked_paths.add(p)
-            head, tail = f"{query_id} Q0 ", f" {tag}\n"
-            fh.write("".join([f"{head}{p} {rank} {score:.6f}{tail}"
-                              for rank, p, score in zip(count(1), paths, scores)]))
+            # One % over the block: a line's template k times, and its fields
+            # in line order.
+            k = min(len(paths), len(scores))
+            fields: list = [None] * (3 * k)
+            fields[0::3] = paths[:k]
+            fields[1::3] = range(1, k + 1)
+            fields[2::3] = scores[:k]
+            line = f"{query_id.replace('%', '%%')} Q0 %s %d %.6f {tag.replace('%', '%%')}\n"
+            fh.write(line * k % tuple(fields))
 
 
 def read_run_file(path: str) -> dict[str, list[str]]:

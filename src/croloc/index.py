@@ -17,7 +17,9 @@ import json
 import math
 import re
 import zipfile
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, pairwise
@@ -117,6 +119,62 @@ class QueryVector:
     norm: float
 
 
+def gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]`` to ``starts[i] + lengths[i] - 1`` of each
+    range in turn, as one array."""
+    # Entry j of the i-th range is at starts[i] + j.
+    firsts = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
+
+
+def transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+              n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The term→row postings of the CSR rows (indptr, indices, data):
+    (ptr, rows, weights), where term t's postings are the entries
+    ``ptr[t]:ptr[t + 1]`` of ``rows`` and ``weights``, in ascending row
+    order."""
+    # A stable sort keeps each term's entries in row order.
+    order = np.argsort(indices, kind="stable")
+    rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+    ptr = np.zeros(n_terms + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n_terms), out=ptr[1:])
+    return ptr, rows[order], data[order]
+
+
+@dataclass(frozen=True, eq=False)
+class QueryRows:
+    """Query vectors as the rows of a CSR matrix, laid out as the index's
+    documents are: row i's weights are ``data[indptr[i]:indptr[i + 1]]``
+    over the ascending term ids in the same slice of ``indices``, and
+    ``norms[i]`` is its norm."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    norms: np.ndarray
+
+    @classmethod
+    def pack(cls, vectors: Sequence[QueryVector]) -> "QueryRows":
+        rows = [sorted(v.weights.items()) for v in vectors]
+        return cls(np.cumsum([0, *map(len, rows)], dtype=np.int64),
+                   np.fromiter((t for row in rows for t, _ in row), dtype=np.int64),
+                   np.fromiter((w for row in rows for _, w in row), dtype=np.float64),
+                   np.array([v.norm for v in vectors], dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.norms)
+
+    def take(self, rows: Sequence[int]) -> "QueryRows":
+        """The rows numbered ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        entries = gather(starts, lengths)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        return QueryRows(indptr, self.indices[entries], self.data[entries], self.norms[rows])
+
+
 @dataclass(eq=False)
 class Index:
     """A tf-idf index. Document d's weights are the CSR row
@@ -173,12 +231,13 @@ class Index:
         ``ptr[t]:ptr[t + 1]`` of ``docs`` and ``weights``, in ascending
         doc id order."""
         indptr, indices, data, _ = self.csr()
-        # A stable sort keeps each term's entries in row, hence doc id, order.
-        order = np.argsort(indices, kind="stable")
-        rows = np.repeat(np.arange(self.n_docs, dtype=np.int64), np.diff(indptr))
-        ptr = np.zeros(len(self.vocabulary) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(indices, minlength=len(self.vocabulary)), out=ptr[1:])
-        return ptr, rows[order], data[order]
+        return transpose(indptr, indices, data, len(self.vocabulary))
+
+    @functools.cached_property
+    def idfs(self) -> array:
+        """Each term's idf, ``idf(doc_freq[t], n_docs)``, computed once and
+        held at 8 bytes a term."""
+        return array("d", (idf(df, self.n_docs) for df in self.doc_freq))
 
     @functools.cached_property
     def path_rank(self) -> np.ndarray:
@@ -198,26 +257,6 @@ class Index:
         return length_factor(self.term_counts)
 
 
-def _vector_norm(weights: dict[int, float]) -> float:
-    return math.sqrt(math.fsum(w * w for w in weights.values()))
-
-
-def tfidf_weights(tokens: list[str], term_ids: dict[str, int],
-                  doc_freq: tuple[int, ...], n_docs: int) -> dict[int, float]:
-    """tf-idf weights of a token stream, keyed by term id. The tf denominator
-    counts every token, terms outside ``term_ids`` are skipped, and zero
-    weights are dropped."""
-    c_d = len(tokens)
-    weights: dict[int, float] = {}
-    for term, c_td in Counter(tokens).items():
-        term_id = term_ids.get(term)
-        if term_id is not None:
-            w = tf(c_td, c_d) * idf(doc_freq[term_id], n_docs)
-            if w != 0.0:
-                weights[term_id] = w
-    return weights
-
-
 def build_index(
     token_lists: list[list[str]],
     paths: list[str],
@@ -227,7 +266,7 @@ def build_index(
 
     Vocabulary ids follow sorted term order, so the index is identical no
     matter how the corpus was traversed. Every weight and norm is the one
-    ``tfidf_weights`` and ``math.fsum`` give, bit for bit.
+    ``vectorize_tokens`` gives the document's tokens, bit for bit.
     """
     if len(token_lists) != len(paths):
         raise ValueError("token_lists and paths must be parallel")
@@ -279,20 +318,21 @@ def index_documents(raw_texts: list[str], paths: list[str], stemming: bool = Fal
 
 
 def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
-    """Query vector over the index vocabulary, weighted as documents are."""
-    weights = tfidf_weights(tokens, index.term_ids, index.doc_freq, index.n_docs)
-    return QueryVector(weights, _vector_norm(weights))
+    """Query vector over the index vocabulary, weighted as documents are.
+    The tf denominator counts every token, terms outside the vocabulary are
+    skipped, and zero weights are dropped."""
+    c_d = len(tokens)
+    term_ids, idfs = index.term_ids, index.idfs
+    weights: dict[int, float] = {}
+    for term, c_td in Counter(tokens).items():
+        if (term_id := term_ids.get(term)) is not None:
+            if (w := tf(c_td, c_d) * idfs[term_id]) != 0.0:
+                weights[term_id] = w
+    return QueryVector(weights, math.sqrt(math.fsum(w * w for w in weights.values())))
 
 
 def vectorize_query(text: str, index: Index) -> QueryVector:
     return vectorize_tokens(tokenize(text, index.stemming), index)
-
-
-def query_dense(query: QueryVector, index: Index) -> np.ndarray:
-    dense = np.zeros(len(index.vocabulary), dtype=np.float64)
-    for term_id, w in query.weights.items():
-        dense[term_id] = w
-    return dense
 
 
 # The index's arrays as saved, with their dtypes.

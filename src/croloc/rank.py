@@ -11,12 +11,17 @@ Three techniques build on one another:
 
 Min-max normalization maps a constant series to 0.5 everywhere. Ties in the
 final score break on lexicographic path order.
+
+Queries are scored a chunk at a time, as the rows of a ``QueryRows`` matrix:
+every technique returns one row of scores per query. VSM and simi share one
+kernel, ``csr_cosine``, over term postings: of the documents for VSM, of the
+history rows for simi.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime
 
@@ -24,10 +29,22 @@ import numpy as np
 
 from . import TECHNIQUES
 from .corpus import BugReport
-from .index import Index, QueryVector, query_dense
+from .index import Index, QueryRows, gather, transpose, vectorize_query
 
 DEFAULT_ALPHA = 0.2
 DEFAULT_TOP_K = 100
+
+# The most cells one chunk of queries may take: the postings its queries
+# gather from the index and the history, plus one per (query, document) and
+# one per (query, history row). On a 2-CPU VM, scoring a chunk has a fixed
+# cost of about 0.12 ms (some 45 numpy calls), and its temporaries peak at
+# about 12 bytes a cell. On perfbench's replay-warm (470 queries, 400
+# documents, up to 490 history rows, about 3,100 cells a query), scoring took
+# 89 ms at one query per chunk, 37 ms at 2^15 cells (45 chunks) and 42 ms in
+# one chunk, and locate's peak RSS rose by 0.1 MiB at 2^15 cells, 2.1 MiB at
+# 2^17 and 17.5 MiB in one chunk. 2^15 keeps the fixed cost near a third of
+# the work and the peak where one query at a time left it.
+CHUNK_CELLS = 1 << 15
 
 
 def cosine(a_weights: dict[int, float], a_norm: float,
@@ -42,15 +59,14 @@ def cosine(a_weights: dict[int, float], a_norm: float,
 
 
 def minmax(values: np.ndarray) -> np.ndarray:
-    """(x - min)/(max - min) elementwise; a constant series maps to 0.5."""
+    """(x - min)/(max - min) elementwise along the last axis, so over each
+    row of a matrix on its own; a constant row maps to 0.5."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return values.copy()
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi == lo:
-        return np.full(values.shape, 0.5)
-    return (values - lo) / (hi - lo)
+    lo = values.min(axis=-1, keepdims=True)
+    hi = values.max(axis=-1, keepdims=True)
+    return np.divide(values - lo, hi - lo, out=np.full(values.shape, 0.5), where=hi != lo)
 
 
 def length_factor(term_counts: np.ndarray) -> np.ndarray:
@@ -66,21 +82,24 @@ class HistorySet:
     A report is usable for a query only when it was resolved strictly before
     the query was reported; unresolved reports and reports without fixed
     files never contribute. The usable reports are held in stable
-    resolution-time order, as arrays: row r of the CSR matrix (indptr,
-    indices, data, norms) is report r's vector, ``n_fixed[r]`` its number of
-    fixed files, and each (row, doc) pair of its fix is one incidence. The
-    set is its first ``n`` rows, whose rows and incidences are prefixes, so
-    ``before`` is a bisection that returns a view sharing these arrays.
+    resolution-time order, as arrays: row r of ``vectors`` is report r's
+    query vector, ``n_fixed[r]`` its number of fixed files, and its fix
+    touched the doc ids ``inc_docs[inc_ptr[r]:inc_ptr[r + 1]]``.
+    ``postings`` is the term→row transpose of ``vectors``, and ``keys[e]``
+    is ``term * N + row`` of posting e, for the N rows of the whole set, so
+    that cutting every term's postings at some row is one ``searchsorted``.
+    The set is its first ``n`` rows, whose rows and incidences are
+    prefixes, so ``before`` is a bisection that returns a view sharing these
+    arrays.
     """
 
     times: tuple[datetime, ...]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    norms: np.ndarray
+    vectors: QueryRows
     n_fixed: np.ndarray
-    inc_rows: np.ndarray
+    inc_ptr: np.ndarray
     inc_docs: np.ndarray
+    postings: tuple[np.ndarray, np.ndarray, np.ndarray]
+    keys: np.ndarray
     n: int
 
     @classmethod
@@ -88,37 +107,36 @@ class HistorySet:
         cls,
         reports: Iterable[BugReport],
         index: Index,
-        vectorize: Callable[[BugReport], QueryVector] | None = None,
+        rows: QueryRows | None = None,
+        row_of: Mapping[str, int] | None = None,
     ) -> "HistorySet":
-        """History of the resolved reports with fixed files. ``vectorize``
-        maps a report to its query vector, by default ``vectorize_query``
-        over its query text; callers that rank the same reports pass a
-        shared one so each report is vectorized once."""
-        from .index import vectorize_query
-
-        if vectorize is None:
-            def vectorize(report: BugReport) -> QueryVector:
-                return vectorize_query(report.query_text, index)
-
+        """History of the resolved reports with fixed files. A report's
+        query vector is row ``row_of[report.query_text]`` of ``rows``; by
+        default, ``vectorize_query`` over its query text. Callers that rank
+        the same reports pass rows they share, so that each text is
+        vectorized once."""
         usable = [(r, fixed) for r in reports
                   if r.resolved_at is not None and (fixed := r.fixed_paths)]
         usable.sort(key=lambda pair: pair[0].resolved_at)
-        vectors = [vectorize(r) for r, _ in usable]
-        # Each row's term ids ascend, as in the index's rows.
-        rows = [sorted(v.weights.items()) for v in vectors]
+        if rows is None:
+            vectors = QueryRows.pack([vectorize_query(r.query_text, index) for r, _ in usable])
+        else:
+            vectors = rows.take([row_of[r.query_text] for r, _ in usable])
         doc_ids = {p: i for i, p in enumerate(index.paths)}
         # A fixed file outside the index counts in n_fixed but credits nothing.
-        incidences = np.array([(row, doc_ids[p]) for row, (_, fixed) in enumerate(usable)
-                               for p in fixed if p in doc_ids], dtype=np.int64).reshape(-1, 2)
+        touched = [[doc_ids[p] for p in fixed if p in doc_ids] for _, fixed in usable]
+        postings = transpose(vectors.indptr, vectors.indices, vectors.data,
+                             len(index.vocabulary))
+        ptr, post_rows, _ = postings
+        terms = np.repeat(np.arange(len(index.vocabulary), dtype=np.int64), np.diff(ptr))
         return cls(
             times=tuple(r.resolved_at for r, _ in usable),
-            indptr=np.cumsum([0, *map(len, rows)], dtype=np.int64),
-            indices=np.fromiter((t for row in rows for t, _ in row), dtype=np.int64),
-            data=np.fromiter((w for row in rows for _, w in row), dtype=np.float64),
-            norms=np.array([v.norm for v in vectors], dtype=np.float64),
+            vectors=vectors,
             n_fixed=np.array([len(fixed) for _, fixed in usable], dtype=np.float64),
-            inc_rows=incidences[:, 0],
-            inc_docs=incidences[:, 1],
+            inc_ptr=np.cumsum([0, *map(len, touched)], dtype=np.int64),
+            inc_docs=np.fromiter((d for docs in touched for d in docs), dtype=np.int64),
+            postings=postings,
+            keys=terms * len(usable) + post_rows,
             n=len(usable),
         )
 
@@ -126,133 +144,173 @@ class HistorySet:
         """The reports resolved strictly before ``reported_at``."""
         return replace(self, n=bisect_left(self.times, reported_at, hi=self.n))
 
+    def rows_before(self, times: Sequence[datetime]) -> np.ndarray:
+        """For each of ``times``, the number of this set's reports resolved
+        strictly before it."""
+        return np.array([bisect_left(self.times, t, hi=self.n) for t in times],
+                        dtype=np.int64)
+
     def __len__(self) -> int:
         return self.n
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, data, norms) of this set's rows."""
-        n = self.n
-        nnz = self.indptr[n]
-        return self.indptr[:n + 1], self.indices[:nnz], self.data[:nnz], self.norms[:n]
+        n, v = self.n, self.vectors
+        nnz = v.indptr[n]
+        return v.indptr[:n + 1], v.indices[:nnz], v.data[:nnz], v.norms[:n]
 
     def incidences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, doc id) of every file this set's fixes touched, and each
         row's number of fixed files."""
-        k = np.searchsorted(self.inc_rows, self.n)
-        return self.inc_rows[:k], self.inc_docs[:k], self.n_fixed[:self.n]
+        n = self.n
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.inc_ptr[:n + 1]))
+        return rows, self.inc_docs[:self.inc_ptr[n]], self.n_fixed[:n]
 
 
 def csr_cosine(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
+    ptr: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
     norms: np.ndarray,
-    qdense: np.ndarray,
-    qnorm: float,
+    queries: QueryRows,
+    ends: np.ndarray | None,
 ) -> np.ndarray:
-    """Cosine of one dense query against every row of a CSR matrix, once per
-    bug report and once per history sweep.
+    """Cosines of each query against every target of term postings, as a
+    (queries, targets) matrix; the one cosine kernel, for documents (VSM)
+    and for history rows (simi).
 
-    ``indptr``/``indices``/``data`` form the per-row term weights, ``norms``
-    the per-row Euclidean norms, ``qdense`` the query weights over the same
-    vocabulary. Zero-norm rows or a zero-norm query score 0. Each row's
-    products are summed on their own, in stored order, starting from
-    ``0.0``, so two identical rows get identical cosines wherever they sit
-    in the matrix, and true ties break on path order.
+    Term t's postings are the entries ``ptr[t]:ptr[t + 1]`` of ``targets``
+    and ``weights``, in ascending target order, and ``norms`` holds each
+    target's norm. ``ends``, if given, holds for each stored query term
+    (parallel to ``queries.indices``) the entry where its postings stop
+    instead. Each query's terms ascend and their postings are gathered in
+    that order, so ``np.bincount`` adds every (query, target) sum in
+    ascending term id order from 0.0, the order of a sweep of the target's
+    row; the zero products such a sweep adds for terms the query lacks leave
+    a sum begun at +0.0 unchanged. So a cosine does not depend on where its
+    target sits or what else is in the chunk, and true ties break on path
+    order. A zero norm on either side scores 0.
     """
-    n_docs = indptr.shape[0] - 1
-    if qnorm <= 0.0:
-        return np.zeros(n_docs, dtype=np.float64)
-    products = data * qdense[indices]
-    # bincount adds each product into its row's bin in stored order, starting
-    # from 0.0, and leaves empty rows at exactly 0.
-    row_ids = np.repeat(np.arange(n_docs), np.diff(indptr))
-    return _cosines(np.bincount(row_ids, weights=products, minlength=n_docs), norms, qnorm)
-
-
-def _cosines(dots: np.ndarray, norms: np.ndarray, qnorm: float) -> np.ndarray:
-    """dots / (norms * qnorm), and 0 where that product is not positive."""
-    out = np.zeros(dots.shape[0], dtype=np.float64)
-    denom = norms * qnorm
-    mask = denom > 0.0
-    out[mask] = dots[mask] / denom[mask]
-    return out
-
-
-def vsm_scores(query: QueryVector, index: Index) -> np.ndarray:
-    """Cosine of the query against every document, over the postings of the
-    query's terms only.
-
-    The query's terms are taken in ascending id order and their postings
-    gathered in one go, so ``np.bincount`` adds each document's products in
-    ascending term id order from 0.0: the order of ``csr_cosine``'s row sum.
-    There, the terms a query lacks add a zero product, and adding a zero
-    leaves a sum begun at +0.0 unchanged, so both give bit-identical cosines.
-    Zero norms score 0, as in ``csr_cosine``.
-    """
-    n_docs = index.n_docs
-    if query.norm <= 0.0:
-        return np.zeros(n_docs, dtype=np.float64)
-    ptr, docs, weights = index.postings
-    term_list = sorted(query.weights)
-    terms = np.array(term_list, dtype=np.int64)
-    qweights = np.array([query.weights[t] for t in term_list], dtype=np.float64)
+    m, n = len(queries), norms.shape[0]
+    terms = queries.indices
     starts = ptr[terms]
-    lengths = ptr[terms + 1] - starts
-    # Entry j of the i-th term's postings is at starts[i] + j.
-    firsts = np.cumsum(lengths) - lengths
-    entries = np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
-    dots = np.bincount(docs[entries], weights=np.repeat(qweights, lengths) * weights[entries],
-                       minlength=n_docs)
-    return _cosines(dots, index.norms, query.norm)
+    lengths = (ptr[terms + 1] if ends is None else ends) - starts
+    entries = gather(starts, lengths)
+    bins = np.repeat(np.repeat(np.arange(m, dtype=np.int64) * n, np.diff(queries.indptr)),
+                     lengths)
+    bins += targets[entries]
+    dots = np.bincount(bins, weights=np.repeat(queries.data, lengths) * weights[entries],
+                       minlength=m * n).reshape(m, n)
+    denom = norms * queries.norms[:, None]
+    return np.divide(dots, denom, out=np.zeros((m, n)), where=denom > 0.0)
 
 
-def rvsm_scores(query: QueryVector, index: Index) -> np.ndarray:
-    return index.length_factor * vsm_scores(query, index)
+def vsm_scores(queries: QueryRows, index: Index) -> np.ndarray:
+    """Cosine of each query against every document, over the postings of
+    the query's terms only."""
+    ptr, docs, weights = index.postings
+    return csr_cosine(ptr, docs, weights, index.norms, queries, None)
 
 
-def simi_scores(query: QueryVector, index: Index, history: HistorySet) -> np.ndarray:
-    """Sum over usable prior reports of cosine(query, report)/n_fixed, added
-    to every file that report's fix touched.
+def rvsm_scores(queries: QueryRows, index: Index) -> np.ndarray:
+    return index.length_factor * vsm_scores(queries, index)
 
-    One cosine sweep over the history rows, then one scatter of each row's
-    share onto its fixed files, in row order."""
-    sims = csr_cosine(*history.csr(), query_dense(query, index), query.norm)
-    rows, docs, n_fixed = history.incidences()
-    return np.bincount(docs, weights=sims[rows] / n_fixed[rows], minlength=index.n_docs)
+
+def simi_scores(
+    queries: QueryRows,
+    index: Index,
+    history: HistorySet,
+    reported_at: Sequence[datetime] | None = None,
+) -> np.ndarray:
+    """For each query, the sum over its usable prior reports of
+    cosine(query, report)/n_fixed, added to every file that report's fix
+    touched. Query i may use the reports of ``history`` resolved strictly
+    before ``reported_at[i]``, or all of them when ``reported_at`` is None.
+
+    One cosine pass over the history postings, each query's cut to its
+    usable rows, then one scatter of each nonzero share onto its fixed
+    files, in row order. Leaving out the zero shares changes no bit: every
+    share is at least +0.0."""
+    m, n_docs = len(queries), index.n_docs
+    if reported_at is None:
+        usable = np.full(m, len(history), dtype=np.int64)
+    else:
+        if m:
+            # The rows the chunk's latest query may use; no query uses more.
+            history = history.before(max(reported_at))
+        usable = history.rows_before(reported_at)
+    ptr, rows, weights = history.postings
+    n_rows = len(history.times)
+    cut = np.repeat(usable, np.diff(queries.indptr))
+    ends = np.searchsorted(history.keys, queries.indices * n_rows + cut)
+    sims = csr_cosine(ptr, rows, weights, history.vectors.norms[:history.n], queries, ends)
+    at, row = np.nonzero(sims)
+    starts = history.inc_ptr[row]
+    lengths = history.inc_ptr[row + 1] - starts
+    bins = np.repeat(at * n_docs, lengths) + history.inc_docs[gather(starts, lengths)]
+    shares = np.repeat(sims[at, row] / history.n_fixed[row], lengths)
+    return np.bincount(bins, weights=shares, minlength=m * n_docs).reshape(m, n_docs)
 
 
 def buglocator_scores(
-    query: QueryVector,
+    queries: QueryRows,
     index: Index,
     history: HistorySet,
     alpha: float = DEFAULT_ALPHA,
+    reported_at: Sequence[datetime] | None = None,
 ) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    rvsm = rvsm_scores(query, index)
-    simi = simi_scores(query, index, history)
+    rvsm = rvsm_scores(queries, index)
+    simi = simi_scores(queries, index, history, reported_at)
     return (1.0 - alpha) * minmax(rvsm) + alpha * minmax(simi)
 
 
 def score_documents(
-    query: QueryVector,
+    queries: QueryRows,
     index: Index,
     technique: str,
     history: HistorySet | None = None,
     alpha: float = DEFAULT_ALPHA,
+    reported_at: Sequence[datetime] | None = None,
 ) -> np.ndarray:
-    """Scores of every document under ``technique``; buglocator takes its
-    evidence from ``history``, and None means no history."""
+    """Scores of every document under ``technique``, one row per query;
+    buglocator takes its evidence from ``history`` (None means no history),
+    each query from the reports resolved before its ``reported_at``."""
     if technique == "vsm":
-        return vsm_scores(query, index)
+        return vsm_scores(queries, index)
     if technique == "rvsm":
-        return rvsm_scores(query, index)
+        return rvsm_scores(queries, index)
     if technique == "buglocator":
         if history is None:
             history = HistorySet.build((), index)
-        return buglocator_scores(query, index, history, alpha)
+        return buglocator_scores(queries, index, history, alpha, reported_at)
     raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
+
+
+def query_chunks(queries: QueryRows, index: Index,
+                 history: HistorySet | None = None) -> list[tuple[int, int]]:
+    """(lo, hi) of consecutive chunks of ``queries`` that cover them in
+    order, each as long as ``CHUNK_CELLS`` allows and at least one query
+    long. A query's cells are the postings of its terms in the index and in
+    ``history``, one per document and one per history row."""
+    terms = queries.indices
+    ptr = index.postings[0]
+    gathered = ptr[terms + 1] - ptr[terms]
+    width = index.n_docs
+    if history is not None:
+        hptr = history.postings[0]
+        gathered += hptr[terms + 1] - hptr[terms]
+        width += len(history)
+    owner = np.repeat(np.arange(len(queries)), np.diff(queries.indptr))
+    ends = np.cumsum(np.bincount(owner, weights=gathered, minlength=len(queries)) + width)
+    bounds, lo = [], 0
+    while lo < len(queries):
+        limit = (ends[lo - 1] if lo else 0.0) + CHUNK_CELLS
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
 
 
 def make_ranking(scores: np.ndarray, index: Index, top_k: int = DEFAULT_TOP_K) -> np.ndarray:

@@ -54,12 +54,10 @@ class IdentityBackend(TranslatorBackend):
 
 def load_glossary(path: str) -> dict[str, str]:
     """Tab-separated source/translation pairs, one per line; # starts a
-    comment, and a byte order mark before the first line is dropped."""
+    comment."""
     glossary: dict[str, str] = {}
     for lineno, line in read_lines(path, TranslationError):
         line = line.rstrip("\r\n")
-        if lineno == 1:
-            line = line.removeprefix("\ufeff")
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

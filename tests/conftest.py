@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 import pytest
 
 from croloc.corpus import BugReport
-from croloc.index import vectorize_tokens
+from croloc.index import QueryRows, vectorize_tokens
 from croloc.rank import HistorySet
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -28,17 +28,24 @@ def project_dir() -> pathlib.Path:
 RESOLVED_AT = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
+def batch(*vectors):
+    """The ``QueryRows`` of ``vectors``, one row each, in order."""
+    return QueryRows.pack(vectors)
+
+
 def history_set(index, history):
     """``HistorySet.build`` over a resolved report for each
     ``(tokens, fixed paths[, resolved_at])`` of ``history``, whose query
     vector is its tokens' over ``index``. Its fix counts each path once, and
     it was resolved at ``RESOLVED_AT`` unless it says otherwise."""
-    reports, vectors = [], {}
-    for i, (tokens, fixed, *when) in enumerate(history):
+    reports = []
+    for i, (_, fixed, *when) in enumerate(history):
         resolved_at = when[0] if when else RESOLVED_AT
-        reports.append(BugReport(f"H{i}", "", "", resolved_at, resolved_at, tuple(fixed)))
-        vectors[reports[-1].id] = vectorize_tokens(tokens, index)
-    return HistorySet.build(reports, index, lambda report: vectors[report.id])
+        # Each report's query text is its own, and names its row.
+        reports.append(BugReport(f"H{i}", f"H{i}", "", resolved_at, resolved_at, tuple(fixed)))
+    rows = batch(*(vectorize_tokens(tokens, index) for tokens, *_ in history))
+    return HistorySet.build(reports, index, rows,
+                            {r.query_text: i for i, r in enumerate(reports)})
 
 
 def assert_no_child_left():

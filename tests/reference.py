@@ -17,6 +17,11 @@ Glossary translation: the earlier scan that tries, at each position, the
 phrases beginning with its character from the longest down, kept as the
 oracle of the backend's one compiled alternation.
 
+Per-query scoring: the path that scored one query at a time, with its
+tf-idf weighting by dict, its dense query and its row sweep over a CSR
+matrix, kept as the oracle of the chunked postings kernel: every score must
+match it bit for bit.
+
 Translation cache load: the earlier loop that hands each line's bytes to
 ``json.loads``, kept as the oracle of the loader that decodes the file once.
 It has since learnt two rules: a line nested too deep for ``json.loads``
@@ -27,12 +32,16 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
+
+import numpy as np
 
 from croloc.corpus import Language, normalize_path
 from croloc.errors import TranslationError
 from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
 from croloc.extract import JAPANESE_RANGES, Segment, SpanKind, _Scanner
-from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS
+from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS, idf, tf
+from croloc.rank import HistorySet
 from croloc.porter import stem as porter_stem
 
 
@@ -129,6 +138,74 @@ def ref_buglocator(query_tokens, token_lists, paths, history, alpha):
     rvsm = ref_minmax(ref_rvsm(query_tokens, token_lists))
     simi = ref_minmax(ref_simi(query_tokens, token_lists, paths, history))
     return [(1.0 - alpha) * a + alpha * b for a, b in zip(rvsm, simi)]
+
+
+def tfidf_weights(tokens, term_ids, doc_freq, n_docs):
+    """tf-idf weights of a token stream, keyed by term id. The tf denominator
+    counts every token, terms outside ``term_ids`` are skipped, and zero
+    weights are dropped."""
+    c_d = len(tokens)
+    weights = {}
+    for term, c_td in Counter(tokens).items():
+        term_id = term_ids.get(term)
+        if term_id is not None:
+            w = tf(c_td, c_d) * idf(doc_freq[term_id], n_docs)
+            if w != 0.0:
+                weights[term_id] = w
+    return weights
+
+
+def query_dense(query, index):
+    """The query's weights over the whole vocabulary."""
+    dense = np.zeros(len(index.vocabulary), dtype=np.float64)
+    for term_id, w in query.weights.items():
+        dense[term_id] = w
+    return dense
+
+
+def ref_csr_cosine(indptr, indices, data, norms, qdense, qnorm):
+    """Cosine of one dense query against every row of a CSR matrix. Each
+    row's products are summed on their own, in stored order, from 0.0;
+    zero-norm rows or a zero-norm query score 0."""
+    n_rows = indptr.shape[0] - 1
+    if qnorm <= 0.0:
+        return np.zeros(n_rows, dtype=np.float64)
+    products = data * qdense[indices]
+    row_ids = np.repeat(np.arange(n_rows), np.diff(indptr))
+    dots = np.bincount(row_ids, weights=products, minlength=n_rows)
+    out = np.zeros(n_rows, dtype=np.float64)
+    denom = norms * qnorm
+    mask = denom > 0.0
+    out[mask] = dots[mask] / denom[mask]
+    return out
+
+
+def _minmax_array(values):
+    if values.size == 0:
+        return values.copy()
+    lo, hi = float(values.min()), float(values.max())
+    if hi == lo:
+        return np.full(values.shape, 0.5)
+    return (values - lo) / (hi - lo)
+
+
+def per_query_scores(query, index, technique, history=None, alpha=0.2):
+    """Scores of every document for one ``QueryVector``, as the per-query
+    path computed them; buglocator's evidence is all of ``history``."""
+    dense = query_dense(query, index)
+    vsm = ref_csr_cosine(*index.csr(), dense, query.norm)
+    if technique == "vsm":
+        return vsm
+    length = 1.0 / (1.0 + np.exp(-_minmax_array(index.term_counts.astype(np.float64))))
+    rvsm = length * vsm
+    if technique == "rvsm":
+        return rvsm
+    if history is None:
+        history = HistorySet.build((), index)
+    sims = ref_csr_cosine(*history.csr(), dense, query.norm)
+    rows, docs, n_fixed = history.incidences()
+    simi = np.bincount(docs, weights=sims[rows] / n_fixed[rows], minlength=index.n_docs)
+    return (1.0 - alpha) * _minmax_array(rvsm) + alpha * _minmax_array(simi)
 
 
 def ref_average_precision(ranked, relevant):

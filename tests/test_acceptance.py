@@ -17,7 +17,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, history_set
+from conftest import FIXTURES, batch, history_set
 from croloc.corpus import (
     BugReport,
     filter_usable_reports,
@@ -159,7 +159,7 @@ def _random_corpora():
             "query": query,
             "history": history,
             "index": index,
-            "query_vec": vectorize_tokens(query, index),
+            "query_vec": batch(vectorize_tokens(query, index)),
             "entries": history_set(index, history),
         })
     _corpora_cache = corpora
@@ -187,18 +187,18 @@ def test_acceptance_1_formula_equivalence():
         assert len(corpora) >= 100
         for c in corpora:
             q, index = c["query_vec"], c["index"]
-            _assert_close(vsm_scores(q, index).tolist(),
+            _assert_close(vsm_scores(q, index)[0].tolist(),
                           ref_vsm(c["query"], c["token_lists"]), label="vsm")
-            _assert_close(rvsm_scores(q, index).tolist(),
+            _assert_close(rvsm_scores(q, index)[0].tolist(),
                           ref_rvsm(c["query"], c["token_lists"]), label="rvsm")
             _assert_close(
-                simi_scores(q, index, c["entries"]).tolist(),
+                simi_scores(q, index, c["entries"])[0].tolist(),
                 ref_simi(c["query"], c["token_lists"], c["paths"], c["history"]),
                 label="simi",
             )
             for alpha in (0.0, 0.2, 0.5, 1.0):
                 _assert_close(
-                    buglocator_scores(q, index, c["entries"], alpha=alpha).tolist(),
+                    buglocator_scores(q, index, c["entries"], alpha=alpha)[0].tolist(),
                     ref_buglocator(c["query"], c["token_lists"], c["paths"],
                                    c["history"], alpha),
                     label=f"combined a={alpha}",
@@ -214,8 +214,8 @@ def test_acceptance_2_alpha_zero_order():
     with criterion(2, desc):
         for c in _random_corpora():
             q, index = c["query_vec"], c["index"]
-            combined = buglocator_scores(q, index, c["entries"], alpha=0.0)
-            rvsm = rvsm_scores(q, index)
+            combined = buglocator_scores(q, index, c["entries"], alpha=0.0)[0]
+            rvsm = rvsm_scores(q, index)[0]
             order_combined = [index.paths[d] for d in make_ranking(combined, index, top_k=0)]
             order_rvsm = [index.paths[d] for d in make_ranking(rvsm, index, top_k=0)]
             assert order_combined == order_rvsm
@@ -232,11 +232,11 @@ def test_acceptance_3_rvsm_size_monotonicity():
                 token_lists = [list(base), list(base) * multiplier, ["filler"]]
                 paths = ["small.java", "large.java", "filler.java"]
                 index = build_index(token_lists, paths)
-                query = vectorize_tokens(list(base), index)
-                vsm = vsm_scores(query, index)
+                query = batch(vectorize_tokens(list(base), index))
+                vsm = vsm_scores(query, index)[0]
                 assert vsm[0] == vsm[1], "construction must hold cosine equal"
                 assert vsm[0] > 0.0
-                rvsm = rvsm_scores(query, index)
+                rvsm = rvsm_scores(query, index)[0]
                 assert rvsm[1] > rvsm[0], (base, multiplier)
                 checked += 1
         assert checked == len(bases) * 7
@@ -382,11 +382,11 @@ def _project_run(translate: bool):
     history = HistorySet.build(reports, index)
     run = {}
     for report in usable:
-        query = vectorize_query(report.query_text, index)
+        query = batch(vectorize_query(report.query_text, index))
         scores = score_documents(
             query, index, "buglocator",
             history.before(report.reported_at), DEFAULT_ALPHA,
-        )
+        )[0]
         run[report.id] = [index.paths[d] for d in make_ranking(scores, index, top_k=0)]
     return run, corpus, reports
 
@@ -459,9 +459,9 @@ def test_acceptance_8_known_item_sanity():
             description=comment_text,
             reported_at=parse_rfc3339("2024-06-01T00:00:00Z"),
         )
-        query = vectorize_query(report.query_text, index)
+        query = batch(vectorize_query(report.query_text, index))
         for technique in ("vsm", "rvsm", "buglocator"):
-            scores = score_documents(query, index, technique)
+            scores = score_documents(query, index, technique)[0]
             ranked = [index.paths[d] for d in make_ranking(scores, index, top_k=0)]
             assert ranked[0] == target.path, (technique, ranked[:3])
 
@@ -479,12 +479,12 @@ def test_acceptance_9_temporal_safety():
         # SHOP-109 is written in English, so its query tokens exist in the
         # untranslated index and the potency check below has teeth
         query_report = next(r for r in reports if r.id == "SHOP-109")
-        query = vectorize_query(query_report.query_text, index)
+        query = batch(vectorize_query(query_report.query_text, index))
 
         def scores_with(extra_reports):
             history = HistorySet.build(reports + extra_reports, index)
             usable = history.before(query_report.reported_at)
-            return buglocator_scores(query, index, usable, alpha=DEFAULT_ALPHA)
+            return buglocator_scores(query, index, usable, alpha=DEFAULT_ALPHA)[0]
 
         baseline = scores_with([])
 

@@ -18,6 +18,7 @@ import croloc
 import croloc.corpus
 import croloc.evalharness
 import croloc.index
+import croloc.rank
 import croloc.translate
 from conftest import FIXTURES, assert_no_child_left
 from croloc import cli
@@ -300,6 +301,19 @@ class TestGoldenRuns:
         assert result.returncode == 0, result.stderr
         golden = FIXTURES / "golden" / f"run.{technique}.trec"
         assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("bound", [1, 1 << 62])
+    def test_run_files_match_golden_at_any_chunk_bound(self, built, tmp_path, monkeypatch,
+                                                       bound):
+        # One query a chunk, and all of them in one.
+        monkeypatch.setattr(croloc.rank, "CHUNK_CELLS", bound)
+        for technique in ("vsm", "rvsm", "buglocator"):
+            out = tmp_path / f"run.{technique}.trec"
+            assert cli.main([str(a) for a in (
+                "locate", "--index", built / "index.npz", "--reports", REPORTS,
+                "--glossary", GLOSSARY, "--technique", technique, "-o", out)]) == 0
+            golden = FIXTURES / "golden" / f"run.{technique}.trec"
+            assert out.read_bytes() == golden.read_bytes()
 
     def test_index_files_match_golden_digests(self, built, tmp_path):
         # index.sha256 pins the translated index the ``built`` fixture writes
@@ -839,6 +853,17 @@ class TestEvalCommand:
         assert payload["mode"] == "direct+indirect"
         assert 0.0 < payload["map"] <= 1.0
         assert payload["queries_evaluated"] > 0
+
+    def test_run_with_a_byte_order_mark(self, tmp_path):
+        # A two-line run that an editor saved with a leading byte order mark,
+        # against clean qrels: the mark is not part of the first query id.
+        run = tmp_path / "run.trec"
+        run.write_text("\ufeffQ1 Q0 src/A.java 1 0.900000 t\n"
+                       "Q1 Q0 src/B.java 2 0.500000 t\n", encoding="utf-8")
+        result = run_cli("eval", "--run", run, "--qrels", _qrels_file(tmp_path / "q.txt"),
+                         cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "MAP" in result.stdout
 
     def test_run_query_missing_from_qrels(self, built, tmp_path):
         bad_run = tmp_path / "bad.trec"

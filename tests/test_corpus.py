@@ -18,6 +18,7 @@ from croloc.corpus import (
     REASON_NOT_FUNCTIONAL,
     BugReport,
     Language,
+    check_token,
     fan_out,
     filter_usable_reports,
     load_bug_reports,
@@ -27,7 +28,7 @@ from croloc.corpus import (
     report_to_obj,
     typed,
 )
-from croloc.errors import CorpusError, CrolocError, ReportFormatError
+from croloc.errors import CorpusError, CrolocError, EvalError, ReportFormatError
 from conftest import assert_no_child_left
 from strategies import any_text, json_lines, json_records
 
@@ -283,6 +284,28 @@ class TestParseRfc3339:
     def test_garbage_rejected(self):
         with pytest.raises(ReportFormatError):
             parse_rfc3339("yesterday")
+
+
+class TestCheckToken:
+    def test_rejects_exactly_what_the_isspace_test_rejected(self):
+        # Every code point, alone and inside a token: check_token rejects a
+        # value just when one of its characters is str.isspace(), as the
+        # per-character test it replaced did.
+        wrong = []
+        for code in range(sys.maxunicode + 1):
+            for value in (chr(code), f"a{chr(code)}b"):
+                try:
+                    check_token(value, "query id", EvalError)
+                    rejected = False
+                except EvalError:
+                    rejected = True
+                if rejected != any(ch.isspace() for ch in value):
+                    wrong.append(code)
+        assert wrong == []
+
+    def test_rejects_empty(self):
+        with pytest.raises(EvalError, match="empty or contains whitespace"):
+            check_token("", "query id", EvalError)
 
 
 class TestTyped:

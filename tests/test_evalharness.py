@@ -562,7 +562,44 @@ class TestEvaluate:
         assert report.mode == "direct"
 
 
+class TestByteOrderMark:
+    """A run or qrels file that starts with a UTF-8 byte order mark reads as
+    the same file without it; a mark anywhere else is text."""
+
+    RUN = "Q1 Q0 src/A.java 1 0.900000 t\nQ1 Q0 src/B.java 2 0.500000 t\n"
+    QRELS = "Q1 0 src/B.java 2\nQ2 0 src/A.java 2\n"
+
+    def _pair(self, tmp_path, name, text):
+        clean, marked = tmp_path / f"clean.{name}", tmp_path / f"marked.{name}"
+        clean.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        return str(clean), str(marked)
+
+    def test_run_and_qrels_evaluate_like_clean_ones(self, tmp_path):
+        clean_run, marked_run = self._pair(tmp_path, "trec", self.RUN)
+        clean_qrels, marked_qrels = self._pair(tmp_path, "qrels", self.QRELS)
+        assert read_run_file(marked_run) == read_run_file(clean_run)
+        assert read_qrels(marked_qrels).grades == read_qrels(clean_qrels).grades
+        want = evaluate(read_run_file(clean_run), read_qrels(clean_qrels)).to_json()
+        for run, qrels in ((marked_run, clean_qrels), (clean_run, marked_qrels),
+                           (marked_run, marked_qrels)):
+            assert evaluate(read_run_file(run), read_qrels(qrels)).to_json() == want
+
+    def test_only_a_leading_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("\ufeff\ufeffQ1 Q0 a.java 1 0.5 t\n\ufeffQ2 Q0 a.java 1 0.5 t\n",
+                        encoding="utf-8")
+        assert set(read_run_file(str(path))) == {"\ufeffQ1", "\ufeffQ2"}
+
+
 class TestWriteRunFile:
+    def test_percent_signs_are_text(self, tmp_path):
+        # The block goes through one % format; a % in any field stays as is.
+        target = tmp_path / "p.trec"
+        write_run_file(str(target), [("Q%d1", ["src/%s.java", "b%%.cs"], [0.5, 0.25])], "t%s%")
+        assert target.read_text(encoding="utf-8") == (
+            "Q%d1 Q0 src/%s.java 1 0.500000 t%s%\nQ%d1 Q0 b%%.cs 2 0.250000 t%s%\n")
+
     def test_failed_write_keeps_the_old_run(self, tmp_path):
         # A block that fails its field check after earlier blocks were
         # formatted must not leave a partial run that eval would score.

@@ -31,16 +31,15 @@ from croloc.index import (
     idf,
     index_documents,
     load_index,
-    query_dense,
     save_index,
     tf,
-    tfidf_weights,
     tokenize,
     vectorize_query,
     vectorize_tokens,
 )
+from conftest import batch
 from croloc.rank import make_ranking, vsm_scores
-from reference import ref_tokenize
+from reference import query_dense, ref_tokenize, tfidf_weights
 
 ARRAY_NAMES = ("indptr", "indices", "data", "norms", "term_counts")
 
@@ -872,7 +871,7 @@ def _loads_and_ranks_or_is_rejected(target):
     except IndexFormatError:
         return
     query = vectorize_tokens(["cache", "order", "sync", *index.vocabulary[:2]], index)
-    ranking = make_ranking(vsm_scores(query, index), index, top_k=0)
+    ranking = make_ranking(vsm_scores(batch(query), index)[0], index, top_k=0)
     assert sorted(ranking.tolist()) == list(range(index.n_docs))
 
 
@@ -977,7 +976,8 @@ def _build_corpora(draw):
 
 class TestArrayBuild:
     """build_index counts in arrays; its rows and norms are what
-    tfidf_weights and math.fsum give each document, bit for bit."""
+    tfidf_weights (tests/reference.py) and math.fsum give each document, bit
+    for bit, and so are vectorize_tokens' weights of its tokens."""
 
     @staticmethod
     def _check(docs):
@@ -989,6 +989,8 @@ class TestArrayBuild:
         assert len(index.indptr) == len(docs) + 1 and index.indptr[0] == 0
         for d, tokens in enumerate(docs):
             weights = tfidf_weights(tokens, term_ids, doc_freq, len(docs))
+            # Queries read each idf from the index's list: the same bits.
+            assert vectorize_tokens(tokens, index).weights == weights
             lo, hi = index.indptr[d], index.indptr[d + 1]
             assert index.indices[lo:hi].tolist() == sorted(weights)
             expected = np.array([weights[t] for t in sorted(weights)], dtype=np.float64)

@@ -1,5 +1,6 @@
 """Cosine kernel tests against a brute-force sum and a per-row loop, and the
-postings kernel of ``vsm_scores`` against both CSR sweeps."""
+postings kernel of ``vsm_scores`` against the row sweep it replaced and the
+per-row loop."""
 from __future__ import annotations
 
 import math
@@ -8,8 +9,10 @@ import random
 import numpy as np
 import pytest
 
-from croloc.index import Index, QueryVector
+from conftest import batch
+from croloc.index import Index, QueryVector, transpose
 from croloc.rank import csr_cosine, vsm_scores
+from reference import ref_csr_cosine
 
 
 def _csr_from_rows(rows):
@@ -80,6 +83,13 @@ def _with_duplicated_rows(seed):
     return (*_csr_from_rows(rows), qdense, qnorm), dup_rows
 
 
+def _kernel(indptr, indices, data, norms, qdense, qnorm):
+    """``csr_cosine`` of one dense query against the rows of a CSR matrix,
+    through the rows' term postings."""
+    ptr, rows, weights = transpose(indptr, indices, data, len(qdense))
+    return csr_cosine(ptr, rows, weights, norms, batch(_query(qdense, qnorm)), None)[0]
+
+
 def _brute_force(rows, qdense, qnorm, norms):
     out = []
     for row, norm in zip(rows, norms):
@@ -94,27 +104,26 @@ class TestNumpyKernel:
     def test_matches_brute_force(self, seed):
         rows, args = _random_csr(seed)
         indptr, indices, data, norms, qdense, qnorm = args
-        got = csr_cosine(*args)
+        got = _kernel(*args)
         want = _brute_force(rows, qdense, qnorm, norms)
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bit_identical_to_per_row_loop(self, seed):
         _, args = _random_csr(seed)
-        assert csr_cosine(*args).tolist() == _per_row_loop(*args)
+        assert _kernel(*args).tolist() == _per_row_loop(*args)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_duplicated_rows_get_identical_cosines(self, seed):
         args, dup_rows = _with_duplicated_rows(seed)
-        got = csr_cosine(*args).tolist()
+        got = _kernel(*args).tolist()
         assert got == _per_row_loop(*args)
         assert len({got[d] for d in dup_rows}) == 1
 
     def test_zero_query_norm(self):
         _, args = _random_csr(99)
         indptr, indices, data, norms, qdense, qnorm = args
-        out = csr_cosine(indptr, indices, data, norms,
-                         np.zeros_like(qdense), 0.0)
+        out = _kernel(indptr, indices, data, norms, np.zeros_like(qdense), 0.0)
         assert not out.any()
 
     def test_empty_rows_score_zero(self):
@@ -123,13 +132,13 @@ class TestNumpyKernel:
         data = np.array([2.0], dtype=np.float64)
         norms = np.array([0.0, 2.0], dtype=np.float64)
         qdense = np.array([1.0], dtype=np.float64)
-        out = csr_cosine(indptr, indices, data, norms, qdense, 1.0)
+        out = _kernel(indptr, indices, data, norms, qdense, 1.0)
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.0)
 
     def test_zero_document_matrix(self):
         indptr = np.zeros(1, dtype=np.int64)
-        out = csr_cosine(
+        out = _kernel(
             indptr,
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.float64),
@@ -142,7 +151,7 @@ class TestNumpyKernel:
     def test_values_bounded(self):
         for seed in range(5):
             _, args = _random_csr(seed + 200)
-            out = csr_cosine(*args)
+            out = _kernel(*args)
             assert np.all(out <= 1.0 + 1e-9)
             assert np.all(out >= -1e-9)  # all weights here are nonnegative
 
@@ -163,8 +172,8 @@ def _query(qdense, qnorm):
 def _assert_postings_bit_identical(args):
     indptr, indices, data, norms, qdense, qnorm = args
     index = _as_index(indptr, indices, data, norms, len(qdense))
-    got = vsm_scores(_query(qdense, qnorm), index)
-    want = csr_cosine(*args)
+    got = vsm_scores(batch(_query(qdense, qnorm)), index)[0]
+    want = ref_csr_cosine(*args)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got.tolist() == _per_row_loop(*args)
     return got

@@ -4,17 +4,19 @@ from __future__ import annotations
 import math
 import random
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import history_set
+from conftest import batch, history_set
 from croloc.corpus import BugReport
 from croloc.errors import EvalError
 from croloc.evalharness import read_run_file, write_run_file
-from croloc.index import build_index, vectorize_tokens
+from croloc import rank
+from croloc.index import QueryRows, build_index, vectorize_tokens
 from croloc.rank import (
     DEFAULT_ALPHA,
     HistorySet,
@@ -22,12 +24,14 @@ from croloc.rank import (
     cosine,
     make_ranking,
     minmax,
+    query_chunks,
     rvsm_scores,
     score_documents,
     simi_scores,
     vsm_scores,
 )
 from reference import (
+    per_query_scores,
     ref_buglocator,
     ref_cosine,
     ref_minmax,
@@ -123,7 +127,7 @@ def _package_scores(technique, query_tokens, token_lists, paths, history=None, a
     index = build_index(token_lists, paths)
     query = vectorize_tokens(query_tokens, index)
     entries = history_set(index, history or [])
-    return score_documents(query, index, technique, history=entries, alpha=alpha)
+    return score_documents(batch(query), index, technique, history=entries, alpha=alpha)[0]
 
 
 class TestVsmAgainstReference:
@@ -187,7 +191,7 @@ class TestSimiAgainstReference:
         index = build_index(token_lists, paths)
         query = vectorize_tokens(["cache", "miss"], index)
 
-        got = simi_scores(query, index, history_set(index, history))
+        got = simi_scores(batch(query), index, history_set(index, history))[0]
         want = ref_simi(["cache", "miss"], token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -207,7 +211,7 @@ class TestSimiAgainstReference:
             history.append((_random_query(rng), fixed))
         index = build_index(token_lists, paths)
         query_vec = vectorize_tokens(query, index)
-        got = simi_scores(query_vec, index, history_set(index, history))
+        got = simi_scores(batch(query_vec), index, history_set(index, history))[0]
         want = ref_simi(query, token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -215,7 +219,8 @@ class TestSimiAgainstReference:
         token_lists = [["cache"], ["order"]]
         index = build_index(token_lists, ["a", "b"])
         query = vectorize_tokens(["cache"], index)
-        assert simi_scores(query, index, HistorySet.build([], index)).tolist() == [0.0, 0.0]
+        assert simi_scores(batch(query), index,
+                           HistorySet.build([], index))[0].tolist() == [0.0, 0.0]
 
 
 class TestBugLocatorAgainstReference:
@@ -239,11 +244,12 @@ class TestBugLocatorAgainstReference:
         index = build_index(token_lists, paths)
         query = vectorize_tokens(["cache", "miss"], index)
         alpha = DEFAULT_ALPHA
-        got = buglocator_scores(query, index, HistorySet.build([], index), alpha=alpha)
-        expected = (1.0 - alpha) * minmax(rvsm_scores(query, index)) + alpha * 0.5
+        got = buglocator_scores(batch(query), index, HistorySet.build([], index),
+                                alpha=alpha)[0]
+        expected = (1.0 - alpha) * minmax(rvsm_scores(batch(query), index)[0]) + alpha * 0.5
         assert np.array_equal(got, expected)
         # and the induced order matches plain rvsm
-        rvsm = rvsm_scores(query, index)
+        rvsm = rvsm_scores(batch(query), index)[0]
         assert np.argsort(-got, kind="stable").tolist() == np.argsort(
             -rvsm, kind="stable"
         ).tolist()
@@ -254,7 +260,7 @@ class TestBugLocatorAgainstReference:
         query = vectorize_tokens(["cache"], index)
         for alpha in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                buglocator_scores(query, index, HistorySet.build([], index), alpha=alpha)
+                buglocator_scores(batch(query), index, HistorySet.build([], index), alpha=alpha)
 
     def test_alpha_one_is_pure_history(self):
         token_lists = [["cache", "miss"], ["order"]]
@@ -272,17 +278,18 @@ class TestScoreDocuments:
         index = build_index([["cache"]], ["a"])
         query = vectorize_tokens(["cache"], index)
         with pytest.raises(ValueError, match="technique"):
-            score_documents(query, index, "pagerank")
+            score_documents(batch(query), index, "pagerank")
 
     def test_dispatch_matches_direct_calls(self):
         token_lists = [["cache", "miss"], ["order"]]
         index = build_index(token_lists, ["a", "b"])
         query = vectorize_tokens(["cache"], index)
+        queries = batch(query)
         assert np.array_equal(
-            score_documents(query, index, "vsm"), vsm_scores(query, index)
+            score_documents(queries, index, "vsm"), vsm_scores(queries, index)
         )
         assert np.array_equal(
-            score_documents(query, index, "rvsm"), rvsm_scores(query, index)
+            score_documents(queries, index, "rvsm"), rvsm_scores(queries, index)
         )
 
 
@@ -533,8 +540,8 @@ class TestVectorizedPathsProperties:
         for got, want in zip((*prefix.csr(), *prefix.incidences()),
                              (*prior.csr(), *prior.incidences()), strict=True):
             assert np.array_equal(got, want)
-        got = simi_scores(query_vec, index, prefix)
-        assert np.array_equal(got, simi_scores(query_vec, index, prior))
+        got = simi_scores(batch(query_vec), index, prefix)[0]
+        assert np.array_equal(got, simi_scores(batch(query_vec), index, prior)[0])
         want = ref_simi(query, token_lists, paths,
                         [(toks, fixed) for toks, fixed, t in history if t < cut])
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -569,3 +576,145 @@ class TestRankProperties:
         got = minmax(np.array(values, dtype=np.float64))
         want = ref_minmax(values)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def _report_streams(draw):
+    """A corpus, and reports filed and resolved at a few shared instants,
+    some with fixes, each with its own tokens; the queries are some of the
+    reports, in any order, so that neighbours often share ``reported_at``.
+    A query may have no token in the vocabulary, hence a zero norm."""
+    n_docs = draw(st.integers(min_value=1, max_value=8))
+    words = st.sampled_from(VOCAB)
+    token_lists = [draw(st.lists(words, max_size=10)) for _ in range(n_docs)]
+    paths = [f"src/F{i:02d}.java" for i in range(n_docs)]
+    days = st.sampled_from([2, 4, 6, 8])
+    reports, tokens = [], []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        reported = datetime(2024, 1, draw(days), tzinfo=UTC)
+        resolved = draw(st.one_of(st.none(), days.map(
+            lambda day: datetime(2024, 1, day, 12, tzinfo=UTC))))
+        fixed = draw(st.lists(st.sampled_from(paths + ["src/Removed.java"]), max_size=3))
+        reports.append(BugReport(f"R{i}", f"R{i}", "", reported, resolved, tuple(fixed)))
+        tokens.append(draw(st.lists(st.sampled_from(VOCAB + ["zzznotseen"]), max_size=6)))
+    queries = draw(st.lists(st.sampled_from(range(len(reports))), min_size=1, max_size=12))
+    return token_lists, paths, reports, tokens, queries
+
+
+def _scored_in_chunks(index, rows, technique, history, reported_at):
+    """Each query's scores, as locate ranks them: a chunk at a time."""
+    chunks = query_chunks(rows, index, history)
+    assert chunks[0][0] == 0 and chunks[-1][1] == len(rows)
+    assert all(hi > lo for lo, hi in chunks)
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    return np.vstack([score_documents(rows.take(range(lo, hi)), index, technique, history,
+                                      0.3, reported_at[lo:hi]) for lo, hi in chunks])
+
+
+class TestChunkedScoring:
+    """Scoring queries a chunk at a time gives every query the scores, bit
+    for bit, that the per-query path gave it on its own."""
+
+    @staticmethod
+    def _case(case):
+        token_lists, paths, reports, tokens, picks = case
+        index = build_index(token_lists, paths)
+        vectors = [vectorize_tokens(t, index) for t in tokens]
+        history = HistorySet.build(reports, index, QueryRows.pack(vectors),
+                                   {r.query_text: i for i, r in enumerate(reports)})
+        rows = QueryRows.pack([vectors[i] for i in picks])
+        reported_at = [reports[i].reported_at for i in picks]
+        return index, history, vectors, rows, reported_at, picks
+
+    @staticmethod
+    def _assert_per_query(index, history, vectors, picks, reported_at, technique, got):
+        for i, (pick, at) in enumerate(zip(picks, reported_at)):
+            want = per_query_scores(vectors[pick], index, technique, history.before(at), 0.3)
+            assert got[i].view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @given(case=_report_streams(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_per_query_path(self, case, data):
+        index, history, vectors, rows, reported_at, picks = self._case(case)
+        # One query a chunk, one chunk for all, and a bound in between.
+        bounds = [1, 1 << 62, data.draw(st.integers(min_value=1, max_value=200))]
+        for technique in ("vsm", "rvsm", "buglocator"):
+            for bound in bounds:
+                with mock.patch.object(rank, "CHUNK_CELLS", bound):
+                    got = _scored_in_chunks(index, rows, technique, history, reported_at)
+                self._assert_per_query(index, history, vectors, picks, reported_at,
+                                       technique, got)
+
+    def test_chunks_cut_between_queries_filed_together(self):
+        token_lists = [["cache", "miss"], ["order", "total"], ["cache", "sync"]]
+        paths = ["src/A.java", "src/B.java", "src/C.java"]
+        day = datetime(2024, 1, 5, tzinfo=UTC)
+        reports = [
+            BugReport("R0", "R0", "", datetime(2024, 1, 1, tzinfo=UTC),
+                      datetime(2024, 1, 2, tzinfo=UTC), ("src/A.java",)),
+            BugReport("R1", "R1", "", day, day, ("src/B.java",)),
+            *(BugReport(f"R{i}", f"R{i}", "", day) for i in range(2, 6)),
+        ]
+        tokens = [["cache"], ["order"], ["cache", "miss"], ["order", "sync"], ["zzz"],
+                  ["cache", "total"]]
+        case = (token_lists, paths, reports, tokens, [2, 3, 4, 5])
+        index, history, vectors, rows, reported_at, picks = self._case(case)
+        for bound, cut in ((1, [(0, 1), (1, 2), (2, 3), (3, 4)]), (1 << 62, [(0, 4)])):
+            with mock.patch.object(rank, "CHUNK_CELLS", bound):
+                assert query_chunks(rows, index, history) == cut
+                got = _scored_in_chunks(index, rows, "buglocator", history, reported_at)
+            self._assert_per_query(index, history, vectors, picks, reported_at,
+                                   "buglocator", got)
+        # R1 was resolved at the instant the queries were filed, so each
+        # query may use R0 alone.
+        assert [len(history.before(at)) for at in reported_at] == [1, 1, 1, 1]
+
+    def test_empty_history_and_zero_norm_queries(self):
+        index = build_index([["cache", "miss"], ["order"], []], ["a", "b", "c"])
+        vectors = [vectorize_tokens(t, index) for t in (["zzz"], [], ["cache"])]
+        assert [v.norm for v in vectors][:2] == [0.0, 0.0]
+        rows = QueryRows.pack(vectors)
+        empty = HistorySet.build([], index)
+        at = [datetime(2024, 1, 1, tzinfo=UTC)] * 3
+        for technique in ("vsm", "rvsm", "buglocator"):
+            for history in (empty, None):
+                got = score_documents(rows, index, technique, history, 0.3, at)
+                assert got.shape == (3, 3)
+                for row, vector in zip(got, vectors):
+                    want = per_query_scores(vector, index, technique, empty, 0.3)
+                    assert row.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert not vsm_scores(rows, index)[:2].any()
+
+    def test_no_queries(self):
+        index = build_index([["cache"], ["order"]], ["a", "b"])
+        rows = QueryRows.pack([])
+        assert query_chunks(rows, index, None) == []
+        history = HistorySet.build([], index)
+        assert score_documents(rows, index, "buglocator", history, 0.3, []).shape == (0, 2)
+
+    @pytest.mark.parametrize("top_k", [0, 1, 2, 3, 4, 50])
+    def test_rankings_at_any_top_k(self, top_k):
+        token_lists, paths, rng = _random_corpus(77, n_docs=3)
+        index = build_index(token_lists, paths)
+        vectors = [vectorize_tokens(_random_query(rng), index) for _ in range(5)]
+        scores = vsm_scores(QueryRows.pack(vectors), index)
+        for row, vector in zip(scores, vectors):
+            want = per_query_scores(vector, index, "vsm")
+            order = sorted(range(3), key=lambda d: (-want[d], paths[d]))
+            assert make_ranking(row, index, top_k).tolist() == (order[:top_k] if top_k else order)
+
+
+class TestQueryRows:
+    def test_take_picks_rows_in_order(self):
+        index = build_index([["cache", "miss"], ["order", "total"]], ["a", "b"])
+        vectors = [vectorize_tokens(t, index) for t in
+                   (["cache"], [], ["order", "total", "miss"], ["zzz"])]
+        rows = QueryRows.pack(vectors)
+        taken = rows.take([2, 0, 2, 1])
+        for i, pick in enumerate([2, 0, 2, 1]):
+            lo, hi = taken.indptr[i], taken.indptr[i + 1]
+            assert dict(zip(taken.indices[lo:hi].tolist(), taken.data[lo:hi].tolist())) \
+                == vectors[pick].weights
+            assert taken.indices[lo:hi].tolist() == sorted(vectors[pick].weights)
+            assert taken.norms[i] == vectors[pick].norm
+        assert len(rows.take([])) == 0
