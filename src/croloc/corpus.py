@@ -21,7 +21,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import accumulate, pairwise
 from pathlib import Path
@@ -284,18 +284,25 @@ class Corpus:
         return len(self.documents)
 
 
+# RFC 3339's date-time, whose offset may be left out.
+_RFC3339 = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})[Tt ]([0-9]{2}):([0-9]{2}):([0-9]{2})"
+                      r"(?:\.([0-9]+))?(?:[Zz]|([+-])([0-9]{2}):([0-9]{2}))?")
+
+
 def parse_rfc3339(value: str) -> datetime:
-    """Parse an RFC 3339 timestamp; naive values are taken as UTC."""
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
+    """Parse an RFC 3339 timestamp. One without an offset is taken as UTC,
+    and fraction digits past the microsecond are cut off."""
     try:
-        dt = datetime.fromisoformat(text)
+        if (match := _RFC3339.fullmatch(value)) is None:
+            raise ValueError("not YYYY-MM-DD[Tt ]HH:MM:SS[.digits][Zz|+HH:MM|-HH:MM]")
+        *fields, fraction, sign, hours, minutes = match.groups()
+        if sign and (int(hours) > 23 or int(minutes) > 59):
+            raise ValueError("offset out of range")
+        offset = timedelta(hours=int(hours or 0), minutes=int(minutes or 0))
+        micros = int((fraction or "")[:6].ljust(6, "0"))
+        return datetime(*map(int, fields), micros, timezone(-offset if sign == "-" else offset))
     except ValueError as exc:
         raise ReportFormatError(f"invalid RFC 3339 timestamp: {value!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt
 
 
 def is_text(value) -> bool:

@@ -6,7 +6,10 @@ Spans are byte ranges into the UTF-8 encoding of a document, chosen so that
 holds; delimiters are never part of a span. All scanners are hand written:
 only three token classes matter and byte offsets must be exact. The scan
 jumps from one possible opener to the next with one compiled bytes pattern
-per language, and comments end at a ``bytes.find``.
+per language, and comments end at a ``bytes.find``. One string scanner
+serves every string form: it jumps from one stop byte to the next with a
+pattern chosen by whether the string is verbatim and has holes. An
+unterminated construct is logged at its opener's first byte.
 """
 from __future__ import annotations
 
@@ -97,7 +100,6 @@ _SQUOTE = 0x27
 _BACKSLASH = 0x5C
 _CR = 0x0D
 _LBRACE = 0x7B
-_RBRACE = 0x7D
 _SPACE = 0x20
 
 # Everything that can open a span or a char literal, per language. The
@@ -107,6 +109,17 @@ _OPENERS = {
     Language.CSHARP: re.compile(rb"//|/\*|\"|@\"|\$\"|@\$\"|\$@\"|'"),
     Language.GENERIC: re.compile(rb"//|/\*|\""),
 }
+
+# The bytes a string body can stop at, by (verbatim, holes): its closing
+# quote, a backslash escape unless verbatim, and the braces of holes.
+_STRING_STOPS = {
+    (False, False): re.compile(rb'["\\]'),
+    (True, False): re.compile(rb'"'),
+    (False, True): re.compile(rb'["\\{}]'),
+    (True, True): re.compile(rb'["{}]'),
+}
+# A hole in an interpolated string stops at its braces and a nested string.
+_HOLE_STOPS = _STRING_STOPS[True, True]
 
 # Longest char literal we accept before deciding a quote was stray code,
 # e.g. 'A' is 8 bytes including delimiters.
@@ -140,16 +153,10 @@ class _Scanner:
                 i = self._line_comment(i)
             elif opener == b"/*":
                 i = self._block_comment(i)
-            elif opener == b'"':
-                i = self._string(i)
-            elif opener == b'@"':
-                i = self._verbatim(i, interpolated=False)
-            elif opener == b'$"':
-                i = self._interpolated(i, verbatim=False)
             elif opener == b"'":
                 i = self._char_literal(match.start())
-            else:  # @$" or $@"
-                i = self._interpolated(i, verbatim=True)
+            else:  # a string: @ makes it verbatim, $ gives it holes
+                i = self._string(i, match.start(), b"@" in opener, b"$" in opener)
         return self.spans
 
     def _line_comment(self, start: int) -> int:
@@ -174,89 +181,55 @@ class _Scanner:
         self._emit(SpanKind.BLOCK_COMMENT, start, self.n)
         return self.n
 
-    def _string(self, start: int) -> int:
+    def _string(self, start: int, opener: int, verbatim: bool, holes: bool) -> int:
+        """A string body from ``start`` to its closing quote. ``\\`` escapes
+        the next byte unless the string is verbatim, where ``""`` is a quote.
+        With holes, ``{{`` and ``}}`` are braces and a ``{`` opens a hole of
+        code: the body's literal parts become separate spans."""
         data, n = self.data, self.n
-        j = start
-        while j < n:
-            if data[j] == _BACKSLASH:
-                j += 2
-                continue
-            if data[j] == _DQUOTE:
-                self._emit(SpanKind.STRING_LITERAL, start, j)
-                return j + 1
-            j += 1
-        self._warn_unterminated("string literal", start - 1)
-        self._emit(SpanKind.STRING_LITERAL, start, n)
-        return n
-
-    def _verbatim(self, start: int, interpolated: bool) -> int:
-        data, n = self.data, self.n
-        j = start
-        while j < n:
-            if data[j] == _DQUOTE:
-                if j + 1 < n and data[j + 1] == _DQUOTE:
-                    j += 2  # doubled quote stays in the text as written
-                    continue
-                self._emit(SpanKind.STRING_LITERAL, start, j)
-                return j + 1
-            j += 1
-        self._warn_unterminated("verbatim string", start - 2)
-        self._emit(SpanKind.STRING_LITERAL, start, n)
-        return n
-
-    def _interpolated(self, start: int, verbatim: bool) -> int:
-        """$"..." body: literal parts become separate spans, {holes} are code."""
-        data, n = self.data, self.n
-        part_start = start
-        j = start
-        while j < n:
+        stops = _STRING_STOPS[verbatim, holes]
+        part = j = start
+        while (match := stops.search(data, j)) is not None:
+            j = match.start()
             c = data[j]
-            if c == _DQUOTE:
-                if verbatim and j + 1 < n and data[j + 1] == _DQUOTE:
-                    j += 2
-                    continue
-                self._emit(SpanKind.STRING_LITERAL, part_start, j)
-                return j + 1
-            if not verbatim and c == _BACKSLASH:
+            doubled = j + 1 < n and data[j + 1] == c
+            if c == _BACKSLASH:
                 j += 2
-                continue
-            if c == _LBRACE:
-                if j + 1 < n and data[j + 1] == _LBRACE:
-                    j += 2  # {{ is a literal brace
-                    continue
-                self._emit(SpanKind.STRING_LITERAL, part_start, j)
-                j = self._skip_hole(j + 1)
-                part_start = j
-                continue
-            if c == _RBRACE and j + 1 < n and data[j + 1] == _RBRACE:
-                j += 2  # }} is a literal brace
-                continue
-            j += 1
-        self._warn_unterminated("interpolated string", start)
-        self._emit(SpanKind.STRING_LITERAL, part_start, n)
+            elif c == _DQUOTE and not (verbatim and doubled):
+                self._emit(SpanKind.STRING_LITERAL, part, j)
+                return j + 1
+            elif doubled:
+                j += 2  # "", {{ and }} stay in the text as written
+            elif c == _LBRACE:
+                self._emit(SpanKind.STRING_LITERAL, part, j)
+                j = part = self._skip_hole(j + 1)
+            else:  # a lone }
+                j += 1
+        self._warn_unterminated("interpolated string" if holes else
+                                "verbatim string" if verbatim else "string literal", opener)
+        self._emit(SpanKind.STRING_LITERAL, part, n)
         return n
 
     def _skip_hole(self, j: int) -> int:
-        """Skip an interpolation hole as code, brace-depth aware."""
+        """Skip an interpolation hole as code, brace-depth aware, and any
+        regular string inside it whole. Returns the byte after the closing
+        brace, or the end of the file."""
         data, n = self.data, self.n
+        string_stops = _STRING_STOPS[False, False]
         depth = 1
-        while j < n and depth > 0:
-            c = data[j]
-            if c == _LBRACE:
-                depth += 1
-            elif c == _RBRACE:
-                depth -= 1
-            elif c == _DQUOTE:
-                j += 1
-                while j < n:
-                    if data[j] == _BACKSLASH:
-                        j += 2
-                        continue
-                    if data[j] == _DQUOTE:
-                        break
-                    j += 1
-            j += 1
-        return j
+        while depth and (match := _HOLE_STOPS.search(data, j)) is not None:
+            j = match.end()
+            c = data[match.start()]
+            if c == _DQUOTE:
+                while ((match := string_stops.search(data, j)) is not None
+                       and data[match.start()] == _BACKSLASH):
+                    j = match.end() + 1  # a backslash escapes the next byte
+                if match is None:
+                    return n
+                j = match.end()
+            else:
+                depth += 1 if c == _LBRACE else -1
+        return j if depth == 0 else n
 
     def _char_literal(self, i: int) -> int:
         data, n = self.data, self.n

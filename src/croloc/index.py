@@ -313,10 +313,6 @@ def build_index(
                  indptr, indices, data, norms, term_counts)
 
 
-def index_documents(raw_texts: list[str], paths: list[str], stemming: bool = False) -> Index:
-    return build_index([tokenize(t, stemming) for t in raw_texts], paths, stemming)
-
-
 def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
     """Query vector over the index vocabulary, weighted as documents are.
     The tf denominator counts every token, terms outside the vocabulary are

@@ -320,9 +320,9 @@ def translate_texts(
     texts: list[str],
     backend: TranslatorBackend,
     cache: TranslationCache | None = None,
-    batch_size: int = BATCH_SIZE,
 ) -> list[str]:
-    """Translate texts in order, consulting the cache and batching misses."""
+    """Translate texts in order, consulting the cache and sending misses to
+    the backend ``BATCH_SIZE`` at a time."""
     results: list[str | None] = [None] * len(texts)
     pending: dict[str, list[int]] = {}
     for i, text in enumerate(texts):
@@ -335,8 +335,8 @@ def translate_texts(
 
     unique = list(pending)
     translated: dict[str, str] = {}
-    for start in range(0, len(unique), batch_size):
-        chunk = unique[start : start + batch_size]
+    for start in range(0, len(unique), BATCH_SIZE):
+        chunk = unique[start : start + BATCH_SIZE]
         outputs = backend.translate_batch(chunk)
         if len(outputs) != len(chunk):
             raise ProtocolError(

@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 import pytest
 
 from croloc.corpus import BugReport
-from croloc.index import QueryRows, vectorize_tokens
+from croloc.index import QueryRows, build_index, tokenize, vectorize_tokens
 from croloc.rank import HistorySet
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -26,6 +26,11 @@ def project_dir() -> pathlib.Path:
 
 # When a history report was resolved, unless it says otherwise.
 RESOLVED_AT = datetime(2020, 1, 1, tzinfo=timezone.utc)
+
+
+def index_texts(raw_texts, paths, stemming=False):
+    """The index of ``raw_texts``, each tokenized with ``stemming``."""
+    return build_index([tokenize(t, stemming) for t in raw_texts], paths, stemming)
 
 
 def batch(*vectors):

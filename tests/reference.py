@@ -3,11 +3,13 @@
 Scoring and evaluation: brute force that deliberately shares no code with
 the package, plain dicts and math, one obvious loop per formula.
 
-Tokenizer, Japanese detection and segmentation, and the lexer's scan loop:
-the earlier per-character implementations, kept verbatim as oracles for the
-regex and ``bytes.find`` versions that replaced them. They reuse only the
-package's data types, the Porter stemmer and the scanner's string-literal
-helpers, none of which changed.
+Tokenizer, Japanese detection and segmentation, and the lexer's scan loop
+with its comment, string and char-literal scanners: the earlier
+per-character implementations, kept verbatim as oracles for the regex and
+``bytes.find`` versions that replaced them. They reuse only the package's
+data types, the Porter stemmer and the scanner's span and warning output.
+One edit since: an unterminated interpolated string is reported at its
+opener's first byte, as every other unterminated literal is.
 
 Oracle linking: the earlier loop that runs every report's id pattern over
 every commit message, kept verbatim as the oracle of the substring-prefiltered
@@ -39,7 +41,7 @@ import numpy as np
 from croloc.corpus import Language, normalize_path
 from croloc.errors import TranslationError
 from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
-from croloc.extract import JAPANESE_RANGES, Segment, SpanKind, _Scanner
+from croloc.extract import _CHAR_LITERAL_CAP, JAPANESE_RANGES, Segment, SpanKind, _Scanner
 from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS, idf, tf
 from croloc.rank import HistorySet
 from croloc.porter import stem as porter_stem
@@ -375,10 +377,15 @@ _CR = 0x0D
 _AT = 0x40
 _DOLLAR = 0x24
 _SPACE = 0x20
+_BACKSLASH = 0x5C
+_LBRACE = 0x7B
+_RBRACE = 0x7D
 
 
 class RefScanner(_Scanner):
-    """The package scanner with its per-byte scan loop and comment scanners."""
+    """The package scanner with its per-byte scan loop, comment, string and
+    char-literal scanners; it inherits only the constructor and the span and
+    warning output."""
 
     def scan(self):
         data, n = self.data, self.n
@@ -431,6 +438,99 @@ class RefScanner(_Scanner):
         self._warn_unterminated("block comment", start - 2)
         self._emit(SpanKind.BLOCK_COMMENT, start, n)
         return n
+
+    def _string(self, start: int) -> int:
+        data, n = self.data, self.n
+        j = start
+        while j < n:
+            if data[j] == _BACKSLASH:
+                j += 2
+                continue
+            if data[j] == _DQUOTE:
+                self._emit(SpanKind.STRING_LITERAL, start, j)
+                return j + 1
+            j += 1
+        self._warn_unterminated("string literal", start - 1)
+        self._emit(SpanKind.STRING_LITERAL, start, n)
+        return n
+
+    def _verbatim(self, start: int, interpolated: bool) -> int:
+        data, n = self.data, self.n
+        j = start
+        while j < n:
+            if data[j] == _DQUOTE:
+                if j + 1 < n and data[j + 1] == _DQUOTE:
+                    j += 2  # doubled quote stays in the text as written
+                    continue
+                self._emit(SpanKind.STRING_LITERAL, start, j)
+                return j + 1
+            j += 1
+        self._warn_unterminated("verbatim string", start - 2)
+        self._emit(SpanKind.STRING_LITERAL, start, n)
+        return n
+
+    def _interpolated(self, start: int, verbatim: bool) -> int:
+        """$"..." body: literal parts become separate spans, {holes} are code."""
+        data, n = self.data, self.n
+        part_start = start
+        j = start
+        while j < n:
+            c = data[j]
+            if c == _DQUOTE:
+                if verbatim and j + 1 < n and data[j + 1] == _DQUOTE:
+                    j += 2
+                    continue
+                self._emit(SpanKind.STRING_LITERAL, part_start, j)
+                return j + 1
+            if not verbatim and c == _BACKSLASH:
+                j += 2
+                continue
+            if c == _LBRACE:
+                if j + 1 < n and data[j + 1] == _LBRACE:
+                    j += 2  # {{ is a literal brace
+                    continue
+                self._emit(SpanKind.STRING_LITERAL, part_start, j)
+                j = self._skip_hole(j + 1)
+                part_start = j
+                continue
+            if c == _RBRACE and j + 1 < n and data[j + 1] == _RBRACE:
+                j += 2  # }} is a literal brace
+                continue
+            j += 1
+        self._warn_unterminated("interpolated string", start - (3 if verbatim else 2))
+        self._emit(SpanKind.STRING_LITERAL, part_start, n)
+        return n
+
+    def _skip_hole(self, j: int) -> int:
+        """Skip an interpolation hole as code, brace-depth aware."""
+        data, n = self.data, self.n
+        depth = 1
+        while j < n and depth > 0:
+            c = data[j]
+            if c == _LBRACE:
+                depth += 1
+            elif c == _RBRACE:
+                depth -= 1
+            elif c == _DQUOTE:
+                j += 1
+                while j < n:
+                    if data[j] == _BACKSLASH:
+                        j += 2
+                        continue
+                    if data[j] == _DQUOTE:
+                        break
+                    j += 1
+            j += 1
+        return j
+
+    def _char_literal(self, i: int) -> int:
+        data, n = self.data, self.n
+        j = i + 1
+        while j < n and data[j] != _SQUOTE and j - i <= _CHAR_LITERAL_CAP:
+            j += 2 if data[j] == _BACKSLASH else 1
+        if j < n and data[j] == _SQUOTE and j > i + 1:
+            return j + 1  # whole literal consumed; single characters are untranslatable
+        return i + 1  # stray quote, treat as code
 
 
 def _encodes(value):

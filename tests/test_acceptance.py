@@ -17,7 +17,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, batch, history_set
+from conftest import FIXTURES, batch, history_set, index_texts
 from croloc.corpus import (
     BugReport,
     filter_usable_reports,
@@ -37,7 +37,6 @@ from croloc.extract import detect_japanese, extract_spans, japanese_segments
 from croloc.index import (
     build_index,
     idf,
-    index_documents,
     tf,
     vectorize_query,
     vectorize_tokens,
@@ -374,7 +373,7 @@ def _project_run(translate: bool):
         backend = GlossaryBackend(load_glossary(PROJECT / "glossary.tsv"))
         documents = [translate_document(d, backend)[0] for d in documents]
         reports = [translate_report(r, backend) for r in reports]
-    index = index_documents(
+    index = index_texts(
         [d.raw_text for d in documents],
         [d.path for d in documents],
     )
@@ -449,7 +448,7 @@ def test_acceptance_8_known_item_sanity():
             if span.kind.value.endswith("comment")
         )
         assert comment_text.strip()
-        index = index_documents(
+        index = index_texts(
             [d.raw_text for d in corpus.documents],
             [d.path for d in corpus.documents],
         )
@@ -472,7 +471,7 @@ def test_acceptance_9_temporal_safety():
     with criterion(9, desc):
         corpus = load_source_tree(PROJECT, ["**/*.java"])
         reports = load_bug_reports(PROJECT / "reports.jsonl")
-        index = index_documents(
+        index = index_texts(
             [d.raw_text for d in corpus.documents],
             [d.path for d in corpus.documents],
         )

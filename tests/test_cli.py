@@ -6,9 +6,12 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -690,6 +693,98 @@ class TestIndexFanOut:
         monkeypatch.setattr(os, "fork", fork)
         assert self._index(TREE, GLOSSARY, tmp_path / "cache.jsonl",
                            tmp_path / "index.npz") == 0
+
+
+# The CLI, with any tree cut into one chunk for each of two CPUs however
+# small it is, so that index runs in two processes.
+FANNED_ENTRY = ("import os, sys, croloc.corpus; from croloc.cli import main\n"
+                "croloc.corpus.MIN_CHUNK_BYTES = 1\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "sys.exit(main())")
+
+
+def _cache_keys(path):
+    """The (backend, sha256) key of each line of a translation cache file."""
+    return [(row["backend"], row["sha256"])
+            for row in map(json.loads, path.read_bytes().splitlines())]
+
+
+def _size(path):
+    return path.stat().st_size if path.exists() else -1
+
+
+class TestKilledRuns:
+    """A run killed at any point does not change what the next run writes:
+    rerun, it exits 0 with a clean run's output bytes and cache keys."""
+
+    KILLS = 6
+
+    def _start(self, args, cwd):
+        return subprocess.Popen([sys.executable, "-c", FANNED_ENTRY, *map(str, args)],
+                                cwd=str(cwd), env=dict(os.environ, PYTHONPATH=CROLOC_ROOT),
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+    def _clean(self, args, cwd, out, cache):
+        """(seconds until ``out`` or ``cache`` first changed, seconds until
+        exit) of a run that is left alone."""
+        before = _size(out), _size(cache)
+        proc = self._start(args, cwd)
+        started, first = time.monotonic(), None
+        while proc.poll() is None and time.monotonic() - started < 60:
+            if first is None and (_size(out), _size(cache)) != before:
+                first = time.monotonic() - started
+            time.sleep(0.001)
+        wall = time.monotonic() - started
+        try:
+            assert proc.wait(timeout=1) == 0
+        finally:
+            proc.kill()  # one still running after a minute
+        return first or wall, wall
+
+    def _killed(self, args, cwd, delay):
+        """Whether a run was sent SIGKILL ``delay`` seconds after it started:
+        it may have exited by then."""
+        proc = self._start(args, cwd)
+        try:
+            proc.wait(timeout=delay)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGKILL)
+        return proc.wait(timeout=60) == -signal.SIGKILL
+
+    def _check(self, tmp_path, name, args, out, cache):
+        """Run ``args`` clean, then kill it at seeded points, from shortly
+        before its first write to halfway from there to its exit (the rest
+        is mostly the interpreter's shutdown), and rerun it; each run starts
+        from the cache as it is now and no ``out``."""
+        start_cache = cache.read_bytes() if cache.exists() else b""
+        for _ in range(2):  # the second run's times, with the imports warm
+            out.unlink(missing_ok=True)
+            cache.write_bytes(start_cache)
+            first, wall = self._clean(args, tmp_path, out, cache)
+        clean_out, clean_keys = out.read_bytes(), set(_cache_keys(cache))
+        rng = random.Random(f"kill:{name}")
+        killed = 0
+        delays = sorted(rng.uniform(0.7 * first, (first + wall) / 2) for _ in range(self.KILLS))
+        for delay in delays:
+            out.unlink(missing_ok=True)
+            cache.write_bytes(start_cache)
+            killed += self._killed(args, tmp_path, delay)
+            assert_no_child_left()
+            rerun = self._start(args, tmp_path)
+            assert rerun.wait(timeout=60) == 0, f"rerun after a kill at {delay:.3f} s"
+            assert_no_child_left()
+            keys = _cache_keys(cache)
+            assert out.read_bytes() == clean_out
+            assert set(keys) == clean_keys and len(keys) == len(clean_keys)
+        assert killed, "every run ended before its kill"
+
+    def test_index_and_locate_killed_at_seeded_points(self, small_project, tmp_path):
+        cache, index, run = tmp_path / "cache.jsonl", tmp_path / "index.npz", tmp_path / "run"
+        common = ["--glossary", small_project.glossary, "--cache", cache]
+        self._check(tmp_path, "index", ["index", "--tree", small_project.tree, *common,
+                                        "-o", index], index, cache)
+        self._check(tmp_path, "locate", ["locate", "--index", index, "--reports",
+                                         small_project.reports, *common, "-o", run], run, cache)
 
 
 class TestTracerSeam:

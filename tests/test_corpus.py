@@ -285,6 +285,44 @@ class TestParseRfc3339:
         with pytest.raises(ReportFormatError):
             parse_rfc3339("yesterday")
 
+    @pytest.mark.parametrize("value, expected", [
+        ("2024-03-01t10:00:00z", datetime(2024, 3, 1, 10, tzinfo=timezone.utc)),
+        ("2024-03-01 10:00:00Z", datetime(2024, 3, 1, 10, tzinfo=timezone.utc)),
+        ("2020-01-01T00:00:00.5Z", datetime(2020, 1, 1, microsecond=500000, tzinfo=timezone.utc)),
+        ("2020-01-01T00:00:00.1234569Z",
+         datetime(2020, 1, 1, microsecond=123456, tzinfo=timezone.utc)),
+        ("2024-03-01T10:00:00-00:00", datetime(2024, 3, 1, 10, tzinfo=timezone.utc)),
+        ("2024-03-01T04:30:00.000001-05:30",
+         datetime(2024, 3, 1, 10, microsecond=1, tzinfo=timezone.utc)),
+        ("2024-03-01T10:00:00+23:59", datetime(2024, 2, 29, 10, 1, tzinfo=timezone.utc)),
+    ])
+    def test_every_form_accepted(self, value, expected):
+        dt = parse_rfc3339(value)
+        assert dt == expected and dt.utcoffset() is not None
+
+    @pytest.mark.parametrize("value", [
+        "2024-03-01",
+        "20200101T000000Z",
+        "2020-01-01T00:00:00,5Z",
+        "2020-W01-1",
+        "2020-01-01T00:00Z",
+        "2020-01-01T00:00:00.Z",
+        "2020-01-01T00:00:00+0900",
+        "2020-01-01T00:00:00+09",
+        "2020-01-01T24:00:00Z",
+        "2020-02-30T00:00:00Z",
+        "2020-01-01T00:00:60Z",
+        "2020-01-01T00:00:00+24:00",
+        "2020-01-01T00:00:00+05:60",
+        " 2020-01-01T00:00:00Z",
+        "2020-01-01T00:00:00Z\n",
+        "\uff12\uff10\uff12\uff10-01-01T00:00:00Z",
+        "",
+    ])
+    def test_everything_else_rejected(self, value):
+        with pytest.raises(ReportFormatError):
+            parse_rfc3339(value)
+
 
 class TestCheckToken:
     def test_rejects_exactly_what_the_isspace_test_rejected(self):

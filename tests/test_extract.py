@@ -341,3 +341,24 @@ class TestScannerOracle:
     def test_same_spans_on_mutated_fixtures(self, lexer_corpus_dir, data, language):
         raw = data.draw(_mutated_fixture(lexer_corpus_dir))
         assert _scan(_Scanner, raw, language) == _scan(RefScanner, raw, language)
+
+    def test_reference_defines_every_scanner_it_checks(self):
+        own = {"scan", "_line_comment", "_block_comment", "_string", "_verbatim",
+               "_interpolated", "_skip_hole", "_char_literal"}
+        assert own <= set(vars(RefScanner))
+
+    @pytest.mark.parametrize("opener, what", [
+        ('"', "string literal"),
+        ('@"', "verbatim string"),
+        ('$"', "interpolated string"),
+        ('@$"', "interpolated string"),
+        ('$@"', "interpolated string"),
+        ("/*", "block comment"),
+    ])
+    @pytest.mark.parametrize("scanner_cls", [_Scanner, RefScanner])
+    def test_unterminated_warning_names_the_openers_byte(self, scanner_cls, opener, what):
+        data = f"x = {opener}abc".encode()
+        spans, messages = _scan(scanner_cls, data, Language.CSHARP)
+        assert [s.text for s in spans] == ["abc"]
+        assert messages == [f"p.x: unterminated {what} starting at byte 4; "
+                            "span extends to end of file"]

@@ -29,7 +29,6 @@ from croloc.index import (
     Index,
     build_index,
     idf,
-    index_documents,
     load_index,
     save_index,
     tf,
@@ -37,7 +36,7 @@ from croloc.index import (
     vectorize_query,
     vectorize_tokens,
 )
-from conftest import batch
+from conftest import batch, index_texts
 from croloc.rank import make_ranking, vsm_scores
 from reference import query_dense, ref_tokenize, tfidf_weights
 
@@ -231,7 +230,7 @@ class TestBuildIndex:
             build_index([["a"]], ["x", "y"])
 
     def test_index_documents_tokenizes(self):
-        index = index_documents(["cache miss", "order total"], ["a.java", "b.java"])
+        index = index_texts(["cache miss", "order total"], ["a.java", "b.java"])
         assert set(index.vocabulary) == {"cache", "miss", "order", "total"}
         assert index.vectors[0].term_count == 2
 
@@ -252,7 +251,7 @@ class TestQueryVector:
         assert qv.norm == 0.0
 
     def test_vectorize_query_uses_index_options(self):
-        index = index_documents(
+        index = index_texts(
             ["parsing errors happen", "order total"],
             ["a.java", "b.java"],
             stemming=True,
@@ -337,7 +336,7 @@ def _member_bytes(path) -> dict[str, bytes]:
 
 class TestPersistence:
     def _index(self):
-        return index_documents(
+        return index_texts(
             ["cache miss rate", "order total", "キャッシュ miss"],
             ["a.java", "b.java", "c.java"],
             stemming=True,
@@ -354,7 +353,7 @@ class TestPersistence:
     def test_bytes_equal_one_json_dump_of_the_payload(self, tmp_path):
         # The meta member holds one JSON dump of the payload; the file is
         # np.savez of that member and the arrays, in that order.
-        index = index_documents(
+        index = index_texts(
             ["cache miss rate", "order total", "キャッシュ miss \"quoted\"", ""],
             ["a.java", "dir/在庫.java", "c.java", "d.java"],
             stemming=True,
@@ -493,8 +492,8 @@ class TestLoadHardening:
 
     def _saved(self, tmp_path):
         target = tmp_path / "idx.npz"
-        save_index(index_documents(["cache miss rate", "order total"],
-                                   ["a.java", "b.java"]), target)
+        save_index(index_texts(["cache miss rate", "order total"],
+                               ["a.java", "b.java"]), target)
         return target
 
     @pytest.mark.parametrize("content", [b"", b"\xff\xfe not utf-8 \x80\n", b"PK\x03\x04",
@@ -722,7 +721,7 @@ class TestLoadValidation:
             "float-doc-freq", "non-string-path", "non-string-term", "string-stemming",
             "surrogate-path"])
     def test_rejects_mutated_payload(self, tmp_path, mutate):
-        index = index_documents(
+        index = index_texts(
             ["cache miss rate", "order total", "cache order sync"],
             ["a.java", "b.java", "c.java"],
         )
@@ -755,7 +754,7 @@ class TestLoadValidation:
     def test_meta_field_error_names_the_file(self, tmp_path, key, position, value, message):
         # The meta member is checked by corpus.typed, which converts nothing.
         target = tmp_path / "idx.npz"
-        save_index(index_documents(["cache miss"], ["a.java"]), target)
+        save_index(index_texts(["cache miss"], ["a.java"]), target)
         payload = _read_payload(target)
         _set(key, position, value)(payload)
         _write_payload(target, payload)
@@ -767,7 +766,7 @@ class TestLoadValidation:
     def test_rejects_infinite_min_token_length(self, tmp_path):
         # JSON's Infinity parses to a float that int() cannot convert.
         target = tmp_path / "idx.npz"
-        save_index(index_documents(["cache miss"], ["a.java"]), target)
+        save_index(index_texts(["cache miss"], ["a.java"]), target)
         payload = _read_payload(target)
         payload["options"]["min_token_length"] = float("inf")
         _write_payload(target, payload)
@@ -778,8 +777,8 @@ class TestLoadValidation:
 @functools.cache
 def _saved_index_bytes() -> bytes:
     """A small saved index, with an empty document."""
-    index = index_documents(["cache miss rate", "order total", "cache order sync", ""],
-                            ["a.java", "b.java", "c.java", "d.java"])
+    index = index_texts(["cache miss rate", "order total", "cache order sync", ""],
+                        ["a.java", "b.java", "c.java", "d.java"])
     with tempfile.TemporaryDirectory() as tmp:
         target = os.path.join(tmp, "idx.npz")
         save_index(index, target)
@@ -1042,10 +1041,11 @@ class TestArrayBuild:
 
 _SAVE_IN_CHILD = """
 import sys
-from croloc.index import index_documents, save_index
-save_index(index_documents(["cache miss rate", "order total", "キャッシュ miss", ""],
-                           ["a.java", "b/在庫.java", "c.java", "d.java"],
-                           stemming=True), sys.argv[1])
+from conftest import index_texts
+from croloc.index import save_index
+save_index(index_texts(["cache miss rate", "order total", "キャッシュ miss", ""],
+                       ["a.java", "b/在庫.java", "c.java", "d.java"],
+                       stemming=True), sys.argv[1])
 """
 
 
@@ -1054,9 +1054,9 @@ class TestDeterministicSave:
     digests compare index files byte for byte."""
 
     def _index(self):
-        return index_documents(["cache miss rate", "order total", "キャッシュ miss", ""],
-                               ["a.java", "b/在庫.java", "c.java", "d.java"],
-                               stemming=True)
+        return index_texts(["cache miss rate", "order total", "キャッシュ miss", ""],
+                           ["a.java", "b/在庫.java", "c.java", "d.java"],
+                           stemming=True)
 
     def test_same_bytes_at_another_time(self, tmp_path, monkeypatch):
         saved = []
@@ -1074,7 +1074,8 @@ class TestDeterministicSave:
         src = os.path.dirname(os.path.dirname(os.path.abspath(croloc.__file__)))
         for seed in ("1", "2"):
             target = tmp_path / f"child{seed}.npz"
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]),
+                       PYTHONHASHSEED=seed)
             result = subprocess.run([sys.executable, "-c", _SAVE_IN_CHILD, str(target)],
                                     env=env, capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr

@@ -379,10 +379,11 @@ class TestTranslateTexts:
         assert out == ["EN(same)", "EN(same)", "EN(other)", "EN(same)"]
         assert backend.batches == [["same", "other"]]
 
-    def test_chunks_at_batch_size(self):
+    def test_chunks_at_batch_size(self, monkeypatch):
+        monkeypatch.setattr("croloc.translate.BATCH_SIZE", 2)
         backend = RecordingBackend()
         texts = [f"t{i}" for i in range(5)]
-        translate_texts(texts, backend, batch_size=2)
+        translate_texts(texts, backend)
         assert [len(b) for b in backend.batches] == [2, 2, 1]
 
     def test_default_batch_size(self):
