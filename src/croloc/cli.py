@@ -375,7 +375,9 @@ def cmd_locate(args: argparse.Namespace) -> int:
     texts = list(dict.fromkeys(r.query_text for r in (reports if buglocator else queries)))
     rows = QueryRows.pack([vectorize_query(text, index) for text in texts])
     row_of = {text: i for i, text in enumerate(texts)}
-    history = HistorySet.build(reports, index, rows, row_of) if buglocator else None
+    history = (HistorySet.build(reports, index,
+                                rows.take([row_of[r.query_text] for r in reports]))
+               if buglocator else None)
     query_rows = rows.take([row_of[r.query_text] for r in queries])
     reported_at = [r.reported_at for r in queries]
     paths = index.paths

@@ -3,7 +3,8 @@
 Metric semantics match trec_eval: average precision divides by the total
 number of relevant files in the qrels (retrieved or not), reciprocal rank is
 0 when nothing relevant is retrieved, and Success@N is the fraction of
-queries with a relevant file in the top N.
+queries with a relevant file in the top N, for BugLocator's Top-N cutoffs
+N = 1, 5 and 10.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ log = logging.getLogger(__name__)
 GRADE_DIRECT = 2
 GRADE_INDIRECT = 1
 MODES = ("direct", "direct+indirect")
-DEFAULT_SUCCESS_NS = (1, 5, 10)
+SUCCESS_NS = (1, 5, 10)
 
 
 @dataclass
@@ -218,10 +219,6 @@ def reciprocal_rank(ranked: list[str], relevant: set[str]) -> float:
     return 0.0 if k is None else 1.0 / k
 
 
-def success_at_n(ranked: list[str], relevant: set[str], n: int) -> int:
-    return 1 if any(p in relevant for p in ranked[:n]) else 0
-
-
 @dataclass
 class QueryResult:
     query_id: str
@@ -280,7 +277,6 @@ def evaluate(
     run: dict[str, list[str]],
     qrels: Qrels,
     mode: str = "direct",
-    success_ns: tuple[int, ...] = DEFAULT_SUCCESS_NS,
 ) -> EvalReport:
     """Score a run against qrels.
 
@@ -315,7 +311,7 @@ def evaluate(
     n = len(results)
     success = {
         size: sum(1 for r in results if r.first_rank is not None and r.first_rank <= size) / n
-        for size in success_ns
+        for size in SUCCESS_NS
     }
     return EvalReport(
         mode=mode,

@@ -470,6 +470,11 @@ def _array_problem(index: Index) -> str | None:
     """What makes the index's arrays unfit to rank with, or None."""
     n_docs, n_terms = index.n_docs, len(index.vocabulary)
     indptr, indices, data = index.indptr, index.indices, index.data
+    # Term ids follow the vocabulary's order, as build_index sorts it.
+    if any(a >= b for a, b in pairwise(index.vocabulary)):
+        return "vocabulary terms must ascend strictly"
+    if len(set(index.paths)) != n_docs:
+        return "a path is repeated"
     if len(index.doc_freq) != n_terms:
         return "doc_freq length does not match vocabulary size"
     if n_terms and not 1 <= min(index.doc_freq) <= max(index.doc_freq) <= n_docs:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import TECHNIQUES
 from .corpus import BugReport
-from .index import Index, QueryRows, gather, transpose, vectorize_query
+from .index import Index, QueryRows, gather, transpose
 
 DEFAULT_ALPHA = 0.2
 DEFAULT_TOP_K = 100
@@ -103,36 +103,25 @@ class HistorySet:
     n: int
 
     @classmethod
-    def build(
-        cls,
-        reports: Iterable[BugReport],
-        index: Index,
-        rows: QueryRows | None = None,
-        row_of: Mapping[str, int] | None = None,
-    ) -> "HistorySet":
-        """History of the resolved reports with fixed files. A report's
-        query vector is row ``row_of[report.query_text]`` of ``rows``; by
-        default, ``vectorize_query`` over its query text. Callers that rank
-        the same reports pass rows they share, so that each text is
-        vectorized once."""
-        usable = [(r, fixed) for r in reports
+    def build(cls, reports: Sequence[BugReport], index: Index,
+              vectors: QueryRows) -> "HistorySet":
+        """History of the resolved reports with fixed files, where row i of
+        ``vectors`` is the query vector of ``reports[i]``."""
+        usable = [(i, r.resolved_at, fixed) for i, r in enumerate(reports)
                   if r.resolved_at is not None and (fixed := r.fixed_paths)]
-        usable.sort(key=lambda pair: pair[0].resolved_at)
-        if rows is None:
-            vectors = QueryRows.pack([vectorize_query(r.query_text, index) for r, _ in usable])
-        else:
-            vectors = rows.take([row_of[r.query_text] for r, _ in usable])
+        usable.sort(key=lambda u: u[1])
+        vectors = vectors.take([i for i, _, _ in usable])
         doc_ids = {p: i for i, p in enumerate(index.paths)}
         # A fixed file outside the index counts in n_fixed but credits nothing.
-        touched = [[doc_ids[p] for p in fixed if p in doc_ids] for _, fixed in usable]
+        touched = [[doc_ids[p] for p in fixed if p in doc_ids] for _, _, fixed in usable]
         postings = transpose(vectors.indptr, vectors.indices, vectors.data,
                              len(index.vocabulary))
         ptr, post_rows, _ = postings
         terms = np.repeat(np.arange(len(index.vocabulary), dtype=np.int64), np.diff(ptr))
         return cls(
-            times=tuple(r.resolved_at for r, _ in usable),
+            times=tuple(t for _, t, _ in usable),
             vectors=vectors,
-            n_fixed=np.array([len(fixed) for _, fixed in usable], dtype=np.float64),
+            n_fixed=np.array([len(fixed) for _, _, fixed in usable], dtype=np.float64),
             inc_ptr=np.cumsum([0, *map(len, touched)], dtype=np.int64),
             inc_docs=np.fromiter((d for docs in touched for d in docs), dtype=np.int64),
             postings=postings,
@@ -152,19 +141,6 @@ class HistorySet:
 
     def __len__(self) -> int:
         return self.n
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, data, norms) of this set's rows."""
-        n, v = self.n, self.vectors
-        nnz = v.indptr[n]
-        return v.indptr[:n + 1], v.indices[:nnz], v.data[:nnz], v.norms[:n]
-
-    def incidences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, doc id) of every file this set's fixes touched, and each
-        row's number of fixed files."""
-        n = self.n
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.inc_ptr[:n + 1]))
-        return rows, self.inc_docs[:self.inc_ptr[n]], self.n_fixed[:n]
 
 
 def csr_cosine(
@@ -220,25 +196,22 @@ def simi_scores(
     queries: QueryRows,
     index: Index,
     history: HistorySet,
-    reported_at: Sequence[datetime] | None = None,
+    reported_at: Sequence[datetime],
 ) -> np.ndarray:
     """For each query, the sum over its usable prior reports of
     cosine(query, report)/n_fixed, added to every file that report's fix
     touched. Query i may use the reports of ``history`` resolved strictly
-    before ``reported_at[i]``, or all of them when ``reported_at`` is None.
+    before ``reported_at[i]``.
 
     One cosine pass over the history postings, each query's cut to its
     usable rows, then one scatter of each nonzero share onto its fixed
     files, in row order. Leaving out the zero shares changes no bit: every
     share is at least +0.0."""
     m, n_docs = len(queries), index.n_docs
-    if reported_at is None:
-        usable = np.full(m, len(history), dtype=np.int64)
-    else:
-        if m:
-            # The rows the chunk's latest query may use; no query uses more.
-            history = history.before(max(reported_at))
-        usable = history.rows_before(reported_at)
+    if m:
+        # The rows the chunk's latest query may use; no query uses more.
+        history = history.before(max(reported_at))
+    usable = history.rows_before(reported_at)
     ptr, rows, weights = history.postings
     n_rows = len(history.times)
     cut = np.repeat(usable, np.diff(queries.indptr))
@@ -256,8 +229,8 @@ def buglocator_scores(
     queries: QueryRows,
     index: Index,
     history: HistorySet,
-    alpha: float = DEFAULT_ALPHA,
-    reported_at: Sequence[datetime] | None = None,
+    alpha: float,
+    reported_at: Sequence[datetime],
 ) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -270,26 +243,25 @@ def score_documents(
     queries: QueryRows,
     index: Index,
     technique: str,
-    history: HistorySet | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    reported_at: Sequence[datetime] | None = None,
+    history: HistorySet | None,
+    alpha: float,
+    reported_at: Sequence[datetime],
 ) -> np.ndarray:
-    """Scores of every document under ``technique``, one row per query;
-    buglocator takes its evidence from ``history`` (None means no history),
-    each query from the reports resolved before its ``reported_at``."""
+    """Scores of every document under ``technique``, one row per query.
+    Only buglocator reads ``history``, ``alpha`` and ``reported_at``: each
+    query takes its evidence from the reports of ``history`` resolved before
+    its ``reported_at``."""
     if technique == "vsm":
         return vsm_scores(queries, index)
     if technique == "rvsm":
         return rvsm_scores(queries, index)
     if technique == "buglocator":
-        if history is None:
-            history = HistorySet.build((), index)
         return buglocator_scores(queries, index, history, alpha, reported_at)
     raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
 
 
 def query_chunks(queries: QueryRows, index: Index,
-                 history: HistorySet | None = None) -> list[tuple[int, int]]:
+                 history: HistorySet | None) -> list[tuple[int, int]]:
     """(lo, hi) of consecutive chunks of ``queries`` that cover them in
     order, each as long as ``CHUNK_CELLS`` allows and at least one query
     long. A query's cells are the postings of its terms in the index and in

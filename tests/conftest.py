@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 import pytest
 
 from croloc.corpus import BugReport
-from croloc.index import QueryRows, build_index, tokenize, vectorize_tokens
+from croloc.index import QueryRows, build_index, tokenize, vectorize_query, vectorize_tokens
 from croloc.rank import HistorySet
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -26,6 +26,9 @@ def project_dir() -> pathlib.Path:
 
 # When a history report was resolved, unless it says otherwise.
 RESOLVED_AT = datetime(2020, 1, 1, tzinfo=timezone.utc)
+# A report time later than every resolution: a query filed then may use the
+# whole history.
+AFTER_ALL = datetime.max.replace(tzinfo=timezone.utc)
 
 
 def index_texts(raw_texts, paths, stemming=False):
@@ -49,8 +52,14 @@ def history_set(index, history):
         # Each report's query text is its own, and names its row.
         reports.append(BugReport(f"H{i}", f"H{i}", "", resolved_at, resolved_at, tuple(fixed)))
     rows = batch(*(vectorize_tokens(tokens, index) for tokens, *_ in history))
-    return HistorySet.build(reports, index, rows,
-                            {r.query_text: i for i, r in enumerate(reports)})
+    return HistorySet.build(reports, index, rows)
+
+
+def history_of(reports, index):
+    """``HistorySet.build`` over ``reports``, each vectorized from its query
+    text."""
+    return HistorySet.build(reports, index,
+                            batch(*(vectorize_query(r.query_text, index) for r in reports)))
 
 
 def assert_no_child_left():

@@ -43,7 +43,6 @@ from croloc.errors import TranslationError
 from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
 from croloc.extract import _CHAR_LITERAL_CAP, JAPANESE_RANGES, Segment, SpanKind, _Scanner
 from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS, idf, tf
-from croloc.rank import HistorySet
 from croloc.porter import stem as porter_stem
 
 
@@ -191,9 +190,25 @@ def _minmax_array(values):
     return (values - lo) / (hi - lo)
 
 
+def history_csr(history):
+    """(indptr, indices, data, norms) of the rows of a ``HistorySet``."""
+    n, v = len(history), history.vectors
+    nnz = v.indptr[n]
+    return v.indptr[:n + 1], v.indices[:nnz], v.data[:nnz], v.norms[:n]
+
+
+def history_incidences(history):
+    """(row, doc id) of every file the fixes of a ``HistorySet`` touched,
+    and each row's number of fixed files."""
+    n = len(history)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(history.inc_ptr[:n + 1]))
+    return rows, history.inc_docs[:history.inc_ptr[n]], history.n_fixed[:n]
+
+
 def per_query_scores(query, index, technique, history=None, alpha=0.2):
     """Scores of every document for one ``QueryVector``, as the per-query
-    path computed them; buglocator's evidence is all of ``history``."""
+    path computed them; buglocator's evidence is all of ``history``, which
+    only buglocator needs."""
     dense = query_dense(query, index)
     vsm = ref_csr_cosine(*index.csr(), dense, query.norm)
     if technique == "vsm":
@@ -202,10 +217,8 @@ def per_query_scores(query, index, technique, history=None, alpha=0.2):
     rvsm = length * vsm
     if technique == "rvsm":
         return rvsm
-    if history is None:
-        history = HistorySet.build((), index)
-    sims = ref_csr_cosine(*history.csr(), dense, query.norm)
-    rows, docs, n_fixed = history.incidences()
+    sims = ref_csr_cosine(*history_csr(history), dense, query.norm)
+    rows, docs, n_fixed = history_incidences(history)
     simi = np.bincount(docs, weights=sims[rows] / n_fixed[rows], minlength=index.n_docs)
     return (1.0 - alpha) * _minmax_array(rvsm) + alpha * _minmax_array(simi)
 

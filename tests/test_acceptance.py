@@ -17,7 +17,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, batch, history_set, index_texts
+from conftest import AFTER_ALL, FIXTURES, batch, history_of, history_set, index_texts
 from croloc.corpus import (
     BugReport,
     filter_usable_reports,
@@ -31,7 +31,6 @@ from croloc.evalharness import (
     link_oracles,
     load_commit_log,
     reciprocal_rank,
-    success_at_n,
 )
 from croloc.extract import detect_japanese, extract_spans, japanese_segments
 from croloc.index import (
@@ -43,7 +42,6 @@ from croloc.index import (
 )
 from croloc.rank import (
     DEFAULT_ALPHA,
-    HistorySet,
     buglocator_scores,
     make_ranking,
     rvsm_scores,
@@ -191,13 +189,13 @@ def test_acceptance_1_formula_equivalence():
             _assert_close(rvsm_scores(q, index)[0].tolist(),
                           ref_rvsm(c["query"], c["token_lists"]), label="rvsm")
             _assert_close(
-                simi_scores(q, index, c["entries"])[0].tolist(),
+                simi_scores(q, index, c["entries"], [AFTER_ALL])[0].tolist(),
                 ref_simi(c["query"], c["token_lists"], c["paths"], c["history"]),
                 label="simi",
             )
             for alpha in (0.0, 0.2, 0.5, 1.0):
                 _assert_close(
-                    buglocator_scores(q, index, c["entries"], alpha=alpha)[0].tolist(),
+                    buglocator_scores(q, index, c["entries"], alpha, [AFTER_ALL])[0].tolist(),
                     ref_buglocator(c["query"], c["token_lists"], c["paths"],
                                    c["history"], alpha),
                     label=f"combined a={alpha}",
@@ -213,7 +211,7 @@ def test_acceptance_2_alpha_zero_order():
     with criterion(2, desc):
         for c in _random_corpora():
             q, index = c["query_vec"], c["index"]
-            combined = buglocator_scores(q, index, c["entries"], alpha=0.0)[0]
+            combined = buglocator_scores(q, index, c["entries"], 0.0, [AFTER_ALL])[0]
             rvsm = rvsm_scores(q, index)[0]
             order_combined = [index.paths[d] for d in make_ranking(combined, index, top_k=0)]
             order_rvsm = [index.paths[d] for d in make_ranking(rvsm, index, top_k=0)]
@@ -242,7 +240,7 @@ def test_acceptance_3_rvsm_size_monotonicity():
 
 
 def test_acceptance_4_metric_correctness():
-    desc = ("AP/RR/MAP/MRR/Success@{5,10} equal an independent computation "
+    desc = ("AP/RR/MAP/MRR/Success@{1,5,10} equal an independent computation "
             "on a three-query fixture; the two-oracle AP example is 5/6")
     with criterion(4, desc):
         frozen = average_precision(["r1", "x", "r2", "y"], {"r1", "r2"})
@@ -265,7 +263,7 @@ def test_acceptance_4_metric_correctness():
                 qrels.add(qid, path, grade)
 
         for mode, threshold in (("direct", 2), ("direct+indirect", 1)):
-            report = evaluate(run, qrels, mode=mode, success_ns=(5, 10))
+            report = evaluate(run, qrels, mode=mode)
             qids = sorted(run)
             relevant = {
                 qid: {p for p, g in grades[qid].items() if g >= threshold}
@@ -279,7 +277,8 @@ def test_acceptance_4_metric_correctness():
                 assert by_id[qid].rr == rr
             assert report.map_score == sum(want_ap) / len(qids)
             assert report.mrr == sum(want_rr) / len(qids)
-            for n in (5, 10):
+            assert sorted(report.success) == [1, 5, 10]
+            for n in (1, 5, 10):
                 want = sum(
                     ref_success_at(run[q], relevant[q], n) for q in qids
                 ) / len(qids)
@@ -378,14 +377,12 @@ def _project_run(translate: bool):
         [d.path for d in documents],
     )
     usable, _ = filter_usable_reports(reports, {d.path for d in documents}, {".java"})
-    history = HistorySet.build(reports, index)
+    history = history_of(reports, index)
     run = {}
     for report in usable:
         query = batch(vectorize_query(report.query_text, index))
-        scores = score_documents(
-            query, index, "buglocator",
-            history.before(report.reported_at), DEFAULT_ALPHA,
-        )[0]
+        scores = score_documents(query, index, "buglocator", history, DEFAULT_ALPHA,
+                                 [report.reported_at])[0]
         run[report.id] = [index.paths[d] for d in make_ranking(scores, index, top_k=0)]
     return run, corpus, reports
 
@@ -459,8 +456,10 @@ def test_acceptance_8_known_item_sanity():
             reported_at=parse_rfc3339("2024-06-01T00:00:00Z"),
         )
         query = batch(vectorize_query(report.query_text, index))
+        no_history = history_set(index, [])
         for technique in ("vsm", "rvsm", "buglocator"):
-            scores = score_documents(query, index, technique)[0]
+            scores = score_documents(query, index, technique, no_history, DEFAULT_ALPHA,
+                                     [report.reported_at])[0]
             ranked = [index.paths[d] for d in make_ranking(scores, index, top_k=0)]
             assert ranked[0] == target.path, (technique, ranked[:3])
 
@@ -481,9 +480,9 @@ def test_acceptance_9_temporal_safety():
         query = batch(vectorize_query(query_report.query_text, index))
 
         def scores_with(extra_reports):
-            history = HistorySet.build(reports + extra_reports, index)
-            usable = history.before(query_report.reported_at)
-            return buglocator_scores(query, index, usable, alpha=DEFAULT_ALPHA)[0]
+            history = history_of(reports + extra_reports, index)
+            return buglocator_scores(query, index, history, DEFAULT_ALPHA,
+                                     [query_report.reported_at])[0]
 
         baseline = scores_with([])
 

@@ -713,25 +713,40 @@ def _size(path):
     return path.stat().st_size if path.exists() else -1
 
 
+def _contents(path):
+    """The bytes of file ``path``, or of each file under directory ``path``
+    by relative path."""
+    if path.is_dir():
+        return {p.relative_to(path): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+    return path.read_bytes()
+
+
+def _remove(path):
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+
+
 class TestKilledRuns:
     """A run killed at any point does not change what the next run writes:
     rerun, it exits 0 with a clean run's output bytes and cache keys."""
 
     KILLS = 6
 
-    def _start(self, args, cwd):
-        return subprocess.Popen([sys.executable, "-c", FANNED_ENTRY, *map(str, args)],
+    def _start(self, entry, args, cwd):
+        return subprocess.Popen([sys.executable, "-c", entry, *map(str, args)],
                                 cwd=str(cwd), env=dict(os.environ, PYTHONPATH=CROLOC_ROOT),
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
-    def _clean(self, args, cwd, out, cache):
-        """(seconds until ``out`` or ``cache`` first changed, seconds until
+    def _clean(self, entry, args, cwd, watched):
+        """(seconds until one of ``watched`` first changed, seconds until
         exit) of a run that is left alone."""
-        before = _size(out), _size(cache)
-        proc = self._start(args, cwd)
+        before = list(map(_size, watched))
+        proc = self._start(entry, args, cwd)
         started, first = time.monotonic(), None
         while proc.poll() is None and time.monotonic() - started < 60:
-            if first is None and (_size(out), _size(cache)) != before:
+            if first is None and list(map(_size, watched)) != before:
                 first = time.monotonic() - started
             time.sleep(0.001)
         wall = time.monotonic() - started
@@ -741,50 +756,87 @@ class TestKilledRuns:
             proc.kill()  # one still running after a minute
         return first or wall, wall
 
-    def _killed(self, args, cwd, delay):
+    def _killed(self, entry, args, cwd, delay):
         """Whether a run was sent SIGKILL ``delay`` seconds after it started:
         it may have exited by then."""
-        proc = self._start(args, cwd)
+        proc = self._start(entry, args, cwd)
         try:
             proc.wait(timeout=delay)
         except subprocess.TimeoutExpired:
             proc.send_signal(signal.SIGKILL)
         return proc.wait(timeout=60) == -signal.SIGKILL
 
-    def _check(self, tmp_path, name, args, out, cache):
+    def _check(self, tmp_path, name, args, outs, cache=None, entry=FANNED_ENTRY):
         """Run ``args`` clean, then kill it at seeded points, from shortly
         before its first write to halfway from there to its exit (the rest
         is mostly the interpreter's shutdown), and rerun it; each run starts
-        from the cache as it is now and no ``out``."""
-        start_cache = cache.read_bytes() if cache.exists() else b""
+        from the cache as it is now, if there is one, and none of ``outs``
+        (files or directories)."""
+        start_cache = cache.read_bytes() if cache and cache.exists() else b""
+        watched = [*outs, cache] if cache else outs
+
+        def reset():
+            for out in outs:
+                _remove(out)
+            if cache:
+                cache.write_bytes(start_cache)
+
+        def written():
+            return [_contents(out) for out in outs], _cache_keys(cache) if cache else []
+
         for _ in range(2):  # the second run's times, with the imports warm
-            out.unlink(missing_ok=True)
-            cache.write_bytes(start_cache)
-            first, wall = self._clean(args, tmp_path, out, cache)
-        clean_out, clean_keys = out.read_bytes(), set(_cache_keys(cache))
+            reset()
+            first, wall = self._clean(entry, args, tmp_path, watched)
+        clean_outs, clean_keys = written()
         rng = random.Random(f"kill:{name}")
         killed = 0
         delays = sorted(rng.uniform(0.7 * first, (first + wall) / 2) for _ in range(self.KILLS))
         for delay in delays:
-            out.unlink(missing_ok=True)
-            cache.write_bytes(start_cache)
-            killed += self._killed(args, tmp_path, delay)
+            reset()
+            killed += self._killed(entry, args, tmp_path, delay)
             assert_no_child_left()
-            rerun = self._start(args, tmp_path)
+            rerun = self._start(entry, args, tmp_path)
             assert rerun.wait(timeout=60) == 0, f"rerun after a kill at {delay:.3f} s"
             assert_no_child_left()
-            keys = _cache_keys(cache)
-            assert out.read_bytes() == clean_out
-            assert set(keys) == clean_keys and len(keys) == len(clean_keys)
+            got_outs, keys = written()
+            assert got_outs == clean_outs
+            assert set(keys) == set(clean_keys) and len(keys) == len(clean_keys)
         assert killed, "every run ended before its kill"
 
     def test_index_and_locate_killed_at_seeded_points(self, small_project, tmp_path):
         cache, index, run = tmp_path / "cache.jsonl", tmp_path / "index.npz", tmp_path / "run"
         common = ["--glossary", small_project.glossary, "--cache", cache]
         self._check(tmp_path, "index", ["index", "--tree", small_project.tree, *common,
-                                        "-o", index], index, cache)
+                                        "-o", index], [index], cache)
         self._check(tmp_path, "locate", ["locate", "--index", index, "--reports",
-                                         small_project.reports, *common, "-o", run], run, cache)
+                                         small_project.reports, *common, "-o", run], [run], cache)
+
+    def test_one_process_index_translate_qrels_and_eval_killed(self, small_project, tmp_path):
+        # Under ENTRY, index keeps a tree this small in one process.
+        assert sum(f.stat().st_size for f in small_project.tree.rglob("*")
+                   if f.is_file()) < croloc.corpus.MIN_CHUNK_BYTES
+        index, run = tmp_path / "index.npz", tmp_path / "run"
+        qrels, report = tmp_path / "qrels", tmp_path / "eval.json"
+        # Each command that writes a cache starts from none.
+        index_cache, translate_cache = tmp_path / "index.jsonl", tmp_path / "translate.jsonl"
+        translated = tmp_path / "translated"
+        glossary = ["--glossary", str(small_project.glossary)]
+        self._check(tmp_path, "index-one-process",
+                    ["index", "--tree", small_project.tree, *glossary, "--cache", index_cache,
+                     "-o", index], [index], index_cache, ENTRY)
+        self._check(tmp_path, "translate",
+                    ["translate", "--tree", small_project.tree, "--reports",
+                     small_project.reports, *glossary, "--cache", translate_cache,
+                     "--out-dir", translated],
+                    [translated / "translated", translated / "reports.translated.jsonl"],
+                    translate_cache, ENTRY)
+        self._check(tmp_path, "qrels", ["qrels", "--reports", small_project.reports,
+                                        "--commit-log", small_project.commit_log, "-o", qrels],
+                    [qrels], entry=ENTRY)
+        assert cli.main(["locate", "--index", str(index), "--reports",
+                         str(small_project.reports), *glossary, "-o", str(run)]) == 0
+        self._check(tmp_path, "eval", ["eval", "--run", run, "--qrels", qrels,
+                                       "--json", report], [report], entry=ENTRY)
 
 
 class TestTracerSeam:

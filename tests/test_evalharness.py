@@ -25,7 +25,6 @@ from croloc.evalharness import (
     read_qrels,
     read_run_file,
     reciprocal_rank,
-    success_at_n,
     write_qrels,
     write_run_file,
 )
@@ -33,7 +32,6 @@ from reference import (
     ref_average_precision,
     ref_link_oracles,
     ref_reciprocal_rank,
-    ref_success_at,
 )
 from strategies import any_text, json_lines, json_records
 
@@ -112,22 +110,6 @@ class TestFirstRelevantRank:
 
     def test_none_when_absent(self):
         assert first_relevant_rank(["x", "y"], {"r"}) is None
-
-
-class TestSuccessAtN:
-    def test_within_cutoff(self):
-        assert success_at_n(["x", "r", "y"], {"r"}, 2) == 1
-
-    def test_outside_cutoff(self):
-        assert success_at_n(["x", "y", "r"], {"r"}, 2) == 0
-
-    def test_matches_reference(self):
-        ranked = ["a", "b", "c"]
-        for n in (1, 2, 3, 10):
-            for relevant in ({"b"}, {"zzz"}):
-                assert success_at_n(ranked, relevant, n) == ref_success_at(
-                    ranked, relevant, n
-                )
 
 
 class TestQrels:
@@ -523,12 +505,6 @@ class TestEvaluate:
         run, qrels = self._setup()
         with pytest.raises(EvalError, match="mode"):
             evaluate(run, qrels, mode="strict")
-
-    def test_custom_success_cutoffs(self):
-        run, qrels = self._setup()
-        report = evaluate(run, qrels, mode="direct", success_ns=(2,))
-        assert set(report.success) == {2}
-        assert report.success[2] == pytest.approx(1.0)
 
     def test_per_query_results(self):
         run, qrels = self._setup()

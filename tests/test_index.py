@@ -661,6 +661,11 @@ def _repeat_first_term_id(payload):
     payload["indices"][1] = payload["indices"][0]
 
 
+def _swap_first_terms(payload):
+    vocabulary = payload["vocabulary"]
+    vocabulary[0], vocabulary[1] = vocabulary[1], vocabulary[0]
+
+
 def _stored_as(key, dtype, position=None, value=None):
     """The member ``key`` stored with another dtype, one value optionally
     set after the conversion."""
@@ -710,6 +715,10 @@ class TestLoadValidation:
         _set("vocabulary", 0, None),
         _set("options", "stemming", "no"),
         _set("paths", 0, "\ud800"),
+        # A repeated term sends query weights to another term's documents.
+        _set("vocabulary", 1, "cache"),
+        _swap_first_terms,
+        _set("paths", 1, "a.java"),
     ], ids=["doc-order", "duplicate-doc-id", "term-id-past-vocab", "negative-term-id",
             "term-id-beyond-int64", "nan-weight", "infinite-norm", "edited-norm",
             "edited-weight", "doc-freq-length",
@@ -719,7 +728,7 @@ class TestLoadValidation:
             "bool-term-id", "float-indptr",
             "string-term-count", "string-weight", "bool-weight", "null-norm",
             "float-doc-freq", "non-string-path", "non-string-term", "string-stemming",
-            "surrogate-path"])
+            "surrogate-path", "term-repeated", "vocabulary-unsorted", "path-repeated"])
     def test_rejects_mutated_payload(self, tmp_path, mutate):
         index = index_texts(
             ["cache miss rate", "order total", "cache order sync"],

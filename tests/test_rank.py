@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch, history_set
+from conftest import AFTER_ALL, batch, history_of, history_set
 from croloc.corpus import BugReport
 from croloc.errors import EvalError
 from croloc.evalharness import read_run_file, write_run_file
@@ -31,6 +31,8 @@ from croloc.rank import (
     vsm_scores,
 )
 from reference import (
+    history_csr,
+    history_incidences,
     per_query_scores,
     ref_buglocator,
     ref_cosine,
@@ -127,7 +129,7 @@ def _package_scores(technique, query_tokens, token_lists, paths, history=None, a
     index = build_index(token_lists, paths)
     query = vectorize_tokens(query_tokens, index)
     entries = history_set(index, history or [])
-    return score_documents(batch(query), index, technique, history=entries, alpha=alpha)[0]
+    return score_documents(batch(query), index, technique, entries, alpha, [AFTER_ALL])[0]
 
 
 class TestVsmAgainstReference:
@@ -191,7 +193,7 @@ class TestSimiAgainstReference:
         index = build_index(token_lists, paths)
         query = vectorize_tokens(["cache", "miss"], index)
 
-        got = simi_scores(batch(query), index, history_set(index, history))[0]
+        got = simi_scores(batch(query), index, history_set(index, history), [AFTER_ALL])[0]
         want = ref_simi(["cache", "miss"], token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -211,7 +213,7 @@ class TestSimiAgainstReference:
             history.append((_random_query(rng), fixed))
         index = build_index(token_lists, paths)
         query_vec = vectorize_tokens(query, index)
-        got = simi_scores(batch(query_vec), index, history_set(index, history))[0]
+        got = simi_scores(batch(query_vec), index, history_set(index, history), [AFTER_ALL])[0]
         want = ref_simi(query, token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -219,8 +221,8 @@ class TestSimiAgainstReference:
         token_lists = [["cache"], ["order"]]
         index = build_index(token_lists, ["a", "b"])
         query = vectorize_tokens(["cache"], index)
-        assert simi_scores(batch(query), index,
-                           HistorySet.build([], index))[0].tolist() == [0.0, 0.0]
+        assert simi_scores(batch(query), index, history_set(index, []),
+                           [AFTER_ALL])[0].tolist() == [0.0, 0.0]
 
 
 class TestBugLocatorAgainstReference:
@@ -244,8 +246,8 @@ class TestBugLocatorAgainstReference:
         index = build_index(token_lists, paths)
         query = vectorize_tokens(["cache", "miss"], index)
         alpha = DEFAULT_ALPHA
-        got = buglocator_scores(batch(query), index, HistorySet.build([], index),
-                                alpha=alpha)[0]
+        got = buglocator_scores(batch(query), index, history_set(index, []), alpha,
+                                [AFTER_ALL])[0]
         expected = (1.0 - alpha) * minmax(rvsm_scores(batch(query), index)[0]) + alpha * 0.5
         assert np.array_equal(got, expected)
         # and the induced order matches plain rvsm
@@ -260,7 +262,8 @@ class TestBugLocatorAgainstReference:
         query = vectorize_tokens(["cache"], index)
         for alpha in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                buglocator_scores(batch(query), index, HistorySet.build([], index), alpha=alpha)
+                buglocator_scores(batch(query), index, history_set(index, []), alpha,
+                                  [AFTER_ALL])
 
     def test_alpha_one_is_pure_history(self):
         token_lists = [["cache", "miss"], ["order"]]
@@ -278,19 +281,16 @@ class TestScoreDocuments:
         index = build_index([["cache"]], ["a"])
         query = vectorize_tokens(["cache"], index)
         with pytest.raises(ValueError, match="technique"):
-            score_documents(batch(query), index, "pagerank")
+            score_documents(batch(query), index, "pagerank", None, DEFAULT_ALPHA, [AFTER_ALL])
 
     def test_dispatch_matches_direct_calls(self):
         token_lists = [["cache", "miss"], ["order"]]
         index = build_index(token_lists, ["a", "b"])
         query = vectorize_tokens(["cache"], index)
         queries = batch(query)
-        assert np.array_equal(
-            score_documents(queries, index, "vsm"), vsm_scores(queries, index)
-        )
-        assert np.array_equal(
-            score_documents(queries, index, "rvsm"), rvsm_scores(queries, index)
-        )
+        for technique, direct in (("vsm", vsm_scores), ("rvsm", rvsm_scores)):
+            got = score_documents(queries, index, technique, None, DEFAULT_ALPHA, [AFTER_ALL])
+            assert np.array_equal(got, direct(queries, index))
 
 
 class TestHistorySet:
@@ -319,11 +319,11 @@ class TestHistorySet:
             self._report("R3", t0, t1, ()),
             self._report("R4", t0, t1, None),
         ]
-        hs = HistorySet.build(reports, index)
+        hs = history_of(reports, index)
         assert len(hs) == 1
         # R1 is the only resolved report with a fix.
         assert hs.times == (t1,)
-        rows, docs, n_fixed = hs.incidences()
+        rows, docs, n_fixed = history_incidences(hs)
         assert (rows.tolist(), docs.tolist(), n_fixed.tolist()) == ([0], [0], [1.0])
 
     def test_build_dedupes_normalized_paths(self):
@@ -333,8 +333,8 @@ class TestHistorySet:
         report = self._report(
             "R1", t0, t1, ("src\\A.java", "./src/A.java", "src/A.java")
         )
-        hs = HistorySet.build([report], index)
-        _, docs, n_fixed = hs.incidences()
+        hs = history_of([report], index)
+        _, docs, n_fixed = history_incidences(hs)
         assert n_fixed.tolist() == [1.0]
         assert docs.tolist() == [0]
 
@@ -343,8 +343,8 @@ class TestHistorySet:
         t0 = datetime(2024, 1, 1, tzinfo=UTC)
         t1 = datetime(2024, 2, 1, tzinfo=UTC)
         report = self._report("R1", t0, t1, ("src/A.java", "src/Gone.java"))
-        hs = HistorySet.build([report], index)
-        _, docs, n_fixed = hs.incidences()
+        hs = history_of([report], index)
+        _, docs, n_fixed = history_incidences(hs)
         assert n_fixed.tolist() == [2.0]
         assert docs.tolist() == [0]
 
@@ -352,12 +352,12 @@ class TestHistorySet:
         index = self._index()
         t0 = datetime(2024, 1, 1, tzinfo=UTC)
         resolved = datetime(2024, 3, 15, 12, 0, tzinfo=UTC)
-        hs = HistorySet.build([self._report("R1", t0, resolved, ("src/A.java",))], index)
+        hs = history_of([self._report("R1", t0, resolved, ("src/A.java",))], index)
         assert len(hs.before(resolved)) == 0  # equal timestamp is not "before"
-        assert [a.size for a in hs.before(resolved).incidences()] == [0, 0, 0]
+        assert [a.size for a in history_incidences(hs.before(resolved))] == [0, 0, 0]
         after = datetime(2024, 3, 15, 12, 0, 1, tzinfo=UTC)
         assert len(hs.before(after)) == 1
-        assert [a.size for a in hs.before(after).incidences()] == [1, 1, 1]
+        assert [a.size for a in history_incidences(hs.before(after))] == [1, 1, 1]
 
     def test_before_filters_mixed_timeline(self):
         index = self._index()
@@ -366,12 +366,12 @@ class TestHistorySet:
             self._report("OLD", t0, datetime(2024, 2, 1, tzinfo=UTC), ("src/A.java",)),
             self._report("NEW", t0, datetime(2024, 6, 1, tzinfo=UTC), ("src/B.java",)),
         ]
-        hs = HistorySet.build(reports, index)
+        hs = history_of(reports, index)
         cut = datetime(2024, 4, 1, tzinfo=UTC)
         old = hs.before(cut)
         assert len(old) == 1
         # OLD's fix, src/A.java, and not NEW's.
-        rows, docs, n_fixed = old.incidences()
+        rows, docs, n_fixed = history_incidences(old)
         assert (rows.tolist(), docs.tolist(), n_fixed.tolist()) == ([0], [0], [1.0])
 
 
@@ -535,13 +535,15 @@ class TestVectorizedPathsProperties:
         index = build_index(token_lists, paths)
         query_vec = vectorize_tokens(query, index)
         prior = history_set(index, [h for h in history if h[2] < cut])
-        prefix = history_set(index, history).before(cut)
+        full = history_set(index, history)
+        prefix = full.before(cut)
         assert prefix.times[:len(prefix)] == prior.times
-        for got, want in zip((*prefix.csr(), *prefix.incidences()),
-                             (*prior.csr(), *prior.incidences()), strict=True):
+        for got, want in zip((*history_csr(prefix), *history_incidences(prefix)),
+                             (*history_csr(prior), *history_incidences(prior)), strict=True):
             assert np.array_equal(got, want)
-        got = simi_scores(batch(query_vec), index, prefix)[0]
-        assert np.array_equal(got, simi_scores(batch(query_vec), index, prior)[0])
+        got = simi_scores(batch(query_vec), index, prefix, [AFTER_ALL])[0]
+        assert np.array_equal(got, simi_scores(batch(query_vec), index, prior, [AFTER_ALL])[0])
+        assert np.array_equal(got, simi_scores(batch(query_vec), index, full, [cut])[0])
         want = ref_simi(query, token_lists, paths,
                         [(toks, fixed) for toks, fixed, t in history if t < cut])
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -620,8 +622,7 @@ class TestChunkedScoring:
         token_lists, paths, reports, tokens, picks = case
         index = build_index(token_lists, paths)
         vectors = [vectorize_tokens(t, index) for t in tokens]
-        history = HistorySet.build(reports, index, QueryRows.pack(vectors),
-                                   {r.query_text: i for i, r in enumerate(reports)})
+        history = HistorySet.build(reports, index, QueryRows.pack(vectors))
         rows = QueryRows.pack([vectors[i] for i in picks])
         reported_at = [reports[i].reported_at for i in picks]
         return index, history, vectors, rows, reported_at, picks
@@ -674,10 +675,11 @@ class TestChunkedScoring:
         vectors = [vectorize_tokens(t, index) for t in (["zzz"], [], ["cache"])]
         assert [v.norm for v in vectors][:2] == [0.0, 0.0]
         rows = QueryRows.pack(vectors)
-        empty = HistorySet.build([], index)
+        empty = history_set(index, [])
         at = [datetime(2024, 1, 1, tzinfo=UTC)] * 3
         for technique in ("vsm", "rvsm", "buglocator"):
-            for history in (empty, None):
+            # Only buglocator reads a history; locate passes the others None.
+            for history in (empty,) if technique == "buglocator" else (empty, None):
                 got = score_documents(rows, index, technique, history, 0.3, at)
                 assert got.shape == (3, 3)
                 for row, vector in zip(got, vectors):
@@ -689,7 +691,7 @@ class TestChunkedScoring:
         index = build_index([["cache"], ["order"]], ["a", "b"])
         rows = QueryRows.pack([])
         assert query_chunks(rows, index, None) == []
-        history = HistorySet.build([], index)
+        history = history_set(index, [])
         assert score_documents(rows, index, "buglocator", history, 0.3, []).shape == (0, 2)
 
     @pytest.mark.parametrize("top_k", [0, 1, 2, 3, 4, 50])
