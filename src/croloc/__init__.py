@@ -12,6 +12,8 @@ and ``croloc.evalharness``.
 
 __version__ = "0.1.0"
 
-# The scoring techniques of ``croloc.rank``, named here so that building the
-# command line parser loads no numpy.
+# The scoring techniques of ``croloc.rank`` and the evaluation modes of
+# ``croloc.evalharness``, named here so that building the command line parser
+# loads neither module.
 TECHNIQUES = ("vsm", "rvsm", "buglocator")
+MODES = ("direct", "direct+indirect")

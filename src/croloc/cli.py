@@ -25,7 +25,7 @@ from contextlib import AbstractContextManager, closing, nullcontext
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
 
-from . import TECHNIQUES
+from . import MODES, TECHNIQUES
 from .corpus import (
     Corpus,
     SourceDocument,
@@ -40,16 +40,6 @@ from .corpus import (
     write_atomically,
 )
 from .errors import ConfigError, CrolocError
-from .evalharness import (
-    MODES,
-    evaluate,
-    link_oracles,
-    load_commit_log,
-    read_qrels,
-    read_run_file,
-    write_qrels,
-    write_run_file,
-)
 
 if TYPE_CHECKING:
     from .index import Index
@@ -57,17 +47,21 @@ if TYPE_CHECKING:
 
 # Names taken from modules that not every command needs. They become globals
 # of this module when a command that calls them starts (``_bind``), not at
-# import: ``index`` and ``rank`` import numpy, which qrels and eval never use.
-# Commands call them through these globals, so a wrapper set on this module
-# (perfbench/tracer.py) sees every call.
+# import: ``index`` and ``rank`` import numpy, which qrels and eval never use,
+# and index uses nothing of ``evalharness``. Commands call them through these
+# globals, so a wrapper set on this module (perfbench/tracer.py) sees every
+# call. No command calls ``translate_document`` or ``translate_report``, which
+# translate one item; they stay here for wrappers that look them up.
 _LAZY = {
+    "evalharness": ("evaluate", "link_oracles", "load_commit_log", "read_qrels",
+                    "read_run_file", "write_qrels", "write_run_file"),
     "extract": ("extract_spans", "japanese_segments"),
     "index": ("QueryRows", "load_index", "save_index", "vectorize_query"),
     "rank": ("DEFAULT_ALPHA", "DEFAULT_TOP_K", "HistorySet", "make_ranking",
              "query_chunks", "score_documents"),
     "translate": ("GlossaryBackend", "IdentityBackend", "ServiceBackend",
                   "TranslationCache", "load_glossary", "translate_document",
-                  "translate_report"),
+                  "translate_documents", "translate_report", "translate_reports"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -185,12 +179,12 @@ def _translating_backend(args: argparse.Namespace) -> TranslatorBackend | None:
 
 
 def _translated(args: argparse.Namespace, items: Sequence, translate: Callable) -> Sequence:
-    """``items`` mapped through ``translate(item, backend, cache)``; as they
-    are with --no-translate or the identity backend."""
+    """``translate(items, backend, cache)``, which translates them all in one
+    pass; ``items`` as they are with --no-translate or the identity backend."""
     if (backend := _translating_backend(args)) is None:
         return items
     with _make_cache(args.cache) as cache:
-        return [translate(item, backend, cache) for item in items]
+        return translate(items, backend, cache)
 
 
 def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
@@ -199,11 +193,14 @@ def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
     """The tokens of each of ``documents``, translated through ``backend``
     first unless it is None, with the translation cache at ``cache_path``,
     if any. Translating and tokenizing one document needs no other, so
-    ``fan_out`` spreads that step over the usable CPUs; each chunk a child
+    ``fan_out`` spreads that step over the usable CPUs, and each chunk is
+    translated in one ``translate_documents`` pass. Each chunk a child
     process ran hands back the cache rows it made, and this process adds them
-    to the cache in document order, as a serial run would have. The cache is
-    closed, which frees its entries, on return, or before tokenizing when this
-    process runs the only chunk."""
+    to the cache in document order, as a serial run would have. A chunk whose
+    backend batch fails hands back the rows of the batches before it, and its
+    error is raised in its chunk's turn. The cache is closed, which frees its
+    entries, on return, or before tokenizing when this process runs the only
+    chunk."""
     # Looked up now, not at import, so that a wrapper set on croloc.index
     # (perfbench/tracer.py) sees every call.
     from .index import tokenize
@@ -213,15 +210,14 @@ def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
                 list[list[str]], list[CacheRow], CrolocError | None]:
             # All translating, then all tokenizing: alternating the two per
             # document made the index command 5-12% slower on a 2-CPU VM.
-            translated = []
-            try:
-                for doc in chunk:
-                    translated.append(doc if backend is None
-                                      else translate_document(doc, backend, cache)[0])
-            except CrolocError as exc:
-                # The chunk stops at the failing document, as a serial run
-                # does; the rows made before it still go back.
-                return [], [] if cache is None else cache.take_held(), exc
+            translated = list(chunk)
+            if backend is not None:
+                try:
+                    translated = [doc for doc, _ in
+                                  translate_documents(translated, backend, cache)]
+                except CrolocError as exc:
+                    # The rows of the batches before the failing one still go back.
+                    return [], [] if cache is None else cache.take_held(), exc
             rows = [] if cache is None else cache.take_held()
             if cache is not None and len(translated) == len(documents):
                 # This process ran the only chunk, so no child's rows are
@@ -299,23 +295,22 @@ def cmd_translate(args: argparse.Namespace) -> int:
             corpus = _load_tree(args, args.tree)
             dest_root = out_dir / "translated"
             total_segments = 0
-            for doc in corpus.documents:
-                translated, n_segments = translate_document(doc, backend, cache)
+            for translated, n_segments in translate_documents(corpus.documents, backend,
+                                                              cache):
                 total_segments += n_segments
-                dest = dest_root / PurePosixPath(doc.path)
+                dest = dest_root / PurePosixPath(translated.path)
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 dest.write_text(translated.raw_text, encoding="utf-8")
             log.info("translated %d segments across %d files into %s",
                      total_segments, len(corpus), dest_root)
 
         if getattr(args, "reports", None) is not None:
-            reports = load_bug_reports(args.reports)
+            reports = translate_reports(load_bug_reports(args.reports), backend, cache)
             out_path = out_dir / "reports.translated.jsonl"
             out_dir.mkdir(parents=True, exist_ok=True)
             with write_atomically(out_path) as fh:
                 for report in reports:
-                    translated = translate_report(report, backend, cache)
-                    fh.write(json.dumps(report_to_obj(translated), ensure_ascii=False) + "\n")
+                    fh.write(json.dumps(report_to_obj(report), ensure_ascii=False) + "\n")
             log.info("translated %d reports into %s", len(reports), out_path)
     return 0
 
@@ -337,7 +332,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    _bind("index", "rank", "translate")
+    _bind("evalharness", "index", "rank", "translate")
     reports_path = _require(args, "reports")
     _fill(args, out_dir=".", technique="buglocator", alpha=DEFAULT_ALPHA,
           top_k=DEFAULT_TOP_K)
@@ -351,7 +346,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--top-k must be a non-negative integer, got {args.top_k!r}")
     index_path = args.index or _default_index_path(args)
     index = load_index(index_path)
-    reports = _translated(args, load_bug_reports(reports_path), translate_report)
+    reports = _translated(args, load_bug_reports(reports_path), translate_reports)
 
     if args.query:
         by_id = {r.id: r for r in reports}
@@ -400,6 +395,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 
 def cmd_qrels(args: argparse.Namespace) -> int:
+    _bind("evalharness")
     reports_path = _require(args, "reports")
     reports = load_bug_reports(reports_path)
     commits = load_commit_log(args.commit_log) if args.commit_log else []
@@ -414,6 +410,7 @@ def cmd_qrels(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _bind("evalharness")
     run_path = _require(args, "run")
     qrels_path = _require(args, "qrels")
     _fill(args, mode="direct")

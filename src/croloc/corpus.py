@@ -83,14 +83,15 @@ def write_atomically(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
 
 # The least total size of the items that makes one more process worth it. On
-# a 2-CPU VM, index translates and tokenizes 0.37 us per byte of source with a
-# cold translation cache and 0.28 us with a warm one, and a forked process
-# adds a fixed 10-30 ms: the fork (1-4 ms), loading its results (4-12 ms for
-# half of a 1.16 MiB tree), adopting its cache rows (about 4 ms) and ending
-# later than this process's own chunk. A second process pays off from about
-# 0.2 MiB. 512 KiB leaves a margin: it keeps small trees, every test project
-# and perfbench's 0.47 MiB replay-warm tree in one process, and splits its
-# 1.16 MiB triage-cold tree in two.
+# a 2-CPU VM, index translates each chunk in one batched pass and tokenizes
+# it at 0.12 us per byte of source with a cold translation cache and 0.11 us
+# with a warm one. A forked process adds a fixed 20-23 ms, its two-process
+# time less half its one-process time on a 1.16 MiB tree: the fork, loading
+# its results, adopting its cache rows and ending later than this process's
+# own chunk. A second process pays off from about 0.35-0.4 MiB. 512 KiB
+# leaves a margin: it keeps small trees, every test project and perfbench's
+# 0.47 MiB replay-warm tree in one process, and splits its 1.16 MiB
+# triage-cold tree in two.
 MIN_CHUNK_BYTES = 512 << 10
 
 _T = TypeVar("_T")

@@ -15,6 +15,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TextIO
 
+from . import MODES
 from .corpus import (BugReport, check_record, check_token, normalize_path, read_json_lines,
                      read_lines, write_atomically)
 from .errors import EvalError
@@ -23,7 +24,6 @@ log = logging.getLogger(__name__)
 
 GRADE_DIRECT = 2
 GRADE_INDIRECT = 1
-MODES = ("direct", "direct+indirect")
 SUCCESS_NS = (1, 5, 10)
 
 

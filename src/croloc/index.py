@@ -29,7 +29,6 @@ from numpy.lib import format as npy
 
 from .corpus import check_record, write_atomically
 from .errors import IndexFormatError
-from .porter import stem as porter_stem
 
 INDEX_FORMAT = "croloc-index"
 INDEX_VERSION = 3
@@ -71,6 +70,10 @@ def _word_tokens(word: str, stemming: bool) -> tuple[str, ...]:
         if token in STOPWORDS or len(token) < MIN_TOKEN_LENGTH:
             continue
         if stemming:
+            # Imported here, so that an index built without stemming does
+            # not load the stemmer.
+            from .porter import stem as porter_stem
+
             token = porter_stem(token)
         out.append(token)
     return tuple(out)

@@ -16,6 +16,7 @@ import os
 import re
 import time
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from typing import TextIO
 
 from .corpus import (BugReport, SourceDocument, check_record, is_text, parse_json,
@@ -198,6 +199,9 @@ def _json_line(line: str | bytes):
 
 
 _CACHE_FIELDS = operator.itemgetter("backend", "sha256", "source", "translation")
+# A JSON string literal of a str, as json.dumps(..., ensure_ascii=False)
+# writes it: the C encoder where json has one.
+_json_str = json.encoder.encode_basestring
 
 
 def _sha256(text: str) -> str:
@@ -280,12 +284,13 @@ class TranslationCache:
         return self._entries.get((backend_name, _sha256(source)))
 
     def put_many(self, backend_name: str, pairs: list[tuple[str, str]]) -> None:
+        # Each line is what json.dumps(row, ensure_ascii=False) writes.
+        name = _json_str(backend_name)
         rows = []
         for source, translation in pairs:
             digest = _sha256(source)
-            line = json.dumps({"backend": backend_name, "sha256": digest,
-                               "source": source, "translation": translation},
-                              ensure_ascii=False)
+            line = (f'{{"backend": {name}, "sha256": "{digest}", "source": {_json_str(source)}, '
+                    f'"translation": {_json_str(translation)}}}')
             rows.append(((backend_name, digest), translation, line))
         self.adopt(rows)
 
@@ -321,35 +326,54 @@ def translate_texts(
     backend: TranslatorBackend,
     cache: TranslationCache | None = None,
 ) -> list[str]:
-    """Translate texts in order, consulting the cache and sending misses to
-    the backend ``BATCH_SIZE`` at a time."""
-    results: list[str | None] = [None] * len(texts)
-    pending: dict[str, list[int]] = {}
-    for i, text in enumerate(texts):
-        if cache is not None:
-            hit = cache.get(backend.name, text)
-            if hit is not None:
-                results[i] = hit
-                continue
-        pending.setdefault(text, []).append(i)
-
-    unique = list(pending)
+    """Translate texts in order. Each distinct text is looked up in the
+    cache once; the misses go to the backend ``BATCH_SIZE`` at a time, and
+    each batch's rows go into the cache as soon as it returns, so a batch
+    that fails leaves the cache with the rows of every batch before it."""
     translated: dict[str, str] = {}
-    for start in range(0, len(unique), BATCH_SIZE):
-        chunk = unique[start : start + BATCH_SIZE]
+    misses = []
+    for text in dict.fromkeys(texts):
+        hit = None if cache is None else cache.get(backend.name, text)
+        if hit is None:
+            misses.append(text)
+        else:
+            translated[text] = hit
+    for start in range(0, len(misses), BATCH_SIZE):
+        chunk = misses[start : start + BATCH_SIZE]
         outputs = backend.translate_batch(chunk)
         if len(outputs) != len(chunk):
             raise ProtocolError(
                 f"backend {backend.name} returned {len(outputs)} results for "
                 f"{len(chunk)} inputs"
             )
-        translated.update(zip(chunk, outputs))
-    if cache is not None and translated:
-        cache.put_many(backend.name, list(translated.items()))
-    for text, positions in pending.items():
-        for i in positions:
-            results[i] = translated[text]
-    return results
+        pairs = list(zip(chunk, outputs))
+        if cache is not None:
+            cache.put_many(backend.name, pairs)
+        translated.update(pairs)
+    return [translated[text] for text in texts]
+
+
+def translate_documents(
+    docs: Iterable[SourceDocument],
+    backend: TranslatorBackend,
+    cache: TranslationCache | None = None,
+) -> list[tuple[SourceDocument, int]]:
+    """Replace every Japanese segment in the comments and string literals of
+    each of ``docs``, with one ``translate_texts`` call for them all; bytes
+    outside those segments are untouched. Returns each new document, in
+    order, with the number of segments translated in it; a document with
+    none comes back as it was."""
+    docs = list(docs)
+    targets = [[(span, segment) for span in extract_spans(doc)
+                for segment in japanese_segments(span.text)] for doc in docs]
+    outputs = iter(translate_texts([segment.text for doc_targets in targets
+                                    for _, segment in doc_targets], backend, cache))
+    translated = []
+    for doc, doc_targets in zip(docs, targets):
+        if doc_targets:
+            doc = reembed(doc, [(span, segment, next(outputs)) for span, segment in doc_targets])
+        translated.append((doc, len(doc_targets)))
+    return translated
 
 
 def translate_document(
@@ -357,18 +381,25 @@ def translate_document(
     backend: TranslatorBackend,
     cache: TranslationCache | None = None,
 ) -> tuple[SourceDocument, int]:
-    """Replace every Japanese segment in the document's comments and string
-    literals; bytes outside those segments are untouched. Returns the new
-    document and the number of segments translated."""
-    targets = []
-    for span in extract_spans(doc):
-        for segment in japanese_segments(span.text):
-            targets.append((span, segment))
-    if not targets:
-        return doc, 0
-    outputs = translate_texts([seg.text for _, seg in targets], backend, cache)
-    replacements = [(span, seg, out) for (span, seg), out in zip(targets, outputs)]
-    return reembed(doc, replacements), len(targets)
+    """``translate_documents`` of one document."""
+    return translate_documents([doc], backend, cache)[0]
+
+
+def translate_reports(
+    reports: Iterable[BugReport],
+    backend: TranslatorBackend,
+    cache: TranslationCache | None = None,
+) -> list[BugReport]:
+    """Translate the summary and description fields that contain Japanese,
+    with one ``translate_texts`` call for all of ``reports``. A report with
+    no such field comes back as it was."""
+    reports = list(reports)
+    wanted = [[f for f in ("summary", "description") if detect_japanese(getattr(r, f) or "")]
+              for r in reports]
+    outputs = iter(translate_texts([getattr(r, f) for r, fields in zip(reports, wanted)
+                                    for f in fields], backend, cache))
+    return [dataclasses.replace(r, **{f: next(outputs) for f in fields}) if fields else r
+            for r, fields in zip(reports, wanted)]
 
 
 def translate_report(
@@ -376,13 +407,5 @@ def translate_report(
     backend: TranslatorBackend,
     cache: TranslationCache | None = None,
 ) -> BugReport:
-    """Translate the summary and description fields that contain Japanese."""
-    wanted = []
-    if detect_japanese(report.summary):
-        wanted.append("summary")
-    if report.description and detect_japanese(report.description):
-        wanted.append("description")
-    if not wanted:
-        return report
-    outputs = translate_texts([getattr(report, f) for f in wanted], backend, cache)
-    return dataclasses.replace(report, **dict(zip(wanted, outputs)))
+    """``translate_reports`` of one report."""
+    return translate_reports([report], backend, cache)[0]

@@ -1,7 +1,10 @@
+import json
 import os
 import pathlib
 import sys
+import threading
 from datetime import datetime, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -22,6 +25,65 @@ def lexer_corpus_dir() -> pathlib.Path:
 @pytest.fixture(scope="session")
 def project_dir() -> pathlib.Path:
     return FIXTURES / "synthetic_project"
+
+
+@pytest.fixture
+def service():
+    """Factory for a scripted local translation service.
+
+    Each response spec is either "echo" (HTTP 200 with EN(...) translations),
+    an int status code (error with a JSON body), ("mismatch",) for a 200 with
+    the wrong number of translations, or ("garbage",) for a 200 non-JSON body.
+    The last spec repeats once the script runs out.
+    """
+    servers = []
+
+    def start(script):
+        seen = []
+        plan = list(script)
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                request = json.loads(self.rfile.read(length))
+                seen.append({
+                    "auth": self.headers.get("Authorization"),
+                    "body": request,
+                })
+                spec = plan.pop(0) if len(plan) > 1 else plan[0]
+                if spec == "echo":
+                    payload = json.dumps(
+                        {"translations": [f"EN({t})" for t in request["texts"]]}
+                    ).encode("utf-8")
+                    status = 200
+                elif spec == ("mismatch",):
+                    payload = json.dumps({"translations": ["only-one"]}).encode("utf-8")
+                    status = 200
+                elif spec == ("garbage",):
+                    payload = b"<html>not json</html>"
+                    status = 200
+                else:
+                    payload = json.dumps({"error": "scripted"}).encode("utf-8")
+                    status = int(spec)
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        servers.append(httpd)
+        url = f"http://127.0.0.1:{httpd.server_address[1]}/translate"
+        return url, seen
+
+    yield start
+    for httpd in servers:
+        httpd.shutdown()
+        httpd.server_close()
 
 
 # When a history report was resolved, unless it says otherwise.

@@ -24,12 +24,18 @@ tf-idf weighting by dict, its dense query and its row sweep over a CSR
 matrix, kept as the oracle of the chunked postings kernel: every score must
 match it bit for bit.
 
+Per-item translation: the earlier loops that translate one document or one
+report at a time, with a ``translate_texts`` call each, kept as the oracle of
+``translate_documents`` and ``translate_reports``, which translate all their
+items in one call: every output and every cache byte must match.
+
 Translation cache load: the earlier loop that hands each line's bytes to
 ``json.loads``, kept as the oracle of the loader that decodes the file once.
 It has since learnt two rules: a line nested too deep for ``json.loads``
 (``RecursionError``) is a corrupt line, and every field must be a str that
 encodes as UTF-8.
 """
+import dataclasses
 import hashlib
 import json
 import math
@@ -41,9 +47,11 @@ import numpy as np
 from croloc.corpus import Language, normalize_path
 from croloc.errors import TranslationError
 from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
-from croloc.extract import _CHAR_LITERAL_CAP, JAPANESE_RANGES, Segment, SpanKind, _Scanner
+from croloc.extract import (_CHAR_LITERAL_CAP, JAPANESE_RANGES, Segment, SpanKind, _Scanner,
+                            detect_japanese, extract_spans, japanese_segments, reembed)
 from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS, idf, tf
 from croloc.porter import stem as porter_stem
+from croloc.translate import translate_texts
 
 
 def ref_doc_vectors(token_lists):
@@ -621,3 +629,31 @@ def ref_glossary_translate(text, glossary):
             out.append(text[i])
             i += 1
     return "".join(out)
+
+
+def ref_translate_document(doc, backend, cache=None):
+    """(document, segments translated): one document's Japanese segments
+    translated with one ``translate_texts`` call."""
+    targets = []
+    for span in extract_spans(doc):
+        for segment in japanese_segments(span.text):
+            targets.append((span, segment))
+    if not targets:
+        return doc, 0
+    outputs = translate_texts([seg.text for _, seg in targets], backend, cache)
+    replacements = [(span, seg, out) for (span, seg), out in zip(targets, outputs)]
+    return reembed(doc, replacements), len(targets)
+
+
+def ref_translate_report(report, backend, cache=None):
+    """One report's Japanese summary and description translated with one
+    ``translate_texts`` call."""
+    wanted = []
+    if detect_japanese(report.summary):
+        wanted.append("summary")
+    if report.description and detect_japanese(report.description):
+        wanted.append("description")
+    if not wanted:
+        return report
+    outputs = translate_texts([getattr(report, f) for f in wanted], backend, cache)
+    return dataclasses.replace(report, **dict(zip(wanted, outputs)))

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -19,14 +21,17 @@ from hypothesis import strategies as st
 
 import croloc
 import croloc.corpus
+import croloc.errors
 import croloc.evalharness
 import croloc.index
 import croloc.rank
 import croloc.translate
 from conftest import FIXTURES, assert_no_child_left
 from croloc import cli
-from croloc.corpus import load_source_tree
+from croloc.corpus import load_bug_reports, load_source_tree, report_to_obj
 from croloc.errors import CrolocError
+from croloc.translate import BATCH_SIZE, TranslationCache
+from reference import ref_translate_document, ref_translate_report
 from strategies import any_text, bad_json_lines, json_records
 
 PROJECT = FIXTURES / "synthetic_project"
@@ -399,6 +404,13 @@ class TestImports:
         code = _runs(("index", "--tree", TREE, "--glossary", GLOSSARY, "--out-dir", tmp_path))
         self._leaves_unloaded(tmp_path, code, module)
 
+    @pytest.mark.parametrize("module", ["croloc.porter", "croloc.evalharness"])
+    def test_index_leaves_unused_modules_unloaded(self, tmp_path, module):
+        # Without --stemming, index neither stems nor evaluates; each module
+        # it loads costs its compile time where no bytecode is written.
+        code = _runs(("index", "--tree", TREE, "--glossary", GLOSSARY, "--out-dir", tmp_path))
+        self._leaves_unloaded(tmp_path, code, module)
+
 
 NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
 
@@ -570,10 +582,6 @@ def _force_chunks(monkeypatch, n):
     return forked
 
 
-# A segment that no generated document holds.
-UNIQUE_SEGMENT = "唯一無二の区切り"
-
-
 class TestIndexFanOut:
     """index translates and tokenizes chunks of the tree in forked
     processes; its outputs must be those of a serial run."""
@@ -599,36 +607,57 @@ class TestIndexFanOut:
         assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
         assert outputs[1][2] == outputs[1][0]  # the warm run added no row
 
-    def test_backend_error_in_a_child_stops_as_a_serial_run_does(
-            self, small_project, tmp_path, monkeypatch, capsys):
-        # A document 3/5 of the way through the tree, in a child's chunk with
-        # two or three chunks, holds one segment no other document has, and
-        # the backend answers its batch short.
-        tree = tmp_path / "tree"
-        shutil.copytree(small_project.tree, tree)
-        documents = load_source_tree(tree, list(cli.DEFAULT_INCLUDE)).documents
-        stem, ext = documents[len(documents) * 3 // 5].path.rsplit(".", 1)
-        (tree / f"{stem}0.{ext}").write_text(f"// {UNIQUE_SEGMENT}\nclass Unique {{}}\n",
-                                             encoding="utf-8")
-        translate_batch = croloc.translate.GlossaryBackend.translate_batch
+    @pytest.mark.parametrize("chunks, failing", [(1, "parent"), (2, "parent"), (2, "child")])
+    def test_failed_batch_keeps_the_rows_of_the_batches_before_it(
+            self, small_project, tmp_path, monkeypatch, capsys, chunks, failing):
+        # The second backend batch of one process fails. Its error is raised
+        # in its chunk's turn, the cache keeps the rows of exactly the
+        # batches that returned before it, in chunk order, and a rerun writes
+        # the clean run's bytes.
+        forked = _force_chunks(monkeypatch, chunks)
+        clean_cache, clean_index = tmp_path / "clean.jsonl", tmp_path / "clean.npz"
+        assert self._index(small_project.tree, small_project.glossary,
+                           clean_cache, clean_index) == 0
+        parent, logs = os.getpid(), tmp_path / "batches"
+        logs.mkdir()
+        translate_batch, calls = croloc.translate.GlossaryBackend.translate_batch, []
 
-        def short_answer(self, texts):
-            out = translate_batch(self, texts)
-            return out[:-1] if UNIQUE_SEGMENT in texts else out
-        monkeypatch.setattr(croloc.translate.GlossaryBackend, "translate_batch", short_answer)
-        outcomes = {}
-        for n in (1, 2, 3):
-            forked = _force_chunks(monkeypatch, n)
-            cache = tmp_path / f"cache{n}.jsonl"
-            status = self._index(tree, small_project.glossary, cache, tmp_path / f"{n}.npz")
-            err = capsys.readouterr().err
-            assert status == 1 and err.startswith("error: ") and err.count("\n") == 1, err
-            assert len(forked) == n - 1
-            assert_no_child_left()
-            outcomes[n] = (err, cache.read_bytes())
-        assert "returned 0 results for 1 inputs" in outcomes[1][0]
-        assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
-        assert not (tmp_path / "1.npz").exists()
+        def second_batch_fails(self, texts):
+            # Each process counts its own batches and logs them to its own file.
+            calls.append(texts)
+            fails = len(calls) == 2 and (os.getpid() == parent) == (failing == "parent")
+            with open(logs / f"{os.getpid()}.jsonl", "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"texts": texts, "fails": fails}) + "\n")
+            if fails:
+                raise croloc.errors.TranslationError("batch 2 refused")
+            return translate_batch(self, texts)
+        monkeypatch.setattr(croloc.translate.GlossaryBackend, "translate_batch",
+                            second_batch_fails)
+        forked.clear()
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "index.npz"
+        assert self._index(small_project.tree, small_project.glossary, cache, out) == 1
+        assert capsys.readouterr().err == "error: batch 2 refused\n"
+        assert len(forked) == chunks - 1 and not out.exists()
+        assert_no_child_left()
+        # The sources of the batches that returned, in chunk order, up to the
+        # failing one; a source an earlier chunk translated gets no new row.
+        expected = {}
+        for pid in [parent, *forked]:
+            path = logs / f"{pid}.jsonl"
+            batches = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+            returned = [b["texts"] for b in itertools.takewhile(lambda b: not b["fails"], batches)]
+            expected.update(dict.fromkeys(t for texts in returned for t in texts))
+            if len(returned) < len(batches):
+                break
+        else:
+            pytest.fail("no batch failed")
+        assert expected, "no batch returned before the failing one"
+        assert _sources(cache) == list(expected)
+        monkeypatch.setattr(croloc.translate.GlossaryBackend, "translate_batch", translate_batch)
+        assert self._index(small_project.tree, small_project.glossary, cache, out) == 0
+        assert cache.read_bytes() == clean_cache.read_bytes()
+        assert out.read_bytes() == clean_index.read_bytes()
+        assert_no_child_left()
 
     def test_one_process_frees_the_cache_before_tokenizing(self, small_project, tmp_path,
                                                           monkeypatch):
@@ -839,6 +868,84 @@ class TestKilledRuns:
                                        "--json", report], [report], entry=ENTRY)
 
 
+class _Echo:
+    """Answers as the ``service`` fixture's "echo" does, without a request."""
+
+    name = "service"
+
+    def __init__(self):
+        self.batches = []
+
+    def translate_batch(self, texts):
+        self.batches.append(list(texts))
+        return [f"EN({t})" for t in texts]
+
+
+def _sources(cache):
+    """The sources of a translation cache file's rows; none if it is missing."""
+    return [json.loads(line)["source"]
+            for line in (cache.read_bytes().splitlines() if cache.exists() else [])]
+
+
+class TestServiceRequests:
+    """index, locate and translate --reports through a local service: each
+    command sends each distinct text its cache lacks once, at most
+    BATCH_SIZE texts a request, and writes what the per-document and
+    per-report loops they replaced (tests/reference.py) write."""
+
+    def test_requests_and_outputs_match_the_per_item_loops(self, small_project, service,
+                                                          tmp_path):
+        documents = load_source_tree(small_project.tree, list(cli.DEFAULT_INCLUDE)).documents
+        reports = load_bug_reports(small_project.reports)
+        # The oracle, with a cache of its own; and, with none, the texts each
+        # command needs translated.
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        with TranslationCache(str(oracle / "cache.jsonl")) as ref_cache:
+            ref_docs = [ref_translate_document(d, _Echo(), ref_cache)[0] for d in documents]
+            ref_reports = [ref_translate_report(r, _Echo(), ref_cache) for r in reports]
+        needed_by_docs, needed_by_reports = _Echo(), _Echo()
+        for d in documents:
+            ref_translate_document(d, needed_by_docs)
+        for r in reports:
+            ref_translate_report(r, needed_by_reports)
+        croloc.index.save_index(croloc.index.build_index(
+            [croloc.index.tokenize(d.raw_text) for d in ref_docs], [d.path for d in documents],
+            False), oracle / "index.npz")
+        ref_translated = "".join(json.dumps(report_to_obj(r), ensure_ascii=False) + "\n"
+                                 for r in ref_reports)
+        (oracle / "reports.jsonl").write_text(ref_translated, encoding="utf-8")
+        assert cli.main(["locate", "--index", str(oracle / "index.npz"), "--reports",
+                         str(oracle / "reports.jsonl"), "--translator", "identity",
+                         "-o", str(oracle / "run")]) == 0
+
+        url, seen = service(["echo"])
+        cache, index, run, out = (tmp_path / name for name in ("cache.jsonl", "index.npz",
+                                                                "run", "out"))
+        common = ["--translator", "service", "--service-url", url, "--cache", str(cache)]
+        commands = [
+            (["index", "--tree", str(small_project.tree), *common, "-o", str(index)],
+             needed_by_docs),
+            (["locate", "--index", str(index), "--reports", str(small_project.reports),
+              *common, "-o", str(run)], needed_by_reports),
+            (["translate", "--reports", str(small_project.reports), *common,
+              "--out-dir", str(out)], needed_by_reports),
+        ]
+        for args, needed in commands:
+            misses = {t for batch in needed.batches for t in batch} - set(_sources(cache))
+            seen.clear()
+            assert cli.main(args) == 0
+            sent = [t for request in seen for t in request["body"]["texts"]]
+            assert max(map(len, (r["body"]["texts"] for r in seen)), default=0) <= BATCH_SIZE
+            assert len(sent) == len(set(sent)) and set(sent) == misses
+            assert len(seen) == math.ceil(len(misses) / BATCH_SIZE)
+        assert misses == set() and seen == []  # translate found every report cached
+        assert index.read_bytes() == (oracle / "index.npz").read_bytes()
+        assert run.read_bytes() == (oracle / "run").read_bytes()
+        assert (out / "reports.translated.jsonl").read_text("utf-8") == ref_translated
+        assert cache.read_bytes() == (oracle / "cache.jsonl").read_bytes()
+
+
 class TestTracerSeam:
     """perfbench/tracer.py wraps croloc functions by name; a renamed one
     would make its per-layer metric read 0 without any error."""
@@ -868,9 +975,14 @@ class TestTracerSeam:
                  "index.save", "index.tokenize", "index.vectorize",
                  "kernels.cosine", "rank.history_before", "rank.history_build",
                  "rank.ranking", "rank.rvsm", "rank.score", "rank.simi",
-                 "rank.write", "translate.backend", "translate.document",
-                 "translate.glossary_load", "translate.report", "translate.texts")
+                 "rank.write", "translate.backend", "translate.glossary_load",
+                 "translate.texts")
         assert [s for s in spans if not calls.get(s)] == []
+        # index and locate translate all their documents or reports in one
+        # batched call, so the one-item spans record none; the tracer still
+        # finds the names it wraps.
+        assert "translate.document" not in calls and "translate.report" not in calls
+        assert callable(cli.translate_document) and callable(cli.translate_report)
 
     def test_qrels_and_eval_layers_record_calls(self, tmp_path):
         qrels = tmp_path / "qrels.txt"
@@ -933,7 +1045,9 @@ class TestAtomicOutputs:
                                 "--qrels", qrels, "--json", out)
 
     def test_translated_reports(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "translate_report", _fail_on_call(cli.translate_report, 2))
+        # The reports are translated before the output opens; the second
+        # report written fails.
+        monkeypatch.setattr(cli, "report_to_obj", _fail_on_call(cli.report_to_obj, 2))
         out = tmp_path / "reports.translated.jsonl"
         self._fails_keeping_old(tmp_path, out, "translate", "--reports", REPORTS,
                                 "--out-dir", tmp_path)

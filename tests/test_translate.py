@@ -4,16 +4,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import socket
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from croloc.corpus import BugReport, Language, SourceDocument
+from croloc.corpus import BugReport, Language, SourceDocument, load_bug_reports, load_source_tree
 from croloc.errors import CrolocError, ProtocolError, TranslationError
 from croloc.translate import (
     BATCH_SIZE,
@@ -23,12 +22,15 @@ from croloc.translate import (
     TranslationCache,
     load_glossary,
     translate_document,
+    translate_documents,
     translate_report,
+    translate_reports,
     translate_texts,
 )
 from croloc.corpus import parse_rfc3339
 import croloc.translate as translate_module
-from reference import ref_glossary_translate, ref_load_cache
+from reference import (ref_glossary_translate, ref_load_cache, ref_translate_document,
+                       ref_translate_report)
 from strategies import any_text, json_lines, mostly
 
 
@@ -418,6 +420,80 @@ class TestTranslateTexts:
         translate_texts(["a"], RecordingBackend(), cache)
         assert cache.get("recording", "a") == "EN(a)"
 
+    def test_each_distinct_text_looked_up_once(self, cache_at, tmp_path, monkeypatch):
+        cache = cache_at(tmp_path / "c.jsonl")
+        cache.put_many("recording", [("a", "cached a")])
+        looked_up, get = [], TranslationCache.get
+
+        def recorded_get(self, backend_name, source):
+            looked_up.append(source)
+            return get(self, backend_name, source)
+        monkeypatch.setattr(TranslationCache, "get", recorded_get)
+        backend = RecordingBackend()
+        out = translate_texts(["a", "b", "a", "b", "c"], backend, cache)
+        assert out == ["cached a", "EN(b)", "cached a", "EN(b)", "EN(c)"]
+        assert looked_up == ["a", "b", "c"]
+        assert backend.batches == [["b", "c"]]
+
+    def test_each_batch_cached_as_it_returns(self, cache_at, tmp_path, monkeypatch):
+        monkeypatch.setattr("croloc.translate.BATCH_SIZE", 2)
+        path = tmp_path / "c.jsonl"
+        cache = cache_at(path)
+
+        def third_batch_fails(texts):
+            # What the earlier batches put is on disk when the next is sent.
+            assert _written(path).count(b"\n") == 2 * len(backend.batches[:-1])
+            if len(backend.batches) == 3:
+                raise TranslationError("batch 3 refused")
+            return [f"EN({t})" for t in texts]
+        backend = RecordingBackend(outputs=third_batch_fails)
+        with pytest.raises(TranslationError, match="batch 3 refused"):
+            translate_texts(["a", "b", "a", "c", "d", "e", "f"], backend, cache)
+        assert backend.batches == [["a", "b"], ["c", "d"], ["e", "f"]]
+        assert [json.loads(line)["source"]
+                for line in path.read_text(encoding="utf-8").splitlines()] == ["a", "b", "c", "d"]
+        assert [cache.get("recording", t) for t in "abcde"] == [
+            "EN(a)", "EN(b)", "EN(c)", "EN(d)", None]
+
+
+def _written(path):
+    """The bytes of the file at ``path``; none if nothing made it."""
+    return path.read_bytes() if path.exists() else b""
+
+
+# Text that leans on what a JSON string must escape and what it may leave as
+# it is: quotes, backslashes, C0 controls, DEL, the line and paragraph
+# separators, a BOM and characters outside the BMP. No lone surrogate, which
+# a UTF-8 file cannot hold.
+_JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\x7f\u2028\u2029\ufeff/'),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x10000, exclude_categories=("Cs",)),
+    st.characters(exclude_categories=("Cs",)),
+), max_size=10)
+
+
+class TestCacheLines:
+    @given(backend=_JSON_TEXT, pairs=st.lists(st.tuples(_JSON_TEXT, _JSON_TEXT), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_put_many_writes_json_dumps_lines(self, backend, pairs, tmp_path_factory):
+        path = tmp_path_factory.mktemp("lines") / "c.jsonl"
+        with TranslationCache(str(path)) as cache:
+            cache.put_many(backend, pairs)
+        kept = {}  # a source put twice keeps its first translation
+        for source, translation in pairs:
+            kept.setdefault(source, translation)
+        expected = "".join(
+            json.dumps({"backend": backend,
+                        "sha256": hashlib.sha256(source.encode("utf-8")).hexdigest(),
+                        "source": source, "translation": translation},
+                       ensure_ascii=False) + "\n"
+            for source, translation in kept.items())
+        assert _written(path) == expected.encode("utf-8")
+        with TranslationCache(str(path)) as reloaded:
+            assert len(reloaded) == len(kept)
+            assert all(reloaded.get(backend, s) == t for s, t in kept.items())
+
 
 def _free_refused_port():
     """A port that was just bound and released: connections get refused."""
@@ -426,65 +502,6 @@ def _free_refused_port():
     port = s.getsockname()[1]
     s.close()
     return port
-
-
-@pytest.fixture
-def service():
-    """Factory for a scripted local translation service.
-
-    Each response spec is either "echo" (HTTP 200 with EN(...) translations),
-    an int status code (error with a JSON body), ("mismatch",) for a 200 with
-    the wrong number of translations, or ("garbage",) for a 200 non-JSON body.
-    The last spec repeats once the script runs out.
-    """
-    servers = []
-
-    def start(script):
-        seen = []
-        plan = list(script)
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                request = json.loads(self.rfile.read(length))
-                seen.append({
-                    "auth": self.headers.get("Authorization"),
-                    "body": request,
-                })
-                spec = plan.pop(0) if len(plan) > 1 else plan[0]
-                if spec == "echo":
-                    payload = json.dumps(
-                        {"translations": [f"EN({t})" for t in request["texts"]]}
-                    ).encode("utf-8")
-                    status = 200
-                elif spec == ("mismatch",):
-                    payload = json.dumps({"translations": ["only-one"]}).encode("utf-8")
-                    status = 200
-                elif spec == ("garbage",):
-                    payload = b"<html>not json</html>"
-                    status = 200
-                else:
-                    payload = json.dumps({"error": "scripted"}).encode("utf-8")
-                    status = int(spec)
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        servers.append(httpd)
-        url = f"http://127.0.0.1:{httpd.server_address[1]}/translate"
-        return url, seen
-
-    yield start
-    for httpd in servers:
-        httpd.shutdown()
-        httpd.server_close()
 
 
 class TestServiceBackend:
@@ -658,3 +675,76 @@ class TestTranslateReport:
         assert out.summary == "EN(在庫エラー)"
         assert out.description == "plain english body"
         assert backend.batches == [["在庫エラー"]]
+
+
+# Documents and reports from the fixtures, and a few of our own: Japanese in
+# comments and strings, repeated across documents, and none at all.
+_DOCS = [*load_source_tree(FIXTURES / "synthetic_project", ["**/*.java", "**/*.cs"]).documents,
+         *load_source_tree(FIXTURES / "lexer_corpus", ["**/*"]).documents,
+         _doc("// 在庫\nclass A { String s = \"同期する\"; } // 在庫\n"),
+         _doc("class B {}\n", "src/B.java")]
+_SEGMENTS = sorted({seg.text for doc in _DOCS for span in translate_module.extract_spans(doc)
+                    for seg in translate_module.japanese_segments(span.text)})
+_REPORTS = [*load_bug_reports(FIXTURES / "synthetic_project" / "reports.jsonl"),
+            BugReport("J1", "在庫エラー", "在庫エラー", parse_rfc3339("2024-03-01T10:00:00Z")),
+            BugReport("J2", "plain", "同期しない", parse_rfc3339("2024-03-01T10:00:00Z")),
+            BugReport("J3", "plain", None, parse_rfc3339("2024-03-01T10:00:00Z"))]
+
+
+def _check_batches(batches, misses):
+    """The backend got each of ``misses`` once, in full batches of
+    ``BATCH_SIZE`` but for the last."""
+    sent = [t for batch in batches for t in batch]
+    assert sorted(sent) == sorted(set(misses))
+    assert len(batches) == math.ceil(len(sent) / BATCH_SIZE)
+    assert all(len(batch) == BATCH_SIZE for batch in batches[:-1])
+
+
+class TestBatchedTranslation:
+    """translate_documents and translate_reports against the per-item loops
+    they replaced (tests/reference.py): the same items out, the same cache
+    bytes, and each text the cache lacks sent once."""
+
+    def _both(self, tmp_path_factory, warm, batched, per_item):
+        outcomes = {}
+        for name, translate in (("batched", batched), ("per_item", per_item)):
+            path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+            backend = RecordingBackend()
+            with TranslationCache(str(path)) as cache:
+                cache.put_many(backend.name, [(t, f"warm {t}") for t in warm])
+                out = translate(backend, cache)
+            outcomes[name] = out, _written(path), backend.batches
+        return outcomes
+
+    @given(picks=st.lists(st.integers(0, len(_DOCS) - 1), max_size=12),
+           warm=st.sets(st.sampled_from(_SEGMENTS), max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_documents_match_the_per_document_loop(self, picks, warm, tmp_path_factory):
+        docs = [_DOCS[i] for i in picks]
+        outcomes = self._both(
+            tmp_path_factory, sorted(warm),
+            lambda backend, cache: translate_documents(iter(docs), backend, cache),
+            lambda backend, cache: [ref_translate_document(d, backend, cache) for d in docs])
+        (out, cached, batches), (ref_out, ref_cached, _) = outcomes.values()
+        assert out == ref_out and cached == ref_cached
+        assert all(new is doc for (new, n), doc in zip(out, docs) if n == 0)
+        segments = [seg.text for doc in docs for span in translate_module.extract_spans(doc)
+                    for seg in translate_module.japanese_segments(span.text)]
+        _check_batches(batches, [t for t in segments if t not in warm])
+
+    @given(picks=st.lists(st.integers(0, len(_REPORTS) - 1), max_size=12),
+           warm=st.sets(st.sampled_from(["在庫エラー", "同期しない"]), max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_reports_match_the_per_report_loop(self, picks, warm, tmp_path_factory):
+        reports = [_REPORTS[i] for i in picks]
+        outcomes = self._both(
+            tmp_path_factory, sorted(warm),
+            lambda backend, cache: translate_reports(iter(reports), backend, cache),
+            lambda backend, cache: [ref_translate_report(r, backend, cache) for r in reports])
+        (out, cached, batches), (ref_out, ref_cached, _) = outcomes.values()
+        assert out == ref_out and cached == ref_cached
+        assert all(new is report for new, report in zip(out, reports)
+                   if (new.summary, new.description) == (report.summary, report.description))
+        fields = [t for r in reports for t in (r.summary, r.description)
+                  if t and translate_module.detect_japanese(t)]
+        _check_batches(batches, [t for t in fields if t not in warm])
