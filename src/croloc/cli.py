@@ -50,13 +50,13 @@ if TYPE_CHECKING:
 # import: ``index`` and ``rank`` import numpy, which qrels and eval never use,
 # and index uses nothing of ``evalharness``. Commands call them through these
 # globals, so a wrapper set on this module (perfbench/tracer.py) sees every
-# call. No command calls ``translate_document`` or ``translate_report``, which
-# translate one item; they stay here for wrappers that look them up.
+# call. No command calls ``translate_document``, ``translate_report`` or
+# ``vectorize_query``; they stay here for wrappers that look them up.
 _LAZY = {
     "evalharness": ("evaluate", "link_oracles", "load_commit_log", "read_qrels",
                     "read_run_file", "write_qrels", "write_run_file"),
     "extract": ("extract_spans", "japanese_segments"),
-    "index": ("QueryRows", "load_index", "save_index", "vectorize_query"),
+    "index": ("load_index", "query_rows", "save_index", "vectorize_query"),
     "rank": ("DEFAULT_ALPHA", "DEFAULT_TOP_K", "HistorySet", "make_ranking",
              "query_chunks", "score_documents"),
     "translate": ("GlossaryBackend", "IdentityBackend", "ServiceBackend",
@@ -366,19 +366,20 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
     # Queries are usually history too: vectorize each distinct text once,
     # into one matrix that the history and the queries take their rows from.
+    from .index import tokenize  # looked up now, as in _translated_tokens
     buglocator = args.technique == "buglocator"
     texts = list(dict.fromkeys(r.query_text for r in (reports if buglocator else queries)))
-    rows = QueryRows.pack([vectorize_query(text, index) for text in texts])
+    rows = query_rows([tokenize(text, index.stemming) for text in texts], index)
     row_of = {text: i for i, text in enumerate(texts)}
     history = (HistorySet.build(reports, index,
                                 rows.take([row_of[r.query_text] for r in reports]))
                if buglocator else None)
-    query_rows = rows.take([row_of[r.query_text] for r in queries])
+    asked = rows.take([row_of[r.query_text] for r in queries])
     reported_at = [r.reported_at for r in queries]
     paths = index.paths
     rankings = []
-    for lo, hi in query_chunks(query_rows, index, history):
-        scores = score_documents(query_rows.take(range(lo, hi)), index, args.technique,
+    for lo, hi in query_chunks(asked, index, history):
+        scores = score_documents(asked.take(range(lo, hi)), index, args.technique,
                                  history, args.alpha, reported_at[lo:hi])
         for report, row in zip(queries[lo:hi], scores):
             order = make_ranking(row, index, args.top_k)

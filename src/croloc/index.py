@@ -17,12 +17,10 @@ import json
 import math
 import re
 import zipfile
-from array import array
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, pairwise
+from itertools import chain, pairwise, repeat
 
 import numpy as np
 from numpy.lib import format as npy
@@ -92,13 +90,6 @@ def tokenize(text: str, stemming: bool = False) -> list[str]:
     return [token for word in _WORD.findall(text) for token in _word_tokens(word, stemming)]
 
 
-def tf(count: int, doc_length: int) -> float:
-    """ln(c_td / c_d + 1); a document with no tokens has tf 0 for everything."""
-    if doc_length <= 0 or count <= 0:
-        return 0.0
-    return math.log(count / doc_length + 1.0)
-
-
 def idf(doc_freq: int, n_docs: int) -> float:
     """ln(n_docs / df); a term present in every document weighs 0."""
     if doc_freq <= 0 or n_docs <= 0:
@@ -110,7 +101,6 @@ def idf(doc_freq: int, n_docs: int) -> float:
 class DocumentVector:
     """tf-idf weights of one document, keyed by term id; zero weights omitted."""
 
-    doc_id: int
     term_count: int
     weights: dict[int, float]
     norm: float
@@ -155,14 +145,6 @@ class QueryRows:
     indices: np.ndarray
     data: np.ndarray
     norms: np.ndarray
-
-    @classmethod
-    def pack(cls, vectors: Sequence[QueryVector]) -> "QueryRows":
-        rows = [sorted(v.weights.items()) for v in vectors]
-        return cls(np.cumsum([0, *map(len, rows)], dtype=np.int64),
-                   np.fromiter((t for row in rows for t, _ in row), dtype=np.int64),
-                   np.fromiter((w for row in rows for _, w in row), dtype=np.float64),
-                   np.array([v.norm for v in vectors], dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.norms)
@@ -212,11 +194,9 @@ class Index:
     def vectors(self) -> tuple[DocumentVector, ...]:
         """Per-document vectors, rebuilt from the arrays on every access."""
         indptr, indices, data = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
-        return tuple(
-            DocumentVector(d, count, dict(zip(indices[lo:hi], data[lo:hi])), norm)
-            for d, (lo, hi, count, norm) in enumerate(
-                zip(indptr, indptr[1:], self.term_counts.tolist(), self.norms.tolist()))
-        )
+        return tuple(DocumentVector(count, dict(zip(indices[lo:hi], data[lo:hi])), norm)
+                     for lo, hi, count, norm in zip(indptr, indptr[1:], self.term_counts.tolist(),
+                                                    self.norms.tolist()))
 
     @functools.cached_property
     def term_ids(self) -> dict[str, int]:
@@ -237,10 +217,9 @@ class Index:
         return transpose(indptr, indices, data, len(self.vocabulary))
 
     @functools.cached_property
-    def idfs(self) -> array:
-        """Each term's idf, ``idf(doc_freq[t], n_docs)``, computed once and
-        held at 8 bytes a term."""
-        return array("d", (idf(df, self.n_docs) for df in self.doc_freq))
+    def idfs(self) -> np.ndarray:
+        """Each term's idf, ``idf(doc_freq[t], n_docs)``, computed once."""
+        return np.array([idf(df, self.n_docs) for df in self.doc_freq], dtype=np.float64)
 
     @functools.cached_property
     def path_rank(self) -> np.ndarray:
@@ -260,6 +239,58 @@ class Index:
         return length_factor(self.term_counts)
 
 
+def _count(token_lists: Sequence[list[str]], term_ids: dict[str, int]) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lengths, rows, terms, tfs): each token list's length c_d, and each
+    distinct (row, term id) pair of its tokens, in row order and then term
+    order, with its tf, ln(c_td / c_d + 1). A token outside ``term_ids``
+    counts in c_d and in no term."""
+    n_rows, n_terms = len(token_lists), len(term_ids)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_rows)
+    # One key per token, row * n_terms + term id. Sorted, equal keys run
+    # together, in row order and with ascending term ids within each row; a
+    # token outside term_ids keys past them all and is cut off. Each step
+    # drops what the next no longer needs, build_index's term ids first: the
+    # token lists are alive throughout, so what this adds on top sets the
+    # build's peak memory.
+    past = n_rows * n_terms
+    keys = np.fromiter(map(term_ids.get, chain.from_iterable(token_lists), repeat(past)),
+                       dtype=np.int64, count=int(lengths.sum()))
+    del term_ids
+    keys += np.repeat(np.arange(n_rows, dtype=np.int64) * n_terms, lengths)
+    keys.sort()
+    keys = keys[:np.searchsorted(keys, past)]
+    run_start = np.empty(len(keys), dtype=bool)
+    run_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    counts = np.diff(starts, append=len(keys))
+    rows, terms = np.divmod(keys[starts], n_terms)
+    del keys, run_start, starts
+    # tf through math.log, each distinct value once.
+    tf_values, tf_at = np.unique(counts / lengths[rows] + 1.0, return_inverse=True)
+    del counts
+    tfs = np.array([math.log(v) for v in tf_values.tolist()])[tf_at]
+    del tf_at
+    return lengths, rows, terms, tfs
+
+
+def _weigh(lengths: np.ndarray, rows: np.ndarray, terms: np.ndarray, tfs: np.ndarray,
+           idfs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR (indptr, indices, data, norms) of ``_count``'s rows weighed by
+    ``idfs``, overwriting ``tfs``: zero weights are dropped, and each norm
+    is the square root of its row's ``math.fsum`` of squares."""
+    tfs *= idfs[terms]
+    keep = tfs != 0.0
+    data, indices = tfs[keep], terms[keep]
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=len(lengths)), out=indptr[1:])
+    squares = data * data
+    norms = np.sqrt([math.fsum(squares[lo:hi].tolist())
+                     for lo, hi in pairwise(indptr.tolist())], dtype=np.float64)
+    return indptr, indices, data, norms
+
+
 def build_index(
     token_lists: list[list[str]],
     paths: list[str],
@@ -268,8 +299,7 @@ def build_index(
     """Index pre-tokenized documents given in doc_id order.
 
     Vocabulary ids follow sorted term order, so the index is identical no
-    matter how the corpus was traversed. Every weight and norm is the one
-    ``vectorize_tokens`` gives the document's tokens, bit for bit.
+    matter how the corpus was traversed.
     """
     if len(token_lists) != len(paths):
         raise ValueError("token_lists and paths must be parallel")
@@ -278,60 +308,27 @@ def build_index(
     _word_tokens.cache_clear()
     n_docs = len(paths)
     vocabulary = tuple(sorted(set(chain.from_iterable(token_lists))))
-    n_terms = len(vocabulary)
-    term_counts = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_docs)
-    # One key per token, doc * n_terms + term id. Sorted, equal keys run
-    # together, in row order and with ascending term ids within each row.
-    # Each step drops what the next no longer needs: the token lists are
-    # alive throughout, so what this adds on top sets the build's peak memory.
-    keys = np.fromiter(map({t: i for i, t in enumerate(vocabulary)}.__getitem__,
-                           chain.from_iterable(token_lists)),
-                       dtype=np.int64, count=int(term_counts.sum()))
-    keys += np.repeat(np.arange(n_docs, dtype=np.int64) * n_terms, term_counts)
-    keys.sort()
-    run_start = np.empty(len(keys), dtype=bool)
-    run_start[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    counts = np.diff(starts, append=len(keys))
-    docs, terms = np.divmod(keys[starts], n_terms)
-    del keys, run_start, starts
-    doc_freq = np.bincount(terms, minlength=n_terms)
-    # tf and idf through math.log, as tf() and idf() take them, each
-    # distinct value once.
-    tf_values, tf_at = np.unique(counts / term_counts[docs] + 1.0, return_inverse=True)
-    del counts
-    data = np.array([math.log(v) for v in tf_values.tolist()])[tf_at]
-    del tf_at
-    data *= np.array([idf(df, n_docs) for df in doc_freq.tolist()])[terms]
-    keep = data != 0.0
-    data, indices = data[keep], terms[keep]
-    indptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(docs[keep], minlength=n_docs), out=indptr[1:])
-    del docs, terms, keep
-    squares = data * data
-    norms = np.sqrt([math.fsum(squares[lo:hi].tolist())
-                     for lo, hi in pairwise(indptr.tolist())], dtype=np.float64)
+    term_counts, docs, terms, tfs = _count(token_lists,
+                                           {t: i for i, t in enumerate(vocabulary)})
+    doc_freq = np.bincount(terms, minlength=len(vocabulary))
+    idfs = np.array([idf(df, n_docs) for df in doc_freq.tolist()], dtype=np.float64)
     return Index(stemming, tuple(paths), vocabulary, tuple(doc_freq.tolist()),
-                 indptr, indices, data, norms, term_counts)
+                 *_weigh(term_counts, docs, terms, tfs, idfs), term_counts)
 
 
-def vectorize_tokens(tokens: list[str], index: Index) -> QueryVector:
-    """Query vector over the index vocabulary, weighted as documents are.
-    The tf denominator counts every token, terms outside the vocabulary are
-    skipped, and zero weights are dropped."""
-    c_d = len(tokens)
-    term_ids, idfs = index.term_ids, index.idfs
-    weights: dict[int, float] = {}
-    for term, c_td in Counter(tokens).items():
-        if (term_id := term_ids.get(term)) is not None:
-            if (w := tf(c_td, c_d) * idfs[term_id]) != 0.0:
-                weights[term_id] = w
-    return QueryVector(weights, math.sqrt(math.fsum(w * w for w in weights.values())))
+def query_rows(token_lists: Sequence[list[str]], index: Index) -> QueryRows:
+    """The query vector of each token list over the index vocabulary, one
+    row each, weighed as the index's documents are: the tf denominator
+    counts every token, and terms outside the vocabulary are skipped."""
+    return QueryRows(*_weigh(*_count(token_lists, index.term_ids), index.idfs))
 
 
 def vectorize_query(text: str, index: Index) -> QueryVector:
-    return vectorize_tokens(tokenize(text, index.stemming), index)
+    """One text's row of ``query_rows``, as a dict. No command calls it;
+    perfbench's reference scorer and tracer look it up."""
+    rows = query_rows([tokenize(text, index.stemming)], index)
+    return QueryVector(dict(zip(rows.indices.tolist(), rows.data.tolist())),
+                       float(rows.norms[0]))
 
 
 # The index's arrays as saved, with their dtypes.

@@ -81,8 +81,8 @@ class HistorySet:
 
     A report is usable for a query only when it was resolved strictly before
     the query was reported; unresolved reports and reports without fixed
-    files never contribute. The usable reports are held in stable
-    resolution-time order, as arrays: row r of ``vectors`` is report r's
+    files never contribute. The usable reports are held as arrays, in order
+    of resolution time and then id: row r of ``vectors`` is report r's
     query vector, ``n_fixed[r]`` its number of fixed files, and its fix
     touched the doc ids ``inc_docs[inc_ptr[r]:inc_ptr[r + 1]]``.
     ``postings`` is the term→row transpose of ``vectors``, and ``keys[e]``
@@ -107,21 +107,20 @@ class HistorySet:
               vectors: QueryRows) -> "HistorySet":
         """History of the resolved reports with fixed files, where row i of
         ``vectors`` is the query vector of ``reports[i]``."""
-        usable = [(i, r.resolved_at, fixed) for i, r in enumerate(reports)
-                  if r.resolved_at is not None and (fixed := r.fixed_paths)]
-        usable.sort(key=lambda u: u[1])
-        vectors = vectors.take([i for i, _, _ in usable])
+        usable = sorted((r.resolved_at, r.id, i, fixed) for i, r in enumerate(reports)
+                        if r.resolved_at is not None and (fixed := r.fixed_paths))
+        vectors = vectors.take([i for _, _, i, _ in usable])
         doc_ids = {p: i for i, p in enumerate(index.paths)}
         # A fixed file outside the index counts in n_fixed but credits nothing.
-        touched = [[doc_ids[p] for p in fixed if p in doc_ids] for _, _, fixed in usable]
+        touched = [[doc_ids[p] for p in fixed if p in doc_ids] for *_, fixed in usable]
         postings = transpose(vectors.indptr, vectors.indices, vectors.data,
                              len(index.vocabulary))
         ptr, post_rows, _ = postings
         terms = np.repeat(np.arange(len(index.vocabulary), dtype=np.int64), np.diff(ptr))
         return cls(
-            times=tuple(t for _, t, _ in usable),
+            times=tuple(t for t, *_ in usable),
             vectors=vectors,
-            n_fixed=np.array([len(fixed) for _, _, fixed in usable], dtype=np.float64),
+            n_fixed=np.array([len(fixed) for *_, fixed in usable], dtype=np.float64),
             inc_ptr=np.cumsum([0, *map(len, touched)], dtype=np.int64),
             inc_docs=np.fromiter((d for docs in touched for d in docs), dtype=np.int64),
             postings=postings,
@@ -222,7 +221,9 @@ def simi_scores(
     lengths = history.inc_ptr[row + 1] - starts
     bins = np.repeat(at * n_docs, lengths) + history.inc_docs[gather(starts, lengths)]
     shares = np.repeat(sims[at, row] / history.n_fixed[row], lengths)
-    return np.bincount(bins, weights=shares, minlength=m * n_docs).reshape(m, n_docs)
+    # With no shares to add, np.bincount returns int64 zeros.
+    simi = np.bincount(bins, weights=shares, minlength=m * n_docs)
+    return simi.astype(np.float64, copy=False).reshape(m, n_docs)
 
 
 def buglocator_scores(

@@ -6,13 +6,21 @@ import threading
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
+from hypothesis import settings
 
 from croloc.corpus import BugReport
-from croloc.index import QueryRows, build_index, tokenize, vectorize_query, vectorize_tokens
+from croloc.index import QueryRows, build_index, query_rows, tokenize
 from croloc.rank import HistorySet
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# Every hypothesis test runs under this profile: no deadline, so that a slower
+# machine fails no example on time alone, and a failure prints the blob that
+# reproduces it (@reproduce_failure).
+settings.register_profile("croloc", deadline=None, print_blob=True)
+settings.load_profile("croloc")
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -99,8 +107,13 @@ def index_texts(raw_texts, paths, stemming=False):
 
 
 def batch(*vectors):
-    """The ``QueryRows`` of ``vectors``, one row each, in order."""
-    return QueryRows.pack(vectors)
+    """The ``QueryRows`` of the ``QueryVector``s ``vectors``, one row each,
+    in order."""
+    rows = [sorted(v.weights.items()) for v in vectors]
+    return QueryRows(np.cumsum([0, *map(len, rows)], dtype=np.int64),
+                     np.fromiter((t for row in rows for t, _ in row), dtype=np.int64),
+                     np.fromiter((w for row in rows for _, w in row), dtype=np.float64),
+                     np.array([v.norm for v in vectors], dtype=np.float64))
 
 
 def history_set(index, history):
@@ -113,15 +126,15 @@ def history_set(index, history):
         resolved_at = when[0] if when else RESOLVED_AT
         # Each report's query text is its own, and names its row.
         reports.append(BugReport(f"H{i}", f"H{i}", "", resolved_at, resolved_at, tuple(fixed)))
-    rows = batch(*(vectorize_tokens(tokens, index) for tokens, *_ in history))
+    rows = query_rows([tokens for tokens, *_ in history], index)
     return HistorySet.build(reports, index, rows)
 
 
 def history_of(reports, index):
-    """``HistorySet.build`` over ``reports``, each vectorized from its query
+    """``HistorySet.build`` over ``reports``, each weighed from its query
     text."""
-    return HistorySet.build(reports, index,
-                            batch(*(vectorize_query(r.query_text, index) for r in reports)))
+    tokens = [tokenize(r.query_text, index.stemming) for r in reports]
+    return HistorySet.build(reports, index, query_rows(tokens, index))
 
 
 def assert_no_child_left():

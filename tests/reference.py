@@ -1,7 +1,9 @@
 """Independent references that tests compare package output against.
 
 Scoring and evaluation: brute force that deliberately shares no code with
-the package, plain dicts and math, one obvious loop per formula.
+the package, plain dicts and math, one obvious loop per formula. tf and idf
+are defined here too, so that no weight of the oracle comes from the
+package.
 
 Tokenizer, Japanese detection and segmentation, and the lexer's scan loop
 with its comment, string and char-literal scanners: the earlier
@@ -49,7 +51,7 @@ from croloc.errors import TranslationError
 from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
 from croloc.extract import (_CHAR_LITERAL_CAP, JAPANESE_RANGES, Segment, SpanKind, _Scanner,
                             detect_japanese, extract_spans, japanese_segments, reembed)
-from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS, idf, tf
+from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS, QueryVector
 from croloc.porter import stem as porter_stem
 from croloc.translate import translate_texts
 
@@ -149,6 +151,20 @@ def ref_buglocator(query_tokens, token_lists, paths, history, alpha):
     return [(1.0 - alpha) * a + alpha * b for a, b in zip(rvsm, simi)]
 
 
+def tf(count, doc_length):
+    """ln(c_td / c_d + 1); a document with no tokens has tf 0 for everything."""
+    if doc_length <= 0 or count <= 0:
+        return 0.0
+    return math.log(count / doc_length + 1.0)
+
+
+def idf(doc_freq, n_docs):
+    """ln(n_docs / df); a term present in every document weighs 0."""
+    if doc_freq <= 0 or n_docs <= 0:
+        return 0.0
+    return math.log(n_docs / doc_freq)
+
+
 def tfidf_weights(tokens, term_ids, doc_freq, n_docs):
     """tf-idf weights of a token stream, keyed by term id. The tf denominator
     counts every token, terms outside ``term_ids`` are skipped, and zero
@@ -162,6 +178,13 @@ def tfidf_weights(tokens, term_ids, doc_freq, n_docs):
             if w != 0.0:
                 weights[term_id] = w
     return weights
+
+
+def tfidf_vector(tokens, index):
+    """The ``QueryVector`` of a token stream over ``index``: its
+    ``tfidf_weights`` and their norm."""
+    weights = tfidf_weights(tokens, index.term_ids, index.doc_freq, index.n_docs)
+    return QueryVector(weights, math.sqrt(math.fsum(w * w for w in weights.values())))
 
 
 def query_dense(query, index):

@@ -17,7 +17,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import AFTER_ALL, FIXTURES, batch, history_of, history_set, index_texts
+from conftest import AFTER_ALL, FIXTURES, history_of, history_set, index_texts
 from croloc.corpus import (
     BugReport,
     filter_usable_reports,
@@ -33,13 +33,7 @@ from croloc.evalharness import (
     reciprocal_rank,
 )
 from croloc.extract import detect_japanese, extract_spans, japanese_segments
-from croloc.index import (
-    build_index,
-    idf,
-    tf,
-    vectorize_query,
-    vectorize_tokens,
-)
+from croloc.index import build_index, idf, query_rows, tokenize
 from croloc.rank import (
     DEFAULT_ALPHA,
     buglocator_scores,
@@ -156,7 +150,7 @@ def _random_corpora():
             "query": query,
             "history": history,
             "index": index,
-            "query_vec": batch(vectorize_tokens(query, index)),
+            "query_vec": query_rows([query], index),
             "entries": history_set(index, history),
         })
     _corpora_cache = corpora
@@ -169,10 +163,15 @@ def test_acceptance_1_formula_equivalence():
     with criterion(1, desc):
         started = time.perf_counter()
 
-        for count in range(0, 9):
-            for length in range(0, 9):
-                want = math.log(count / length + 1.0) if count and length else 0.0
-                assert math.isclose(tf(count, length), want,
+        # tf through the package's weighting: "term" has idf ln 2 here, so
+        # a query of `length` tokens that holds it `count` times weighs it
+        # tf * ln 2.
+        tf_index = build_index([["term"], ["other"]], ["a.java", "b.java"])
+        for length in range(0, 9):
+            for count in range(0, length + 1):
+                want = math.log(count / length + 1.0) * math.log(2.0) if count else 0.0
+                row = query_rows([["term"] * count + ["zzz"] * (length - count)], tf_index)
+                assert math.isclose(float(row.data.sum()), want,
                                     rel_tol=1e-9, abs_tol=0.0)
         for df in range(0, 7):
             for n_docs in range(max(df, 1), 8):
@@ -229,7 +228,7 @@ def test_acceptance_3_rvsm_size_monotonicity():
                 token_lists = [list(base), list(base) * multiplier, ["filler"]]
                 paths = ["small.java", "large.java", "filler.java"]
                 index = build_index(token_lists, paths)
-                query = batch(vectorize_tokens(list(base), index))
+                query = query_rows([list(base)], index)
                 vsm = vsm_scores(query, index)[0]
                 assert vsm[0] == vsm[1], "construction must hold cosine equal"
                 assert vsm[0] > 0.0
@@ -380,7 +379,7 @@ def _project_run(translate: bool):
     history = history_of(reports, index)
     run = {}
     for report in usable:
-        query = batch(vectorize_query(report.query_text, index))
+        query = query_rows([tokenize(report.query_text)], index)
         scores = score_documents(query, index, "buglocator", history, DEFAULT_ALPHA,
                                  [report.reported_at])[0]
         run[report.id] = [index.paths[d] for d in make_ranking(scores, index, top_k=0)]
@@ -455,7 +454,7 @@ def test_acceptance_8_known_item_sanity():
             description=comment_text,
             reported_at=parse_rfc3339("2024-06-01T00:00:00Z"),
         )
-        query = batch(vectorize_query(report.query_text, index))
+        query = query_rows([tokenize(report.query_text)], index)
         no_history = history_set(index, [])
         for technique in ("vsm", "rvsm", "buglocator"):
             scores = score_documents(query, index, technique, no_history, DEFAULT_ALPHA,
@@ -477,7 +476,7 @@ def test_acceptance_9_temporal_safety():
         # SHOP-109 is written in English, so its query tokens exist in the
         # untranslated index and the potency check below has teeth
         query_report = next(r for r in reports if r.id == "SHOP-109")
-        query = batch(vectorize_query(query_report.query_text, index))
+        query = query_rows([tokenize(query_report.query_text)], index)
 
         def scores_with(extra_reports):
             history = history_of(reports + extra_reports, index)

@@ -465,7 +465,7 @@ class TestLoadBugReports:
         "fixed_files": st.lists(st.sampled_from(["a.java", "src\\b.java", ""]), max_size=3),
         "functional": st.booleans(),
     }, required=("id", "summary", "reported_at"))))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_fuzzed_file_round_trips_or_fails_cleanly(self, lines, tmp_path_factory):
         path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

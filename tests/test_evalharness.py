@@ -190,7 +190,7 @@ class TestQrels:
 
     @given(lines=_trec_lines(_WORDS, st.just("0"), _WORDS,
                              st.sampled_from(["0", "1", "2", "+2", "-1", "x"])))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_fuzzed_file_round_trips_or_fails_cleanly(self, lines, tmp_path_factory):
         path = tmp_path_factory.mktemp("qrels") / "qrels.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -269,7 +269,7 @@ class TestLoadCommitLog:
         "message": any_text | st.just("fix B-1"),
         "changed_files": st.lists(any_text, max_size=3),
     }, required=("hash", "message", "changed_files"))))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_fuzzed_file_round_trips_or_fails_cleanly(self, lines, tmp_path_factory):
         path = tmp_path_factory.mktemp("commits") / "commits.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -422,7 +422,7 @@ class TestReadRunFile:
                              st.sampled_from(["1", "2", "3", "4", "5", "0", "x"]),
                              st.sampled_from(["0.5", "-1", "0", "2.25", "nan", "inf"]),
                              st.just("t")))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_fuzzed_file_round_trips_or_fails_cleanly(self, lines, tmp_path_factory):
         path = tmp_path_factory.mktemp("run") / "run.trec"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -336,7 +336,7 @@ class TestScannerOracle:
         data = text.encode("utf-8")
         assert _scan(_Scanner, data, language) == _scan(RefScanner, data, language)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(data=st.data(), language=st.sampled_from(list(Language)))
     def test_same_spans_on_mutated_fixtures(self, lexer_corpus_dir, data, language):
         raw = data.draw(_mutated_fixture(lexer_corpus_dir))

@@ -30,13 +30,12 @@ from croloc.index import (
     build_index,
     idf,
     load_index,
+    query_rows,
     save_index,
-    tf,
     tokenize,
     vectorize_query,
-    vectorize_tokens,
 )
-from conftest import batch, index_texts
+from conftest import index_texts
 from croloc.rank import make_ranking, vsm_scores
 from reference import query_dense, ref_tokenize, tfidf_weights
 
@@ -154,14 +153,25 @@ class TestTokenizeOracle:
 
 
 class TestWeighting:
+    @staticmethod
+    def _weight(count, length):
+        """The stored weight of a term that occurs ``count`` times in a
+        query of ``length`` tokens, over an index where its idf is ln 2;
+        0.0 when none is stored."""
+        index = build_index([["term"], ["other"]], ["a", "b"])
+        rows = query_rows([["term"] * count + ["zzz"] * (length - count)], index)
+        return float(rows.data.sum())
+
     def test_tf_formula(self):
-        assert tf(2, 10) == pytest.approx(math.log(2 / 10 + 1))
+        assert self._weight(2, 10) == pytest.approx(math.log(2 / 10 + 1) * math.log(2))
 
     def test_tf_zero_length_doc(self):
-        assert tf(3, 0) == 0.0
+        index = build_index([["term"], ["other"]], ["a", "b"])
+        rows = query_rows([[]], index)
+        assert rows.indptr.tolist() == [0, 0] and rows.norms.tolist() == [0.0]
 
     def test_tf_zero_count(self):
-        assert tf(0, 10) == 0.0
+        assert self._weight(0, 10) == 0.0
 
     def test_idf_formula(self):
         assert idf(2, 8) == pytest.approx(math.log(4.0))
@@ -173,7 +183,7 @@ class TestWeighting:
         assert idf(0, 8) == 0.0
 
     def test_tf_monotone_in_count(self):
-        values = [tf(c, 50) for c in range(1, 20)]
+        values = [self._weight(c, 50) for c in range(1, 20)]
         assert values == sorted(values)
         assert len(set(values)) == len(values)
 
@@ -203,7 +213,7 @@ class TestBuildIndex:
         index, token_lists, _ = self._small()
         tid = index.vocabulary.index("cache")
         vec = index.vectors[0]
-        expected = tf(2, 3) * idf(2, 3)
+        expected = math.log(2 / 3 + 1) * idf(2, 3)
         assert vec.weights[tid] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_terms_omitted(self):
@@ -238,17 +248,15 @@ class TestBuildIndex:
 class TestQueryVector:
     def test_oov_counts_in_denominator(self):
         index = build_index([["alpha", "beta"], ["gamma"]], ["a", "b"])
-        qv = vectorize_tokens(["alpha", "alpha", "zzz"], index)
-        tid = index.vocabulary.index("alpha")
-        expected = tf(2, 3) * idf(1, 2)  # the unseen token counts toward the length, 3
-        assert qv.weights[tid] == pytest.approx(expected, rel=1e-12)
-        assert len(qv.weights) == 1
+        rows = query_rows([["alpha", "alpha", "zzz"]], index)
+        expected = math.log(2 / 3 + 1) * idf(1, 2)  # the unseen token counts toward the length, 3
+        assert rows.indices.tolist() == [index.vocabulary.index("alpha")]
+        assert rows.data[0] == pytest.approx(expected, rel=1e-12)
 
     def test_all_oov_query(self):
         index = build_index([["alpha"]], ["a"])
-        qv = vectorize_tokens(["zzz", "yyy"], index)
-        assert qv.weights == {}
-        assert qv.norm == 0.0
+        rows = query_rows([["zzz", "yyy"]], index)
+        assert rows.indptr.tolist() == [0, 0] and rows.norms.tolist() == [0.0]
 
     def test_vectorize_query_uses_index_options(self):
         index = index_texts(
@@ -263,7 +271,7 @@ class TestQueryVector:
 
     def test_query_dense_layout(self):
         index = build_index([["alpha", "beta"], ["beta"]], ["a", "b"])
-        qv = vectorize_tokens(["alpha"], index)
+        qv = vectorize_query("alpha", index)
         dense = query_dense(qv, index)
         assert dense.shape == (len(index.vocabulary),)
         tid = index.vocabulary.index("alpha")
@@ -878,8 +886,8 @@ def _loads_and_ranks_or_is_rejected(target):
         index = load_index(target)
     except IndexFormatError:
         return
-    query = vectorize_tokens(["cache", "order", "sync", *index.vocabulary[:2]], index)
-    ranking = make_ranking(vsm_scores(batch(query), index)[0], index, top_k=0)
+    query = query_rows([["cache", "order", "sync", *index.vocabulary[:2]]], index)
+    ranking = make_ranking(vsm_scores(query, index)[0], index, top_k=0)
     assert sorted(ranking.tolist()) == list(range(index.n_docs))
 
 
@@ -891,21 +899,21 @@ def _saved_members() -> dict[str, bytes]:
 
 class TestLoadFuzz:
     @given(payload=_mutated_payloads())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_mutated_payload_is_rejected_or_ranks(self, payload, tmp_path_factory):
         target = tmp_path_factory.mktemp("fuzz") / "idx.npz"
         _write_payload(target, payload)
         _loads_and_ranks_or_is_rejected(target)
 
     @given(content=_edits(_saved_index_bytes()))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_mutated_zip_bytes_are_rejected_or_rank(self, content, tmp_path_factory):
         target = tmp_path_factory.mktemp("fuzz") / "idx.npz"
         target.write_bytes(content)
         _loads_and_ranks_or_is_rejected(target)
 
     @given(data=st.data(), name=st.sampled_from(sorted(_saved_members())))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_mutated_member_bytes_are_rejected_or_rank(self, data, name, tmp_path_factory):
         # The zip around the edited member is sound, so the edit reaches the
         # .npy header and data checks.
@@ -924,6 +932,18 @@ def _corpora(draw):
     docs = draw(st.lists(st.lists(words, max_size=12), min_size=1, max_size=6))
     paths = [f"f{i}.java" for i in range(len(docs))]
     return docs, paths
+
+
+@st.composite
+def _build_corpora(draw):
+    """Documents of words from a small vocabulary, so that some term may be
+    in every document; with empty documents, zero or one document, and
+    documents repeated verbatim."""
+    words = st.sampled_from(["cache", "miss", "order", "total", "sync", "在庫"])
+    docs = draw(st.lists(st.lists(words, max_size=10), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if docs else 0):
+        docs.insert(draw(st.integers(0, len(docs))), docs[draw(st.integers(0, len(docs) - 1))])
+    return docs
 
 
 class TestIndexProperties:
@@ -955,37 +975,23 @@ class TestIndexProperties:
             for w in vec.weights.values():
                 assert w > 0.0
 
-    @given(corpus=_corpora())
-    @settings(max_examples=100)
-    def test_document_tokens_vectorize_to_their_row(self, corpus):
-        # Documents and queries share one weighting: a document's own tokens,
-        # vectorized as a query, give back its stored row and norm exactly.
-        docs, paths = corpus
-        index = build_index(docs, paths)
-        indptr, indices, data, norms = index.csr()
-        for d, tokens in enumerate(docs):
-            lo, hi = indptr[d], indptr[d + 1]
-            qv = vectorize_tokens(tokens, index)
-            assert qv.weights == dict(zip(indices[lo:hi].tolist(), data[lo:hi].tolist()))
-            assert qv.norm == norms[d]
-
-
-@st.composite
-def _build_corpora(draw):
-    """Documents of words from a small vocabulary, so that some term may be
-    in every document; with empty documents, zero or one document, and
-    documents repeated verbatim."""
-    words = st.sampled_from(["cache", "miss", "order", "total", "sync", "在庫"])
-    docs = draw(st.lists(st.lists(words, max_size=10), max_size=6))
-    for _ in range(draw(st.integers(0, 2)) if docs else 0):
-        docs.insert(draw(st.integers(0, len(docs))), docs[draw(st.integers(0, len(docs) - 1))])
-    return docs
+    @given(docs=_build_corpora())
+    @settings(max_examples=300)
+    def test_document_tokens_vectorize_to_their_row(self, docs):
+        # Documents and queries share one weighting: the documents' own
+        # tokens, weighed as queries, give back the index's rows bit for bit.
+        index = build_index(docs, [f"f{i}.java" for i in range(len(docs))])
+        rows = query_rows(docs, index)
+        for got, want in zip((rows.indptr, rows.indices, rows.data, rows.norms), index.csr(),
+                             strict=True):
+            assert got.dtype == want.dtype
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestArrayBuild:
     """build_index counts in arrays; its rows and norms are what
     tfidf_weights (tests/reference.py) and math.fsum give each document, bit
-    for bit, and so are vectorize_tokens' weights of its tokens."""
+    for bit."""
 
     @staticmethod
     def _check(docs):
@@ -997,8 +1003,6 @@ class TestArrayBuild:
         assert len(index.indptr) == len(docs) + 1 and index.indptr[0] == 0
         for d, tokens in enumerate(docs):
             weights = tfidf_weights(tokens, term_ids, doc_freq, len(docs))
-            # Queries read each idf from the index's list: the same bits.
-            assert vectorize_tokens(tokens, index).weights == weights
             lo, hi = index.indptr[d], index.indptr[d + 1]
             assert index.indices[lo:hi].tolist() == sorted(weights)
             expected = np.array([weights[t] for t in sorted(weights)], dtype=np.float64)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -11,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AFTER_ALL, batch, history_of, history_set
+from conftest import AFTER_ALL, history_of, history_set
 from croloc.corpus import BugReport
 from croloc.errors import EvalError
 from croloc.evalharness import read_run_file, write_run_file
-from croloc import rank
-from croloc.index import QueryRows, build_index, vectorize_tokens
+from croloc import TECHNIQUES, rank
+from croloc.index import build_index, query_rows
 from croloc.rank import (
     DEFAULT_ALPHA,
     HistorySet,
@@ -40,6 +41,7 @@ from reference import (
     ref_rvsm,
     ref_simi,
     ref_vsm,
+    tfidf_vector,
 )
 
 UTC = timezone.utc
@@ -127,9 +129,9 @@ class TestMinmax:
 
 def _package_scores(technique, query_tokens, token_lists, paths, history=None, alpha=DEFAULT_ALPHA):
     index = build_index(token_lists, paths)
-    query = vectorize_tokens(query_tokens, index)
+    query = query_rows([query_tokens], index)
     entries = history_set(index, history or [])
-    return score_documents(batch(query), index, technique, entries, alpha, [AFTER_ALL])[0]
+    return score_documents(query, index, technique, entries, alpha, [AFTER_ALL])[0]
 
 
 class TestVsmAgainstReference:
@@ -191,14 +193,14 @@ class TestSimiAgainstReference:
             (["order", "total"], ["src/B.java"]),
         ]
         index = build_index(token_lists, paths)
-        query = vectorize_tokens(["cache", "miss"], index)
+        query = query_rows([["cache", "miss"]], index)
 
-        got = simi_scores(batch(query), index, history_set(index, history), [AFTER_ALL])[0]
+        got = simi_scores(query, index, history_set(index, history), [AFTER_ALL])[0]
         want = ref_simi(["cache", "miss"], token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
-        first = vectorize_tokens(history[0][0], index)
-        sim1 = cosine(query.weights, query.norm, first.weights, first.norm)
+        q, first = (tfidf_vector(t, index) for t in (["cache", "miss"], history[0][0]))
+        sim1 = cosine(q.weights, q.norm, first.weights, first.norm)
         assert got[0] == pytest.approx(sim1 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(24, 32))
@@ -212,17 +214,27 @@ class TestSimiAgainstReference:
                 fixed.append("src/Removed.java")
             history.append((_random_query(rng), fixed))
         index = build_index(token_lists, paths)
-        query_vec = vectorize_tokens(query, index)
-        got = simi_scores(batch(query_vec), index, history_set(index, history), [AFTER_ALL])[0]
+        query_vec = query_rows([query], index)
+        got = simi_scores(query_vec, index, history_set(index, history), [AFTER_ALL])[0]
         want = ref_simi(query, token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_no_history_gives_zeros(self):
         token_lists = [["cache"], ["order"]]
         index = build_index(token_lists, ["a", "b"])
-        query = vectorize_tokens(["cache"], index)
-        assert simi_scores(batch(query), index, history_set(index, []),
+        query = query_rows([["cache"]], index)
+        assert simi_scores(query, index, history_set(index, []),
                            [AFTER_ALL])[0].tolist() == [0.0, 0.0]
+
+    def test_no_nonzero_cosine_gives_float_zeros(self):
+        # No (query, history row) cosine is nonzero: the queries share no
+        # term with the one report, or have no term at all.
+        index = build_index([["cache"], ["order"], ["miss"]], ["a", "b", "c"])
+        queries = query_rows([["order"], ["zzz"], []], index)
+        for history in (history_set(index, [(["cache"], ["a"])]), history_set(index, [])):
+            got = simi_scores(queries, index, history, [AFTER_ALL] * 3)
+            assert got.dtype == np.float64 and got.shape == (3, 3)
+            assert got.view(np.int64).tolist() == np.zeros((3, 3)).view(np.int64).tolist()
 
 
 class TestBugLocatorAgainstReference:
@@ -244,14 +256,14 @@ class TestBugLocatorAgainstReference:
         token_lists = [["cache", "miss"], ["cache"], ["order", "total", "cache"]]
         paths = ["a", "b", "c"]
         index = build_index(token_lists, paths)
-        query = vectorize_tokens(["cache", "miss"], index)
+        query = query_rows([["cache", "miss"]], index)
         alpha = DEFAULT_ALPHA
-        got = buglocator_scores(batch(query), index, history_set(index, []), alpha,
+        got = buglocator_scores(query, index, history_set(index, []), alpha,
                                 [AFTER_ALL])[0]
-        expected = (1.0 - alpha) * minmax(rvsm_scores(batch(query), index)[0]) + alpha * 0.5
+        expected = (1.0 - alpha) * minmax(rvsm_scores(query, index)[0]) + alpha * 0.5
         assert np.array_equal(got, expected)
         # and the induced order matches plain rvsm
-        rvsm = rvsm_scores(batch(query), index)[0]
+        rvsm = rvsm_scores(query, index)[0]
         assert np.argsort(-got, kind="stable").tolist() == np.argsort(
             -rvsm, kind="stable"
         ).tolist()
@@ -259,10 +271,10 @@ class TestBugLocatorAgainstReference:
     def test_alpha_out_of_range(self):
         token_lists = [["cache"]]
         index = build_index(token_lists, ["a"])
-        query = vectorize_tokens(["cache"], index)
+        query = query_rows([["cache"]], index)
         for alpha in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                buglocator_scores(batch(query), index, history_set(index, []), alpha,
+                buglocator_scores(query, index, history_set(index, []), alpha,
                                   [AFTER_ALL])
 
     def test_alpha_one_is_pure_history(self):
@@ -279,15 +291,14 @@ class TestBugLocatorAgainstReference:
 class TestScoreDocuments:
     def test_unknown_technique(self):
         index = build_index([["cache"]], ["a"])
-        query = vectorize_tokens(["cache"], index)
+        query = query_rows([["cache"]], index)
         with pytest.raises(ValueError, match="technique"):
-            score_documents(batch(query), index, "pagerank", None, DEFAULT_ALPHA, [AFTER_ALL])
+            score_documents(query, index, "pagerank", None, DEFAULT_ALPHA, [AFTER_ALL])
 
     def test_dispatch_matches_direct_calls(self):
         token_lists = [["cache", "miss"], ["order"]]
         index = build_index(token_lists, ["a", "b"])
-        query = vectorize_tokens(["cache"], index)
-        queries = batch(query)
+        queries = query_rows([["cache"]], index)
         for technique, direct in (("vsm", vsm_scores), ("rvsm", rvsm_scores)):
             got = score_documents(queries, index, technique, None, DEFAULT_ALPHA, [AFTER_ALL])
             assert np.array_equal(got, direct(queries, index))
@@ -533,7 +544,7 @@ class TestVectorizedPathsProperties:
     def test_simi_over_prefix_matches_list_and_reference(self, case):
         token_lists, paths, history, query, cut = case
         index = build_index(token_lists, paths)
-        query_vec = vectorize_tokens(query, index)
+        query_vec = query_rows([query], index)
         prior = history_set(index, [h for h in history if h[2] < cut])
         full = history_set(index, history)
         prefix = full.before(cut)
@@ -541,9 +552,9 @@ class TestVectorizedPathsProperties:
         for got, want in zip((*history_csr(prefix), *history_incidences(prefix)),
                              (*history_csr(prior), *history_incidences(prior)), strict=True):
             assert np.array_equal(got, want)
-        got = simi_scores(batch(query_vec), index, prefix, [AFTER_ALL])[0]
-        assert np.array_equal(got, simi_scores(batch(query_vec), index, prior, [AFTER_ALL])[0])
-        assert np.array_equal(got, simi_scores(batch(query_vec), index, full, [cut])[0])
+        got = simi_scores(query_vec, index, prefix, [AFTER_ALL])[0]
+        assert np.array_equal(got, simi_scores(query_vec, index, prior, [AFTER_ALL])[0])
+        assert np.array_equal(got, simi_scores(query_vec, index, full, [cut])[0])
         want = ref_simi(query, token_lists, paths,
                         [(toks, fixed) for toks, fixed, t in history if t < cut])
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -621,9 +632,9 @@ class TestChunkedScoring:
     def _case(case):
         token_lists, paths, reports, tokens, picks = case
         index = build_index(token_lists, paths)
-        vectors = [vectorize_tokens(t, index) for t in tokens]
-        history = HistorySet.build(reports, index, QueryRows.pack(vectors))
-        rows = QueryRows.pack([vectors[i] for i in picks])
+        vectors = [tfidf_vector(t, index) for t in tokens]
+        history = HistorySet.build(reports, index, query_rows(tokens, index))
+        rows = query_rows([tokens[i] for i in picks], index)
         reported_at = [reports[i].reported_at for i in picks]
         return index, history, vectors, rows, reported_at, picks
 
@@ -634,7 +645,7 @@ class TestChunkedScoring:
             assert got[i].view(np.int64).tolist() == want.view(np.int64).tolist()
 
     @given(case=_report_streams(), data=st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_bit_identical_to_the_per_query_path(self, case, data):
         index, history, vectors, rows, reported_at, picks = self._case(case)
         # One query a chunk, one chunk for all, and a bound in between.
@@ -672,9 +683,10 @@ class TestChunkedScoring:
 
     def test_empty_history_and_zero_norm_queries(self):
         index = build_index([["cache", "miss"], ["order"], []], ["a", "b", "c"])
-        vectors = [vectorize_tokens(t, index) for t in (["zzz"], [], ["cache"])]
+        tokens = [["zzz"], [], ["cache"]]
+        vectors = [tfidf_vector(t, index) for t in tokens]
         assert [v.norm for v in vectors][:2] == [0.0, 0.0]
-        rows = QueryRows.pack(vectors)
+        rows = query_rows(tokens, index)
         empty = history_set(index, [])
         at = [datetime(2024, 1, 1, tzinfo=UTC)] * 3
         for technique in ("vsm", "rvsm", "buglocator"):
@@ -689,7 +701,7 @@ class TestChunkedScoring:
 
     def test_no_queries(self):
         index = build_index([["cache"], ["order"]], ["a", "b"])
-        rows = QueryRows.pack([])
+        rows = query_rows([], index)
         assert query_chunks(rows, index, None) == []
         history = history_set(index, [])
         assert score_documents(rows, index, "buglocator", history, 0.3, []).shape == (0, 2)
@@ -698,8 +710,9 @@ class TestChunkedScoring:
     def test_rankings_at_any_top_k(self, top_k):
         token_lists, paths, rng = _random_corpus(77, n_docs=3)
         index = build_index(token_lists, paths)
-        vectors = [vectorize_tokens(_random_query(rng), index) for _ in range(5)]
-        scores = vsm_scores(QueryRows.pack(vectors), index)
+        tokens = [_random_query(rng) for _ in range(5)]
+        vectors = [tfidf_vector(t, index) for t in tokens]
+        scores = vsm_scores(query_rows(tokens, index), index)
         for row, vector in zip(scores, vectors):
             want = per_query_scores(vector, index, "vsm")
             order = sorted(range(3), key=lambda d: (-want[d], paths[d]))
@@ -709,9 +722,9 @@ class TestChunkedScoring:
 class TestQueryRows:
     def test_take_picks_rows_in_order(self):
         index = build_index([["cache", "miss"], ["order", "total"]], ["a", "b"])
-        vectors = [vectorize_tokens(t, index) for t in
-                   (["cache"], [], ["order", "total", "miss"], ["zzz"])]
-        rows = QueryRows.pack(vectors)
+        tokens = [["cache"], [], ["order", "total", "miss"], ["zzz"]]
+        vectors = [tfidf_vector(t, index) for t in tokens]
+        rows = query_rows(tokens, index)
         taken = rows.take([2, 0, 2, 1])
         for i, pick in enumerate([2, 0, 2, 1]):
             lo, hi = taken.indptr[i], taken.indptr[i + 1]
@@ -720,3 +733,59 @@ class TestQueryRows:
             assert taken.indices[lo:hi].tolist() == sorted(vectors[pick].weights)
             assert taken.norms[i] == vectors[pick].norm
         assert len(rows.take([])) == 0
+
+
+def _history_in_order(reports, tokens, index, order):
+    """``HistorySet.build`` over the reports in ``order``, each with its own
+    tokens' row."""
+    return HistorySet.build([reports[i] for i in order], index,
+                            query_rows([tokens[i] for i in order], index))
+
+
+class TestMetamorphic:
+    """Relations between the scores of an input and of an input changed in a
+    way that must not change them."""
+
+    @given(case=_report_streams(), data=st.data())
+    @settings(max_examples=150)
+    def test_permuted_reports_give_identical_history_and_simi(self, case, data):
+        # Reports resolved at one instant are common, and a fix may share
+        # files with another; their order in the input must not matter.
+        token_lists, paths, reports, tokens, picks = case
+        index = build_index(token_lists, paths)
+        order = data.draw(st.permutations(range(len(reports))))
+        histories = [_history_in_order(reports, tokens, index, o)
+                     for o in (range(len(reports)), order)]
+        for got, want in zip((*history_csr(histories[1]), *history_incidences(histories[1])),
+                             (*history_csr(histories[0]), *history_incidences(histories[0])),
+                             strict=True):
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        rows = query_rows([tokens[i] for i in picks], index)
+        at = [reports[i].reported_at for i in picks]
+        scores = [simi_scores(rows, index, history, at) for history in histories]
+        assert scores[1].view(np.int64).tolist() == scores[0].view(np.int64).tolist()
+
+    @given(case=_report_streams(), data=st.data())
+    @settings(max_examples=100)
+    def test_file_copy_gets_its_twins_scores(self, case, data):
+        # A byte-identical copy of a file, at a path that sorts right after
+        # it, fixed wherever the file was, scores as the file does and ranks
+        # right after it.
+        token_lists, paths, reports, tokens, picks = case
+        d = data.draw(st.integers(0, len(paths) - 1))
+        twin = paths[d].replace(".java", "Copy.java")
+        index = build_index([*token_lists, token_lists[d]], [*paths, twin])
+        assert index.path_rank[-1] == index.path_rank[d] + 1
+        reports = [replace(r, fixed_files=(*r.fixed_files, twin))
+                   if paths[d] in r.fixed_paths else r for r in reports]
+        history = _history_in_order(reports, tokens, index, range(len(reports)))
+        rows = query_rows([tokens[i] for i in picks], index)
+        at = [reports[i].reported_at for i in picks]
+        top_k = data.draw(st.integers(1, len(paths) + 1))
+        for technique in TECHNIQUES:
+            scores = score_documents(rows, index, technique, history, 0.3, at)
+            assert scores[:, d].view(np.int64).tolist() == scores[:, -1].view(np.int64).tolist()
+            for row in scores:
+                ranked = make_ranking(row, index, top_k).tolist()
+                if d in ranked and len(paths) in ranked:
+                    assert ranked.index(len(paths)) == ranked.index(d) + 1

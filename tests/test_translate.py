@@ -312,7 +312,7 @@ class TestTranslationCacheFuzz:
     @given(records=json_lines(st.tuples(
         mostly(st.sampled_from(["glossary", "identity"])), any_text, mostly(any_text),
         st.integers(0, 9).map(bool), st.booleans())))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_fuzzed_file_round_trips_or_fails_cleanly(self, records, tmp_path_factory):
         # An ensure_ascii=False line keeps lone surrogates, which encode to
         # bytes that are not UTF-8.
@@ -340,7 +340,7 @@ class TestTranslationCacheOracle:
     each line's bytes to json.loads."""
 
     @given(pieces=st.lists(_CACHE_PIECES, max_size=8))
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     def test_same_entries_errors_and_truncation(self, pieces, tmp_path_factory):
         content = b"".join(pieces)
         path = tmp_path_factory.mktemp("cache") / "c.jsonl"
@@ -475,7 +475,7 @@ _JSON_TEXT = st.text(st.one_of(
 
 class TestCacheLines:
     @given(backend=_JSON_TEXT, pairs=st.lists(st.tuples(_JSON_TEXT, _JSON_TEXT), max_size=4))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_put_many_writes_json_dumps_lines(self, backend, pairs, tmp_path_factory):
         path = tmp_path_factory.mktemp("lines") / "c.jsonl"
         with TranslationCache(str(path)) as cache:
@@ -718,7 +718,7 @@ class TestBatchedTranslation:
 
     @given(picks=st.lists(st.integers(0, len(_DOCS) - 1), max_size=12),
            warm=st.sets(st.sampled_from(_SEGMENTS), max_size=20))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_documents_match_the_per_document_loop(self, picks, warm, tmp_path_factory):
         docs = [_DOCS[i] for i in picks]
         outcomes = self._both(
@@ -734,7 +734,7 @@ class TestBatchedTranslation:
 
     @given(picks=st.lists(st.integers(0, len(_REPORTS) - 1), max_size=12),
            warm=st.sets(st.sampled_from(["在庫エラー", "同期しない"]), max_size=2))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_reports_match_the_per_report_loop(self, picks, warm, tmp_path_factory):
         reports = [_REPORTS[i] for i in picks]
         outcomes = self._both(
