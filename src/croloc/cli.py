@@ -20,7 +20,7 @@ import importlib
 import json
 import logging
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import AbstractContextManager, closing, nullcontext
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
@@ -189,21 +189,23 @@ def _translated(args: argparse.Namespace, items: Sequence, translate: Callable) 
 
 def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
                        backend: TranslatorBackend | None,
-                       cache_path: str | None) -> list[list[str]]:
-    """The tokens of each of ``documents``, translated through ``backend``
-    first unless it is None, with the translation cache at ``cache_path``,
-    if any. Translating and tokenizing one document needs no other, so
-    ``fan_out`` spreads that step over the usable CPUs, and each chunk is
-    translated in one ``translate_documents`` pass. Each chunk a child
+                       cache_path: str | None) -> Iterator[list[list[str]]]:
+    """The tokens of each of ``documents``, one list per chunk that
+    ``fan_out`` cut, in order, translated through ``backend`` first unless it
+    is None, with the translation cache at ``cache_path``, if any.
+    Translating and tokenizing one document needs no other, so ``fan_out``
+    spreads that step over the usable CPUs, and each chunk is translated in
+    one ``translate_documents`` pass. The first chunk is this process's own,
+    and comes while the forked ones may still run. Each chunk a child
     process ran hands back the cache rows it made, and this process adds them
     to the cache in document order, as a serial run would have. A chunk whose
     backend batch fails hands back the rows of the batches before it, and its
     error is raised in its chunk's turn. The cache is closed, which frees its
-    entries, on return, or before tokenizing when this process runs the only
+    entries, at the end, or before tokenizing when this process runs the only
     chunk."""
-    # Looked up now, not at import, so that a wrapper set on croloc.index
-    # (perfbench/tracer.py) sees every call.
-    from .index import tokenize
+    # Looked up now, not at import, so that a wrapper set on croloc.terms
+    # sees every call.
+    from .terms import tokenize
 
     with _make_cache(cache_path) as cache:
         def translate_and_tokenize(chunk: Iterable[SourceDocument]) -> tuple[
@@ -225,7 +227,6 @@ def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
                 cache.close()
             return [tokenize(doc.raw_text, stemming) for doc in translated], rows, None
 
-        token_lists: list[list[str]] = []
         with closing(fan_out(translate_and_tokenize, documents,
                              [d.byte_len for d in documents])) as chunks:
             for tokens, rows, error in chunks:
@@ -233,17 +234,21 @@ def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
                     cache.adopt(rows)
                 if error is not None:
                     raise error
-                token_lists += tokens
-    return token_lists
+                yield tokens
 
 
 def index_documents(documents: Sequence[SourceDocument], stemming: bool,
                     backend: TranslatorBackend | None, cache_path: str | None) -> Index:
     """The index of ``documents``, translated as ``_translated_tokens`` says."""
-    from .index import build_index
+    with closing(_translated_tokens(documents, stemming, backend, cache_path)) as chunks:
+        token_lists = next(chunks)
+        # numpy loads once this process's own chunk is done, while the forked
+        # ones finish: no child is forked with it, and its import overlaps them.
+        from .index import build_index
 
-    tokens = _translated_tokens(documents, stemming, backend, cache_path)
-    return build_index(tokens, [d.path for d in documents], stemming)
+        for tokens in chunks:
+            token_lists += tokens
+    return build_index(token_lists, [d.path for d in documents], stemming)
 
 
 def _default_index_path(args: argparse.Namespace) -> str:
@@ -316,13 +321,14 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    _bind("index", "translate")
+    _bind("translate")  # index_documents loads croloc.index (and numpy) itself
     tree = _require(args, "tree")
     _fill(args, out_dir=".", stemming=False)
     corpus = _load_tree(args, tree)
     backend = _translating_backend(args)
     index = index_documents(corpus.documents, args.stemming, backend,
                             args.cache if backend is not None else None)
+    _bind("index")
     out_path = args.out or _default_index_path(args)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out_path)

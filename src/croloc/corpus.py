@@ -405,20 +405,23 @@ def load_source_tree(
     if not root_path.is_dir():
         raise CorpusError(f"source root does not exist or is not a directory: {root}")
 
-    matched: set[Path] = set()
+    matched: set[str] = set()
     for pattern in include_patterns:
         try:
-            matched.update(hit for hit in root_path.glob(pattern) if hit.is_file())
+            matched.update(str(hit) for hit in root_path.glob(pattern) if hit.is_file())
         except (ValueError, NotImplementedError) as exc:  # "", "**a", "/abs"
             raise CorpusError(f"unusable --include pattern {pattern!r}: {exc}") from None
 
+    # Each hit is the root, a separator and its path below the root, except
+    # under a root of ".", whose hits are their paths below it.
+    base = str(root_path)
+    skip = 0 if base == "." else len(os.path.join(base, ""))
     documents = []
     skipped = []
-    rel_paths = sorted((normalize_path(p.relative_to(root_path).as_posix()), p) for p in matched)
-    for rel, file_path in rel_paths:
+    for rel, file_path in sorted((normalize_path(p[skip:]), p) for p in matched):
         try:
-            raw = file_path.read_bytes()
-            text = raw.decode("utf-8")
+            with open(file_path, "rb") as fh:
+                text = fh.read().decode("utf-8")
         except UnicodeDecodeError as exc:
             if not permissive:
                 raise CorpusError(f"file is not valid UTF-8: {rel} ({exc})") from exc
@@ -427,9 +430,18 @@ def load_source_tree(
             continue
         except OSError as exc:
             raise CorpusError(f"cannot read {rel}: {exc}") from exc
-        language = _LANGUAGES.get(file_path.suffix.lower(), Language.GENERIC)
-        documents.append(SourceDocument(path=rel, language=language, raw_text=text))
+        documents.append(SourceDocument(rel, _language(file_path), text))
     return Corpus(documents=tuple(documents), skipped=tuple(skipped))
+
+
+def _language(path: str) -> Language:
+    """The language of the file at ``path`` by its extension, as
+    ``Path.suffix`` takes it: from the last dot of the name, unless that
+    starts or ends the name."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    suffix = name[dot:].lower() if 0 < dot < len(name) - 1 else ""
+    return _LANGUAGES.get(suffix, Language.GENERIC)
 
 
 _REPORT_FIELDS = {"id": str, "summary": str, "description": str, "reported_at": datetime,

@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 import logging
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import Language, SourceDocument
 from .errors import SpanError
@@ -31,8 +31,7 @@ class SpanKind(str, Enum):
     STRING_LITERAL = "string_literal"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A comment or string-literal body located by byte offsets."""
 
     byte_start: int
@@ -41,8 +40,7 @@ class Span:
     text: str
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """A Japanese run inside a span; offsets are bytes relative to the span start."""
 
     byte_start: int
@@ -290,12 +288,19 @@ def reembed(
         if abs_start < previous_end:
             raise SpanError(f"{doc.path}: overlapping replacements at byte {abs_start}")
         previous_end = abs_end
+    return _splice(doc, targets)
 
+
+def _splice(doc: SourceDocument, targets: list[tuple[int, int, str]]) -> SourceDocument:
+    """``doc`` with each (start, end, new_text) of ``targets`` in place of
+    bytes ``start:end`` of its UTF-8 encoding, unchecked: the ranges ascend,
+    do not overlap and hold whole characters."""
+    raw = doc.raw_bytes
     parts: list[bytes] = []
     cursor = 0
-    for abs_start, abs_end, new_text in targets:
-        parts.append(raw[cursor:abs_start])
+    for start, end, new_text in targets:
+        parts.append(raw[cursor:start])
         parts.append(new_text.encode("utf-8"))
-        cursor = abs_end
+        cursor = end
     parts.append(raw[cursor:])
     return SourceDocument(doc.path, doc.language, b"".join(parts).decode("utf-8"))

@@ -1,4 +1,6 @@
-"""Tokenization and tf-idf indexing of source documents.
+"""tf-idf indexing of tokenized source documents. The tokenizer lives in
+``croloc.terms``; ``tokenize``, ``STOPWORDS`` and ``MIN_TOKEN_LENGTH`` are
+importable from here too.
 
 Weighting follows the classic bug-localization setup: for a term occurring
 c_td times in a document of c_d tokens,
@@ -19,7 +21,6 @@ import re
 import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
-from importlib import resources
 from itertools import chain, pairwise, repeat
 
 import numpy as np
@@ -27,67 +28,11 @@ from numpy.lib import format as npy
 
 from .corpus import check_record, write_atomically
 from .errors import IndexFormatError
+# Re-exported: locate looks tokenize up here, so a wrapper set here sees its calls.
+from .terms import MIN_TOKEN_LENGTH, STOPWORDS, clear_memo, tokenize  # noqa: F401
 
 INDEX_FORMAT = "croloc-index"
 INDEX_VERSION = 3
-
-
-# The tokenizer drops these words and tokens shorter than MIN_TOKEN_LENGTH.
-STOPWORDS = frozenset(
-    resources.files("croloc.data").joinpath("stopwords_en.txt").read_text("utf-8").split())
-MIN_TOKEN_LENGTH = 2
-
-
-# Words are maximal alphanumeric runs: [^\W_] is exactly str.isalnum().
-_WORD = re.compile(r"[^\W_]+")
-# Pieces of a word where ASCII meets non-ASCII, so that glossary output glued
-# directly against Japanese text still separates into clean tokens.
-_SCRIPT_PIECE = re.compile(r"[\x00-\x7f]+|[^\x00-\x7f]+")
-# Fragments of an ASCII piece at camelCase and letter/digit boundaries; an
-# acronym run keeps its tail capital with the following word
-# (HTTPServer -> HTTP, Server).
-_ASCII_FRAGMENT = re.compile(r"[0-9]+|[A-Z]?[a-z]+|[A-Z]+(?![a-z])")
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _word_tokens(word: str, stemming: bool) -> tuple[str, ...]:
-    """Tokens of one alphanumeric word; they depend on nothing else."""
-    raw: list[str] = []
-    for piece in _SCRIPT_PIECE.findall(word):
-        if piece.isascii():
-            fragments = _ASCII_FRAGMENT.findall(piece)
-            subs = [f for f in fragments if not f.isdigit()]
-            if len(subs) >= 2 and len(subs) == len(fragments):
-                raw.append(piece)
-            raw.extend(subs)
-        else:
-            raw.append(piece)
-    out: list[str] = []
-    for token in raw:
-        token = token.lower()
-        if token in STOPWORDS or len(token) < MIN_TOKEN_LENGTH:
-            continue
-        if stemming:
-            # Imported here, so that an index built without stemming does
-            # not load the stemmer.
-            from .porter import stem as porter_stem
-
-            token = porter_stem(token)
-        out.append(token)
-    return tuple(out)
-
-
-def tokenize(text: str, stemming: bool = False) -> list[str]:
-    """Token stream of a text: identifier-aware, lowercased, stopped, and
-    optionally stemmed.
-
-    Words are maximal alphanumeric runs (underscore separates). Each word is
-    split at script boundaries; ASCII pieces additionally split at camelCase
-    and letter/digit boundaries, with pure-digit fragments dropped. A piece
-    that splits into two or more fragments and contains no digit also emits
-    itself whole, before its fragments. Stemming, when enabled, runs last.
-    """
-    return [token for word in _WORD.findall(text) for token in _word_tokens(word, stemming)]
 
 
 def idf(doc_freq: int, n_docs: int) -> float:
@@ -305,7 +250,7 @@ def build_index(
         raise ValueError("token_lists and paths must be parallel")
     # The word memo has paid off once the corpus is tokenized; building and
     # saving the index reuse its memory instead of adding to it.
-    _word_tokens.cache_clear()
+    clear_memo()
     n_docs = len(paths)
     vocabulary = tuple(sorted(set(chain.from_iterable(token_lists))))
     term_counts, docs, terms, tfs = _count(token_lists,

@@ -22,7 +22,9 @@ from typing import TextIO
 from .corpus import (BugReport, SourceDocument, check_record, is_text, parse_json,
                      read_lines)
 from .errors import ProtocolError, TranslationError
-from .extract import detect_japanese, extract_spans, japanese_segments, reembed
+from .extract import _splice, detect_japanese, extract_spans, japanese_segments
+# No code here calls reembed; perfbench/tracer.py looks it up on this module.
+from .extract import reembed  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -208,13 +210,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# A cache row: its key, (backend name, source digest), its translation and
-# its line in the cache file.
+# A cache row: its key, (backend name, source text), its translation and its
+# line in the cache file.
 CacheRow = tuple[tuple[str, str], str, str]
 
 
 class TranslationCache:
-    """Append-only JSONL store keyed by backend name and source-text digest.
+    """Append-only JSONL store keyed by backend name and source text. Each
+    line carries its source's digest, which is checked on load and computed
+    once per new row, to write its line.
 
     The append handle opens on the first new entry and stays open until
     ``close()``, or the end of a ``with`` block; each ``put_many`` flushes it.
@@ -269,7 +273,7 @@ class TranslationCache:
             if _sha256(source) != digest:
                 raise TranslationError(
                     f"{self.path}:{lineno}: cache digest does not match source text")
-            self._entries[(backend, digest)] = translation
+            self._entries[(backend, source)] = translation
         if whole < len(content):
             # A run killed mid-append leaves its last line unterminated. Cut
             # it off, so that the next append starts on a line of its own.
@@ -281,17 +285,16 @@ class TranslationCache:
         return len(self._entries)
 
     def get(self, backend_name: str, source: str) -> str | None:
-        return self._entries.get((backend_name, _sha256(source)))
+        return self._entries.get((backend_name, source))
 
     def put_many(self, backend_name: str, pairs: list[tuple[str, str]]) -> None:
         # Each line is what json.dumps(row, ensure_ascii=False) writes.
         name = _json_str(backend_name)
         rows = []
         for source, translation in pairs:
-            digest = _sha256(source)
-            line = (f'{{"backend": {name}, "sha256": "{digest}", "source": {_json_str(source)}, '
-                    f'"translation": {_json_str(translation)}}}')
-            rows.append(((backend_name, digest), translation, line))
+            line = (f'{{"backend": {name}, "sha256": "{_sha256(source)}", '
+                    f'"source": {_json_str(source)}, "translation": {_json_str(translation)}}}')
+            rows.append(((backend_name, source), translation, line))
         self.adopt(rows)
 
     def adopt(self, rows: list[CacheRow]) -> None:
@@ -364,15 +367,23 @@ def translate_documents(
     order, with the number of segments translated in it; a document with
     none comes back as it was."""
     docs = list(docs)
-    targets = [[(span, segment) for span in extract_spans(doc)
-                for segment in japanese_segments(span.text)] for doc in docs]
-    outputs = iter(translate_texts([segment.text for doc_targets in targets
-                                    for _, segment in doc_targets], backend, cache))
+    # Each segment's byte range in its document, per document. The scanner
+    # made them, so unlike reembed's they need no check, and they ascend.
+    ranges: list[list[tuple[int, int]]] = []
+    texts: list[str] = []
+    for doc in docs:
+        doc_ranges = []
+        for span_start, _, _, span_text in extract_spans(doc):
+            for start, end, text in japanese_segments(span_text):
+                doc_ranges.append((span_start + start, span_start + end))
+                texts.append(text)
+        ranges.append(doc_ranges)
+    outputs = iter(translate_texts(texts, backend, cache))
     translated = []
-    for doc, doc_targets in zip(docs, targets):
-        if doc_targets:
-            doc = reembed(doc, [(span, segment, next(outputs)) for span, segment in doc_targets])
-        translated.append((doc, len(doc_targets)))
+    for doc, doc_ranges in zip(docs, ranges):
+        if doc_ranges:
+            doc = _splice(doc, [(start, end, next(outputs)) for start, end in doc_ranges])
+        translated.append((doc, len(doc_ranges)))
     return translated
 
 

@@ -27,15 +27,25 @@ matrix, kept as the oracle of the chunked postings kernel: every score must
 match it bit for bit.
 
 Per-item translation: the earlier loops that translate one document or one
-report at a time, with a ``translate_texts`` call each, kept as the oracle of
+report at a time, with a ``translate_texts`` call each, and put a document's
+translations in through ``reembed``'s checks, kept as the oracle of
 ``translate_documents`` and ``translate_reports``, which translate all their
 items in one call: every output and every cache byte must match.
+
+Translation cache session: the cache keyed by source digest, which hashed
+each source on every lookup and every new row, kept as the oracle of the
+cache keyed by source text: the same hits, misses and appended bytes.
+
+Source tree loading: the earlier loader, which took each path below the root
+with ``Path.relative_to`` and read it with ``Path.read_bytes``, kept as the
+oracle of the one that slices the root off each path's string.
 
 Translation cache load: the earlier loop that hands each line's bytes to
 ``json.loads``, kept as the oracle of the loader that decodes the file once.
 It has since learnt two rules: a line nested too deep for ``json.loads``
 (``RecursionError``) is a corrupt line, and every field must be a str that
-encodes as UTF-8.
+encodes as UTF-8. Its entries are keyed by (backend, source), as the cache's
+are, and no longer by (backend, digest).
 """
 import dataclasses
 import hashlib
@@ -43,11 +53,12 @@ import json
 import math
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from croloc.corpus import Language, normalize_path
-from croloc.errors import TranslationError
+from croloc.corpus import _LANGUAGES, Corpus, Language, SourceDocument, normalize_path
+from croloc.errors import CorpusError, TranslationError
 from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
 from croloc.extract import (_CHAR_LITERAL_CAP, JAPANESE_RANGES, Segment, SpanKind, _Scanner,
                             detect_japanese, extract_spans, japanese_segments, reembed)
@@ -624,7 +635,7 @@ def ref_load_cache(path):
                 raise TranslationError(
                     f"{path}:{lineno}: cache digest does not match source text"
                 )
-            entries[(backend, digest)] = translation
+            entries[(backend, source)] = translation
     if torn:
         os.truncate(path, whole)
     return entries, torn
@@ -680,3 +691,71 @@ def ref_translate_report(report, backend, cache=None):
         return report
     outputs = translate_texts([getattr(report, f) for f in wanted], backend, cache)
     return dataclasses.replace(report, **dict(zip(wanted, outputs)))
+
+
+class RefTranslationCache:
+    """The cache keyed by backend name and source digest, as it was: every
+    lookup and every new row hashes its source. It loads a file through
+    ``ref_load_cache`` and appends each new row with ``json.dumps``; kept as
+    the oracle of ``TranslationCache``, keyed by source text."""
+
+    def __init__(self, path):
+        self.path = path
+        self.entries = {}
+        if os.path.exists(path):
+            for (backend, source), translation in ref_load_cache(path)[0].items():
+                self.entries[(backend, _digest(source))] = translation
+
+    def get(self, backend_name, source):
+        return self.entries.get((backend_name, _digest(source)))
+
+    def put_many(self, backend_name, pairs):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            for source, translation in pairs:
+                key = (backend_name, _digest(source))
+                if key not in self.entries:
+                    self.entries[key] = translation
+                    fh.write(json.dumps({"backend": backend_name, "sha256": key[1],
+                                         "source": source, "translation": translation},
+                                        ensure_ascii=False) + "\n")
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# --- Source tree loading oracle -------------------------------------------
+
+
+def ref_load_source_tree(root, include_patterns, permissive=False):
+    """The loader that took each file's path below the root with
+    ``Path.relative_to`` and read it with ``Path.read_bytes``; kept as the
+    oracle of the one that slices the root off each path's string."""
+    root_path = Path(root)
+    if not root_path.is_dir():
+        raise CorpusError(f"source root does not exist or is not a directory: {root}")
+
+    matched = set()
+    for pattern in include_patterns:
+        try:
+            matched.update(hit for hit in root_path.glob(pattern) if hit.is_file())
+        except (ValueError, NotImplementedError) as exc:
+            raise CorpusError(f"unusable --include pattern {pattern!r}: {exc}") from None
+
+    documents = []
+    skipped = []
+    rel_paths = sorted((normalize_path(p.relative_to(root_path).as_posix()), p) for p in matched)
+    for rel, file_path in rel_paths:
+        try:
+            raw = file_path.read_bytes()
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            if not permissive:
+                raise CorpusError(f"file is not valid UTF-8: {rel} ({exc})") from exc
+            skipped.append((rel, str(exc)))
+            continue
+        except OSError as exc:
+            raise CorpusError(f"cannot read {rel}: {exc}") from exc
+        language = _LANGUAGES.get(file_path.suffix.lower(), Language.GENERIC)
+        documents.append(SourceDocument(path=rel, language=language, raw_text=text))
+    return Corpus(documents=tuple(documents), skipped=tuple(skipped))

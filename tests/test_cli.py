@@ -25,6 +25,7 @@ import croloc.errors
 import croloc.evalharness
 import croloc.index
 import croloc.rank
+import croloc.terms
 import croloc.translate
 from conftest import FIXTURES, assert_no_child_left
 from croloc import cli
@@ -432,11 +433,29 @@ class TestImports:
         # Only index and rank work on arrays; loading, extraction,
         # translation and evaluation should not pay for numpy's import.
         self._leaves_unloaded(tmp_path, "import croloc.corpus, croloc.evalharness, "
-                              "croloc.extract, croloc.translate", "numpy")
+                              "croloc.extract, croloc.terms, croloc.translate", "numpy")
 
     @pytest.mark.parametrize("case", sorted(NUMPY_FREE))
     def test_array_free_commands_leave_numpy_unloaded(self, tmp_path, case):
         self._leaves_unloaded(tmp_path, NUMPY_FREE[case](tmp_path), "numpy")
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_index_tokenizes_before_numpy_loads(self, tmp_path, chunks):
+        # A forked child must not hold numpy (see fan_out), and this
+        # process loads it only once its own chunk is tokenized; the build
+        # needs it in the end.
+        log = tmp_path / "tokenized.txt"
+        code = TOKENIZE_LOGGED.format(min_bytes=1 if chunks == 2 else 1 << 40, log=str(log))
+        code += _runs(("index", "--tree", TREE, "--glossary", GLOSSARY,
+                       "--cache", tmp_path / "cache.jsonl", "--out-dir", tmp_path))
+        code += "sys.exit('numpy' not in sys.modules and 'numpy never loaded')\n"
+        env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
+        result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        calls = log.read_text("utf-8").splitlines()
+        assert sorted(set(calls)) == (["child no-numpy", "parent no-numpy"] if chunks == 2
+                                      else ["parent no-numpy"])
 
     @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
     def test_index_leaves_process_pools_unloaded(self, tmp_path, module):
@@ -450,6 +469,24 @@ class TestImports:
         # it loads costs its compile time where no bytecode is written.
         code = _runs(("index", "--tree", TREE, "--glossary", GLOSSARY, "--out-dir", tmp_path))
         self._leaves_unloaded(tmp_path, code, module)
+
+
+# Logs, for each text tokenized, which process tokenized it and whether numpy
+# was loaded there; the tree is cut into one chunk for each of two CPUs once
+# it has min_bytes of source.
+TOKENIZE_LOGGED = """
+import os, sys, croloc.corpus, croloc.terms
+croloc.corpus.MIN_CHUNK_BYTES = {min_bytes}
+os.sched_getaffinity = lambda pid: {{0, 1}}
+tokenize, parent = croloc.terms.tokenize, os.getpid()
+
+def logged(text, stemming=False):
+    with open({log!r}, "a", encoding="utf-8") as fh:
+        fh.write(("parent" if os.getpid() == parent else "child")
+                 + (" numpy" if "numpy" in sys.modules else " no-numpy") + "\\n")
+    return tokenize(text, stemming)
+croloc.terms.tokenize = logged
+"""
 
 
 NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
@@ -704,7 +741,7 @@ class TestIndexFanOut:
         # With no child's rows left to adopt, the translation cache's entries
         # need not stay alive while the documents are tokenized.
         forked = _force_chunks(monkeypatch, 1)
-        cache_class, tokenize = croloc.translate.TranslationCache, croloc.index.tokenize
+        cache_class, tokenize = croloc.translate.TranslationCache, croloc.terms.tokenize
         init = cache_class.__init__
         caches, loaded, at_tokenize = [], [], []
 
@@ -717,7 +754,7 @@ class TestIndexFanOut:
             at_tokenize.append([len(c) for c in caches])
             return tokenize(text, stemming)
         monkeypatch.setattr(cache_class, "__init__", recorded_init)
-        monkeypatch.setattr(croloc.index, "tokenize", recorded_tokenize)
+        monkeypatch.setattr(croloc.terms, "tokenize", recorded_tokenize)
         for temperature in ("cold", "warm"):
             for recorded in (caches, loaded, at_tokenize):
                 recorded.clear()
@@ -731,13 +768,13 @@ class TestIndexFanOut:
     def test_interrupt_in_a_child_never_leaves_main_there(self, small_project, tmp_path,
                                                           monkeypatch, interrupt):
         forked = _force_chunks(monkeypatch, 2)
-        parent, tokenize = os.getpid(), croloc.index.tokenize
+        parent, tokenize = os.getpid(), croloc.terms.tokenize
 
         def interrupted(text, stemming=False):
             if os.getpid() != parent:
                 raise interrupt()
             return tokenize(text, stemming)
-        monkeypatch.setattr(croloc.index, "tokenize", interrupted)
+        monkeypatch.setattr(croloc.terms, "tokenize", interrupted)
         escaped = tmp_path / "escaped"
         try:
             with pytest.raises(interrupt):
@@ -1011,7 +1048,7 @@ class TestTracerSeam:
         for name, n in located.items():
             calls[name] = calls.get(name, 0) + n
         spans = ("corpus.filter", "corpus.load", "corpus.reports_load",
-                 "extract.reembed", "extract.segments", "extract.spans",
+                 "extract.segments", "extract.spans",
                  "index.build", "index.csr", "index.documents", "index.load",
                  "index.save", "index.tokenize", "kernels.cosine", "rank.history_before", "rank.history_build",
                  "rank.ranking", "rank.rvsm", "rank.score", "rank.simi",
@@ -1019,12 +1056,13 @@ class TestTracerSeam:
                  "translate.texts")
         assert [s for s in spans if not calls.get(s)] == []
         # index and locate translate and weigh all their documents or reports
-        # in one batched call, so the one-item spans record none; the tracer
+        # in one batched call, so the one-item spans record none, and index
+        # splices its translations in without reembed's checks; the tracer
         # still finds the names it wraps.
-        assert [s for s in ("translate.document", "translate.report", "index.vectorize")
-                if s in calls] == []
+        assert [s for s in ("translate.document", "translate.report", "index.vectorize",
+                            "extract.reembed") if s in calls] == []
         assert all(map(callable, (cli.translate_document, cli.translate_report,
-                                  cli.vectorize_query)))
+                                  cli.vectorize_query, croloc.translate.reembed)))
 
     def test_qrels_and_eval_layers_record_calls(self, tmp_path):
         qrels = tmp_path / "qrels.txt"

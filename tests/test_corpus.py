@@ -30,6 +30,7 @@ from croloc.corpus import (
 )
 from croloc.errors import CorpusError, CrolocError, EvalError, ReportFormatError
 from conftest import assert_no_child_left
+from reference import ref_load_source_tree
 from strategies import any_text, json_lines, json_records
 
 
@@ -115,6 +116,53 @@ class TestLoadSourceTree:
         corpus = load_source_tree(tmp_path, ["**/*.java"])
         doc = corpus.documents[0]
         assert doc.byte_len == len(doc.raw_text.encode("utf-8")) == 10
+
+
+# File names that reach each rule of a path below the root and of its
+# language: case, dots that do or do not start an extension, a backslash that
+# normalizes to a slash, and non-ASCII.
+_TREE_NAMES = st.sampled_from(["A.java", "b.cs", "C.JAVA", "d.Cs", "..java", ".java", "e.",
+                               "f.java.txt", "g h.java", "ü.java", "x\\y.java", "n.cs"])
+_TREE_DIRS = st.sampled_from(["", "sub/", "sub/deep/", ".hidden/", "a b/"])
+_TREE_CONTENT = st.sampled_from([b"class A {}\n", "// 在庫\n".encode(), b"\xff bad\n", b""])
+# The tree's root as the loader is given it, and the directory it runs in:
+# absolute, ".", relative, with a trailing slash, and not normalized.
+_ROOTS = {"absolute": None, ".": ".", "relative": "tree", "trailing slash": "tree/",
+          "dot slash": "./tree", "dot dot": "tree/../tree", "inner dot": "./tree/."}
+
+
+class TestLoadSourceTreeOracle:
+    """The loader that slices the root off each path against the one that
+    called Path.relative_to (tests/reference.py), for every way of naming
+    the root."""
+
+    @given(files=st.dictionaries(st.tuples(_TREE_DIRS, _TREE_NAMES).map("".join),
+                                 _TREE_CONTENT, max_size=6),
+           patterns=st.lists(st.sampled_from(["**/*.java", "**/*.cs", "*", "**/*", "sub/*.java",
+                                              "**/*.JAVA", "*/"]),
+                             min_size=1, max_size=3),
+           permissive=st.booleans(), root=st.sampled_from(sorted(_ROOTS)))
+    @settings(max_examples=150)
+    def test_same_corpus_or_error(self, files, patterns, permissive, root, tmp_path_factory):
+        base = tmp_path_factory.mktemp("load")
+        tree = base / "tree"
+        tree.mkdir()
+        for rel, content in files.items():
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_bytes(content)
+        given_root = _ROOTS[root] or str(tree)
+        outcomes = []
+        cwd = os.getcwd()
+        os.chdir(tree if given_root == "." else base)
+        try:
+            for load in (load_source_tree, ref_load_source_tree):
+                try:
+                    outcomes.append(load(given_root, patterns, permissive))
+                except CorpusError as exc:
+                    outcomes.append(str(exc))
+        finally:
+            os.chdir(cwd)
+        assert outcomes[0] == outcomes[1]
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import tempfile
 import time
 import tracemalloc
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import croloc
+import croloc.terms
 from croloc.errors import IndexFormatError
 from croloc.index import (
     MIN_TOKEN_LENGTH,
@@ -150,6 +152,28 @@ class TestTokenizeOracle:
         # str.isalnum() anywhere would tokenize differently.
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
+
+    @given(texts=st.lists(_tokenizer_text, max_size=6), bound=st.integers(1, 6),
+           stemming=st.booleans())
+    @settings(max_examples=200)
+    def test_same_tokens_across_memo_clears(self, texts, bound, stemming):
+        # With a memo of a few words, one text can fill it more than once;
+        # each text is tokenized twice, the second time mostly from the memo.
+        memo = croloc.terms._MEMOS[stemming]
+        with mock.patch.object(croloc.terms, "_MEMO_SIZE", bound):
+            croloc.terms.clear_memo()
+            try:
+                for text in texts + texts:
+                    assert tokenize(text, stemming) == ref_tokenize(text, stemming)
+                    assert len(memo) <= bound
+            finally:
+                croloc.terms.clear_memo()
+
+    def test_build_index_empties_the_memo(self):
+        token_lists = [tokenize("getUserName"), tokenize("parsingErrors", True)]
+        assert all(croloc.terms._MEMOS)
+        build_index(token_lists, ["a.java", "b.java"])
+        assert not any(croloc.terms._MEMOS)
 
 
 class TestWeighting:

@@ -789,3 +789,55 @@ class TestMetamorphic:
                 ranked = make_ranking(row, index, top_k).tolist()
                 if d in ranked and len(paths) in ranked:
                     assert ranked.index(len(paths)) == ranked.index(d) + 1
+
+    @given(case=_report_streams(), data=st.data())
+    @settings(max_examples=100)
+    def test_order_preserving_rename_changes_no_score(self, case, data):
+        # Paths enter the scores only through the history's fixed files and
+        # the tie-break's path order; a rename of every path, fixed files
+        # included, that keeps their order changes neither.
+        token_lists, paths, reports, tokens, picks = case
+        old = sorted({*paths, *(f for r in reports for f in r.fixed_files)})
+        new = sorted(data.draw(st.lists(
+            st.text(alphabet="ab/._Z-", min_size=1, max_size=6).filter(
+                lambda p: not p.startswith("./")),
+            min_size=len(old), max_size=len(old), unique=True)))
+        rename = dict(zip(old, new))
+        renamed = [replace(r, fixed_files=tuple(map(rename.get, r.fixed_files)))
+                   for r in reports]
+        at = [reports[i].reported_at for i in picks]
+        outcomes = []
+        for names, stream in ((paths, reports), ([rename[p] for p in paths], renamed)):
+            index = build_index(token_lists, names)
+            history = _history_in_order(stream, tokens, index, range(len(stream)))
+            rows = query_rows([tokens[i] for i in picks], index)
+            outcome = []
+            for technique in TECHNIQUES:
+                scores = score_documents(rows, index, technique, history, 0.3, at)
+                outcome.append((scores.view(np.int64).tolist(),
+                                [make_ranking(row, index, 0).tolist() for row in scores]))
+            outcomes.append(outcome)
+        assert outcomes[1] == outcomes[0]
+
+    @given(case=_report_streams(), data=st.data())
+    @settings(max_examples=100)
+    def test_report_resolved_after_every_query_changes_no_score(self, case, data):
+        # History counts only reports resolved strictly before a query was
+        # filed, so one resolved after every query adds nothing to any.
+        token_lists, paths, reports, tokens, picks = case
+        index = build_index(token_lists, paths)
+        late = datetime(2024, 2, 1, tzinfo=UTC)
+        filed = data.draw(st.sampled_from([datetime(2024, 1, 1, tzinfo=UTC), late]))
+        fixed = data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3))
+        appended = BugReport("Z", "Z", "", filed, late, tuple(fixed))
+        words = data.draw(st.lists(st.sampled_from(VOCAB), max_size=6))
+        histories = [_history_in_order(reports, tokens, index, range(len(reports))),
+                     _history_in_order([*reports, appended], [*tokens, words], index,
+                                       range(len(reports) + 1))]
+        assert histories[1].n == histories[0].n + 1
+        rows = query_rows([tokens[i] for i in picks], index)
+        at = [reports[i].reported_at for i in picks]
+        for technique in TECHNIQUES:
+            scores = [score_documents(rows, index, technique, history, 0.3, at)
+                      for history in histories]
+            assert scores[1].view(np.int64).tolist() == scores[0].view(np.int64).tolist()

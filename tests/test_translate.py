@@ -29,8 +29,8 @@ from croloc.translate import (
 )
 from croloc.corpus import parse_rfc3339
 import croloc.translate as translate_module
-from reference import (ref_glossary_translate, ref_load_cache, ref_translate_document,
-                       ref_translate_report)
+from reference import (RefTranslationCache, ref_glossary_translate, ref_load_cache,
+                       ref_translate_document, ref_translate_report)
 from strategies import any_text, json_lines, mostly
 
 
@@ -325,12 +325,10 @@ class TestTranslationCacheFuzz:
                 entries = dict(cache._entries)
         except CrolocError:
             return
-        sources = {hashlib.sha256(r[1].encode("utf-8", "surrogatepass")).hexdigest(): r[1]
-                   for r in records if not isinstance(r, str)}
         fresh = path.with_name("fresh.jsonl")
         with TranslationCache(str(fresh)) as cache:
-            for (backend, digest), translation in entries.items():
-                cache.put_many(backend, [(sources[digest], translation)])
+            for (backend, source), translation in entries.items():
+                cache.put_many(backend, [(source, translation)])
         with TranslationCache(str(fresh)) as cache:
             assert cache._entries == entries
 
@@ -493,6 +491,37 @@ class TestCacheLines:
         with TranslationCache(str(path)) as reloaded:
             assert len(reloaded) == len(kept)
             assert all(reloaded.get(backend, s) == t for s, t in kept.items())
+
+
+# Texts that recur across sessions, and texts a JSON line must escape.
+_SESSION_TEXT = st.one_of(st.sampled_from(["在庫", "同期する", "a"]), _JSON_TEXT)
+
+
+class TestCacheSession:
+    """The cache keyed by source text against the digest-keyed one it
+    replaced (tests/reference.py): sessions that each load the file, look
+    texts up and append the misses get the same translations, send the
+    backend the same batches and leave the same bytes."""
+
+    @given(sessions=st.lists(st.tuples(st.sampled_from(["glossary", "recording"]),
+                                       st.lists(_SESSION_TEXT, max_size=8)),
+                             min_size=1, max_size=4))
+    @settings(max_examples=200)
+    def test_same_hits_misses_and_bytes(self, sessions, tmp_path_factory):
+        outcomes = []
+        for make in (TranslationCache, RefTranslationCache):
+            path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+            outcome = []
+            for name, texts in sessions:
+                backend = RecordingBackend()
+                backend.name = name
+                cache = make(str(path))
+                out = translate_texts(texts, backend, cache)
+                if isinstance(cache, TranslationCache):
+                    cache.close()
+                outcome.append((out, backend.batches, _written(path)))
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1]
 
 
 def _free_refused_port():
@@ -700,6 +729,31 @@ def _check_batches(batches, misses):
     assert all(len(batch) == BATCH_SIZE for batch in batches[:-1])
 
 
+# Words that make Japanese segments, split them or sit around them.
+_SPAN_WORDS = st.sampled_from(["在庫", "同期する", "修正 する", "、", "ｶﾅ", "TODO", "x", " ",
+                               "\u3000", "é", "😀", "\\", "{", "}"])
+# Code around the spans, and each kind of span with %s for its words: a
+# comment, a string, and in C# verbatim and interpolated strings, whose holes
+# hold code and strings of their own; now and then one left unterminated.
+_JAVA_FORMS = ["int a = 1; ", "'c' ", "\n", "\r\n", "// %s\n", "/* %s */", '"%s" ', '"%s']
+_CSHARP_FORMS = [*_JAVA_FORMS, '@"%s "" %s" ', '$"%s {{ {a + "%s"} %s" ', '$@"%s {b} ""%s""" ',
+                 '@$"%s {{c}} %s" ', '$"%s']
+
+
+@st.composite
+def _source_files(draw):
+    """A Java or C# file with Japanese in its comments and strings."""
+    csharp = draw(st.booleans())
+    forms = draw(st.lists(st.sampled_from(_CSHARP_FORMS if csharp else _JAVA_FORMS),
+                          max_size=10))
+    phrases = st.lists(_SPAN_WORDS, max_size=4).map("".join)
+    text = "".join(form % tuple(draw(phrases) for _ in range(form.count("%s")))
+                   for form in forms)
+    if csharp:
+        return SourceDocument("src/X.cs", Language.CSHARP, text)
+    return SourceDocument("src/X.java", Language.JAVA, text)
+
+
 class TestBatchedTranslation:
     """translate_documents and translate_reports against the per-item loops
     they replaced (tests/reference.py): the same items out, the same cache
@@ -731,6 +785,23 @@ class TestBatchedTranslation:
         segments = [seg.text for doc in docs for span in translate_module.extract_spans(doc)
                     for seg in translate_module.japanese_segments(span.text)]
         _check_batches(batches, [t for t in segments if t not in warm])
+
+    @given(docs=st.lists(_source_files(), max_size=6), shorter=st.booleans())
+    @settings(max_examples=200)
+    def test_generated_files_match_the_per_document_loop(self, docs, shorter,
+                                                         tmp_path_factory):
+        # Translations longer than their segments, or shorter, down to none
+        # at all, move every byte after them: one splice per document must
+        # put each where reembed's checked splice did.
+        outputs = (lambda texts: [t[1:] for t in texts]) if shorter else None
+        outcomes = []
+        for translate in (lambda backend, cache: translate_documents(docs, backend, cache),
+                          lambda backend, cache: [ref_translate_document(d, backend, cache)
+                                                  for d in docs]):
+            path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+            with TranslationCache(str(path)) as cache:
+                outcomes.append((translate(RecordingBackend(outputs), cache), _written(path)))
+        assert outcomes[0] == outcomes[1]
 
     @given(picks=st.lists(st.integers(0, len(_REPORTS) - 1), max_size=12),
            warm=st.sets(st.sampled_from(["在庫エラー", "同期しない"]), max_size=2))
