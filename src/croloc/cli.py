@@ -20,7 +20,7 @@ import importlib
 import json
 import logging
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import AbstractContextManager, closing, nullcontext
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
@@ -178,21 +178,10 @@ def _translating_backend(args: argparse.Namespace) -> TranslatorBackend | None:
     return backend
 
 
-def _translated(args: argparse.Namespace, items: Sequence, translate: Callable) -> Sequence:
-    """``translate(items, backend, cache)``, which translates them all in one
-    pass; ``items`` as they are with --no-translate or the identity backend."""
-    if (backend := _translating_backend(args)) is None:
-        return items
-    with _make_cache(args.cache) as cache:
-        return translate(items, backend, cache)
-
-
-def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
-                       backend: TranslatorBackend | None,
-                       cache_path: str | None) -> Iterator[list[list[str]]]:
-    """The tokens of each of ``documents``, one list per chunk that
-    ``fan_out`` cut, in order, translated through ``backend`` first unless it
-    is None, with the translation cache at ``cache_path``, if any.
+def index_documents(documents: Sequence[SourceDocument], stemming: bool,
+                    backend: TranslatorBackend | None, cache_path: str | None) -> Index:
+    """The index of ``documents``, each translated through ``backend`` first
+    unless it is None, with the translation cache at ``cache_path``, if any.
     Translating and tokenizing one document needs no other, so ``fan_out``
     spreads that step over the usable CPUs, and each chunk is translated in
     one ``translate_documents`` pass. The first chunk is this process's own,
@@ -202,52 +191,46 @@ def _translated_tokens(documents: Sequence[SourceDocument], stemming: bool,
     backend batch fails hands back the rows of the batches before it, and its
     error is raised in its chunk's turn. The cache is closed, which frees its
     entries, at the end, or before tokenizing when this process runs the only
-    chunk."""
+    chunk. The tokenizer's word memo is emptied once every chunk is in."""
     # Looked up now, not at import, so that a wrapper set on croloc.terms
     # sees every call.
-    from .terms import tokenize
+    from .terms import clear_memo, tokenize
 
-    with _make_cache(cache_path) as cache:
-        def translate_and_tokenize(chunk: Iterable[SourceDocument]) -> tuple[
-                list[list[str]], list[CacheRow], CrolocError | None]:
-            # All translating, then all tokenizing: alternating the two per
-            # document made the index command 5-12% slower on a 2-CPU VM.
-            translated = list(chunk)
-            if backend is not None:
-                try:
-                    translated = [doc for doc, _ in
-                                  translate_documents(translated, backend, cache)]
-                except CrolocError as exc:
-                    # The rows of the batches before the failing one still go back.
-                    return [], [] if cache is None else cache.take_held(), exc
-            rows = [] if cache is None else cache.take_held()
-            if cache is not None and len(translated) == len(documents):
-                # This process ran the only chunk, so no child's rows are
-                # left to adopt: free the entries before tokenizing.
-                cache.close()
-            return [tokenize(doc.raw_text, stemming) for doc in translated], rows, None
+    def translate_and_tokenize(chunk: Iterable[SourceDocument]) -> tuple[
+            list[list[str]], list[CacheRow], CrolocError | None]:
+        # All translating, then all tokenizing: alternating the two per
+        # document made the index command 5-12% slower on a 2-CPU VM.
+        translated = list(chunk)
+        if backend is not None:
+            try:
+                translated = [doc for doc, _ in translate_documents(translated, backend, cache)]
+            except CrolocError as exc:
+                # The rows of the batches before the failing one still go back.
+                return [], [] if cache is None else cache.take_held(), exc
+        rows = [] if cache is None else cache.take_held()
+        if cache is not None and len(translated) == len(documents):
+            # This process ran the only chunk, so no child's rows are left
+            # to adopt: free the entries before tokenizing.
+            cache.close()
+        return [tokenize(doc.raw_text, stemming) for doc in translated], rows, None
 
-        with closing(fan_out(translate_and_tokenize, documents,
-                             [d.byte_len for d in documents])) as chunks:
-            for tokens, rows, error in chunks:
-                if cache is not None:
-                    cache.adopt(rows)
-                if error is not None:
-                    raise error
-                yield tokens
-
-
-def index_documents(documents: Sequence[SourceDocument], stemming: bool,
-                    backend: TranslatorBackend | None, cache_path: str | None) -> Index:
-    """The index of ``documents``, translated as ``_translated_tokens`` says."""
-    with closing(_translated_tokens(documents, stemming, backend, cache_path)) as chunks:
-        token_lists = next(chunks)
-        # numpy loads once this process's own chunk is done, while the forked
-        # ones finish: no child is forked with it, and its import overlaps them.
-        from .index import build_index
-
-        for tokens in chunks:
+    token_lists: list[list[str]] = []
+    with (_make_cache(cache_path) as cache,
+          closing(fan_out(translate_and_tokenize, documents,
+                          [d.byte_len for d in documents])) as chunks):
+        for tokens, rows, error in chunks:
+            if cache is not None:
+                cache.adopt(rows)
+            if error is not None:
+                raise error
             token_lists += tokens
+            # numpy loads once this process's own chunk is done, while the
+            # forked ones finish: no child is forked with it, and its import
+            # overlaps them. Later chunks find it loaded.
+            from .index import build_index
+    # The memo has paid off once the corpus is tokenized; building and
+    # saving the index reuse its memory instead of adding to it.
+    clear_memo()
     return build_index(token_lists, [d.path for d in documents], stemming)
 
 
@@ -305,7 +288,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
                 total_segments += n_segments
                 dest = dest_root / PurePosixPath(translated.path)
                 dest.parent.mkdir(parents=True, exist_ok=True)
-                dest.write_text(translated.raw_text, encoding="utf-8")
+                dest.write_bytes(translated.raw_bytes)
             log.info("translated %d segments across %d files into %s",
                      total_segments, len(corpus), dest_root)
 
@@ -352,7 +335,10 @@ def cmd_locate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--top-k must be a non-negative integer, got {args.top_k!r}")
     index_path = args.index or _default_index_path(args)
     index = load_index(index_path)
-    reports = _translated(args, load_bug_reports(reports_path), translate_reports)
+    reports = load_bug_reports(reports_path)
+    if (backend := _translating_backend(args)) is not None:
+        with _make_cache(args.cache) as cache:
+            reports = translate_reports(reports, backend, cache)
 
     if args.query:
         by_id = {r.id: r for r in reports}
@@ -362,8 +348,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
         # A run file ranks each query once.
         queries = [by_id[q] for q in dict.fromkeys(args.query)]
     else:
-        extensions = {PurePosixPath(p).suffix for p in index.paths}
-        queries, excluded = filter_usable_reports(reports, set(index.paths), extensions)
+        queries, excluded = filter_usable_reports(reports, set(index.paths))
         for ex in excluded:
             log.info("report %s excluded: %s", ex.report.id, ex.reason)
         if not queries:
@@ -372,7 +357,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
     # Queries are usually history too: vectorize each distinct text once,
     # into one matrix that the history and the queries take their rows from.
-    from .index import tokenize  # looked up now, as in _translated_tokens
+    from .index import tokenize  # looked up now, as in index_documents
     buglocator = args.technique == "buglocator"
     texts = list(dict.fromkeys(r.query_text for r in (reports if buglocator else queries)))
     rows = query_rows([tokenize(text, index.stemming) for text in texts], index)

@@ -228,15 +228,16 @@ def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
 
 @dataclass(frozen=True)
 class SourceDocument:
-    """One source file: repo-relative path, language and full text."""
+    """One source file: repo-relative path, language and its UTF-8 bytes as
+    read, which the lexer's and the splice's byte offsets index."""
 
     path: str
     language: Language
-    raw_text: str
+    raw_bytes: bytes
 
     @property
-    def raw_bytes(self) -> bytes:
-        return self.raw_text.encode("utf-8")
+    def raw_text(self) -> str:
+        return self.raw_bytes.decode("utf-8")
 
     @property
     def byte_len(self) -> int:
@@ -421,7 +422,8 @@ def load_source_tree(
     for rel, file_path in sorted((normalize_path(p[skip:]), p) for p in matched):
         try:
             with open(file_path, "rb") as fh:
-                text = fh.read().decode("utf-8")
+                data = fh.read()
+            data.decode("utf-8")  # only checked: the document keeps the bytes
         except UnicodeDecodeError as exc:
             if not permissive:
                 raise CorpusError(f"file is not valid UTF-8: {rel} ({exc})") from exc
@@ -430,7 +432,7 @@ def load_source_tree(
             continue
         except OSError as exc:
             raise CorpusError(f"cannot read {rel}: {exc}") from exc
-        documents.append(SourceDocument(rel, _language(file_path), text))
+        documents.append(SourceDocument(rel, _language(file_path), data))
     return Corpus(documents=tuple(documents), skipped=tuple(skipped))
 
 
@@ -498,15 +500,13 @@ class ExcludedReport:
 def filter_usable_reports(
     reports: list[BugReport],
     corpus_paths: Collection[str],
-    source_extensions: set[str],
 ) -> tuple[list[BugReport], list[ExcludedReport]]:
     """Split reports into evaluation-usable and excluded (with the failed criterion).
 
     Usable iff: the report is tagged functional, its fix is completed
-    (resolved with nonempty fixed_files), and at least one fixed file both
-    has a source extension and is one of the normalized ``corpus_paths``.
+    (resolved with nonempty fixed_files), and at least one fixed file is one
+    of the normalized ``corpus_paths``.
     """
-    extensions = {e.lower() for e in source_extensions}
     usable: list[BugReport] = []
     excluded: list[ExcludedReport] = []
     for report in reports:
@@ -516,8 +516,7 @@ def filter_usable_reports(
         if report.resolved_at is None or not report.fixed_files:
             excluded.append(ExcludedReport(report, REASON_FIX_NOT_COMPLETED))
             continue
-        if not any(Path(f).suffix.lower() in extensions and f in corpus_paths
-                   for f in report.fixed_paths):
+        if not any(f in corpus_paths for f in report.fixed_paths):
             excluded.append(ExcludedReport(report, REASON_NO_SOURCE_FILE))
             continue
         usable.append(report)

@@ -1,7 +1,7 @@
 """Lexical extraction of comments and string literals, Japanese detection,
 and byte-exact re-embedding of replacement text.
 
-Spans are byte ranges into the UTF-8 encoding of a document, chosen so that
+Spans are byte ranges into a document's UTF-8 bytes, chosen so that
 ``span.text == raw_bytes[span.byte_start:span.byte_end].decode()`` always
 holds; delimiters are never part of a span. All scanners are hand written:
 only three token classes matter and byte offsets must be exact. The scan
@@ -293,8 +293,8 @@ def reembed(
 
 def _splice(doc: SourceDocument, targets: list[tuple[int, int, str]]) -> SourceDocument:
     """``doc`` with each (start, end, new_text) of ``targets`` in place of
-    bytes ``start:end`` of its UTF-8 encoding, unchecked: the ranges ascend,
-    do not overlap and hold whole characters."""
+    its bytes ``start:end``, unchecked: the ranges ascend, do not overlap and
+    hold whole characters."""
     raw = doc.raw_bytes
     parts: list[bytes] = []
     cursor = 0
@@ -303,4 +303,4 @@ def _splice(doc: SourceDocument, targets: list[tuple[int, int, str]]) -> SourceD
         parts.append(new_text.encode("utf-8"))
         cursor = end
     parts.append(raw[cursor:])
-    return SourceDocument(doc.path, doc.language, b"".join(parts).decode("utf-8"))
+    return SourceDocument(doc.path, doc.language, b"".join(parts))

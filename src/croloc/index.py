@@ -29,7 +29,7 @@ from numpy.lib import format as npy
 from .corpus import check_record, write_atomically
 from .errors import IndexFormatError
 # Re-exported: locate looks tokenize up here, so a wrapper set here sees its calls.
-from .terms import MIN_TOKEN_LENGTH, STOPWORDS, clear_memo, tokenize  # noqa: F401
+from .terms import MIN_TOKEN_LENGTH, STOPWORDS, tokenize  # noqa: F401
 
 INDEX_FORMAT = "croloc-index"
 INDEX_VERSION = 3
@@ -248,9 +248,6 @@ def build_index(
     """
     if len(token_lists) != len(paths):
         raise ValueError("token_lists and paths must be parallel")
-    # The word memo has paid off once the corpus is tokenized; building and
-    # saving the index reuse its memory instead of adding to it.
-    clear_memo()
     n_docs = len(paths)
     vocabulary = tuple(sorted(set(chain.from_iterable(token_lists))))
     term_counts, docs, terms, tfs = _count(token_lists,

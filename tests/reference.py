@@ -748,7 +748,7 @@ def ref_load_source_tree(root, include_patterns, permissive=False):
     for rel, file_path in rel_paths:
         try:
             raw = file_path.read_bytes()
-            text = raw.decode("utf-8")
+            raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             if not permissive:
                 raise CorpusError(f"file is not valid UTF-8: {rel} ({exc})") from exc
@@ -757,5 +757,5 @@ def ref_load_source_tree(root, include_patterns, permissive=False):
         except OSError as exc:
             raise CorpusError(f"cannot read {rel}: {exc}") from exc
         language = _LANGUAGES.get(file_path.suffix.lower(), Language.GENERIC)
-        documents.append(SourceDocument(path=rel, language=language, raw_text=text))
+        documents.append(SourceDocument(path=rel, language=language, raw_bytes=raw))
     return Corpus(documents=tuple(documents), skipped=tuple(skipped))

@@ -375,7 +375,7 @@ def _project_run(translate: bool):
         [d.raw_text for d in documents],
         [d.path for d in documents],
     )
-    usable, _ = filter_usable_reports(reports, {d.path for d in documents}, {".java"})
+    usable, _ = filter_usable_reports(reports, {d.path for d in documents})
     history = history_of(reports, index)
     run = {}
     for report in usable:

@@ -31,6 +31,7 @@ from conftest import FIXTURES, assert_no_child_left
 from croloc import cli
 from croloc.corpus import load_bug_reports, load_source_tree, report_to_obj
 from croloc.errors import CrolocError
+from croloc.extract import extract_spans, japanese_segments
 from croloc.translate import BATCH_SIZE, TranslationCache
 from reference import ref_translate_document, ref_translate_report
 from strategies import any_text, bad_json_lines, json_records
@@ -174,6 +175,46 @@ class TestTranslateCommand:
         translated = tmp_path / "translated" / "src" / "shop" / "Zk001Batch.java"
         original = (TREE / "src" / "shop" / "Zk001Batch.java").read_bytes()
         assert translated.read_bytes() == original
+
+    def test_glossary_tree_bytes(self, tmp_path):
+        # CRLF line ends, a BOM, and Japanese in comments and strings: each
+        # written file is translate_documents' bytes, which are the
+        # original's outside the Japanese segments.
+        tree = tmp_path / "tree"
+        (tree / "src").mkdir(parents=True)
+        files = {
+            "src/Crlf.java": '// 在庫同期\r\nclass Crlf {\r\n    String s = "在庫引当 ok";\r\n}\r\n',
+            "src/Bom.cs": '\ufeff/* 入荷予定 */\nclass Bom { string s = @"在庫""入荷"; }\n',
+            "src/Plain.java": "class Plain {}\r\n",
+        }
+        for rel, text in files.items():
+            (tree / rel).write_bytes(text.encode("utf-8"))
+        result = run_cli("translate", "--tree", tree, "--glossary", GLOSSARY,
+                         "--out-dir", tmp_path / "out", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        corpus = load_source_tree(tree, ["**/*.java", "**/*.cs"])
+        backend = croloc.translate.GlossaryBackend(croloc.translate.load_glossary(GLOSSARY))
+        expected = croloc.translate.translate_documents(corpus.documents, backend)
+        for doc, (translated, n_segments) in zip(corpus.documents, expected):
+            written = (tmp_path / "out" / "translated" / doc.path).read_bytes()
+            assert written == translated.raw_bytes, doc.path
+            # Walk the written file: the original's bytes up to each segment,
+            # then the segment's translation, and the original's bytes after
+            # the last one.
+            raw, pos, cursor = doc.raw_bytes, 0, 0
+            segments = [(span.byte_start + seg.byte_start, span.byte_start + seg.byte_end,
+                         seg.text) for span in extract_spans(doc)
+                        for seg in japanese_segments(span.text)]
+            assert len(segments) == n_segments == {"src/Bom.cs": 3, "src/Crlf.java": 2,
+                                                   "src/Plain.java": 0}[doc.path]
+            for start, end, text in segments:
+                english = backend.translate_batch([text])[0].encode("utf-8")
+                assert english != text.encode("utf-8")
+                for piece in (raw[cursor:start], english):
+                    assert written[pos:pos + len(piece)] == piece, doc.path
+                    pos += len(piece)
+                cursor = end
+            assert written[pos:] == raw[cursor:], doc.path
 
 
 class TestIndexCommand:

@@ -117,6 +117,16 @@ class TestLoadSourceTree:
         doc = corpus.documents[0]
         assert doc.byte_len == len(doc.raw_text.encode("utf-8")) == 10
 
+    def test_raw_bytes_are_the_file_bytes(self, tmp_path):
+        # A BOM, CRLF line ends and Japanese all stay as read; the text is
+        # their decoding, BOM included.
+        data = "\ufeff// 在庫を更新\r\nclass A { String s = \"注文\"; }\r\n".encode("utf-8")
+        (tmp_path / "A.java").write_bytes(data)
+        doc = load_source_tree(tmp_path, ["**/*.java"]).documents[0]
+        assert doc.raw_bytes == data
+        assert doc.raw_text == data.decode("utf-8")
+        assert doc.byte_len == len(data)
+
 
 # File names that reach each rule of a path below the root and of its
 # language: case, dots that do or do not start an extension, a backslash that
@@ -548,7 +558,7 @@ class TestFilterUsableReports:
     CORPUS = {"src/A.java", "src/B.java"}
 
     def test_usable_report_passes(self):
-        usable, excluded = filter_usable_reports([_report("R1")], self.CORPUS, {".java"})
+        usable, excluded = filter_usable_reports([_report("R1")], self.CORPUS)
         assert [r.id for r in usable] == ["R1"]
         assert excluded == []
 
@@ -557,38 +567,32 @@ class TestFilterUsableReports:
         # when its fix is also incomplete
         usable, excluded = filter_usable_reports(
             [_report("R1", functional=False, resolved=False, fixed=None)],
-            self.CORPUS, {".java"})
+            self.CORPUS)
         assert usable == []
         assert excluded[0].reason == REASON_NOT_FUNCTIONAL
 
     def test_unresolved_is_not_completed(self):
         _, excluded = filter_usable_reports(
-            [_report("R1", resolved=False)], self.CORPUS, {".java"})
+            [_report("R1", resolved=False)], self.CORPUS)
         assert excluded[0].reason == REASON_FIX_NOT_COMPLETED
 
     def test_no_fixed_files_is_not_completed(self):
         _, excluded = filter_usable_reports(
-            [_report("R1", fixed=None)], self.CORPUS, {".java"})
+            [_report("R1", fixed=None)], self.CORPUS)
         assert excluded[0].reason == REASON_FIX_NOT_COMPLETED
 
     def test_fix_outside_corpus_excluded(self):
         _, excluded = filter_usable_reports(
-            [_report("R1", fixed=("src/Gone.java",))], self.CORPUS, {".java"})
-        assert excluded[0].reason == REASON_NO_SOURCE_FILE
-
-    def test_wrong_extension_excluded(self):
-        corpus = {"docs/readme.md"}
-        _, excluded = filter_usable_reports(
-            [_report("R1", fixed=("docs/readme.md",))], corpus, {".java"})
+            [_report("R1", fixed=("src/Gone.java",))], self.CORPUS)
         assert excluded[0].reason == REASON_NO_SOURCE_FILE
 
     def test_one_matching_file_is_enough(self):
         usable, _ = filter_usable_reports(
             [_report("R1", fixed=("docs/readme.md", "src/B.java"))],
-            self.CORPUS, {".java"})
+            self.CORPUS)
         assert len(usable) == 1
 
     def test_windows_style_fixed_paths_normalize(self):
         usable, _ = filter_usable_reports(
-            [_report("R1", fixed=("src\\A.java",))], self.CORPUS, {".java"})
+            [_report("R1", fixed=("src\\A.java",))], self.CORPUS)
         assert len(usable) == 1

@@ -23,7 +23,7 @@ from reference import RefScanner, ref_detect_japanese, ref_japanese_segments
 
 
 def _doc(text, language=Language.JAVA, path="T.java"):
-    return SourceDocument(path=path, language=language, raw_text=text)
+    return SourceDocument(path=path, language=language, raw_bytes=text.encode("utf-8"))
 
 
 @pytest.fixture(scope="module")

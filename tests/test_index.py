@@ -23,7 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import croloc
+import croloc.cli
 import croloc.terms
+from croloc.corpus import Language, SourceDocument
 from croloc.errors import IndexFormatError
 from croloc.index import (
     MIN_TOKEN_LENGTH,
@@ -169,10 +171,16 @@ class TestTokenizeOracle:
             finally:
                 croloc.terms.clear_memo()
 
-    def test_build_index_empties_the_memo(self):
+    def test_index_documents_empties_the_memo(self):
+        # The index command empties the memos once its corpus is tokenized;
+        # build_index depends only on its arguments and leaves them alone.
         token_lists = [tokenize("getUserName"), tokenize("parsingErrors", True)]
-        assert all(croloc.terms._MEMOS)
+        filled = [dict(memo) for memo in croloc.terms._MEMOS]
+        assert all(filled)
         build_index(token_lists, ["a.java", "b.java"])
+        assert [dict(memo) for memo in croloc.terms._MEMOS] == filled
+        documents = [SourceDocument("A.java", Language.JAVA, b"class getUserName {}")]
+        croloc.cli.index_documents(documents, False, None, None)
         assert not any(croloc.terms._MEMOS)
 
 

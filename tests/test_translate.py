@@ -631,7 +631,7 @@ class TestServiceBackendRequests:
 
 
 def _doc(text, path="src/X.java"):
-    return SourceDocument(path=path, language=Language.JAVA, raw_text=text)
+    return SourceDocument(path=path, language=Language.JAVA, raw_bytes=text.encode("utf-8"))
 
 
 class TestTranslateDocument:
@@ -750,8 +750,8 @@ def _source_files(draw):
     text = "".join(form % tuple(draw(phrases) for _ in range(form.count("%s")))
                    for form in forms)
     if csharp:
-        return SourceDocument("src/X.cs", Language.CSHARP, text)
-    return SourceDocument("src/X.java", Language.JAVA, text)
+        return SourceDocument("src/X.cs", Language.CSHARP, text.encode("utf-8"))
+    return SourceDocument("src/X.java", Language.JAVA, text.encode("utf-8"))
 
 
 class TestBatchedTranslation:
