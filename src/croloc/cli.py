@@ -267,7 +267,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 }
                 out.write(json.dumps(obj, ensure_ascii=False) + "\n")
                 n_spans += 1
-    log.info("extracted %d spans from %d files", n_spans, len(corpus))
+    log.info("extracted %d spans from %d files", n_spans, len(corpus.documents))
     return 0
 
 
@@ -290,7 +290,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 dest.write_bytes(translated.raw_bytes)
             log.info("translated %d segments across %d files into %s",
-                     total_segments, len(corpus), dest_root)
+                     total_segments, len(corpus.documents), dest_root)
 
         if getattr(args, "reports", None) is not None:
             reports = translate_reports(load_bug_reports(args.reports), backend, cache)

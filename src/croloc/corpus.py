@@ -20,12 +20,11 @@ import os
 import re
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import accumulate, pairwise
 from pathlib import Path
-from typing import IO, NoReturn, TypeVar
+from typing import IO, NamedTuple, NoReturn, TypeVar
 
 from .errors import CorpusError, CrolocError, ReportFormatError
 
@@ -84,15 +83,17 @@ def write_atomically(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
 # The least total size of the items that makes one more process worth it. On
 # a 2-CPU VM, index translates each chunk in one batched pass and tokenizes
-# it at 0.12 us per byte of source with a cold translation cache and 0.11 us
-# with a warm one. A forked process adds a fixed 20-23 ms, its two-process
-# time less half its one-process time on a 1.16 MiB tree: the fork, loading
-# its results, adopting its cache rows and ending later than this process's
-# own chunk. A second process pays off from about 0.35-0.4 MiB. 512 KiB
-# leaves a margin: it keeps small trees, every test project and perfbench's
-# 0.47 MiB replay-warm tree in one process, and splits its 1.16 MiB
-# triage-cold tree in two.
-MIN_CHUNK_BYTES = 512 << 10
+# it at 0.088 us per byte of source with a cold translation cache and 0.077 us
+# with a warm one, and this process imports numpy while the forked chunks
+# still run. Warm-cache index runs over the first files of perfbench's seed-1
+# replay-warm tree, in one process and in two (medians of 12 alternating
+# runs): 64 KiB 109.5 / 110.8 ms, 128 KiB 117.6 / 116.0, 192 KiB 123.8 /
+# 123.0, 256 KiB 130.7 / 127.3, 384 KiB 145.4 / 137.0, and the whole 0.46 MiB
+# 155.0 / 143.5. Two processes pay off from a tree of about 128 KiB; chunks
+# of at least 128 KiB leave a margin, so 2 CPUs split a tree from 256 KiB:
+# every test project stays in one process, and both perfbench trees (0.46
+# and 1.16 MiB) split in two.
+MIN_CHUNK_BYTES = 128 << 10
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -226,8 +227,7 @@ def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
             _stop(pid, kill=True)
 
 
-@dataclass(frozen=True)
-class SourceDocument:
+class SourceDocument(NamedTuple):
     """One source file: repo-relative path, language and its UTF-8 bytes as
     read, which the lexer's and the splice's byte offsets index."""
 
@@ -244,8 +244,7 @@ class SourceDocument:
         return len(self.raw_bytes)
 
 
-@dataclass(frozen=True)
-class BugReport:
+class BugReport(NamedTuple):
     """A bug report; resolved historical reports carry their fixed files."""
 
     id: str
@@ -268,22 +267,12 @@ class BugReport:
         return tuple(dict.fromkeys(map(normalize_path, self.fixed_files or ())))
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Immutable set of source documents, each with its own path."""
+class Corpus(NamedTuple):
+    """Immutable set of source documents, each with its own path, and the
+    (path, reason) of each file skipped."""
 
     documents: tuple[SourceDocument, ...]
     skipped: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        seen = set()
-        for doc in self.documents:
-            if doc.path in seen:
-                raise CorpusError(f"duplicate document path: {doc.path}")
-            seen.add(doc.path)
-
-    def __len__(self) -> int:
-        return len(self.documents)
 
 
 # RFC 3339's date-time, whose offset may be left out.
@@ -433,6 +422,10 @@ def load_source_tree(
         except OSError as exc:
             raise CorpusError(f"cannot read {rel}: {exc}") from exc
         documents.append(SourceDocument(rel, _language(file_path), data))
+    # Sorted by path, two documents with one path are neighbours.
+    for a, b in pairwise(documents):
+        if a.path == b.path:
+            raise CorpusError(f"duplicate document path: {a.path}")
     return Corpus(documents=tuple(documents), skipped=tuple(skipped))
 
 
@@ -491,8 +484,7 @@ def load_bug_reports(path: str | Path) -> list[BugReport]:
     return list(reports.values())
 
 
-@dataclass(frozen=True)
-class ExcludedReport:
+class ExcludedReport(NamedTuple):
     report: BugReport
     reason: str
 

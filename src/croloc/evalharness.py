@@ -12,8 +12,7 @@ import logging
 import math
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from . import MODES
 from .corpus import (BugReport, check_record, check_token, normalize_path, read_json_lines,
@@ -27,11 +26,16 @@ GRADE_INDIRECT = 1
 SUCCESS_NS = (1, 5, 10)
 
 
-@dataclass
 class Qrels:
     """Relevance grades per query: 2 directly fixed, 1 indirectly linked."""
 
-    grades: dict[str, dict[str, int]] = field(default_factory=dict)
+    def __init__(self, grades: dict[str, dict[str, int]] | None = None):
+        self.grades = {} if grades is None else grades
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Qrels):
+            return NotImplemented
+        return self.grades == other.grades
 
     def add(self, query_id: str, path: str, grade: int) -> None:
         self.grades.setdefault(query_id, {})[path] = grade
@@ -219,8 +223,7 @@ def reciprocal_rank(ranked: list[str], relevant: set[str]) -> float:
     return 0.0 if k is None else 1.0 / k
 
 
-@dataclass
-class QueryResult:
+class QueryResult(NamedTuple):
     query_id: str
     ap: float
     rr: float
@@ -228,8 +231,7 @@ class QueryResult:
     n_relevant: int
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     mode: str
     map_score: float
     mrr: float

@@ -20,8 +20,8 @@ import math
 import re
 import zipfile
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain, pairwise, repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib import format as npy
@@ -42,8 +42,7 @@ def idf(doc_freq: int, n_docs: int) -> float:
     return math.log(n_docs / doc_freq)
 
 
-@dataclass(frozen=True)
-class DocumentVector:
+class DocumentVector(NamedTuple):
     """tf-idf weights of one document, keyed by term id; zero weights omitted."""
 
     term_count: int
@@ -51,8 +50,7 @@ class DocumentVector:
     norm: float
 
 
-@dataclass(frozen=True)
-class QueryVector:
+class QueryVector(NamedTuple):
     weights: dict[int, float]
     norm: float
 
@@ -79,17 +77,15 @@ def transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return ptr, rows[order], data[order]
 
 
-@dataclass(frozen=True, eq=False)
 class QueryRows:
     """Query vectors as the rows of a CSR matrix, laid out as the index's
     documents are: row i's weights are ``data[indptr[i]:indptr[i + 1]]``
     over the ascending term ids in the same slice of ``indices``, and
     ``norms[i]`` is its norm."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    norms: np.ndarray
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 norms: np.ndarray):
+        self.indptr, self.indices, self.data, self.norms = indptr, indices, data, norms
 
     def __len__(self) -> int:
         return len(self.norms)
@@ -105,22 +101,19 @@ class QueryRows:
         return QueryRows(indptr, self.indices[entries], self.data[entries], self.norms[rows])
 
 
-@dataclass(eq=False)
 class Index:
     """A tf-idf index. Document d's weights are the CSR row
     ``data[indptr[d]:indptr[d + 1]]`` over the term ids in the same slice of
     ``indices``, which ascend within each row; ``norms[d]`` is the row's
     Euclidean norm and ``term_counts[d]`` the document's token count."""
 
-    stemming: bool
-    paths: tuple[str, ...]
-    vocabulary: tuple[str, ...]
-    doc_freq: tuple[int, ...]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    norms: np.ndarray
-    term_counts: np.ndarray
+    def __init__(self, stemming: bool, paths: tuple[str, ...], vocabulary: tuple[str, ...],
+                 doc_freq: tuple[int, ...], indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray, norms: np.ndarray, term_counts: np.ndarray):
+        self.stemming, self.paths, self.vocabulary, self.doc_freq = (
+            stemming, paths, vocabulary, doc_freq)
+        self.indptr, self.indices, self.data, self.norms, self.term_counts = (
+            indptr, indices, data, norms, term_counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Index):

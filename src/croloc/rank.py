@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from datetime import datetime
 
 import numpy as np
@@ -75,7 +74,6 @@ def length_factor(term_counts: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-minmax(term_counts)))
 
 
-@dataclass(frozen=True, eq=False)
 class HistorySet:
     """Prior-report evidence with temporal filtering.
 
@@ -93,14 +91,12 @@ class HistorySet:
     arrays.
     """
 
-    times: tuple[datetime, ...]
-    vectors: QueryRows
-    n_fixed: np.ndarray
-    inc_ptr: np.ndarray
-    inc_docs: np.ndarray
-    postings: tuple[np.ndarray, np.ndarray, np.ndarray]
-    keys: np.ndarray
-    n: int
+    def __init__(self, times: tuple[datetime, ...], vectors: QueryRows, n_fixed: np.ndarray,
+                 inc_ptr: np.ndarray, inc_docs: np.ndarray,
+                 postings: tuple[np.ndarray, np.ndarray, np.ndarray], keys: np.ndarray, n: int):
+        self.times, self.vectors, self.n_fixed = times, vectors, n_fixed
+        self.inc_ptr, self.inc_docs, self.postings, self.keys, self.n = (
+            inc_ptr, inc_docs, postings, keys, n)
 
     @classmethod
     def build(cls, reports: Sequence[BugReport], index: Index,
@@ -130,7 +126,8 @@ class HistorySet:
 
     def before(self, reported_at: datetime) -> "HistorySet":
         """The reports resolved strictly before ``reported_at``."""
-        return replace(self, n=bisect_left(self.times, reported_at, hi=self.n))
+        return HistorySet(self.times, self.vectors, self.n_fixed, self.inc_ptr, self.inc_docs,
+                          self.postings, self.keys, bisect_left(self.times, reported_at, hi=self.n))
 
     def rows_before(self, times: Sequence[datetime]) -> np.ndarray:
         """For each of ``times``, the number of this set's reports resolved

@@ -7,7 +7,6 @@ that violate the protocol are never retried.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -409,7 +408,7 @@ def translate_reports(
               for r in reports]
     outputs = iter(translate_texts([getattr(r, f) for r, fields in zip(reports, wanted)
                                     for f in fields], backend, cache))
-    return [dataclasses.replace(r, **{f: next(outputs) for f in fields}) if fields else r
+    return [r._replace(**{f: next(outputs) for f in fields}) if fields else r
             for r, fields in zip(reports, wanted)]
 
 

@@ -47,7 +47,6 @@ It has since learnt two rules: a line nested too deep for ``json.loads``
 encodes as UTF-8. Its entries are keyed by (backend, source), as the cache's
 are, and no longer by (backend, digest).
 """
-import dataclasses
 import hashlib
 import json
 import math
@@ -690,7 +689,7 @@ def ref_translate_report(report, backend, cache=None):
     if not wanted:
         return report
     outputs = translate_texts([getattr(report, f) for f in wanted], backend, cache)
-    return dataclasses.replace(report, **dict(zip(wanted, outputs)))
+    return report._replace(**dict(zip(wanted, outputs)))
 
 
 class RefTranslationCache:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import itertools
 import json
@@ -457,6 +458,22 @@ NUMPY_FREE = {
 }
 
 
+# Code for each command a perfbench iteration runs, none of which should load
+# dataclasses: its import and building its classes took 3-7 ms a process.
+DATACLASS_FREE = {
+    "import": NUMPY_FREE["import"],
+    "qrels": NUMPY_FREE["qrels"],
+    "eval": NUMPY_FREE["eval"],
+    "index": lambda d: _runs(
+        ("index", "--tree", TREE, "--glossary", GLOSSARY, "--cache", d / "cache.jsonl",
+         "--out-dir", d)),
+    "locate": lambda d: _runs(
+        ("index", "--tree", TREE, "--glossary", GLOSSARY, "--out-dir", d),
+        ("locate", "--index", d / "index.npz", "--reports", REPORTS, "--glossary", GLOSSARY,
+         "--cache", d / "cache.jsonl", "--out-dir", d)),
+}
+
+
 class TestImports:
     def _leaves_unloaded(self, tmp_path, code, module):
         code += f"\nimport sys; sys.exit({module!r} in sys.modules and '{module} loaded')"
@@ -479,6 +496,23 @@ class TestImports:
     @pytest.mark.parametrize("case", sorted(NUMPY_FREE))
     def test_array_free_commands_leave_numpy_unloaded(self, tmp_path, case):
         self._leaves_unloaded(tmp_path, NUMPY_FREE[case](tmp_path), "numpy")
+
+    @pytest.mark.parametrize("case", sorted(DATACLASS_FREE))
+    def test_commands_leave_dataclasses_unloaded(self, tmp_path, case):
+        self._leaves_unloaded(tmp_path, DATACLASS_FREE[case](tmp_path), "dataclasses")
+
+    def test_no_module_imports_dataclasses(self):
+        # The records are named tuples and plain classes; an import of
+        # dataclasses left in a module that no command runs is caught here.
+        package = pathlib.Path(croloc.__file__).parent
+        importers = []
+        for source in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(source.read_bytes())):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                if any(name and name.split(".")[0] == "dataclasses" for name in names):
+                    importers.append(source.name)
+        assert importers == []
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_index_tokenizes_before_numpy_loads(self, tmp_path, chunks):
@@ -688,7 +722,13 @@ def _force_chunks(monkeypatch, n):
     """Make index split any tree into ``n`` chunks: ``n`` usable CPUs, and
     one byte enough for a chunk. Returns the list of pids os.fork gives."""
     monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return _counted_forks(monkeypatch, n)
+
+
+def _counted_forks(monkeypatch, cpus):
+    """Give index ``cpus`` usable CPUs. Returns the list of pids os.fork
+    gives."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forked, fork = [], os.fork
 
     def counted_fork():
@@ -826,6 +866,24 @@ class TestIndexFanOut:
                 escaped.write_text("a child came back out of main", encoding="utf-8")
                 os._exit(0)
         assert len(forked) == 1 and not escaped.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("short, processes", [(1, 1), (0, 2)],
+                             ids=["one-byte-short", "twice-the-minimum"])
+    def test_two_cpus_split_from_twice_the_shipped_minimum(self, tmp_path, monkeypatch,
+                                                          short, processes):
+        # The shipped MIN_CHUNK_BYTES, not a patched one: on two CPUs a tree
+        # of twice it runs in two processes, and one a byte smaller in one.
+        size = 2 * croloc.corpus.MIN_CHUNK_BYTES - short
+        line, tree = b"// the stock count of each warehouse\n", tmp_path / "tree"
+        tree.mkdir()
+        for i, part in enumerate((size // 2, size - size // 2)):
+            (tree / f"F{i}.java").write_bytes((line * (part // len(line) + 1))[:part - 1] + b"\n")
+        assert sum(f.stat().st_size for f in tree.iterdir()) == size
+        forked = _counted_forks(monkeypatch, 2)
+        assert cli.main(["index", "--tree", str(tree), "--no-translate",
+                         "-o", str(tmp_path / "index.npz")]) == 0
+        assert len(forked) == processes - 1
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, min_bytes", [(1, 1), (2, None)],

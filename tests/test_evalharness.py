@@ -531,7 +531,7 @@ class TestEvaluate:
         assert "Success@1" in table
         assert "skipped" in table
 
-    def test_report_is_plain_dataclass(self):
+    def test_evaluate_returns_an_eval_report(self):
         run, qrels = self._setup()
         report = evaluate(run, qrels, mode="direct")
         assert isinstance(report, EvalReport)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -776,7 +775,7 @@ class TestMetamorphic:
         twin = paths[d].replace(".java", "Copy.java")
         index = build_index([*token_lists, token_lists[d]], [*paths, twin])
         assert index.path_rank[-1] == index.path_rank[d] + 1
-        reports = [replace(r, fixed_files=(*r.fixed_files, twin))
+        reports = [r._replace(fixed_files=(*r.fixed_files, twin))
                    if paths[d] in r.fixed_paths else r for r in reports]
         history = _history_in_order(reports, tokens, index, range(len(reports)))
         rows = query_rows([tokens[i] for i in picks], index)
@@ -803,7 +802,7 @@ class TestMetamorphic:
                 lambda p: not p.startswith("./")),
             min_size=len(old), max_size=len(old), unique=True)))
         rename = dict(zip(old, new))
-        renamed = [replace(r, fixed_files=tuple(map(rename.get, r.fixed_files)))
+        renamed = [r._replace(fixed_files=tuple(map(rename.get, r.fixed_files)))
                    for r in reports]
         at = [reports[i].reported_at for i in picks]
         outcomes = []
