@@ -397,7 +397,7 @@ def cmd_qrels(args: argparse.Namespace) -> int:
     else:
         with write_atomically(args.out) as fh:
             write_qrels(fh, qrels)
-        log.info("wrote qrels for %d queries -> %s", len(qrels.grades), args.out)
+        log.info("wrote qrels for %d queries -> %s", len(qrels), args.out)
     return 0
 
 

@@ -26,39 +26,13 @@ GRADE_INDIRECT = 1
 SUCCESS_NS = (1, 5, 10)
 
 
-class Qrels:
-    """Relevance grades per query: 2 directly fixed, 1 indirectly linked."""
-
-    def __init__(self, grades: dict[str, dict[str, int]] | None = None):
-        self.grades = {} if grades is None else grades
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Qrels):
-            return NotImplemented
-        return self.grades == other.grades
-
-    def add(self, query_id: str, path: str, grade: int) -> None:
-        self.grades.setdefault(query_id, {})[path] = grade
-
-    def relevant(self, query_id: str, mode: str) -> set[str]:
-        threshold = _mode_threshold(mode)
-        return {p for p, g in self.grades.get(query_id, {}).items() if g >= threshold}
-
-    def __contains__(self, query_id: str) -> bool:
-        return query_id in self.grades
-
-
-def _mode_threshold(mode: str) -> int:
-    if mode == "direct":
-        return GRADE_DIRECT
-    if mode == "direct+indirect":
-        return GRADE_INDIRECT
-    raise EvalError(f"unknown evaluation mode {mode!r}; expected one of {MODES}")
+# Relevance grades per query and path: 2 directly fixed, 1 indirectly linked.
+Qrels = dict[str, dict[str, int]]
 
 
 def read_qrels(path: str) -> Qrels:
     """TREC qrels: `qid 0 path grade`, whitespace-separated."""
-    qrels = Qrels()
+    qrels: Qrels = {}
     for lineno, line in read_lines(path, EvalError):
         if not line.strip():
             continue
@@ -72,16 +46,16 @@ def read_qrels(path: str) -> Qrels:
             raise EvalError(f"{path}:{lineno}: grade {grade_text!r} is not an integer")
         if grade < 0:
             raise EvalError(f"{path}:{lineno}: negative grade {grade}")
-        qrels.add(query_id, doc_path, grade)
+        qrels.setdefault(query_id, {})[doc_path] = grade
     return qrels
 
 
 def write_qrels(out: TextIO, qrels: Qrels) -> None:
     """TREC qrels lines, sorted by query id and then by path, all checked first."""
     lines = []
-    for query_id in sorted(qrels.grades):
+    for query_id in sorted(qrels):
         check_token(query_id, "query id", EvalError)
-        grades = qrels.grades[query_id]
+        grades = qrels[query_id]
         for doc_path in sorted(grades):
             check_token(doc_path, "document path", EvalError)
             lines.append(f"{query_id} 0 {doc_path} {grades[doc_path]}\n")
@@ -109,11 +83,11 @@ def link_oracles(reports: list[BugReport], commits: list[dict]) -> Qrels:
     commit whose message mentions the report id get the indirect grade,
     unless already direct. Reports without either source produce no rows.
     """
-    qrels = Qrels()
+    qrels: Qrels = {}
     for report in reports:
         direct = set(report.fixed_paths)
         for p in sorted(direct):
-            qrels.add(report.id, p, GRADE_DIRECT)
+            qrels.setdefault(report.id, {})[p] = GRADE_DIRECT
         pattern = None
         for commit in commits:
             message = commit["message"]
@@ -128,7 +102,7 @@ def link_oracles(reports: list[BugReport], commits: list[dict]) -> Qrels:
             for f in commit["changed_files"]:
                 p = normalize_path(f)
                 if p not in direct:
-                    qrels.add(report.id, p, GRADE_INDIRECT)
+                    qrels.setdefault(report.id, {})[p] = GRADE_INDIRECT
     return qrels
 
 
@@ -286,13 +260,15 @@ def evaluate(
     relevant set is empty after mode filtering is skipped with a warning and
     excluded from the averages.
     """
-    _mode_threshold(mode)
+    if mode not in MODES:
+        raise EvalError(f"unknown evaluation mode {mode!r}; expected one of {MODES}")
+    threshold = GRADE_DIRECT if mode == "direct" else GRADE_INDIRECT
     results: list[QueryResult] = []
     skipped: list[str] = []
     for query_id in sorted(run):
         if query_id not in qrels:
             raise EvalError(f"query {query_id!r} is missing from the qrels")
-        relevant = qrels.relevant(query_id, mode)
+        relevant = {p for p, g in qrels[query_id].items() if g >= threshold}
         if not relevant:
             log.warning("query %s has no relevant files in mode %s; skipping",
                         query_id, mode)

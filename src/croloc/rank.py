@@ -87,8 +87,8 @@ class HistorySet:
     is ``term * N + row`` of posting e, for the N rows of the whole set, so
     that cutting every term's postings at some row is one ``searchsorted``.
     The set is its first ``n`` rows, whose rows and incidences are
-    prefixes, so ``before`` is a bisection that returns a view sharing these
-    arrays.
+    prefixes, so ``before`` returns a view sharing these arrays, as many
+    rows long as ``rows_before``, the one bisection over ``times``, counts.
     """
 
     def __init__(self, times: tuple[datetime, ...], vectors: QueryRows, n_fixed: np.ndarray,
@@ -127,7 +127,7 @@ class HistorySet:
     def before(self, reported_at: datetime) -> "HistorySet":
         """The reports resolved strictly before ``reported_at``."""
         return HistorySet(self.times, self.vectors, self.n_fixed, self.inc_ptr, self.inc_docs,
-                          self.postings, self.keys, bisect_left(self.times, reported_at, hi=self.n))
+                          self.postings, self.keys, int(self.rows_before([reported_at])[0]))
 
     def rows_before(self, times: Sequence[datetime]) -> np.ndarray:
         """For each of ``times``, the number of this set's reports resolved

@@ -13,9 +13,10 @@ data types, the Porter stemmer and the scanner's span and warning output.
 One edit since: an unterminated interpolated string is reported at its
 opener's first byte, as every other unterminated literal is.
 
-Oracle linking: the earlier loop that runs every report's id pattern over
-every commit message, kept verbatim as the oracle of the substring-prefiltered
-``link_oracles``.
+Oracle linking: the earlier loop that tests every report's id against every
+commit message, kept as the oracle of the substring-prefiltered
+``link_oracles``. It holds its own boundary rule, a scan over each
+occurrence of the id, so that a change to the package's id pattern shows.
 
 Glossary translation: the earlier scan that tries, at each position, the
 phrases beginning with its character from the longest down, kept as the
@@ -38,7 +39,8 @@ cache keyed by source text: the same hits, misses and appended bytes.
 
 Source tree loading: the earlier loader, which took each path below the root
 with ``Path.relative_to`` and read it with ``Path.read_bytes``, kept as the
-oracle of the one that slices the root off each path's string.
+oracle of the one that slices the root off each path's string. It checks for
+two files with one normalized path by a set of the paths seen.
 
 Translation cache load: the earlier loop that hands each line's bytes to
 ``json.loads``, kept as the oracle of the loader that decodes the file once.
@@ -51,6 +53,7 @@ import hashlib
 import json
 import math
 import os
+import string
 from collections import Counter
 from pathlib import Path
 
@@ -58,7 +61,7 @@ import numpy as np
 
 from croloc.corpus import _LANGUAGES, Corpus, Language, SourceDocument, normalize_path
 from croloc.errors import CorpusError, TranslationError
-from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT, Qrels, _id_pattern
+from croloc.evalharness import GRADE_DIRECT, GRADE_INDIRECT
 from croloc.extract import (_CHAR_LITERAL_CAP, JAPANESE_RANGES, Segment, SpanKind, _Scanner,
                             detect_japanese, extract_spans, japanese_segments, reembed)
 from croloc.index import MIN_TOKEN_LENGTH, STOPWORDS, QueryVector
@@ -285,20 +288,36 @@ def ref_success_at(ranked, relevant, n):
     return 1 if any(p in relevant for p in ranked[:n]) else 0
 
 
+# The characters that may not touch a linked report id on either side.
+_ID_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+
+
+def _mentions(message, report_id):
+    """Whether some occurrence of ``report_id`` in ``message`` has no
+    ASCII letter, digit or underscore just before or just after it."""
+    start = message.find(report_id)
+    while start != -1:
+        end = start + len(report_id)
+        if ((start == 0 or message[start - 1] not in _ID_CHARS)
+                and (end == len(message) or message[end] not in _ID_CHARS)):
+            return True
+        start = message.find(report_id, start + 1)
+    return False
+
+
 def ref_link_oracles(reports, commits):
-    qrels = Qrels()
+    qrels = {}
     for report in reports:
         direct = set(report.fixed_paths)
         for p in sorted(direct):
-            qrels.add(report.id, p, GRADE_DIRECT)
-        pattern = _id_pattern(report.id)
+            qrels.setdefault(report.id, {})[p] = GRADE_DIRECT
         for commit in commits:
-            if not pattern.search(commit["message"]):
+            if not _mentions(commit["message"], report.id):
                 continue
             for f in commit["changed_files"]:
                 p = normalize_path(f)
                 if p not in direct:
-                    qrels.add(report.id, p, GRADE_INDIRECT)
+                    qrels.setdefault(report.id, {})[p] = GRADE_INDIRECT
     return qrels
 
 
@@ -757,4 +776,9 @@ def ref_load_source_tree(root, include_patterns, permissive=False):
             raise CorpusError(f"cannot read {rel}: {exc}") from exc
         language = _LANGUAGES.get(file_path.suffix.lower(), Language.GENERIC)
         documents.append(SourceDocument(path=rel, language=language, raw_bytes=raw))
+    seen = set()
+    for doc in documents:
+        if doc.path in seen:
+            raise CorpusError(f"duplicate document path: {doc.path}")
+        seen.add(doc.path)
     return Corpus(documents=tuple(documents), skipped=tuple(skipped))

@@ -25,7 +25,6 @@ from croloc.corpus import (
     load_source_tree,
 )
 from croloc.evalharness import (
-    Qrels,
     average_precision,
     evaluate,
     link_oracles,
@@ -256,13 +255,8 @@ def test_acceptance_4_metric_correctness():
             "Q2": ["x", "y", "z", "c"],
             "Q3": ["e", "x", "y", "z"],  # one of two oracles never retrieved
         }
-        qrels = Qrels()
-        for qid, row in grades.items():
-            for path, grade in row.items():
-                qrels.add(qid, path, grade)
-
         for mode, threshold in (("direct", 2), ("direct+indirect", 1)):
-            report = evaluate(run, qrels, mode=mode)
+            report = evaluate(run, grades, mode=mode)
             qids = sorted(run)
             relevant = {
                 qid: {p for p, g in grades[qid].items() if g >= threshold}

@@ -380,6 +380,14 @@ class TestGoldenRuns:
             assert hashlib.sha256(written[name].read_bytes()).hexdigest() == digest, name
 
 
+def _blocks(run):
+    """The lines of the run file ``run``, grouped by query id."""
+    by_query: dict[str, list[str]] = {}
+    for line in run.read_text(encoding="utf-8").splitlines():
+        by_query.setdefault(line.split()[0], []).append(line)
+    return by_query
+
+
 class TestInputOrder:
     """The order of an input's records or patterns changes no output."""
 
@@ -401,11 +409,33 @@ class TestInputOrder:
             assert cli.main([str(a) for a in (
                 "locate", "--index", built / "index.npz", "--reports", reports,
                 "--glossary", GLOSSARY, "--technique", "buglocator", "-o", run)]) == 0
-            by_query: dict[str, list[str]] = {}
-            for line in run.read_text(encoding="utf-8").splitlines():
-                by_query.setdefault(line.split()[0], []).append(line)
-            blocks.append(by_query)
+            blocks.append(_blocks(run))
         assert len(blocks[0]) > 4 and blocks[1] == blocks[0] and blocks[2] == blocks[0]
+
+    def test_report_resolved_as_a_query_is_filed_is_not_its_history(self, built, tmp_path):
+        # Acceptance criterion 9 through one locate run. H is resolved at the
+        # instant SHOP-109 is filed, written with another offset, and
+        # SHOP-190, filed a day later and ranked in the same run, may use it.
+        records = [json.loads(line) for line in REPORTS.read_text("utf-8").splitlines()]
+        q1 = next(r for r in records if r["id"] == "SHOP-109")
+        q2 = {**q1, "id": "SHOP-190", "reported_at": "2024-05-02T09:00:00Z",
+              "resolved_at": "2024-05-03T09:00:00Z"}
+        h = {**q1, "id": "SHOP-180", "reported_at": "2024-04-28T09:00:00Z",
+             "resolved_at": "2024-05-01T18:00:00+09:00",
+             "fixed_files": ["src/shop/Gx09Price.java"]}
+        blocks = []
+        for name, extra in (("without", [q2]), ("with", [q2, h])):
+            reports, run = tmp_path / f"reports.{name}.jsonl", tmp_path / f"run.{name}.trec"
+            reports.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                                       for r in records + extra), encoding="utf-8")
+            assert cli.main([str(a) for a in (
+                "locate", "--index", built / "index.npz", "--reports", reports,
+                "--glossary", GLOSSARY, "--technique", "buglocator",
+                "--query", "SHOP-109", "--query", "SHOP-190", "-o", run)]) == 0
+            blocks.append(_blocks(run))
+        without, with_h = blocks
+        assert with_h["SHOP-109"] == without["SHOP-109"]
+        assert with_h["SHOP-190"] != without["SHOP-190"]
 
     def test_include_order_gives_the_same_index_bytes(self, tmp_path):
         # Overlapping patterns, and one that matches nothing.

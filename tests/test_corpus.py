@@ -8,7 +8,7 @@ import time
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import croloc.corpus
@@ -130,10 +130,11 @@ class TestLoadSourceTree:
 
 # File names that reach each rule of a path below the root and of its
 # language: case, dots that do or do not start an extension, a backslash that
-# normalizes to a slash, and non-ASCII.
+# normalizes to a slash (so x\y.java and x/y.java are one path), and non-ASCII.
 _TREE_NAMES = st.sampled_from(["A.java", "b.cs", "C.JAVA", "d.Cs", "..java", ".java", "e.",
-                               "f.java.txt", "g h.java", "ü.java", "x\\y.java", "n.cs"])
-_TREE_DIRS = st.sampled_from(["", "sub/", "sub/deep/", ".hidden/", "a b/"])
+                               "f.java.txt", "g h.java", "ü.java", "x\\y.java", "n.cs",
+                               "y.java"])
+_TREE_DIRS = st.sampled_from(["", "sub/", "sub/deep/", ".hidden/", "a b/", "x/"])
 _TREE_CONTENT = st.sampled_from([b"class A {}\n", "// 在庫\n".encode(), b"\xff bad\n", b""])
 # The tree's root as the loader is given it, and the directory it runs in:
 # absolute, ".", relative, with a trailing slash, and not normalized.
@@ -152,6 +153,8 @@ class TestLoadSourceTreeOracle:
                                               "**/*.JAVA", "*/"]),
                              min_size=1, max_size=3),
            permissive=st.booleans(), root=st.sampled_from(sorted(_ROOTS)))
+    @example(files={"x\\y.java": b"class A {}\n", "x/y.java": b""}, patterns=["**/*.java"],
+             permissive=False, root="absolute")
     @settings(max_examples=150)
     def test_same_corpus_or_error(self, files, patterns, permissive, root, tmp_path_factory):
         base = tmp_path_factory.mktemp("load")

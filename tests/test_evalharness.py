@@ -16,7 +16,6 @@ from croloc.evalharness import (
     GRADE_DIRECT,
     GRADE_INDIRECT,
     EvalReport,
-    Qrels,
     average_precision,
     evaluate,
     first_relevant_rank,
@@ -113,38 +112,13 @@ class TestFirstRelevantRank:
 
 
 class TestQrels:
-    def test_mode_filtering(self):
-        qrels = Qrels()
-        qrels.add("Q1", "a", GRADE_DIRECT)
-        qrels.add("Q1", "b", GRADE_INDIRECT)
-        assert qrels.relevant("Q1", "direct") == {"a"}
-        assert qrels.relevant("Q1", "direct+indirect") == {"a", "b"}
-
-    def test_unknown_query_is_empty(self):
-        assert Qrels().relevant("nope", "direct") == set()
-
-    def test_contains(self):
-        qrels = Qrels()
-        qrels.add("Q1", "a", 2)
-        assert "Q1" in qrels
-        assert "Q2" not in qrels
-
-    def test_unknown_mode_rejected(self):
-        qrels = Qrels()
-        qrels.add("Q1", "a", 2)
-        with pytest.raises(EvalError, match="mode"):
-            qrels.relevant("Q1", "fuzzy")
-
     def test_write_read_round_trip(self, tmp_path):
-        qrels = Qrels()
-        qrels.add("Q2", "b.java", 1)
-        qrels.add("Q1", "a.java", 2)
-        qrels.add("Q1", "c.java", 1)
+        qrels = {"Q2": {"b.java": 1}, "Q1": {"a.java": 2, "c.java": 1}}
         target = tmp_path / "qrels.txt"
         with open(target, "w", encoding="utf-8") as fh:
             write_qrels(fh, qrels)
         loaded = read_qrels(str(target))
-        assert loaded.grades == qrels.grades
+        assert loaded == qrels
         lines = target.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "Q1 0 a.java 2"  # sorted output
 
@@ -169,13 +143,11 @@ class TestQrels:
     def test_read_skips_blank_lines(self, tmp_path):
         target = tmp_path / "qrels.txt"
         target.write_text("\nQ1 0 a.java 2\n\n", encoding="utf-8")
-        assert read_qrels(str(target)).grades == {"Q1": {"a.java": 2}}
+        assert read_qrels(str(target)) == {"Q1": {"a.java": 2}}
 
     def test_write_rejects_path_with_whitespace(self, tmp_path):
         # A commit may change a path with a space, which eval could not read.
-        qrels = Qrels()
-        qrels.add("Q1", "a.java", 2)
-        qrels.add("Q1", "src/A b.java", 1)
+        qrels = {"Q1": {"a.java": 2, "src/A b.java": 1}}
         target = tmp_path / "qrels.txt"
         with open(target, "w", encoding="utf-8") as fh:
             with pytest.raises(EvalError, match="whitespace"):
@@ -183,8 +155,7 @@ class TestQrels:
         assert target.read_text(encoding="utf-8") == ""
 
     def test_write_rejects_query_id_with_whitespace(self):
-        qrels = Qrels()
-        qrels.add("A 1", "a.java", 2)
+        qrels = {"A 1": {"a.java": 2}}
         with pytest.raises(EvalError, match="query id 'A 1'"):
             write_qrels(io.StringIO(), qrels)
 
@@ -200,13 +171,15 @@ class TestQrels:
             return
         with open(path, "w", encoding="utf-8") as fh:
             write_qrels(fh, qrels)
-        assert read_qrels(str(path)).grades == qrels.grades
+        assert read_qrels(str(path)) == qrels
 
     def test_zero_grade_is_never_relevant(self, tmp_path):
         target = tmp_path / "qrels.txt"
         target.write_text("Q1 0 a.java 0\nQ1 0 b.java 2\n", encoding="utf-8")
-        qrels = read_qrels(str(target))
-        assert qrels.relevant("Q1", "direct+indirect") == {"b.java"}
+        report = evaluate({"Q1": ["a.java", "b.java"]}, read_qrels(str(target)),
+                          mode="direct+indirect")
+        assert report.per_query[0].n_relevant == 1
+        assert report.per_query[0].first_rank == 2
 
 
 class TestLoadCommitLog:
@@ -295,17 +268,17 @@ def _report(rid, fixed=None):
 class TestLinkOracles:
     def test_fixed_files_become_direct(self):
         qrels = link_oracles([_report("BUG-1", ["src/A.java"])], [])
-        assert qrels.grades == {"BUG-1": {"src/A.java": GRADE_DIRECT}}
+        assert qrels == {"BUG-1": {"src/A.java": GRADE_DIRECT}}
 
     def test_fixed_files_normalized(self):
         qrels = link_oracles([_report("BUG-1", ["src\\A.java", "./src/B.java"])], [])
-        assert qrels.grades["BUG-1"] == {"src/A.java": 2, "src/B.java": 2}
+        assert qrels["BUG-1"] == {"src/A.java": 2, "src/B.java": 2}
 
     def test_commit_reference_becomes_indirect(self):
         commits = [{"hash": "c1", "message": "refactor for BUG-1 fix",
                     "changed_files": ["src/Helper.java"]}]
         qrels = link_oracles([_report("BUG-1", ["src/A.java"])], commits)
-        assert qrels.grades["BUG-1"] == {
+        assert qrels["BUG-1"] == {
             "src/A.java": GRADE_DIRECT,
             "src/Helper.java": GRADE_INDIRECT,
         }
@@ -315,8 +288,8 @@ class TestLinkOracles:
         commits = [{"hash": "c1", "message": "BUG-1",
                     "changed_files": ["src/A.java", "src/B.java"]}]
         qrels = link_oracles([_report("BUG-1", ["src/A.java"])], commits)
-        assert qrels.grades["BUG-1"]["src/A.java"] == GRADE_DIRECT
-        assert qrels.grades["BUG-1"]["src/B.java"] == GRADE_INDIRECT
+        assert qrels["BUG-1"]["src/A.java"] == GRADE_DIRECT
+        assert qrels["BUG-1"]["src/B.java"] == GRADE_INDIRECT
 
     def test_id_match_respects_boundaries(self):
         commits = [{"hash": "c1", "message": "fix BUG-10 regression",
@@ -326,20 +299,30 @@ class TestLinkOracles:
             commits,
         )
         # BUG-1 must not match inside BUG-10
-        assert "src/Ten.java" not in qrels.grades["BUG-1"]
-        assert qrels.grades["BUG-10"]["src/Ten.java"] == GRADE_INDIRECT
+        assert "src/Ten.java" not in qrels["BUG-1"]
+        assert qrels["BUG-10"]["src/Ten.java"] == GRADE_INDIRECT
+
+    @pytest.mark.parametrize("message, linked", [
+        ("fix BUG-7_x", False), ("fix _BUG-7", False), ("fix xBUG-7", False),
+        ("fix BUG-70", False), ("fix (BUG-7)", True),
+    ])
+    @pytest.mark.parametrize("link", [link_oracles, ref_link_oracles])
+    def test_id_needs_no_word_character_beside_it(self, link, message, linked):
+        commits = [{"hash": "c1", "message": message, "changed_files": ["src/P.java"]}]
+        qrels = link([_report("BUG-7", ["src/A.java"])], commits)
+        assert ("src/P.java" in qrels["BUG-7"]) is linked
 
     def test_id_match_allows_punctuation_context(self):
         commits = [{"hash": "c1", "message": "fix (BUG-1): off by one",
                     "changed_files": ["src/P.java"]}]
         qrels = link_oracles([_report("BUG-1", ["src/A.java"])], commits)
-        assert qrels.grades["BUG-1"]["src/P.java"] == GRADE_INDIRECT
+        assert qrels["BUG-1"]["src/P.java"] == GRADE_INDIRECT
 
     def test_unreferenced_commits_ignored(self):
         commits = [{"hash": "c1", "message": "routine cleanup",
                     "changed_files": ["src/X.java"]}]
         qrels = link_oracles([_report("BUG-1", ["src/A.java"])], commits)
-        assert "src/X.java" not in qrels.grades["BUG-1"]
+        assert "src/X.java" not in qrels["BUG-1"]
 
     def test_report_without_evidence_produces_no_rows(self):
         qrels = link_oracles([_report("BUG-9", [])], [])
@@ -349,7 +332,7 @@ class TestLinkOracles:
         commits = [{"hash": "c1", "message": "BUG-1",
                     "changed_files": ["src\\Helper.java"]}]
         qrels = link_oracles([_report("BUG-1", ["src/A.java"])], commits)
-        assert "src/Helper.java" in qrels.grades["BUG-1"]
+        assert "src/Helper.java" in qrels["BUG-1"]
 
 
 # Ids that overlap as substrings, plus short ids over digits, "-" and "_".
@@ -374,8 +357,8 @@ class TestLinkOraclesProperties:
     @settings(max_examples=300)
     def test_matches_the_regex_over_every_message(self, case):
         reports, commits = case
-        got = link_oracles(reports, commits).grades
-        want = ref_link_oracles(reports, commits).grades
+        got = link_oracles(reports, commits)
+        want = ref_link_oracles(reports, commits)
         assert got == want
         assert list(got) == list(want)
         assert [list(g.items()) for g in got.values()] == \
@@ -452,9 +435,9 @@ class TestReadRunFile:
 
 
 def _qrels(entries):
-    qrels = Qrels()
+    qrels = {}
     for qid, path, grade in entries:
-        qrels.add(qid, path, grade)
+        qrels.setdefault(qid, {})[path] = grade
     return qrels
 
 
@@ -555,7 +538,7 @@ class TestByteOrderMark:
         clean_run, marked_run = self._pair(tmp_path, "trec", self.RUN)
         clean_qrels, marked_qrels = self._pair(tmp_path, "qrels", self.QRELS)
         assert read_run_file(marked_run) == read_run_file(clean_run)
-        assert read_qrels(marked_qrels).grades == read_qrels(clean_qrels).grades
+        assert read_qrels(marked_qrels) == read_qrels(clean_qrels)
         want = evaluate(read_run_file(clean_run), read_qrels(clean_qrels)).to_json()
         for run, qrels in ((marked_run, clean_qrels), (clean_run, marked_qrels),
                            (marked_run, marked_qrels)):

@@ -218,6 +218,17 @@ class TestSimiAgainstReference:
         want = ref_simi(query, token_lists, paths, history)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
+    def test_report_resolved_as_an_earlier_query_is_filed_is_not_its_history(self):
+        # H is resolved at the instant Q1 is filed, and Q2, filed a day
+        # later, is scored in the same call: only Q2 may use H.
+        index = build_index([["cache", "miss"], ["order"], ["sync"]], ["a", "b", "c"])
+        q1_at, q2_at = datetime(2024, 3, 1, tzinfo=UTC), datetime(2024, 3, 2, tzinfo=UTC)
+        history = history_set(index, [(["cache", "miss"], ["a"], q1_at)])
+        queries = query_rows([["cache", "miss"], ["cache", "miss"]], index)
+        got = simi_scores(queries, index, history, [q1_at, q2_at])
+        assert got[0].tolist() == [0.0, 0.0, 0.0]
+        assert got[1].tolist() == pytest.approx([1.0, 0.0, 0.0], rel=1e-12)
+
     def test_no_history_gives_zeros(self):
         token_lists = [["cache"], ["order"]]
         index = build_index(token_lists, ["a", "b"])

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import AFTER_ALL, history_set, index_texts
 from croloc.corpus import BugReport, Corpus, ExcludedReport, Language, SourceDocument
-from croloc.evalharness import EvalReport, QueryResult, Qrels
+from croloc.evalharness import EvalReport, QueryResult
 from croloc.index import DocumentVector, Index, QueryRows, QueryVector, query_rows
 
 WHEN = datetime(2021, 3, 4, 5, 6, 7, tzinfo=timezone.utc)
@@ -102,19 +102,6 @@ class TestNamedRecordMembers:
 
 
 class TestPlainRecords:
-    def test_qrels_default_grades_are_its_own(self):
-        a, b = Qrels(), Qrels()
-        a.add("Q1", "a.java", 2)
-        assert b.grades == {} and a.grades == {"Q1": {"a.java": 2}}
-
-    def test_qrels_value_equality_and_no_hash(self):
-        a, b = Qrels(), Qrels({"Q1": {"a.java": 2}})
-        assert a != b
-        a.add("Q1", "a.java", 2)
-        assert a == b and a != {"Q1": {"a.java": 2}}
-        with pytest.raises(TypeError):
-            hash(a)
-
     def test_index_value_equality_and_no_hash(self):
         texts, paths = ["stock count", "warehouse stock"], ["a.java", "b.java"]
         index = index_texts(texts, paths)
