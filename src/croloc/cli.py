@@ -47,10 +47,10 @@ if TYPE_CHECKING:
 
 # Names taken from modules that not every command needs. They become globals
 # of this module when a command that calls them starts (``_bind``), not at
-# import: ``index`` and ``rank`` import numpy, which qrels and eval never use,
-# and index uses nothing of ``evalharness``. Commands call them through these
-# globals, so a wrapper set on this module (perfbench/tracer.py) sees every
-# call. No command calls ``translate_document``, ``translate_report`` or
+# import: ``rank`` imports numpy, which only locate uses, and index uses
+# nothing of ``evalharness``. Commands call them through these globals, so a
+# wrapper set on this module (perfbench/tracer.py) sees every call. No
+# command calls ``translate_document``, ``translate_report`` or
 # ``vectorize_query``; they stay here for wrappers that look them up.
 _LAZY = {
     "evalharness": ("evaluate", "link_oracles", "load_commit_log", "read_qrels",
@@ -224,10 +224,7 @@ def index_documents(documents: Sequence[SourceDocument], stemming: bool,
             if error is not None:
                 raise error
             token_lists += tokens
-            # numpy loads once this process's own chunk is done, while the
-            # forked ones finish: no child is forked with it, and its import
-            # overlaps them. Later chunks find it loaded.
-            from .index import build_index
+    from .index import build_index
     # The memo has paid off once the corpus is tokenized; building and
     # saving the index reuse its memory instead of adding to it.
     clear_memo()
@@ -304,7 +301,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    _bind("translate")  # index_documents loads croloc.index (and numpy) itself
+    _bind("translate")  # index_documents loads croloc.index itself
     tree = _require(args, "tree")
     _fill(args, out_dir=".", stemming=False)
     corpus = _load_tree(args, tree)

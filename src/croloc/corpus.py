@@ -84,15 +84,15 @@ def write_atomically(path: str | Path, binary: bool = False) -> Iterator[IO]:
 # The least total size of the items that makes one more process worth it. On
 # a 2-CPU VM, index translates each chunk in one batched pass and tokenizes
 # it at 0.088 us per byte of source with a cold translation cache and 0.077 us
-# with a warm one, and this process imports numpy while the forked chunks
-# still run. Warm-cache index runs over the first files of perfbench's seed-1
-# replay-warm tree, in one process and in two (medians of 12 alternating
-# runs): 64 KiB 109.5 / 110.8 ms, 128 KiB 117.6 / 116.0, 192 KiB 123.8 /
-# 123.0, 256 KiB 130.7 / 127.3, 384 KiB 145.4 / 137.0, and the whole 0.46 MiB
-# 155.0 / 143.5. Two processes pay off from a tree of about 128 KiB; chunks
-# of at least 128 KiB leave a margin, so 2 CPUs split a tree from 256 KiB:
-# every test project stays in one process, and both perfbench trees (0.46
-# and 1.16 MiB) split in two.
+# with a warm one. Warm-cache index runs over the first files of perfbench's
+# seed-1 replay-warm tree, in one process and in two (medians of 12
+# alternating runs, measured while index still loaded numpy): 64 KiB 109.5 /
+# 110.8 ms, 128 KiB 117.6 / 116.0, 192 KiB 123.8 / 123.0, 256 KiB 130.7 /
+# 127.3, 384 KiB 145.4 / 137.0, and the whole 0.46 MiB 155.0 / 143.5. Two
+# processes pay off from a tree of about 128 KiB; chunks of at least 128 KiB
+# leave a margin, so 2 CPUs split a tree from 256 KiB: every test project
+# stays in one process, and both perfbench trees (0.46 and 1.16 MiB) split
+# in two.
 MIN_CHUNK_BYTES = 128 << 10
 
 _T = TypeVar("_T")

@@ -10,6 +10,9 @@ c_td times in a document of c_d tokens,
     w   = tf * idf
 
 and documents are compared by cosine over these weights. All logs natural.
+
+Building and saving an index need no numpy, so the ``index`` command never
+loads it: this module imports numpy only where it makes numpy arrays.
 """
 from __future__ import annotations
 
@@ -18,21 +21,32 @@ import io
 import json
 import math
 import re
+import sys
 import zipfile
-from collections.abc import Sequence
-from itertools import chain, pairwise, repeat
-from typing import NamedTuple
-
-import numpy as np
-from numpy.lib import format as npy
+from array import array
+from collections import Counter
+from collections.abc import Iterable, Sequence
+from itertools import chain, pairwise
+from typing import IO, TYPE_CHECKING, NamedTuple
 
 from .corpus import check_record, write_atomically
 from .errors import IndexFormatError
 # Re-exported: locate looks tokenize up here, so a wrapper set here sees its calls.
 from .terms import MIN_TOKEN_LENGTH, STOPWORDS, tokenize  # noqa: F401
 
+if TYPE_CHECKING:
+    import numpy as np
+
 INDEX_FORMAT = "croloc-index"
 INDEX_VERSION = 3
+
+# The index's arrays, each with the typecode of its elements.
+_ARRAYS = {"indptr": "q", "indices": "q", "data": "d", "norms": "d", "term_counts": "q"}
+# The members of a saved index, in file order: UTF-8 JSON metadata as
+# bytes, then the arrays.
+_MEMBERS = {"meta": "B", **_ARRAYS}
+# The .npy type of each typecode: little-endian whatever the machine's order.
+_DESCR = {"B": "|u1", "q": "<i8", "d": "<f8"}
 
 
 def idf(doc_freq: int, n_docs: int) -> float:
@@ -58,6 +72,8 @@ class QueryVector(NamedTuple):
 def gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions ``starts[i]`` to ``starts[i] + lengths[i] - 1`` of each
     range in turn, as one array."""
+    import numpy as np
+
     # Entry j of the i-th range is at starts[i] + j.
     firsts = np.cumsum(lengths) - lengths
     return np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
@@ -69,6 +85,8 @@ def transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     (ptr, rows, weights), where term t's postings are the entries
     ``ptr[t]:ptr[t + 1]`` of ``rows`` and ``weights``, in ascending row
     order."""
+    import numpy as np
+
     # A stable sort keeps each term's entries in row order.
     order = np.argsort(indices, kind="stable")
     rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
@@ -92,6 +110,8 @@ class QueryRows:
 
     def take(self, rows: Sequence[int]) -> "QueryRows":
         """The rows numbered ``rows``, in that order."""
+        import numpy as np
+
         rows = np.asarray(rows, dtype=np.int64)
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
@@ -101,23 +121,42 @@ class QueryRows:
         return QueryRows(indptr, self.indices[entries], self.data[entries], self.norms[rows])
 
 
+def _array_view(name: str) -> functools.cached_property:
+    """The index's array ``name`` as a numpy array over its buffer, made on
+    first access."""
+    def view(self: Index) -> np.ndarray:
+        import numpy as np
+
+        return np.asarray(self.buffers[name])
+    return functools.cached_property(view)
+
+
 class Index:
     """A tf-idf index. Document d's weights are the CSR row
     ``data[indptr[d]:indptr[d + 1]]`` over the term ids in the same slice of
     ``indices``, which ascend within each row; ``norms[d]`` is the row's
-    Euclidean norm and ``term_counts[d]`` the document's token count."""
+    Euclidean norm and ``term_counts[d]`` the document's token count.
+
+    ``buffers`` holds those five arrays as given: ``array.array``s of int64
+    (``q``) and float64 (``d``) elements from ``build_index``, numpy arrays
+    from ``load_index``. The attributes are numpy arrays over them, made on
+    first access, so that building and saving an index never load numpy."""
+
+    indptr, indices, data, norms, term_counts = map(_array_view, _ARRAYS)
 
     def __init__(self, stemming: bool, paths: tuple[str, ...], vocabulary: tuple[str, ...],
-                 doc_freq: tuple[int, ...], indptr: np.ndarray, indices: np.ndarray,
-                 data: np.ndarray, norms: np.ndarray, term_counts: np.ndarray):
+                 doc_freq: tuple[int, ...], indptr: array | np.ndarray,
+                 indices: array | np.ndarray, data: array | np.ndarray,
+                 norms: array | np.ndarray, term_counts: array | np.ndarray):
         self.stemming, self.paths, self.vocabulary, self.doc_freq = (
             stemming, paths, vocabulary, doc_freq)
-        self.indptr, self.indices, self.data, self.norms, self.term_counts = (
-            indptr, indices, data, norms, term_counts)
+        self.buffers = dict(zip(_ARRAYS, (indptr, indices, data, norms, term_counts)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Index):
             return NotImplemented
+        import numpy as np
+
         return (
             (self.stemming, self.paths, self.vocabulary, self.doc_freq)
             == (other.stemming, other.paths, other.vocabulary, other.doc_freq)
@@ -155,14 +194,16 @@ class Index:
         return transpose(indptr, indices, data, len(self.vocabulary))
 
     @functools.cached_property
-    def idfs(self) -> np.ndarray:
+    def idfs(self) -> array:
         """Each term's idf, ``idf(doc_freq[t], n_docs)``, computed once."""
-        return np.array([idf(df, self.n_docs) for df in self.doc_freq], dtype=np.float64)
+        return array("d", [idf(df, self.n_docs) for df in self.doc_freq])
 
     @functools.cached_property
     def path_rank(self) -> np.ndarray:
         """Position of each document's path in lexicographic path order,
         built once; the tie-break key of every ranking."""
+        import numpy as np
+
         order = sorted(range(self.n_docs), key=self.paths.__getitem__)
         path_rank = np.empty(self.n_docs, dtype=np.int64)
         path_rank[order] = np.arange(self.n_docs)
@@ -177,56 +218,33 @@ class Index:
         return length_factor(self.term_counts)
 
 
-def _count(token_lists: Sequence[list[str]], term_ids: dict[str, int]) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lengths, rows, terms, tfs): each token list's length c_d, and each
-    distinct (row, term id) pair of its tokens, in row order and then term
-    order, with its tf, ln(c_td / c_d + 1). A token outside ``term_ids``
-    counts in c_d and in no term."""
-    n_rows, n_terms = len(token_lists), len(term_ids)
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_rows)
-    # One key per token, row * n_terms + term id. Sorted, equal keys run
-    # together, in row order and with ascending term ids within each row; a
-    # token outside term_ids keys past them all and is cut off. Each step
-    # drops what the next no longer needs, build_index's term ids first: the
-    # token lists are alive throughout, so what this adds on top sets the
-    # build's peak memory.
-    past = n_rows * n_terms
-    keys = np.fromiter(map(term_ids.get, chain.from_iterable(token_lists), repeat(past)),
-                       dtype=np.int64, count=int(lengths.sum()))
-    del term_ids
-    keys += np.repeat(np.arange(n_rows, dtype=np.int64) * n_terms, lengths)
-    keys.sort()
-    keys = keys[:np.searchsorted(keys, past)]
-    run_start = np.empty(len(keys), dtype=bool)
-    run_start[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    counts = np.diff(starts, append=len(keys))
-    rows, terms = np.divmod(keys[starts], n_terms)
-    del keys, run_start, starts
-    # tf through math.log, each distinct value once.
-    tf_values, tf_at = np.unique(counts / lengths[rows] + 1.0, return_inverse=True)
-    del counts
-    tfs = np.array([math.log(v) for v in tf_values.tolist()])[tf_at]
-    del tf_at
-    return lengths, rows, terms, tfs
-
-
-def _weigh(lengths: np.ndarray, rows: np.ndarray, terms: np.ndarray, tfs: np.ndarray,
-           idfs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSR (indptr, indices, data, norms) of ``_count``'s rows weighed by
-    ``idfs``, overwriting ``tfs``: zero weights are dropped, and each norm
-    is the square root of its row's ``math.fsum`` of squares."""
-    tfs *= idfs[terms]
-    keep = tfs != 0.0
-    data, indices = tfs[keep], terms[keep]
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=len(lengths)), out=indptr[1:])
-    squares = data * data
-    norms = np.sqrt([math.fsum(squares[lo:hi].tolist())
-                     for lo, hi in pairwise(indptr.tolist())], dtype=np.float64)
-    return indptr, indices, data, norms
+def _weigh(counted: Iterable[tuple[int, Counter[str]]], term_ids: dict[str, int],
+           idfs: Sequence[float]) -> tuple[array, array, array, array]:
+    """CSR (indptr, indices, data, norms) of rows given as (c_d, counts):
+    a token list's length and the ``Counter`` of its tokens. Each row holds
+    ``ln(c_td / c_d + 1) * idfs[t]`` over its ascending term ids t, a token
+    outside ``term_ids`` counting in c_d and in no term; zero weights are
+    dropped, and each norm is the square root of its row's ``math.fsum`` of
+    squares."""
+    indptr, indices, data, norms = [0], [], [], []
+    tfs: dict[tuple[int, int], float] = {}  # ln(c_td / c_d + 1) of each pair met
+    term_id, log, fsum, sqrt = term_ids.get, math.log, math.fsum, math.sqrt
+    for n, counts in counted:
+        by_id = {term_id(term): c for term, c in counts.items()}
+        by_id.pop(None, None)
+        row = []
+        for t in sorted(by_id):
+            c = by_id[t]
+            tf = tfs.get((c, n))
+            if tf is None:
+                tf = tfs[c, n] = log(c / n + 1.0)
+            if w := tf * idfs[t]:
+                indices.append(t)
+                row.append(w)
+        data += row
+        norms.append(sqrt(fsum([w * w for w in row])))
+        indptr.append(len(indices))
+    return array("q", indptr), array("q", indices), array("d", data), array("d", norms)
 
 
 def build_index(
@@ -242,20 +260,26 @@ def build_index(
     if len(token_lists) != len(paths):
         raise ValueError("token_lists and paths must be parallel")
     n_docs = len(paths)
-    vocabulary = tuple(sorted(set(chain.from_iterable(token_lists))))
-    term_counts, docs, terms, tfs = _count(token_lists,
-                                           {t: i for i, t in enumerate(vocabulary)})
-    doc_freq = np.bincount(terms, minlength=len(vocabulary))
-    idfs = np.array([idf(df, n_docs) for df in doc_freq.tolist()], dtype=np.float64)
-    return Index(stemming, tuple(paths), vocabulary, tuple(doc_freq.tolist()),
-                 *_weigh(term_counts, docs, terms, tfs, idfs), term_counts)
+    counted = [(len(tokens), Counter(tokens)) for tokens in token_lists]
+    # Iterating a Counter yields its distinct tokens: one per document.
+    docs_with = Counter(chain.from_iterable(counts for _, counts in counted))
+    vocabulary = tuple(sorted(docs_with))
+    doc_freq = tuple(map(docs_with.__getitem__, vocabulary))
+    rows = _weigh(counted, {t: i for i, t in enumerate(vocabulary)},
+                  [idf(df, n_docs) for df in doc_freq])
+    return Index(stemming, tuple(paths), vocabulary, doc_freq, *rows,
+                 array("q", [n for n, _ in counted]))
 
 
 def query_rows(token_lists: Sequence[list[str]], index: Index) -> QueryRows:
     """The query vector of each token list over the index vocabulary, one
     row each, weighed as the index's documents are: the tf denominator
     counts every token, and terms outside the vocabulary are skipped."""
-    return QueryRows(*_weigh(*_count(token_lists, index.term_ids), index.idfs))
+    import numpy as np
+
+    rows = _weigh(((len(tokens), Counter(tokens)) for tokens in token_lists),
+                  index.term_ids, index.idfs)
+    return QueryRows(*map(np.asarray, rows))
 
 
 def vectorize_query(text: str, index: Index) -> QueryVector:
@@ -266,25 +290,13 @@ def vectorize_query(text: str, index: Index) -> QueryVector:
                        float(rows.norms[0]))
 
 
-# The index's arrays as saved, with their dtypes.
-_ARRAYS = {
-    "indptr": np.dtype("<i8"),
-    "indices": np.dtype("<i8"),
-    "data": np.dtype("<f8"),
-    "norms": np.dtype("<f8"),
-    "term_counts": np.dtype("<i8"),
-}
-# The members of a saved index, in file order: UTF-8 JSON metadata as
-# bytes, then the arrays.
-_MEMBERS = {"meta": np.dtype("u1"), **_ARRAYS}
-
-
 def save_index(index: Index, path: str) -> None:
-    """Write the index as an uncompressed ``np.savez`` archive: one
-    ``.npy`` member per array, and a ``meta`` member with the format marker,
-    version, tokenizer options, paths, vocabulary and document frequencies
-    as UTF-8 JSON. The bytes depend on the index alone, and the file is
-    replaced only once it is complete."""
+    """Write the index as the uncompressed ``np.savez`` archive of its
+    members, byte for byte, without numpy: one ``.npy`` member per array,
+    and a ``meta`` member with the format marker, version, tokenizer
+    options, paths, vocabulary and document frequencies as UTF-8 JSON. The
+    bytes depend on the index alone, and the file is replaced only once it
+    is complete."""
     meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -297,20 +309,47 @@ def save_index(index: Index, path: str) -> None:
         "vocabulary": index.vocabulary,
         "doc_freq": index.doc_freq,
     }
-    members = {"meta": np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"),
-                                     dtype=_MEMBERS["meta"])}
-    members.update((name, np.asarray(getattr(index, name), dtype=dtype))
-                   for name, dtype in _ARRAYS.items())
+    members = {"meta": (_DESCR["B"], json.dumps(meta, ensure_ascii=False).encode("utf-8"))}
+    members.update((name, (_DESCR[code], _little_endian(index.buffers[name], code)))
+                   for name, code in _ARRAYS.items())
     with write_atomically(path, binary=True) as fh:
-        np.savez(fh, allow_pickle=False, **members)
+        _write_npz(fh, members)
 
 
-def _npy_header(dtype: np.dtype, length: int) -> bytes:
-    """The .npy header np.save writes for a 1-d array of ``length`` elements."""
-    fp = io.BytesIO()
-    npy.write_array_header_1_0(fp, {"descr": dtype.str, "fortran_order": False,
-                                    "shape": (length,)})
-    return fp.getvalue()
+def _little_endian(buffer: array | np.ndarray, code: str) -> array:
+    """The elements of ``buffer`` as an array of typecode ``code`` that holds
+    them little-endian, whatever this machine's byte order."""
+    if isinstance(buffer, array) and buffer.typecode == code and sys.byteorder == "little":
+        return buffer
+    elements = array(code, buffer)  # a copy: the index keeps its own
+    if sys.byteorder == "big":
+        elements.byteswap()
+    return elements
+
+
+def _write_npz(fh: IO[bytes], members: dict[str, tuple[str, bytes | array]]) -> None:
+    """Write each member ``name: (descr, elements)``, a 1-d array of the
+    ``.npy`` type ``descr`` held as little-endian elements, as ``np.savez``
+    does: an archive of ``name.npy`` members in order, each stored
+    uncompressed with zip64 extensions, and each a ``.npy`` 1.0 header
+    followed by the elements."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
+        for name, (descr, elements) in members.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                member.write(_npy_header(descr, len(elements)))
+                member.write(elements)
+
+
+def _npy_header(descr: str, length: int) -> bytes:
+    """The ``.npy`` 1.0 header np.save writes for a 1-d array of ``length``
+    elements of type ``descr``. Its dict literal leaves room for the length
+    to grow to 21 digits, and spaces and a newline pad the header to a
+    multiple of 64 bytes, counting the magic string, version and the
+    header's two-byte little-endian length."""
+    text = (f"{{'descr': '{descr}', 'fortran_order': False, 'shape': ({length},), }}"
+            + " " * (21 - len(str(length))))
+    text += " " * (64 - (10 + len(text) + 1) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("latin-1")
 
 
 # The element count of an .npy header as np.save writes it for a 1-d array.
@@ -319,25 +358,28 @@ _NPY_LENGTH = re.compile(rb"\x93NUMPY\x01\x00..\{'descr': '[^']*', 'fortran_orde
 
 
 def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """Member ``name`` as a 1-d array of its dtype. The member must be
-    stored uncompressed, and start with the header np.save writes for such
-    an array, which no parser reads: it is compared with the one written
-    for the element count it states. Its data must fill exactly that count,
-    which is checked before an array of that size exists."""
+    """Member ``name`` as a 1-d numpy array of its type. The member must be
+    stored uncompressed, and start with the header ``_npy_header`` writes
+    for such an array, which no parser reads: it is compared with the one
+    written for the element count it states. Its data must fill exactly
+    that count, which is checked before an array of that size exists."""
+    import numpy as np
+
     info = archive.getinfo(f"{name}.npy")
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"member {name} is compressed")
     content = archive.read(info)
-    dtype = _MEMBERS[name]
+    code = _MEMBERS[name]
+    descr, itemsize = _DESCR[code], array(code).itemsize
     match = _NPY_LENGTH.match(content)
     length = int(match[1]) if match else 0
-    header = _npy_header(dtype, length)
+    header = _npy_header(descr, length)
     if not match or not content.startswith(header):
-        raise ValueError(f"member {name} is not a 1-d {dtype.str} array in .npy format 1.0")
-    if len(content) - len(header) != length * dtype.itemsize:
+        raise ValueError(f"member {name} is not a 1-d {descr} array in .npy format 1.0")
+    if len(content) - len(header) != length * itemsize:
         raise ValueError(f"member {name} declares {length} elements "
                          f"but holds {len(content) - len(header)} bytes")
-    return np.frombuffer(content, dtype=dtype, offset=len(header))
+    return np.frombuffer(content, dtype=descr, offset=len(header))
 
 
 # The tokenizer options in an index's meta member, each a ``typed`` kind.
@@ -358,6 +400,10 @@ def load_index(path: str) -> Index:
             f"{path}: not a {INDEX_FORMAT} version {INDEX_VERSION} file ({exc}); "
             "an index written by an older croloc must be rebuilt with 'croloc index'"
         ) from exc
+    # A central directory that states a zip version zipfile cannot read, or
+    # a UTF-8 name that does not decode.
+    except (NotImplementedError, ValueError) as exc:
+        raise IndexFormatError(f"{path}: malformed index payload: {exc}") from exc
     try:
         names = archive.namelist()
         if names != [f"{name}.npy" for name in _MEMBERS]:
@@ -403,6 +449,8 @@ def load_index(path: str) -> Index:
 
 def _array_problem(index: Index) -> str | None:
     """What makes the index's arrays unfit to rank with, or None."""
+    import numpy as np
+
     n_docs, n_terms = index.n_docs, len(index.vocabulary)
     indptr, indices, data = index.indptr, index.indices, index.data
     # Term ids follow the vocabulary's order, as build_index sorts it.

@@ -35,15 +35,24 @@ DEFAULT_TOP_K = 100
 
 # The most cells one chunk of queries may take: the postings its queries
 # gather from the index and the history, plus one per (query, document) and
-# one per (query, history row). On a 2-CPU VM, scoring a chunk has a fixed
-# cost of about 0.12 ms (some 45 numpy calls), and its temporaries peak at
-# about 12 bytes a cell. On perfbench's replay-warm (470 queries, 400
-# documents, up to 490 history rows, about 3,100 cells a query), scoring took
-# 89 ms at one query per chunk, 37 ms at 2^15 cells (45 chunks) and 42 ms in
-# one chunk, and locate's peak RSS rose by 0.1 MiB at 2^15 cells, 2.1 MiB at
-# 2^17 and 17.5 MiB in one chunk. 2^15 keeps the fixed cost near a third of
-# the work and the peak where one query at a time left it.
-CHUNK_CELLS = 1 << 15
+# one per (query, history row). Scoring a chunk has a fixed cost of some 45
+# numpy calls, and its temporaries peak at about 12 bytes a cell. With
+# thousands of history rows one query takes thousands of cells, so a small
+# bound leaves about one query per chunk. One scoring pass in a fresh
+# process on a 2-CPU VM, seed 1, medians of 10 (of 5 at replay-5k,
+# perfbench's replay shape at 2,000 files and 5,000 reports):
+#
+#   cells   replay-5k (4,700 q)    replay-warm (470 q)   triage-cold (141 q)
+#   2^15    4,556 chunks 2,847 ms  46 chunks 28.7 ms     22 chunks 19.1 ms
+#   2^16    1,761        2,037     22        29.5        11        18.3
+#   2^17      807        1,845     11        36.0         6        17.9
+#
+# On the two small shapes the differences lie within the runs' spread
+# (replay-warm's quartiles were 25.8-41.7 ms at 2^15 and 31.6-44.2 at 2^17).
+# From 2^15 to 2^17, locate's own peak RSS rose from 41.3 to 43.1 MiB at
+# replay-warm and from 44.0 to 47.7 MiB at triage-cold. 2^17 takes the most
+# off the largest shape, for 2-4 MiB more peak.
+CHUNK_CELLS = 1 << 17
 
 
 def cosine(a_weights: dict[int, float], a_norm: float,

@@ -14,6 +14,7 @@ import tempfile
 import time
 import tracemalloc
 import zipfile
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,9 @@ from croloc.index import (
     MIN_TOKEN_LENGTH,
     STOPWORDS,
     Index,
+    _little_endian,
+    _read_member,
+    _write_npz,
     build_index,
     idf,
     load_index,
@@ -552,6 +556,25 @@ class TestLoadHardening:
         with pytest.raises(IndexFormatError, match="must be rebuilt") as exc:
             load_index(target)
         assert str(exc.value).startswith(f"{target}: ")
+
+    @pytest.mark.parametrize("utf8_name", [False, True], ids=["zip-version", "utf8-name"])
+    def test_central_directory_zipfile_cannot_read(self, tmp_path, utf8_name):
+        # The last member's central directory entry states a version zipfile
+        # does not extract, or sets the UTF-8 name flag on a name that is
+        # not UTF-8.
+        target = self._saved(tmp_path)
+        content = bytearray(target.read_bytes())
+        entry = content.rindex(b"PK\x01\x02")
+        if utf8_name:
+            content[entry + 9] |= 0x08  # general purpose flag bit 11
+            content[content.index(b"term_counts.npy", entry)] = 0xff
+        else:
+            content[entry + 6] = 64  # version needed to extract: 6.4
+        target.write_bytes(bytes(content))
+        with pytest.raises(IndexFormatError, match="can't decode" if utf8_name
+                           else "zip file version 6.4") as exc:
+            load_index(target)
+        assert str(exc.value).startswith(f"{target}: malformed index payload")
 
     def test_missing_member(self, tmp_path):
         target = self._saved(tmp_path)
@@ -1127,19 +1150,73 @@ class TestDeterministicSave:
             assert target.read_bytes() == here.read_bytes()
 
 
+# A member of each type a saved index holds: (name, typecode, .npy type).
+_WRITER_MEMBERS = (("meta", "B", "|u1"), ("indptr", "q", "<i8"), ("data", "d", "<f8"))
+
+
+def _with_header_spaces(content: bytes, change: int) -> bytes:
+    """An .npy member whose header has ``change`` more spaces before its
+    newline, its stated length adjusted to match."""
+    end = content.index(b"\n")
+    spaces = b" " * max(change, 0)
+    size = int.from_bytes(content[8:10], "little") + change
+    return (content[:8] + size.to_bytes(2, "little") + content[10:end + min(change, 0)]
+            + spaces + content[end:])
+
+
+class TestNpzWriter:
+    """save_index writes its archive without numpy: it must lay out every
+    member type it writes as np.savez does, at element counts on either side
+    of each digit-count step in the header, and _read_member must take each
+    back and refuse a header that differs by one space."""
+
+    @pytest.mark.parametrize("length", [0, 1, 9, 10, 99, 100, 10 ** 6])
+    def test_same_bytes_as_np_savez_and_read_back(self, length):
+        values = {
+            "meta": np.arange(length, dtype=np.uint8),  # wraps at 256
+            "indptr": np.arange(length, dtype="<i8") * -7919 + 3,
+            "data": np.linspace(-1.0, 1.0, length, dtype="<f8") / 3.0,
+        }
+        written = io.BytesIO()
+        _write_npz(written, {name: (descr, _little_endian(values[name], code))
+                             for name, code, descr in _WRITER_MEMBERS})
+        expected = io.BytesIO()
+        np.savez(expected, **values)
+        assert written.getvalue() == expected.getvalue()
+        with zipfile.ZipFile(written) as archive:
+            for name, _, descr in _WRITER_MEMBERS:
+                got = _read_member(archive, name)
+                assert got.dtype == np.dtype(descr) and got.tobytes() == values[name].tobytes()
+
+    @pytest.mark.parametrize("change", [1, -1], ids=["one-more", "one-fewer"])
+    @pytest.mark.parametrize("length", [0, 1, 9, 10, 99, 100])
+    def test_header_off_by_one_space_is_refused(self, tmp_path, length, change):
+        written = io.BytesIO()
+        _write_npz(written, {name: (descr, array(code, range(length)))
+                             for name, code, descr in _WRITER_MEMBERS})
+        members = _member_bytes(written)
+        for name, _, descr in _WRITER_MEMBERS:
+            target = tmp_path / f"{name}.npz"
+            _write_members(target, {**members, f"{name}.npy": _with_header_spaces(
+                members[f"{name}.npy"], change)})
+            with zipfile.ZipFile(target) as archive:
+                with pytest.raises(ValueError, match=f"member {name} is not a 1-d {descr}"):
+                    _read_member(archive, name)
+
+
 class TestAtomicSave:
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         target = tmp_path / "idx.npz"
         target.write_text("old index\n", encoding="utf-8")
         index = build_index([["alpha", "beta"], ["beta"]], ["a", "b"])
-        real_write_array = npy.write_array
+        real_open = zipfile.ZipFile.open
 
-        def failing_write_array(fp, array, *args, **kwargs):
-            if array.dtype == np.float64:  # after the head of the file is written
+        def failing_open(archive, name, *args, **kwargs):
+            if name == "data.npy":  # after the head of the file is written
                 raise OSError("disk full")
-            return real_write_array(fp, array, *args, **kwargs)
+            return real_open(archive, name, *args, **kwargs)
 
-        monkeypatch.setattr(npy, "write_array", failing_write_array)
+        monkeypatch.setattr(zipfile.ZipFile, "open", failing_open)
         with pytest.raises(OSError, match="disk full"):
             save_index(index, target)
         assert target.read_text(encoding="utf-8") == "old index\n"
