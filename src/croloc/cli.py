@@ -19,6 +19,7 @@ import argparse
 import importlib
 import json
 import logging
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from contextlib import AbstractContextManager, closing, nullcontext
@@ -192,9 +193,9 @@ def index_documents(documents: Sequence[SourceDocument], stemming: bool,
     error is raised in its chunk's turn. The cache is closed, which frees its
     entries, at the end, or before tokenizing when this process runs the only
     chunk. The tokenizer's word memo is emptied once every chunk is in."""
-    # Looked up now, not at import, so that a wrapper set on croloc.terms
+    # Looked up now, not at import, so that a wrapper set on croloc.index
     # sees every call.
-    from .terms import clear_memo, tokenize
+    from .index import build_index, clear_memo, tokenize
 
     def translate_and_tokenize(chunk: Iterable[SourceDocument]) -> tuple[
             list[list[str]], list[CacheRow], CrolocError | None]:
@@ -224,7 +225,6 @@ def index_documents(documents: Sequence[SourceDocument], stemming: bool,
             if error is not None:
                 raise error
             token_lists += tokens
-    from .index import build_index
     # The memo has paid off once the corpus is tokenized; building and
     # saving the index reuse its memory instead of adding to it.
     clear_memo()
@@ -301,14 +301,13 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    _bind("translate")  # index_documents loads croloc.index itself
+    _bind("index", "translate")
     tree = _require(args, "tree")
     _fill(args, out_dir=".", stemming=False)
     corpus = _load_tree(args, tree)
     backend = _translating_backend(args)
     index = index_documents(corpus.documents, args.stemming, backend,
                             args.cache if backend is not None else None)
-    _bind("index")
     out_path = args.out or _default_index_path(args)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out_path)
@@ -522,6 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # OpenBLAS starts a thread per CPU when numpy loads, which slows the
+    # import, and croloc makes no BLAS call. A value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(

@@ -26,7 +26,6 @@ import croloc.errors
 import croloc.evalharness
 import croloc.index
 import croloc.rank
-import croloc.terms
 import croloc.translate
 from conftest import FIXTURES, assert_no_child_left
 from croloc import cli
@@ -525,7 +524,7 @@ class TestImports:
         # them; loading, extraction, translation, indexing and evaluation
         # should not pay for numpy's import.
         self._leaves_unloaded(tmp_path, "import croloc.corpus, croloc.evalharness, "
-                              "croloc.extract, croloc.index, croloc.terms, croloc.translate",
+                              "croloc.extract, croloc.index, croloc.translate",
                               "numpy")
 
     @pytest.mark.parametrize("case", sorted(NUMPY_FREE))
@@ -587,17 +586,17 @@ class TestImports:
 # was loaded there; the tree is cut into one chunk for each of two CPUs once
 # it has min_bytes of source.
 TOKENIZE_LOGGED = """
-import os, sys, croloc.corpus, croloc.terms
+import os, sys, croloc.corpus, croloc.index
 croloc.corpus.MIN_CHUNK_BYTES = {min_bytes}
 os.sched_getaffinity = lambda pid: {{0, 1}}
-tokenize, parent = croloc.terms.tokenize, os.getpid()
+tokenize, parent = croloc.index.tokenize, os.getpid()
 
 def logged(text, stemming=False):
     with open({log!r}, "a", encoding="utf-8") as fh:
         fh.write(("parent" if os.getpid() == parent else "child")
                  + (" numpy" if "numpy" in sys.modules else " no-numpy") + "\\n")
     return tokenize(text, stemming)
-croloc.terms.tokenize = logged
+croloc.index.tokenize = logged
 """
 
 # Makes every later import of numpy, or of a module of it, raise ImportError.
@@ -609,6 +608,62 @@ class NumpyBlocked:
             raise ImportError("numpy imported")
 sys.meta_path.insert(0, NumpyBlocked)
 """
+
+# Writes to ``log`` the value OPENBLAS_NUM_THREADS has when numpy is first
+# imported, which is when OpenBLAS reads it.
+BLAS_THREADS_LOGGED = """
+import os, sys
+class BlasThreadsLogged:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy" and not os.path.exists({log!r}):
+            with open({log!r}, "w", encoding="utf-8") as fh:
+                fh.write(str(os.environ.get("OPENBLAS_NUM_THREADS")))
+sys.meta_path.insert(0, BlasThreadsLogged)
+"""
+
+# numpy functions that compute through BLAS.
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+
+
+class TestBlasThreads:
+    """The commands run OpenBLAS with one thread, which is safe only while
+    croloc makes no BLAS call."""
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")],
+                             ids=["unset", "preset"])
+    def test_locate_loads_numpy_with_one_blas_thread(self, built, tmp_path, preset,
+                                                      expected):
+        log = tmp_path / "blas_threads.txt"
+        code = BLAS_THREADS_LOGGED.format(log=str(log)) + _runs(
+            ("locate", "--index", built / "index.npz", "--reports", REPORTS,
+             "--glossary", GLOSSARY, "--cache", tmp_path / "cache.jsonl",
+             "--out-dir", tmp_path))
+        env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert log.read_text("utf-8") == expected
+
+    def test_no_module_calls_blas(self):
+        package = pathlib.Path(croloc.__file__).parent
+        found = []
+        for source in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(source.read_bytes())):
+                func = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, ast.MatMult)):
+                    found.append(f"{source.name}:{node.lineno}: @")
+                elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                      or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")):
+                    found.append(f"{source.name}:{node.lineno}: linalg")
+                elif (isinstance(func, ast.Attribute) and func.attr in BLAS_CALLS
+                      or isinstance(func, ast.Name) and func.id in BLAS_CALLS):
+                    found.append(f"{source.name}:{node.lineno}: a BLAS call")
+        assert found == []
 
 
 NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
@@ -869,7 +924,7 @@ class TestIndexFanOut:
         # With no child's rows left to adopt, the translation cache's entries
         # need not stay alive while the documents are tokenized.
         forked = _force_chunks(monkeypatch, 1)
-        cache_class, tokenize = croloc.translate.TranslationCache, croloc.terms.tokenize
+        cache_class, tokenize = croloc.translate.TranslationCache, croloc.index.tokenize
         init = cache_class.__init__
         caches, loaded, at_tokenize = [], [], []
 
@@ -882,7 +937,7 @@ class TestIndexFanOut:
             at_tokenize.append([len(c) for c in caches])
             return tokenize(text, stemming)
         monkeypatch.setattr(cache_class, "__init__", recorded_init)
-        monkeypatch.setattr(croloc.terms, "tokenize", recorded_tokenize)
+        monkeypatch.setattr(croloc.index, "tokenize", recorded_tokenize)
         for temperature in ("cold", "warm"):
             for recorded in (caches, loaded, at_tokenize):
                 recorded.clear()
@@ -896,13 +951,13 @@ class TestIndexFanOut:
     def test_interrupt_in_a_child_never_leaves_main_there(self, small_project, tmp_path,
                                                           monkeypatch, interrupt):
         forked = _force_chunks(monkeypatch, 2)
-        parent, tokenize = os.getpid(), croloc.terms.tokenize
+        parent, tokenize = os.getpid(), croloc.index.tokenize
 
         def interrupted(text, stemming=False):
             if os.getpid() != parent:
                 raise interrupt()
             return tokenize(text, stemming)
-        monkeypatch.setattr(croloc.terms, "tokenize", interrupted)
+        monkeypatch.setattr(croloc.index, "tokenize", interrupted)
         escaped = tmp_path / "escaped"
         try:
             with pytest.raises(interrupt):
@@ -1195,6 +1250,10 @@ class TestTracerSeam:
         located = self._trace(tmp_path, "locate", "locate", "--technique", "buglocator",
                               "--glossary", GLOSSARY, "--index", tmp_path / "index.npz",
                               "--reports", REPORTS, "--out-dir", tmp_path)
+        # index tokenizes each document once, through the same croloc.index
+        # lookup as locate; the test tree is too small to fan out.
+        documents = load_source_tree(TREE, list(cli.DEFAULT_INCLUDE)).documents
+        assert calls.get("index.tokenize") == len(documents) == 20
         assert located.get("index.tokenize"), "locate's query texts were not tokenized"
         for name, n in located.items():
             calls[name] = calls.get(name, 0) + n

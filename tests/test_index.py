@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import croloc
 import croloc.cli
-import croloc.terms
+import croloc.index
 from croloc.corpus import Language, SourceDocument
 from croloc.errors import IndexFormatError
 from croloc.index import (
@@ -165,27 +165,27 @@ class TestTokenizeOracle:
     def test_same_tokens_across_memo_clears(self, texts, bound, stemming):
         # With a memo of a few words, one text can fill it more than once;
         # each text is tokenized twice, the second time mostly from the memo.
-        memo = croloc.terms._MEMOS[stemming]
-        with mock.patch.object(croloc.terms, "_MEMO_SIZE", bound):
-            croloc.terms.clear_memo()
+        memo = croloc.index._MEMOS[stemming]
+        with mock.patch.object(croloc.index, "_MEMO_SIZE", bound):
+            croloc.index.clear_memo()
             try:
                 for text in texts + texts:
                     assert tokenize(text, stemming) == ref_tokenize(text, stemming)
                     assert len(memo) <= bound
             finally:
-                croloc.terms.clear_memo()
+                croloc.index.clear_memo()
 
     def test_index_documents_empties_the_memo(self):
         # The index command empties the memos once its corpus is tokenized;
         # build_index depends only on its arguments and leaves them alone.
         token_lists = [tokenize("getUserName"), tokenize("parsingErrors", True)]
-        filled = [dict(memo) for memo in croloc.terms._MEMOS]
+        filled = [dict(memo) for memo in croloc.index._MEMOS]
         assert all(filled)
         build_index(token_lists, ["a.java", "b.java"])
-        assert [dict(memo) for memo in croloc.terms._MEMOS] == filled
+        assert [dict(memo) for memo in croloc.index._MEMOS] == filled
         documents = [SourceDocument("A.java", Language.JAVA, b"class getUserName {}")]
         croloc.cli.index_documents(documents, False, None, None)
-        assert not any(croloc.terms._MEMOS)
+        assert not any(croloc.index._MEMOS)
 
 
 class TestWeighting:
