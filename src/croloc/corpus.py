@@ -81,22 +81,37 @@ def write_atomically(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-# The least total size of the items that makes one more process worth it. On
-# a 2-CPU VM, index translates each chunk in one batched pass and tokenizes
-# it at 0.088 us per byte of source with a cold translation cache and 0.077 us
-# with a warm one. Warm-cache index runs over the first files of perfbench's
-# seed-1 replay-warm tree, in one process and in two (medians of 12
-# alternating runs, measured while index still loaded numpy): 64 KiB 109.5 /
-# 110.8 ms, 128 KiB 117.6 / 116.0, 192 KiB 123.8 / 123.0, 256 KiB 130.7 /
-# 127.3, 384 KiB 145.4 / 137.0, and the whole 0.46 MiB 155.0 / 143.5. Two
-# processes pay off from a tree of about 128 KiB; chunks of at least 128 KiB
-# leave a margin, so 2 CPUs split a tree from 256 KiB: every test project
-# stays in one process, and both perfbench trees (0.46 and 1.16 MiB) split
-# in two.
+# The least total size of the items that makes one more process worth it,
+# with each process on a CPU of its own (see fan_out). Warm-cache index runs
+# over the first files of perfbench's seed-1 replay-warm tree on a 2-CPU VM,
+# in one process and in two (medians of 24 alternating runs): 64 KiB 73.4 /
+# 79.0 ms, 128 KiB 88.3 / 91.4, 192 KiB 101.8 / 99.5, 256 KiB 116.9 / 114.7,
+# 384 KiB 138.6 / 129.5, and the whole 0.46 MiB 147.2 / 135.5. Two processes
+# pay off from a tree of about 192 KiB (they won 17 of 24 pairs there and 6
+# at 128 KiB); chunks of at least 128 KiB leave a margin, so 2 CPUs split a
+# tree from 256 KiB: every test project stays in one process, and both
+# perfbench trees (0.46 and 1.16 MiB) split in two. Two processes sharing one
+# CPU, as they did before fan_out placed them, lost to one at every size.
 MIN_CHUNK_BYTES = 128 << 10
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_affinity(cpus: Collection[int]) -> None:
+    """Hold this process to ``cpus``, as far as the platform lets it: without
+    ``os.sched_setaffinity``, or where the kernel refuses, it stays where the
+    kernel put it."""
+    if hasattr(os, "sched_setaffinity"):
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
 
 
 def _chunks(sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -105,11 +120,7 @@ def _chunks(sizes: Sequence[int]) -> list[tuple[int, int]]:
     usable CPU, but at most one per ``MIN_CHUNK_BYTES`` of total size, at
     least one, and only one where ``os.fork`` is missing."""
     total = sum(sizes)
-    n = 1
-    if hasattr(os, "fork"):
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        n = max(1, min(cpus, total // MIN_CHUNK_BYTES))
+    n = max(1, min(_usable_cpus(), total // MIN_CHUNK_BYTES)) if hasattr(os, "fork") else 1
     # Chunk k ends at the item boundary nearest to k/n of the total.
     before = [0, *accumulate(sizes)]  # the total of the items before each boundary
     cuts = set()
@@ -130,15 +141,17 @@ def _while_parent_lives(chunk: Sequence[_T], parent: int) -> Iterator[_T]:
 
 
 def _work_in_child(work: Callable[[Iterable[_T]], _R], chunk: Sequence[_T], parent: int,
-                   pipe: int) -> NoReturn:
+                   pipe: int, cpu: int | None) -> NoReturn:
     """Send ``work`` of ``chunk``, or the exception it raised, through
-    ``pipe``, pickled, and exit. It never returns: whatever called
-    ``fan_out`` (a test runner, a tracer, atexit handlers) runs on in the
-    parent alone."""
+    ``pipe``, pickled, and exit, having run on ``cpu`` alone unless it is
+    None. It never returns: whatever called ``fan_out`` (a test runner, a
+    tracer, atexit handlers) runs on in the parent alone."""
     import pickle
 
     status = 1
     try:
+        if cpu is not None:
+            _set_affinity({cpu})
         result = error = None
         try:
             result = work(_while_parent_lives(chunk, parent))
@@ -182,6 +195,15 @@ def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
     code: a forked child has no thread but the one that forked it, so a
     numpy (BLAS) call could hang.
 
+    While the children run, this process runs on the first CPU of its
+    affinity mask alone, and each child on the next one, where one is left.
+    A kernel that balances no load, as in a cpuset with
+    ``cpuset.sched_load_balance`` 0 or on CPUs isolated with ``isolcpus``,
+    never moves a forked child off its parent's CPU, so the processes would
+    otherwise take turns on one CPU. Placing is best effort: where the
+    platform or the kernel does not allow it, a process stays where it is.
+    This process gets back the exact mask it had, however the generator ends.
+
     An exception in this process's chunk kills the children and propagates.
     One in a child's chunk is raised in its chunk's turn; one that does not
     pickle becomes a ``CrolocError`` with its message. A child that exits
@@ -194,16 +216,21 @@ def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
 
     first, *rest = _chunks(sizes) or [(0, 0)]
     parent = os.getpid()
+    mask = os.sched_getaffinity(0) if rest and hasattr(os, "sched_getaffinity") else set()
+    cpus = sorted(mask)  # chunk k runs on cpus[k], where there is one
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in chunk order
     try:
-        for start, end in rest:
+        for k, (start, end) in enumerate(rest, start=1):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _work_in_child(work, items[start:end], parent, write)
+                _work_in_child(work, items[start:end], parent, write,
+                               cpus[k] if k < len(cpus) else None)
             os.close(write)
             children.append((pid, read))
+        if mask:
+            _set_affinity({cpus[0]})
         yield work(items[first[0]:first[1]])
         while children:
             pid, read = children.pop(0)
@@ -225,6 +252,8 @@ def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
         for pid, read in children:
             os.close(read)
             _stop(pid, kill=True)
+        if mask:
+            _set_affinity(mask)
 
 
 class SourceDocument(NamedTuple):

@@ -221,6 +221,8 @@ class TranslationCache:
 
     The append handle opens on the first new entry and stays open until
     ``close()``, or the end of a ``with`` block; each ``put_many`` flushes it.
+    The file's directory is made when the cache is constructed, so that a
+    missing one cannot fail the first append, after a backend batch is paid for.
     Only the process that opened the cache writes to the file. In a process
     forked from it, new rows are held in memory instead, for ``take_held`` to
     hand back and the opener to ``adopt`` in the order it chooses.
@@ -232,6 +234,8 @@ class TranslationCache:
         self._fh: TextIO | None = None
         self._owner = os.getpid()
         self._held: list[CacheRow] = []
+        if parent := os.path.dirname(path):
+            os.makedirs(parent, exist_ok=True)
         if os.path.exists(path):
             self._load()
 

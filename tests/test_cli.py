@@ -234,6 +234,22 @@ class TestIndexCommand:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "index.notranslate.npz").exists()
 
+    def test_cache_directory_made_like_the_out_dir(self, tmp_path):
+        # The cache's directory need not exist, as --out-dir need not: both
+        # runs write the same cache and index.
+        outputs = []
+        for made in (False, True):
+            run = tmp_path / str(made)
+            run.mkdir()
+            if made:
+                (run / "newdir").mkdir()
+            result = run_cli("index", "--tree", TREE, "--glossary", GLOSSARY,
+                             "--cache", "newdir/cache.jsonl", "--out-dir", "newdir", cwd=run)
+            assert result.returncode == 0, result.stderr
+            outputs.append([(run / "newdir" / name).read_bytes()
+                            for name in ("cache.jsonl", "index.npz")])
+        assert outputs[0] == outputs[1] and outputs[0][0]
+
     def test_verbose_logs_to_stderr(self, tmp_path):
         result = run_cli(
             "index", "-v", "--tree", TREE, "--translator", "identity",
@@ -588,7 +604,7 @@ class TestImports:
 TOKENIZE_LOGGED = """
 import os, sys, croloc.corpus, croloc.index
 croloc.corpus.MIN_CHUNK_BYTES = {min_bytes}
-os.sched_getaffinity = lambda pid: {{0, 1}}
+croloc.corpus._usable_cpus = lambda: 2
 tokenize, parent = croloc.index.tokenize, os.getpid()
 
 def logged(text, stemming=False):
@@ -830,7 +846,7 @@ def _force_chunks(monkeypatch, n):
 def _counted_forks(monkeypatch, cpus):
     """Give index ``cpus`` usable CPUs. Returns the list of pids os.fork
     gives."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(croloc.corpus, "_usable_cpus", lambda: cpus)
     forked, fork = [], os.fork
 
     def counted_fork():
@@ -991,7 +1007,7 @@ class TestIndexFanOut:
     @pytest.mark.parametrize("cpus, min_bytes", [(1, 1), (2, None)],
                              ids=["one-cpu", "tree-under-the-minimum"])
     def test_no_fork(self, tmp_path, monkeypatch, cpus, min_bytes):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(croloc.corpus, "_usable_cpus", lambda: cpus)
         if min_bytes is not None:
             monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", min_bytes)
 
@@ -1004,9 +1020,9 @@ class TestIndexFanOut:
 
 # The CLI, with any tree cut into one chunk for each of two CPUs however
 # small it is, so that index runs in two processes.
-FANNED_ENTRY = ("import os, sys, croloc.corpus; from croloc.cli import main\n"
+FANNED_ENTRY = ("import sys, croloc.corpus; from croloc.cli import main\n"
                 "croloc.corpus.MIN_CHUNK_BYTES = 1\n"
-                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "croloc.corpus._usable_cpus = lambda: 2\n"
                 "sys.exit(main())")
 
 

@@ -185,7 +185,7 @@ def cpus(monkeypatch):
     monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", 1)
 
     def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(croloc.corpus, "_usable_cpus", lambda: n)
     return set_cpus
 
 
@@ -205,6 +205,13 @@ def _fork_forbidden():
 
 
 class TestFanOut:
+    @pytest.fixture(autouse=True)
+    def mask_kept(self):
+        """Each test leaves this process's CPU affinity as it found it."""
+        before = os.sched_getaffinity(0)
+        yield
+        assert os.sched_getaffinity(0) == before
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_results_come_in_item_order(self, cpus, n):
         cpus(n)
@@ -305,6 +312,59 @@ class TestFanOut:
             assert next(chunks) == [0]
         assert_no_child_left()
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_each_process_runs_on_a_cpu_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(croloc.corpus, "MIN_CHUNK_BYTES", 1)
+        usable = os.sched_getaffinity(0)
+        masks = _chunked(lambda chunk: os.sched_getaffinity(0), list(range(len(usable))))
+        assert len(masks) == len(usable)
+        assert all(len(mask) == 1 for mask in masks)
+        assert set().union(*masks) == usable
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("ending", ["all-read", "child-error", "parent-error",
+                                        "early-close"])
+    def test_mask_restored_however_it_ends(self, cpus, ending):
+        cpus(2)
+        before = os.sched_getaffinity(0)
+        parent = os.getpid()
+
+        def work(chunk):
+            if ending == ("parent-error" if os.getpid() == parent else "child-error"):
+                raise ValueError(ending)
+            return list(chunk)
+        with contextlib.closing(fan_out(work, [0, 1], [1, 1])) as chunks:
+            if ending == "all-read":
+                assert list(chunks) == [[0], [1]]
+            elif ending == "early-close":
+                assert next(chunks) == [0]
+            else:
+                with pytest.raises(ValueError, match=ending):
+                    list(chunks)
+        assert os.sched_getaffinity(0) == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("refusal", ["raises", "missing"])
+    def test_same_results_and_errors_where_placing_fails(self, cpus, monkeypatch, refusal):
+        cpus(3)
+        if refusal == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity")
+        else:
+            def refuse(pid, mask):
+                raise OSError("placing refused")
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert _chunked(_squares, list(range(11))) == [
+            [0, 1, 4, 9], [16, 25, 36], [49, 64, 81, 100]]
+        parent = os.getpid()
+        for failing in ("parent", "child"):
+            def work(chunk, failing=failing):
+                if (os.getpid() == parent) == (failing == "parent"):
+                    raise ValueError(f"{failing} failed")
+                return list(chunk)
+            with pytest.raises(ValueError, match=f"{failing} failed"):
+                _chunked(work, list(range(3)))
+        assert_no_child_left()
+
     def test_child_stops_once_its_parent_is_gone(self):
         # The parent exits during its own chunk. Its child, which takes
         # 0.5 s per item, holds the stdout pipe open until it exits, so the
@@ -313,7 +373,7 @@ class TestFanOut:
             "import os, time\n"
             "import croloc.corpus as c\n"
             "c.MIN_CHUNK_BYTES = 1\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "c._usable_cpus = lambda: 2\n"
             "parent = os.getpid()\n"
             "def work(chunk):\n"
             "    if os.getpid() == parent:\n"
