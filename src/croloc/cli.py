@@ -232,7 +232,7 @@ def index_documents(documents: Sequence[SourceDocument], stemming: bool,
 
 
 def _default_index_path(args: argparse.Namespace) -> str:
-    name = "index.notranslate.npz" if args.no_translate else "index.npz"
+    name = "index.notranslate.bin" if args.no_translate else "index.bin"
     return str(Path(args.out_dir) / name)
 
 
@@ -292,7 +292,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
         if getattr(args, "reports", None) is not None:
             reports = translate_reports(load_bug_reports(args.reports), backend, cache)
             out_path = out_dir / "reports.translated.jsonl"
-            out_dir.mkdir(parents=True, exist_ok=True)
             with write_atomically(out_path) as fh:
                 for report in reports:
                     fh.write(json.dumps(report_to_obj(report), ensure_ascii=False) + "\n")
@@ -309,7 +308,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     index = index_documents(corpus.documents, args.stemming, backend,
                             args.cache if backend is not None else None)
     out_path = args.out or _default_index_path(args)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out_path)
     log.info("indexed %d documents, %d terms -> %s",
              index.n_docs, len(index.vocabulary), out_path)
@@ -374,7 +372,6 @@ def cmd_locate(args: argparse.Namespace) -> int:
                              row[order].tolist()))
 
     out_path = args.out or _default_run_path(args)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     tag = args.tag or f"croloc-{args.technique}"
     write_run_file(out_path, rankings, tag)
     log.info("ranked %d queries over %d documents -> %s",
@@ -473,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply Porter stemming to tokens")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
     p.add_argument("-o", "--out",
-                   help="index file (default OUT_DIR/index.npz, or "
-                        "index.notranslate.npz with --no-translate)")
+                   help="index file (default OUT_DIR/index.bin, or "
+                        "index.notranslate.bin with --no-translate)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("locate", help="rank files per bug report into a run file")

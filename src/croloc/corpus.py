@@ -69,7 +69,9 @@ def write_atomically(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """A UTF-8 text handle, or a binary one, whose content replaces ``path``
     only once the block completes. It writes to a temporary file beside
     ``path``, which a failure removes, so ``path`` holds either its old or
-    all of its new content."""
+    all of its new content. It makes ``path``'s directory if need be."""
+    if parent := os.path.dirname(path):
+        os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:

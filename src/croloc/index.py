@@ -17,18 +17,16 @@ only where it makes numpy arrays.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 import re
 import sys
-import zipfile
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from importlib import resources
 from itertools import chain, pairwise
-from typing import IO, TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import check_record, write_atomically
 from .errors import IndexFormatError
@@ -114,15 +112,12 @@ def clear_memo() -> None:
 
 
 INDEX_FORMAT = "croloc-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
-# The index's arrays, each with the typecode of its elements.
+# The index's arrays, in file order, each with the typecode of its elements.
 _ARRAYS = {"indptr": "q", "indices": "q", "data": "d", "norms": "d", "term_counts": "q"}
-# The members of a saved index, in file order: UTF-8 JSON metadata as
-# bytes, then the arrays.
-_MEMBERS = {"meta": "B", **_ARRAYS}
-# The .npy type of each typecode: little-endian whatever the machine's order.
-_DESCR = {"B": "|u1", "q": "<i8", "d": "<f8"}
+# The numpy type of each typecode: little-endian whatever the machine's order.
+_DTYPES = {"q": "<i8", "d": "<f8"}
 
 
 def idf(doc_freq: int, n_docs: int) -> float:
@@ -367,13 +362,15 @@ def vectorize_query(text: str, index: Index) -> QueryVector:
 
 
 def save_index(index: Index, path: str) -> None:
-    """Write the index as the uncompressed ``np.savez`` archive of its
-    members, byte for byte, without numpy: one ``.npy`` member per array,
-    and a ``meta`` member with the format marker, version, tokenizer
-    options, paths, vocabulary and document frequencies as UTF-8 JSON. The
-    bytes depend on the index and on ``zipfile``'s framing, which differs
-    between Python versions: 3.10 writes other zip64 local headers than
-    3.11 and later. The file is replaced only once it is complete."""
+    """Write the index in format 4, without numpy. The first line is one
+    UTF-8 JSON object: the format marker, version, tokenizer options, paths,
+    vocabulary, document frequencies and ``nnz``, the number of stored
+    weights. Spaces pad it to end, with its newline, at a multiple of 8
+    bytes, so that each array after it is aligned in the file for a reader
+    that views the arrays in place over the whole file. The five arrays
+    follow in ``_ARRAYS`` order as little-endian int64 and float64 elements.
+    The bytes depend on the index alone. The file is replaced only once it
+    is complete."""
     meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -385,12 +382,13 @@ def save_index(index: Index, path: str) -> None:
         "paths": index.paths,
         "vocabulary": index.vocabulary,
         "doc_freq": index.doc_freq,
+        "nnz": len(index.buffers["indices"]),
     }
-    members = {"meta": (_DESCR["B"], json.dumps(meta, ensure_ascii=False).encode("utf-8"))}
-    members.update((name, (_DESCR[code], _little_endian(index.buffers[name], code)))
-                   for name, code in _ARRAYS.items())
+    line = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     with write_atomically(path, binary=True) as fh:
-        _write_npz(fh, members)
+        fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
+        for name, code in _ARRAYS.items():
+            fh.write(_little_endian(index.buffers[name], code))
 
 
 def _little_endian(buffer: array | np.ndarray, code: str) -> array:
@@ -404,120 +402,64 @@ def _little_endian(buffer: array | np.ndarray, code: str) -> array:
     return elements
 
 
-def _write_npz(fh: IO[bytes], members: dict[str, tuple[str, bytes | array]]) -> None:
-    """Write each member ``name: (descr, elements)``, a 1-d array of the
-    ``.npy`` type ``descr`` held as little-endian elements, as ``np.savez``
-    does: an archive of ``name.npy`` members in order, each stored
-    uncompressed with zip64 extensions, and each a ``.npy`` 1.0 header
-    followed by the elements."""
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
-        for name, (descr, elements) in members.items():
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                member.write(_npy_header(descr, len(elements)))
-                member.write(elements)
-
-
-def _npy_header(descr: str, length: int) -> bytes:
-    """The ``.npy`` 1.0 header np.save writes for a 1-d array of ``length``
-    elements of type ``descr``. Its dict literal leaves room for the length
-    to grow to 21 digits, and spaces and a newline pad the header to a
-    multiple of 64 bytes, counting the magic string, version and the
-    header's two-byte little-endian length."""
-    text = (f"{{'descr': '{descr}', 'fortran_order': False, 'shape': ({length},), }}"
-            + " " * (21 - len(str(length))))
-    text += " " * (64 - (10 + len(text) + 1) % 64) + "\n"
-    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("latin-1")
-
-
-# The element count of an .npy header as np.save writes it for a 1-d array.
-_NPY_LENGTH = re.compile(rb"\x93NUMPY\x01\x00..\{'descr': '[^']*', 'fortran_order': "
-                         rb"False, 'shape': \((\d{1,20}),\), \} *\n", re.DOTALL)
-
-
-def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """Member ``name`` as a 1-d numpy array of its type. The member must be
-    stored uncompressed, and start with the header ``_npy_header`` writes
-    for such an array, which no parser reads: it is compared with the one
-    written for the element count it states. Its data must fill exactly
-    that count, which is checked before an array of that size exists."""
-    import numpy as np
-
-    info = archive.getinfo(f"{name}.npy")
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError(f"member {name} is compressed")
-    content = archive.read(info)
-    code = _MEMBERS[name]
-    descr, itemsize = _DESCR[code], array(code).itemsize
-    match = _NPY_LENGTH.match(content)
-    length = int(match[1]) if match else 0
-    header = _npy_header(descr, length)
-    if not match or not content.startswith(header):
-        raise ValueError(f"member {name} is not a 1-d {descr} array in .npy format 1.0")
-    if len(content) - len(header) != length * itemsize:
-        raise ValueError(f"member {name} declares {length} elements "
-                         f"but holds {len(content) - len(header)} bytes")
-    return np.frombuffer(content, dtype=descr, offset=len(header))
-
-
-# The tokenizer options in an index's meta member, each a ``typed`` kind.
+# The tokenizer options in an index's metadata, each a ``typed`` kind.
 _OPTIONS = {"stemming": bool, "min_token_length": int, "stopwords": list}
+_REBUILD = "an index written by another croloc version must be rebuilt with 'croloc index'"
 
 
 def load_index(path: str) -> Index:
     """Read an index written by ``save_index``. Anything that is not such a
-    file, or whose content could not rank correctly, raises
-    ``IndexFormatError``; nothing is unpickled."""
-    # Read whole, so that no size a member states makes zipfile read more.
+    file, or whose body could not rank correctly, raises
+    ``IndexFormatError``."""
+    # The arrays are views of the bytes after the line, which the index
+    # keeps without the line's.
     with open(path, "rb") as fh:
-        content = fh.read()
+        line, body = fh.readline(), fh.read()
     try:
-        archive = zipfile.ZipFile(io.BytesIO(content))
-    except zipfile.BadZipFile as exc:
+        if not line.endswith(b"\n"):
+            raise ValueError("no metadata line")
+        meta = json.loads(line.decode("utf-8"))
+    # json.loads raises RecursionError for JSON nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise IndexFormatError(
-            f"{path}: not a {INDEX_FORMAT} version {INDEX_VERSION} file ({exc}); "
-            "an index written by an older croloc must be rebuilt with 'croloc index'"
+            f"{path}: not a {INDEX_FORMAT} version {INDEX_VERSION} file ({exc}); {_REBUILD}"
         ) from exc
-    # A central directory that states a zip version zipfile cannot read, or
-    # a UTF-8 name that does not decode.
-    except (NotImplementedError, ValueError) as exc:
-        raise IndexFormatError(f"{path}: malformed index payload: {exc}") from exc
-    try:
-        names = archive.namelist()
-        if names != [f"{name}.npy" for name in _MEMBERS]:
-            raise ValueError(f"members {names}, expected {list(_MEMBERS)} as .npy")
-        meta = json.loads(_read_member(archive, "meta").tobytes().decode("utf-8"))
-        if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
-            raise IndexFormatError(f"{path}: not a {INDEX_FORMAT} file")
-        if meta.get("version") != INDEX_VERSION:
-            raise IndexFormatError(
-                f"{path}: unsupported index version {meta.get('version')!r}"
-            )
-        where = f"{path}: malformed index payload: meta"
-        options = check_record(meta.get("options"), _OPTIONS, _OPTIONS, IndexFormatError,
-                               f"{where} options")
-        if (options["min_token_length"] != MIN_TOKEN_LENGTH
-                or set(options["stopwords"]) != STOPWORDS):
-            raise IndexFormatError(
-                f"{path}: built with a minimum token length or stop list other than "
-                "croloc's own; rebuild it with 'croloc index'")
-        lists = check_record(meta, {"paths": list, "vocabulary": list},
-                             ("paths", "vocabulary"), IndexFormatError, where)
-        doc_freq = meta.get("doc_freq")
-        if not (isinstance(doc_freq, list) and all(type(df) is int for df in doc_freq)):
-            raise IndexFormatError(f"{where}: doc_freq must be a list of integers")
-        index = Index(
-            options["stemming"],
-            tuple(lists["paths"]),
-            tuple(lists["vocabulary"]),
-            tuple(doc_freq),
-            *(_read_member(archive, name) for name in _ARRAYS),
-        )
-    # zipfile raises RuntimeError for an encrypted member and
-    # NotImplementedError for one it cannot unpack; json.loads raises
-    # RecursionError, a RuntimeError, for JSON nested too deep.
-    except (zipfile.BadZipFile, EOFError, RuntimeError, NotImplementedError, KeyError,
-            TypeError, ValueError, OverflowError) as exc:
-        raise IndexFormatError(f"{path}: malformed index payload: {exc}") from exc
+    if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
+        raise IndexFormatError(f"{path}: not a {INDEX_FORMAT} file")
+    if meta.get("version") != INDEX_VERSION:
+        raise IndexFormatError(
+            f"{path}: unsupported index version {meta.get('version')!r}; {_REBUILD}")
+    where = f"{path}: malformed index payload: meta"
+    options = check_record(meta.get("options"), _OPTIONS, _OPTIONS, IndexFormatError,
+                           f"{where} options")
+    if options["min_token_length"] != MIN_TOKEN_LENGTH or set(options["stopwords"]) != STOPWORDS:
+        raise IndexFormatError(
+            f"{path}: built with a minimum token length or stop list other than "
+            "croloc's own; rebuild it with 'croloc index'")
+    fields = check_record(meta, {"paths": list, "vocabulary": list, "nnz": int},
+                          ("paths", "vocabulary", "nnz"), IndexFormatError, where)
+    doc_freq = meta.get("doc_freq")
+    if not (isinstance(doc_freq, list) and all(type(df) is int for df in doc_freq)):
+        raise IndexFormatError(f"{where}: doc_freq must be a list of integers")
+    n_docs, nnz = len(fields["paths"]), fields["nnz"]
+    if nnz < 0:
+        raise IndexFormatError(f"{where}: nnz must not be negative")
+    # Checked before any array exists, so that no stated size allocates.
+    lengths = {"indptr": n_docs + 1, "indices": nnz, "data": nnz,
+               "norms": n_docs, "term_counts": n_docs}
+    expected = 8 * sum(lengths.values())
+    if len(body) != expected:
+        raise IndexFormatError(
+            f"{path}: {len(body)} bytes after the metadata line, expected "
+            f"{expected} for {n_docs} paths and {nnz} stored weights")
+    import numpy as np
+
+    arrays, start = [], 0
+    for name, code in _ARRAYS.items():
+        arrays.append(np.frombuffer(body, _DTYPES[code], lengths[name], start))
+        start += 8 * lengths[name]
+    index = Index(options["stemming"], tuple(fields["paths"]), tuple(fields["vocabulary"]),
+                  tuple(doc_freq), *arrays)
     problem = _array_problem(index)
     if problem:
         raise IndexFormatError(f"{path}: {problem}")
@@ -539,10 +481,6 @@ def _array_problem(index: Index) -> str | None:
         return "doc_freq length does not match vocabulary size"
     if n_terms and not 1 <= min(index.doc_freq) <= max(index.doc_freq) <= n_docs:
         return "document frequency outside 1..number of documents"
-    if not (len(indptr) == n_docs + 1 and len(index.norms) == len(index.term_counts) == n_docs):
-        return "indptr, norms or term_counts length does not match the path count"
-    if len(data) != len(indices):
-        return "data and indices differ in length"
     if indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
         return "indptr must rise from 0 to the number of stored weights"
     if indices.size and (indices.min() < 0 or indices.max() >= n_terms):

@@ -117,6 +117,12 @@ class TestExtract:
         first = json.loads(result.stdout.splitlines()[0])
         assert "byte_start" in first
 
+    def test_out_directory_is_made(self, tmp_path):
+        result = run_cli("extract", "--tree", TREE, "-o", "new2/x.jsonl", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        stdout = run_cli("extract", "--tree", TREE, cwd=tmp_path).stdout
+        assert (tmp_path / "new2" / "x.jsonl").read_text(encoding="utf-8") == stdout
+
     def test_missing_tree_is_config_error(self, tmp_path):
         result = run_cli("extract", cwd=tmp_path)
         assert result.returncode == 1
@@ -224,7 +230,7 @@ class TestIndexCommand:
             "--out-dir", tmp_path, cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "index.npz").exists()
+        assert (tmp_path / "index.bin").exists()
 
     def test_no_translate_artifact_name(self, tmp_path):
         result = run_cli(
@@ -232,7 +238,7 @@ class TestIndexCommand:
             "--out-dir", tmp_path, cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "index.notranslate.npz").exists()
+        assert (tmp_path / "index.notranslate.bin").exists()
 
     def test_cache_directory_made_like_the_out_dir(self, tmp_path):
         # The cache's directory need not exist, as --out-dir need not: both
@@ -247,7 +253,7 @@ class TestIndexCommand:
                              "--cache", "newdir/cache.jsonl", "--out-dir", "newdir", cwd=run)
             assert result.returncode == 0, result.stderr
             outputs.append([(run / "newdir" / name).read_bytes()
-                            for name in ("cache.jsonl", "index.npz")])
+                            for name in ("cache.jsonl", "index.bin")])
         assert outputs[0] == outputs[1] and outputs[0][0]
 
     def test_verbose_logs_to_stderr(self, tmp_path):
@@ -270,7 +276,7 @@ class TestIndexCommand:
 class TestLocateCommand:
     def test_buglocator_run_file(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--translator", "glossary", "--glossary", GLOSSARY,
             "--technique", "buglocator", "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -291,7 +297,7 @@ class TestLocateCommand:
 
     def test_no_translate_artifact_name(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--no-translate", "--technique", "vsm",
             "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -300,7 +306,7 @@ class TestLocateCommand:
 
     def test_query_subset(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--translator", "glossary", "--glossary", GLOSSARY,
             "--technique", "vsm", "--query", "SHOP-101",
             "--out-dir", tmp_path, cwd=tmp_path,
@@ -311,7 +317,7 @@ class TestLocateCommand:
 
     def test_repeated_query_ranked_once(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--translator", "glossary", "--glossary", GLOSSARY,
             "--technique", "vsm", "--query", "SHOP-102", "--query", "SHOP-101",
             "--query", "SHOP-102", "--out-dir", tmp_path, cwd=tmp_path,
@@ -322,7 +328,7 @@ class TestLocateCommand:
 
     def test_unknown_query_id(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--technique", "vsm", "--query", "SHOP-999",
             "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -331,7 +337,7 @@ class TestLocateCommand:
 
     def test_bad_technique_is_usage_error(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--technique", "pagerank", cwd=tmp_path,
         )
         assert result.returncode == 2
@@ -339,7 +345,7 @@ class TestLocateCommand:
 
     def test_custom_tag(self, built, tmp_path):
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--no-translate", "--technique", "vsm", "--tag", "exp7",
             "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -360,7 +366,7 @@ class TestGoldenRuns:
     def test_run_file_matches_golden(self, built, tmp_path, technique):
         out = tmp_path / f"run.{technique}.trec"
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--glossary", GLOSSARY, "--technique", technique, "-o", out,
             cwd=tmp_path,
         )
@@ -376,7 +382,7 @@ class TestGoldenRuns:
         for technique in ("vsm", "rvsm", "buglocator"):
             out = tmp_path / f"run.{technique}.trec"
             assert cli.main([str(a) for a in (
-                "locate", "--index", built / "index.npz", "--reports", REPORTS,
+                "locate", "--index", built / "index.bin", "--reports", REPORTS,
                 "--glossary", GLOSSARY, "--technique", technique, "-o", out)]) == 0
             golden = FIXTURES / "golden" / f"run.{technique}.trec"
             assert out.read_bytes() == golden.read_bytes()
@@ -387,8 +393,8 @@ class TestGoldenRuns:
         result = run_cli("index", "--tree", TREE, "--no-translate", "--out-dir", tmp_path,
                          cwd=tmp_path)
         assert result.returncode == 0, result.stderr
-        written = {"index.npz": built / "index.npz",
-                   "index.notranslate.npz": tmp_path / "index.notranslate.npz"}
+        written = {"index.bin": built / "index.bin",
+                   "index.notranslate.bin": tmp_path / "index.notranslate.bin"}
         golden = (FIXTURES / "golden" / "index.sha256").read_text(encoding="utf-8")
         for line in golden.splitlines():
             digest, name = line.split()
@@ -422,7 +428,7 @@ class TestInputOrder:
             reports.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
                                        for r in records), encoding="utf-8")
             assert cli.main([str(a) for a in (
-                "locate", "--index", built / "index.npz", "--reports", reports,
+                "locate", "--index", built / "index.bin", "--reports", reports,
                 "--glossary", GLOSSARY, "--technique", "buglocator", "-o", run)]) == 0
             blocks.append(_blocks(run))
         assert len(blocks[0]) > 4 and blocks[1] == blocks[0] and blocks[2] == blocks[0]
@@ -444,7 +450,7 @@ class TestInputOrder:
             reports.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
                                        for r in records + extra), encoding="utf-8")
             assert cli.main([str(a) for a in (
-                "locate", "--index", built / "index.npz", "--reports", reports,
+                "locate", "--index", built / "index.bin", "--reports", reports,
                 "--glossary", GLOSSARY, "--technique", "buglocator",
                 "--query", "SHOP-109", "--query", "SHOP-190", "-o", run)]) == 0
             blocks.append(_blocks(run))
@@ -457,7 +463,7 @@ class TestInputOrder:
         patterns = ("**/*.java", "src/shop/Order*.java", "**/*.cs")
         written = set()
         for i, order in enumerate(itertools.permutations(patterns)):
-            out = tmp_path / f"index.{i}.npz"
+            out = tmp_path / f"index.{i}.bin"
             includes = [a for pattern in order for a in ("--include", pattern)]
             assert cli.main([str(a) for a in (
                 "index", "--tree", TREE, "--glossary", GLOSSARY, *includes, "-o", out)]) == 0
@@ -517,7 +523,7 @@ DATACLASS_FREE = {
          "--out-dir", d)),
     "locate": lambda d: _runs(
         ("index", "--tree", TREE, "--glossary", GLOSSARY, "--out-dir", d),
-        ("locate", "--index", d / "index.npz", "--reports", REPORTS, "--glossary", GLOSSARY,
+        ("locate", "--index", d / "index.bin", "--reports", REPORTS, "--glossary", GLOSSARY,
          "--cache", d / "cache.jsonl", "--out-dir", d)),
 }
 
@@ -579,7 +585,7 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
                                 env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "index.npz").is_file()
+        assert (tmp_path / "index.bin").is_file()
         calls = log.read_text("utf-8").splitlines()
         assert sorted(set(calls)) == (["child no-numpy", "parent no-numpy"] if chunks == 2
                                       else ["parent no-numpy"])
@@ -652,7 +658,7 @@ class TestBlasThreads:
                                                       expected):
         log = tmp_path / "blas_threads.txt"
         code = BLAS_THREADS_LOGGED.format(log=str(log)) + _runs(
-            ("locate", "--index", built / "index.npz", "--reports", REPORTS,
+            ("locate", "--index", built / "index.bin", "--reports", REPORTS,
              "--glossary", GLOSSARY, "--cache", tmp_path / "cache.jsonl",
              "--out-dir", tmp_path))
         env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
@@ -873,7 +879,7 @@ class TestIndexFanOut:
             cache = tmp_path / f"cache{n}.jsonl"
             runs = []
             for temperature in ("cold", "warm"):
-                out = tmp_path / f"{temperature}{n}.npz"
+                out = tmp_path / f"{temperature}{n}.bin"
                 assert self._index(small_project.tree, small_project.glossary, cache, out) == 0
                 runs += [cache.read_bytes(), out.read_bytes()]
             assert len(forked) == 2 * (n - 1)
@@ -891,7 +897,7 @@ class TestIndexFanOut:
         # batches that returned before it, in chunk order, and a rerun writes
         # the clean run's bytes.
         forked = _force_chunks(monkeypatch, chunks)
-        clean_cache, clean_index = tmp_path / "clean.jsonl", tmp_path / "clean.npz"
+        clean_cache, clean_index = tmp_path / "clean.jsonl", tmp_path / "clean.bin"
         assert self._index(small_project.tree, small_project.glossary,
                            clean_cache, clean_index) == 0
         parent, logs = os.getpid(), tmp_path / "batches"
@@ -910,7 +916,7 @@ class TestIndexFanOut:
         monkeypatch.setattr(croloc.translate.GlossaryBackend, "translate_batch",
                             second_batch_fails)
         forked.clear()
-        cache, out = tmp_path / "cache.jsonl", tmp_path / "index.npz"
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "index.bin"
         assert self._index(small_project.tree, small_project.glossary, cache, out) == 1
         assert capsys.readouterr().err == "error: batch 2 refused\n"
         assert len(forked) == chunks - 1 and not out.exists()
@@ -958,7 +964,7 @@ class TestIndexFanOut:
             for recorded in (caches, loaded, at_tokenize):
                 recorded.clear()
             assert self._index(small_project.tree, small_project.glossary,
-                               tmp_path / "cache.jsonl", tmp_path / f"{temperature}.npz") == 0
+                               tmp_path / "cache.jsonl", tmp_path / f"{temperature}.bin") == 0
             assert len(caches) == 1 and at_tokenize[0] == [0]
         assert loaded[0] > 0, "the warm run loaded no cache entries"
         assert forked == []
@@ -978,7 +984,7 @@ class TestIndexFanOut:
         try:
             with pytest.raises(interrupt):
                 self._index(small_project.tree, small_project.glossary,
-                            tmp_path / "cache.jsonl", tmp_path / "index.npz")
+                            tmp_path / "cache.jsonl", tmp_path / "index.bin")
         finally:
             if os.getpid() != parent:
                 escaped.write_text("a child came back out of main", encoding="utf-8")
@@ -1000,7 +1006,7 @@ class TestIndexFanOut:
         assert sum(f.stat().st_size for f in tree.iterdir()) == size
         forked = _counted_forks(monkeypatch, 2)
         assert cli.main(["index", "--tree", str(tree), "--no-translate",
-                         "-o", str(tmp_path / "index.npz")]) == 0
+                         "-o", str(tmp_path / "index.bin")]) == 0
         assert len(forked) == processes - 1
         assert_no_child_left()
 
@@ -1015,7 +1021,7 @@ class TestIndexFanOut:
             raise AssertionError("os.fork called")
         monkeypatch.setattr(os, "fork", fork)
         assert self._index(TREE, GLOSSARY, tmp_path / "cache.jsonl",
-                           tmp_path / "index.npz") == 0
+                           tmp_path / "index.bin") == 0
 
 
 # The CLI, with any tree cut into one chunk for each of two CPUs however
@@ -1132,7 +1138,7 @@ class TestKilledRuns:
         assert killed, "every run ended before its kill"
 
     def test_index_and_locate_killed_at_seeded_points(self, small_project, tmp_path):
-        cache, index, run = tmp_path / "cache.jsonl", tmp_path / "index.npz", tmp_path / "run"
+        cache, index, run = tmp_path / "cache.jsonl", tmp_path / "index.bin", tmp_path / "run"
         common = ["--glossary", small_project.glossary, "--cache", cache]
         self._check(tmp_path, "index", ["index", "--tree", small_project.tree, *common,
                                         "-o", index], [index], cache)
@@ -1143,7 +1149,7 @@ class TestKilledRuns:
         # Under ENTRY, index keeps a tree this small in one process.
         assert sum(f.stat().st_size for f in small_project.tree.rglob("*")
                    if f.is_file()) < croloc.corpus.MIN_CHUNK_BYTES
-        index, run = tmp_path / "index.npz", tmp_path / "run"
+        index, run = tmp_path / "index.bin", tmp_path / "run"
         qrels, report = tmp_path / "qrels", tmp_path / "eval.json"
         # Each command that writes a cache starts from none.
         index_cache, translate_cache = tmp_path / "index.jsonl", tmp_path / "translate.jsonl"
@@ -1210,16 +1216,16 @@ class TestServiceRequests:
             ref_translate_report(r, needed_by_reports)
         croloc.index.save_index(croloc.index.build_index(
             [croloc.index.tokenize(d.raw_text) for d in ref_docs], [d.path for d in documents],
-            False), oracle / "index.npz")
+            False), oracle / "index.bin")
         ref_translated = "".join(json.dumps(report_to_obj(r), ensure_ascii=False) + "\n"
                                  for r in ref_reports)
         (oracle / "reports.jsonl").write_text(ref_translated, encoding="utf-8")
-        assert cli.main(["locate", "--index", str(oracle / "index.npz"), "--reports",
+        assert cli.main(["locate", "--index", str(oracle / "index.bin"), "--reports",
                          str(oracle / "reports.jsonl"), "--translator", "identity",
                          "-o", str(oracle / "run")]) == 0
 
         url, seen = service(["echo"])
-        cache, index, run, out = (tmp_path / name for name in ("cache.jsonl", "index.npz",
+        cache, index, run, out = (tmp_path / name for name in ("cache.jsonl", "index.bin",
                                                                 "run", "out"))
         common = ["--translator", "service", "--service-url", url, "--cache", str(cache)]
         commands = [
@@ -1239,7 +1245,7 @@ class TestServiceRequests:
             assert len(sent) == len(set(sent)) and set(sent) == misses
             assert len(seen) == math.ceil(len(misses) / BATCH_SIZE)
         assert misses == set() and seen == []  # translate found every report cached
-        assert index.read_bytes() == (oracle / "index.npz").read_bytes()
+        assert index.read_bytes() == (oracle / "index.bin").read_bytes()
         assert run.read_bytes() == (oracle / "run").read_bytes()
         assert (out / "reports.translated.jsonl").read_text("utf-8") == ref_translated
         assert cache.read_bytes() == (oracle / "cache.jsonl").read_bytes()
@@ -1264,7 +1270,7 @@ class TestTracerSeam:
         calls = self._trace(tmp_path, "index", "index", "--tree", TREE,
                             "--glossary", GLOSSARY, "--out-dir", tmp_path)
         located = self._trace(tmp_path, "locate", "locate", "--technique", "buglocator",
-                              "--glossary", GLOSSARY, "--index", tmp_path / "index.npz",
+                              "--glossary", GLOSSARY, "--index", tmp_path / "index.bin",
                               "--reports", REPORTS, "--out-dir", tmp_path)
         # index tokenizes each document once, through the same croloc.index
         # lookup as locate; the test tree is too small to fan out.
@@ -1386,11 +1392,18 @@ class TestQrelsCommand:
         assert out.exists()
         assert not result.stdout.strip()
 
+    def test_out_directory_is_made(self, tmp_path):
+        args = ("qrels", "--reports", REPORTS, "--commit-log", COMMITS)
+        result = run_cli(*args, "-o", "new/q.txt", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        stdout = run_cli(*args, cwd=tmp_path).stdout
+        assert (tmp_path / "new" / "q.txt").read_text(encoding="utf-8") == stdout
+
 
 class TestEvalCommand:
     def _locate(self, built, tmp_path, technique="buglocator"):
         result = run_cli(
-            "locate", "--index", built / "index.npz", "--reports", REPORTS,
+            "locate", "--index", built / "index.bin", "--reports", REPORTS,
             "--translator", "glossary", "--glossary", GLOSSARY,
             "--technique", technique, "--out-dir", tmp_path, cwd=tmp_path,
         )
@@ -1419,6 +1432,13 @@ class TestEvalCommand:
         payload = json.loads(json_path.read_text(encoding="utf-8"))
         assert payload["mode"] == "direct+indirect"
         assert 0.0 < payload["map"] <= 1.0
+        assert payload["queries_evaluated"] > 0
+
+    def test_json_directory_is_made(self, built, tmp_path):
+        result = run_cli("eval", "--run", GOLDEN_RUN, "--qrels", built / "qrels.txt",
+                         "--json", "new3/e.json", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((tmp_path / "new3" / "e.json").read_text(encoding="utf-8"))
         assert payload["queries_evaluated"] > 0
 
     def test_run_with_a_byte_order_mark(self, tmp_path):
@@ -1454,7 +1474,7 @@ class TestConfigFile:
         }), encoding="utf-8")
         result = run_cli("index", "--config", cfg, cwd=tmp_path)
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "index.npz").exists()
+        assert (tmp_path / "index.bin").exists()
 
     def test_flag_overrides_config(self, built, tmp_path):
         cfg = tmp_path / "croloc.json"
@@ -1464,7 +1484,7 @@ class TestConfigFile:
             "out_dir": str(tmp_path),
         }), encoding="utf-8")
         result = run_cli(
-            "locate", "--config", cfg, "--index", built / "index.npz",
+            "locate", "--config", cfg, "--index", built / "index.bin",
             "--no-translate", "--technique", "rvsm", cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
@@ -1536,7 +1556,7 @@ class TestFullPipeline:
             ("index", "--tree", TREE, "--translator", "glossary",
              "--glossary", GLOSSARY, "--cache", tmp_path / "cache.jsonl",
              "--out-dir", tmp_path),
-            ("locate", "--index", tmp_path / "index.npz", "--reports", REPORTS,
+            ("locate", "--index", tmp_path / "index.bin", "--reports", REPORTS,
              "--translator", "glossary", "--glossary", GLOSSARY,
              "--cache", tmp_path / "cache.jsonl",
              "--technique", "buglocator", "--out-dir", tmp_path),

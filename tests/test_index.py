@@ -13,13 +13,11 @@ import sys
 import tempfile
 import time
 import tracemalloc
-import zipfile
-from array import array
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from numpy.lib import format as npy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,9 +30,6 @@ from croloc.index import (
     MIN_TOKEN_LENGTH,
     STOPWORDS,
     Index,
-    _little_endian,
-    _read_member,
-    _write_npz,
     build_index,
     idf,
     load_index,
@@ -347,35 +342,53 @@ class TestCsr:
         assert first[0] is second[0]
 
 
-def _read_payload(path) -> dict:
-    """A saved index as one dict: the fields of its meta member's JSON,
-    then each array member as a writable array."""
-    with zipfile.ZipFile(path) as archive:
-        members = {name.removesuffix(".npy"): np.load(io.BytesIO(archive.read(name))).copy()
-                   for name in archive.namelist()}
-    return {**json.loads(members.pop("meta").tobytes().decode("utf-8")), **members}
+# Each array of a saved index in file order, with its numpy type.
+_DTYPES = {"indptr": "<i8", "indices": "<i8", "data": "<f8", "norms": "<f8",
+           "term_counts": "<i8"}
 
 
-def _write_payload(path, payload, savez=np.savez) -> None:
-    """Write a payload as ``_read_payload`` returns it: its non-array fields
-    as the meta member, then its arrays, each as a member of its own."""
-    meta = {k: v for k, v in payload.items() if not isinstance(v, np.ndarray)}
-    members = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-    members.update((k, v) for k, v in payload.items() if isinstance(v, np.ndarray))
-    with open(path, "wb") as fh:
-        savez(fh, **members)
+def _member_bytes(content: bytes) -> dict[str, bytes]:
+    """A saved index's bytes cut into its metadata line (``meta``) and the
+    bytes of each array, as its nnz and path count place them."""
+    start = content.index(b"\n") + 1
+    meta = json.loads(content[:start])
+    n_docs, nnz = len(meta["paths"]), meta["nnz"]
+    members = {"meta": content[:start]}
+    for name, length in zip(_DTYPES, (n_docs + 1, nnz, nnz, n_docs, n_docs)):
+        members[name] = content[start:start + 8 * length]
+        start += 8 * length
+    assert start == len(content)
+    return members
 
 
 def _write_members(path, members: dict[str, bytes]) -> None:
-    """A zip of raw members, stored uncompressed, as np.savez lays them out."""
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, content in members.items():
-            archive.writestr(name, content)
+    """The members, as ``_member_bytes`` cuts them, one after another."""
+    Path(path).write_bytes(b"".join(members.values()))
 
 
-def _member_bytes(path) -> dict[str, bytes]:
-    with zipfile.ZipFile(path) as archive:
-        return {name: archive.read(name) for name in archive.namelist()}
+def _read_payload(path) -> dict:
+    """A saved index as one dict: the fields of its metadata line, then
+    each array as a writable array."""
+    members = _member_bytes(Path(path).read_bytes())
+    return {**json.loads(members.pop("meta")),
+            **{name: np.frombuffer(members[name], _DTYPES[name]).copy() for name in _DTYPES}}
+
+
+def _array_bytes(values: np.ndarray) -> bytes:
+    """An array's elements as raw bytes; an array of Python objects, which
+    has none, as the text of its elements."""
+    return repr(values.tolist()).encode() if values.dtype.hasobject else values.tobytes()
+
+
+def _write_payload(path, payload) -> None:
+    """Write a payload as ``_read_payload`` returns it: its non-array fields
+    as the metadata line, padded as ``save_index`` pads it, then the bytes
+    of its arrays, in its order. Non-ASCII characters in the line are
+    escaped, so that a lone surrogate can be written."""
+    line = json.dumps({k: v for k, v in payload.items()
+                       if not isinstance(v, np.ndarray)}).encode("utf-8")
+    _write_members(path, {"meta": line + b" " * (-(len(line) + 1) % 8) + b"\n", **{
+        k: _array_bytes(v) for k, v in payload.items() if isinstance(v, np.ndarray)}})
 
 
 class TestPersistence:
@@ -388,25 +401,25 @@ class TestPersistence:
 
     def test_round_trip_equality(self, tmp_path):
         index = self._index()
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index, target)
         loaded = load_index(target)
         assert loaded == index
         assert loaded.stemming is True
 
     def test_bytes_equal_one_json_dump_of_the_payload(self, tmp_path):
-        # The meta member holds one JSON dump of the payload; the file is
-        # np.savez of that member and the arrays, in that order.
+        # The first line holds one JSON dump of the metadata, padded with
+        # spaces to a multiple of 8 bytes; the arrays' bytes follow in order.
         index = index_texts(
             ["cache miss rate", "order total", "キャッシュ miss \"quoted\"", ""],
             ["a.java", "dir/在庫.java", "c.java", "d.java"],
             stemming=True,
         )
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index, target)
         payload = {
             "format": "croloc-index",
-            "version": 3,
+            "version": 4,
             "options": {
                 "stemming": True,
                 "min_token_length": 2,
@@ -415,62 +428,62 @@ class TestPersistence:
             "paths": list(index.paths),
             "vocabulary": list(index.vocabulary),
             "doc_freq": list(index.doc_freq),
+            "nnz": len(index.indices),
         }
-        meta = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        expected = io.BytesIO()
-        np.savez(expected, meta=np.frombuffer(meta, dtype=np.uint8),
-                 **{name: getattr(index, name) for name in ARRAY_NAMES})
-        assert target.read_bytes() == expected.getvalue()
+        line = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        padding = b" " * (-(len(line) + 1) % 8)
+        expected = line + padding + b"\n" + b"".join(
+            getattr(index, name).astype(dtype).tobytes() for name, dtype in _DTYPES.items())
+        assert target.read_bytes() == expected
+        assert len(padding) < 8 and (len(line) + len(padding) + 1) % 8 == 0
 
     def test_round_trip_preserves_scores(self, tmp_path):
         index = self._index()
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index, target)
         loaded = load_index(target)
         qv_a = vectorize_query("cache miss", index)
         qv_b = vectorize_query("cache miss", loaded)
         assert qv_a.weights == qv_b.weights
 
-    def test_file_is_npz_with_format_marker(self, tmp_path):
+    def test_file_is_one_json_line_then_the_arrays(self, tmp_path):
         index = self._index()
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index, target)
-        with zipfile.ZipFile(target) as archive:
-            assert archive.namelist() == [f"{n}.npy" for n in ("meta", *ARRAY_NAMES)]
-            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
-        with np.load(target, allow_pickle=False) as saved:
-            payload = json.loads(saved["meta"].tobytes().decode("utf-8"))
-            assert payload["format"] == "croloc-index"
-            assert payload["version"] == 3
-            assert saved["indptr"].dtype == np.dtype("<i8")
-            assert saved["indptr"].tolist() == index.indptr.tolist()
-            assert saved["data"].dtype == np.dtype("<f8")
-            assert saved["data"].tolist() == index.data.tolist()
+        content = target.read_bytes()
+        start = content.index(b"\n") + 1
+        assert start % 8 == 0
+        payload = json.loads(content[:start].decode("utf-8"))
+        assert payload["format"] == "croloc-index"
+        assert payload["version"] == 4
+        assert payload["nnz"] == len(index.indices) > 0
+        n_docs, nnz = index.n_docs, payload["nnz"]
+        assert len(content) - start == 8 * (3 * n_docs + 1 + 2 * nnz)
+        indptr = np.frombuffer(content, "<i8", n_docs + 1, start)
+        data = np.frombuffer(content, "<f8", nnz, start + 8 * (n_docs + 1 + nnz))
+        assert indptr.tolist() == index.indptr.tolist()
+        assert data.tolist() == index.data.tolist()
 
     def test_load_rejects_bad_json(self, tmp_path):
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(self._index(), target)
-        members = _member_bytes(target)
-        buffer = io.BytesIO()
-        np.save(buffer, np.frombuffer(b"{not json", dtype=np.uint8))
-        members["meta.npy"] = buffer.getvalue()
+        members = _member_bytes(target.read_bytes())
+        members["meta"] = b"{not json\n"
         _write_members(target, members)
-        with pytest.raises(IndexFormatError, match="malformed index payload"):
+        with pytest.raises(IndexFormatError, match="not a croloc-index version 4 file"):
             load_index(target)
 
     def test_load_rejects_json_nested_too_deep(self, tmp_path):
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(self._index(), target)
-        members = _member_bytes(target)
-        buffer = io.BytesIO()
-        np.save(buffer, np.frombuffer(b"[" * 100_000, dtype=np.uint8))
-        members["meta.npy"] = buffer.getvalue()
+        members = _member_bytes(target.read_bytes())
+        members["meta"] = b"[" * 100_000 + b"\n"
         _write_members(target, members)
-        with pytest.raises(IndexFormatError, match="malformed index payload"):
+        with pytest.raises(IndexFormatError, match="not a croloc-index version 4 file"):
             load_index(target)
 
     def test_load_rejects_wrong_format(self, tmp_path):
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(self._index(), target)
         payload = _read_payload(target)
         payload["format"] = "other"
@@ -480,17 +493,17 @@ class TestPersistence:
 
     def test_load_rejects_wrong_version(self, tmp_path):
         index = self._index()
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index, target)
         payload = _read_payload(target)
-        for version in (1, 2, 99):  # 1 and 2 are the retired JSON formats
+        for version in (1, 2, 3, 99):  # 1 to 3 are the retired formats
             payload["version"] = version
             _write_payload(target, payload)
             with pytest.raises(IndexFormatError, match="unsupported index version"):
                 load_index(target)
 
     def test_load_rejects_malformed_payload(self, tmp_path):
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(self._index(), target)
         payload = _read_payload(target)
         del payload["vocabulary"]
@@ -500,18 +513,20 @@ class TestPersistence:
 
     def test_load_rejects_vector_count_mismatch(self, tmp_path):
         """A matrix one row short of the paths, consistent otherwise."""
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(self._index(), target)
         payload = _read_payload(target)
         nnz = payload["indptr"][-2]
+        payload["nnz"] = int(nnz)
         payload["indptr"] = payload["indptr"][:-1]
         payload["indices"] = payload["indices"][:nnz]
         payload["data"] = payload["data"][:nnz]
         payload["norms"] = payload["norms"][:-1]
         payload["term_counts"] = payload["term_counts"][:-1]
         _write_payload(target, payload)
-        with pytest.raises(IndexFormatError, match="path count"):
+        with pytest.raises(IndexFormatError, match="for 3 paths") as exc:
             load_index(target)
+        assert str(exc.value).startswith(f"{target}: ")
 
 
 # The index file as format 2 wrote it: one JSON object.
@@ -523,10 +538,16 @@ _V2_INDEX = json.dumps({
 }) + "\n"
 
 
-def _npy_header(descr: str, shape: tuple) -> bytes:
+def _v3_index(index: Index) -> bytes:
+    """The index as format 3 wrote it: the np.savez zip of a JSON meta
+    member and the arrays."""
+    meta = {"format": "croloc-index", "version": 3,
+            "options": {"stemming": index.stemming, "min_token_length": MIN_TOKEN_LENGTH,
+                        "stopwords": sorted(STOPWORDS)},
+            "paths": index.paths, "vocabulary": index.vocabulary, "doc_freq": index.doc_freq}
     buffer = io.BytesIO()
-    npy.write_array_header_1_0(buffer, {"descr": descr, "fortran_order": False,
-                                        "shape": shape})
+    np.savez(buffer, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+             **{name: getattr(index, name) for name in ARRAY_NAMES})
     return buffer.getvalue()
 
 
@@ -535,20 +556,40 @@ class TestLoadHardening:
     IndexFormatError that names them, and nothing is unpickled."""
 
     def _saved(self, tmp_path):
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index_texts(["cache miss rate", "order total"],
                                ["a.java", "b.java"]), target)
         return target
 
     @pytest.mark.parametrize("content", [b"", b"\xff\xfe not utf-8 \x80\n", b"PK\x03\x04",
-                                         b"\x93NUMPY"], ids=["empty", "not-utf8", "zip-magic",
-                                                             "npy-magic"])
-    def test_not_a_zip(self, tmp_path, content):
-        target = tmp_path / "idx.npz"
+                                         b"\x93NUMPY", b'{"format": "croloc-index"',
+                                         b"{not json}\n", b"\x93NUMPY\x01\x00\n"],
+                             ids=["empty", "not-utf8", "zip-magic", "npy-magic", "no-newline",
+                                  "not-json", "npy-magic-line"])
+    def test_not_an_index_file(self, tmp_path, content):
+        target = tmp_path / "idx.bin"
         target.write_bytes(content)
-        with pytest.raises(IndexFormatError, match="not a croloc-index version 3 file") as exc:
+        with pytest.raises(IndexFormatError, match="not a croloc-index version 4 file") as exc:
             load_index(target)
-        assert str(target) in str(exc.value)
+        assert str(exc.value).startswith(f"{target}: ")
+        assert "must be rebuilt with 'croloc index'" in str(exc.value)
+
+    @pytest.mark.parametrize("line", [b"[]", b"3", b'"croloc-index"', b"null"])
+    def test_first_line_not_an_object(self, tmp_path, line):
+        target = tmp_path / "idx.bin"
+        target.write_bytes(line + b"\n" + bytes(8))
+        with pytest.raises(IndexFormatError, match="not a croloc-index file") as exc:
+            load_index(target)
+        assert str(exc.value).startswith(f"{target}: ")
+
+    def test_v3_zip_names_the_path_and_asks_for_a_rebuild(self, tmp_path):
+        target = tmp_path / "index.npz"
+        target.write_bytes(_v3_index(index_texts(["cache miss rate", "order total"],
+                                                 ["a.java", "b.java"])))
+        assert target.read_bytes().startswith(b"PK\x03\x04")
+        with pytest.raises(IndexFormatError, match="must be rebuilt") as exc:
+            load_index(target)
+        assert str(exc.value).startswith(f"{target}: not a croloc-index version 4 file")
 
     def test_v2_json_file_names_the_path_and_asks_for_a_rebuild(self, tmp_path):
         target = tmp_path / "index.json"
@@ -557,128 +598,103 @@ class TestLoadHardening:
             load_index(target)
         assert str(exc.value).startswith(f"{target}: ")
 
-    @pytest.mark.parametrize("utf8_name", [False, True], ids=["zip-version", "utf8-name"])
-    def test_central_directory_zipfile_cannot_read(self, tmp_path, utf8_name):
-        # The last member's central directory entry states a version zipfile
-        # does not extract, or sets the UTF-8 name flag on a name that is
-        # not UTF-8.
-        target = self._saved(tmp_path)
-        content = bytearray(target.read_bytes())
-        entry = content.rindex(b"PK\x01\x02")
-        if utf8_name:
-            content[entry + 9] |= 0x08  # general purpose flag bit 11
-            content[content.index(b"term_counts.npy", entry)] = 0xff
-        else:
-            content[entry + 6] = 64  # version needed to extract: 6.4
-        target.write_bytes(bytes(content))
-        with pytest.raises(IndexFormatError, match="can't decode" if utf8_name
-                           else "zip file version 6.4") as exc:
-            load_index(target)
-        assert str(exc.value).startswith(f"{target}: malformed index payload")
-
     def test_missing_member(self, tmp_path):
         target = self._saved(tmp_path)
-        members = _member_bytes(target)
-        del members["norms.npy"]
+        members = _member_bytes(target.read_bytes())
+        del members["norms"]
         _write_members(target, members)
-        with pytest.raises(IndexFormatError, match="members"):
+        with pytest.raises(IndexFormatError, match="bytes after the metadata line") as exc:
             load_index(target)
-
-    @pytest.mark.parametrize("name", ["extra.npy", "meta.npy"])
-    @pytest.mark.filterwarnings("ignore:Duplicate name")
-    def test_extra_member(self, tmp_path, name):
-        target = self._saved(tmp_path)
-        members = _member_bytes(target)
-        with zipfile.ZipFile(target, "a") as archive:
-            archive.writestr(name, members["meta.npy"])
-        with pytest.raises(IndexFormatError, match="members"):
-            load_index(target)
+        assert str(exc.value).startswith(f"{target}: ")
 
     def test_members_out_of_order(self, tmp_path):
+        # The arrays' bytes add up, but each is read as another.
         target = self._saved(tmp_path)
-        members = _member_bytes(target)
-        _write_members(target, dict(reversed(members.items())))
-        with pytest.raises(IndexFormatError, match="members"):
+        members = _member_bytes(target.read_bytes())
+        meta = members.pop("meta")
+        _write_members(target, {"meta": meta, **dict(reversed(members.items()))})
+        with pytest.raises(IndexFormatError) as exc:
             load_index(target)
+        assert str(exc.value).startswith(f"{target}: ")
 
-    def test_compressed_member(self, tmp_path):
+    @pytest.mark.parametrize("change", [-1, 1], ids=["one-short", "one-over"])
+    @pytest.mark.parametrize("name", ARRAY_NAMES)
+    def test_array_bytes_one_off(self, tmp_path, name, change):
         target = self._saved(tmp_path)
-        _write_payload(target, _read_payload(target), savez=np.savez_compressed)
-        with pytest.raises(IndexFormatError, match="compressed"):
-            load_index(target)
-
-    @pytest.mark.parametrize("name,dtype", [
-        ("norms", object), ("data", ">f8"), ("indices", "<i4"), ("indices", "<u8"),
-        ("term_counts", "<f8"), ("meta", "<i8"), ("indptr", [("x", "<i8")]),
-    ], ids=["object", "byte-swapped", "narrower", "unsigned", "float-count", "wide-meta",
-            "structured"])
-    def test_wrong_dtype(self, tmp_path, name, dtype):
-        target = self._saved(tmp_path)
-        members = _member_bytes(target)
-        saved = np.load(io.BytesIO(members[f"{name}.npy"]))
-        buffer = io.BytesIO()
-        np.save(buffer, saved.astype(dtype), allow_pickle=True)
-        members[f"{name}.npy"] = buffer.getvalue()
+        members = _member_bytes(target.read_bytes())
+        members[name] = members[name][:-1] if change < 0 else members[name] + b"\0"
         _write_members(target, members)
-        with pytest.raises(IndexFormatError, match=f"member {name} is not a 1-d"):
+        with pytest.raises(IndexFormatError, match="bytes after the metadata line") as exc:
             load_index(target)
+        assert str(exc.value).startswith(f"{target}: ")
 
-    @pytest.mark.parametrize("shape", [(), (3, 1), (1, 3)])
-    def test_not_one_dimensional(self, tmp_path, shape):
-        target = self._saved(tmp_path)
-        members = _member_bytes(target)
-        members["norms.npy"] = _npy_header("<f8", shape) + bytes(8 * math.prod(shape))
-        _write_members(target, members)
-        with pytest.raises(IndexFormatError, match="member norms is not a 1-d"):
-            load_index(target)
-
-    def test_unpickles_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("nnz, message", [
+        (None, "required field 'nnz' is missing or null"),
+        (-1, "nnz must not be negative"),
+        (3.0, "nnz must be an integer"),
+        ("3", "nnz must be an integer"),
+        (True, "nnz must be an integer"),
+        (2 ** 62, "bytes after the metadata line"),
+    ], ids=["missing", "negative", "float", "string", "bool", "huge"])
+    def test_nnz_must_count_the_stored_weights(self, tmp_path, nnz, message):
         target = self._saved(tmp_path)
         payload = _read_payload(target)
-        payload["norms"] = payload["norms"].astype(object)
+        assert payload["nnz"] == 5
+        if nnz is None:
+            del payload["nnz"]
+        else:
+            payload["nnz"] = nnz
         _write_payload(target, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexFormatError, match=message) as exc:
+                load_index(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value).startswith(f"{target}: ")
+        assert peak < 2 ** 20
+
+    def test_unpickles_nothing(self, tmp_path, monkeypatch):
+        # A format-3 zip whose norms member is pickled is refused unread.
+        target = self._saved(tmp_path)
+        index = load_index(target)
+        buffer = io.BytesIO()
+        np.savez(buffer, meta=np.zeros(1, dtype=np.uint8), norms=index.norms.astype(object))
+        target.write_bytes(buffer.getvalue())
         monkeypatch.setattr("pickle.loads", None)
         monkeypatch.setattr("pickle.load", None)
-        with pytest.raises(IndexFormatError, match="member norms is not a 1-d"):
+        with pytest.raises(IndexFormatError, match="not a croloc-index version 4 file"):
             load_index(target)
 
     @pytest.mark.parametrize("n_bytes", [0, 8, 16, 24, 40])
     def test_data_must_fill_the_declared_shape(self, tmp_path, n_bytes):
         target = self._saved(tmp_path)
-        members = _member_bytes(target)
-        assert len(np.load(io.BytesIO(members["norms.npy"]))) == 2
-        members["norms.npy"] = _npy_header("<f8", (2,)) + bytes(n_bytes)
+        members = _member_bytes(target.read_bytes())
+        assert len(members["norms"]) == 16  # two paths
+        members["norms"] = bytes(n_bytes)
         _write_members(target, members)
         if n_bytes == 16:
             with pytest.raises(IndexFormatError, match="norm differs"):
                 load_index(target)
         else:
-            with pytest.raises(IndexFormatError, match="declares 2 elements"):
+            with pytest.raises(IndexFormatError, match=f"{120 + n_bytes} bytes after the "
+                               "metadata line, expected 136 for 2 paths and 5 stored"):
                 load_index(target)
 
     def test_huge_declared_shape_fails_before_allocating(self, tmp_path):
         target = self._saved(tmp_path)
-        members = _member_bytes(target)
-        members["data.npy"] = _npy_header("<f8", (2 ** 40,)) + bytes(16)
-        _write_members(target, members)
+        payload = _read_payload(target)
+        payload["nnz"] = 2 ** 40
+        _write_payload(target, payload)
         tracemalloc.start()
         try:
-            with pytest.raises(IndexFormatError, match=f"declares {2 ** 40} elements"):
+            with pytest.raises(IndexFormatError, match=f"for 2 paths and {2 ** 40} stored"):
                 load_index(target)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-
-    def test_npy_version_2_member(self, tmp_path):
-        target = self._saved(tmp_path)
-        members = _member_bytes(target)
-        buffer = io.BytesIO()
-        npy.write_array(buffer, np.load(io.BytesIO(members["norms.npy"])), version=(2, 0))
-        members["norms.npy"] = buffer.getvalue()
-        _write_members(target, members)
-        with pytest.raises(IndexFormatError, match=r"member norms is not a 1-d <f8 array in \.npy format 1\.0"):
-            load_index(target)
 
 
 def _mutate_doc_order(payload):
@@ -797,7 +813,7 @@ class TestLoadValidation:
             ["cache miss rate", "order total", "cache order sync"],
             ["a.java", "b.java", "c.java"],
         )
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index, target)
         payload = _read_payload(target)
         assert payload["indptr"].tolist() == [0, 3, 5, 8] and len(payload["vocabulary"]) == 6
@@ -825,7 +841,7 @@ class TestLoadValidation:
     ])
     def test_meta_field_error_names_the_file(self, tmp_path, key, position, value, message):
         # The meta member is checked by corpus.typed, which converts nothing.
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index_texts(["cache miss"], ["a.java"]), target)
         payload = _read_payload(target)
         _set(key, position, value)(payload)
@@ -837,7 +853,7 @@ class TestLoadValidation:
 
     def test_rejects_infinite_min_token_length(self, tmp_path):
         # JSON's Infinity parses to a float that int() cannot convert.
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         save_index(index_texts(["cache miss"], ["a.java"]), target)
         payload = _read_payload(target)
         payload["options"]["min_token_length"] = float("inf")
@@ -852,7 +868,7 @@ def _saved_index_bytes() -> bytes:
     index = index_texts(["cache miss rate", "order total", "cache order sync", ""],
                         ["a.java", "b.java", "c.java", "d.java"])
     with tempfile.TemporaryDirectory() as tmp:
-        target = os.path.join(tmp, "idx.npz")
+        target = os.path.join(tmp, "idx.bin")
         save_index(index, target)
         with open(target, "rb") as fh:
             return fh.read()
@@ -884,7 +900,7 @@ def _mutated_payloads(draw):
     """A saved index payload with one to three random edits. An edited
     array member is stored with the dtype and shape numpy infers for it."""
     with tempfile.TemporaryDirectory() as tmp:
-        target = os.path.join(tmp, "idx.npz")
+        target = os.path.join(tmp, "idx.bin")
         with open(target, "wb") as fh:
             fh.write(_saved_index_bytes())
         payload = _read_payload(target)
@@ -948,33 +964,32 @@ def _loads_and_ranks_or_is_rejected(target):
 
 @functools.cache
 def _saved_members() -> dict[str, bytes]:
-    with zipfile.ZipFile(io.BytesIO(_saved_index_bytes())) as archive:
-        return {name: archive.read(name) for name in archive.namelist()}
+    return _member_bytes(_saved_index_bytes())
 
 
 class TestLoadFuzz:
     @given(payload=_mutated_payloads())
     @settings(max_examples=300)
     def test_mutated_payload_is_rejected_or_ranks(self, payload, tmp_path_factory):
-        target = tmp_path_factory.mktemp("fuzz") / "idx.npz"
+        target = tmp_path_factory.mktemp("fuzz") / "idx.bin"
         _write_payload(target, payload)
         _loads_and_ranks_or_is_rejected(target)
 
     @given(content=_edits(_saved_index_bytes()))
     @settings(max_examples=300)
-    def test_mutated_zip_bytes_are_rejected_or_rank(self, content, tmp_path_factory):
-        target = tmp_path_factory.mktemp("fuzz") / "idx.npz"
+    def test_mutated_file_bytes_are_rejected_or_rank(self, content, tmp_path_factory):
+        target = tmp_path_factory.mktemp("fuzz") / "idx.bin"
         target.write_bytes(content)
         _loads_and_ranks_or_is_rejected(target)
 
     @given(data=st.data(), name=st.sampled_from(sorted(_saved_members())))
     @settings(max_examples=300)
     def test_mutated_member_bytes_are_rejected_or_rank(self, data, name, tmp_path_factory):
-        # The zip around the edited member is sound, so the edit reaches the
-        # .npy header and data checks.
+        # The other members are sound, so an edit to an array's bytes that
+        # keeps its length reaches the checks of its values.
         members = dict(_saved_members())
         members[name] = data.draw(_edits(members[name]))
-        target = tmp_path_factory.mktemp("fuzz") / "idx.npz"
+        target = tmp_path_factory.mktemp("fuzz") / "idx.bin"
         _write_members(target, members)
         _loads_and_ranks_or_is_rejected(target)
 
@@ -1016,7 +1031,7 @@ class TestIndexProperties:
     def test_round_trip_any_corpus(self, corpus, tmp_path_factory):
         docs, paths = corpus
         index = build_index(docs, paths)
-        target = tmp_path_factory.mktemp("idx") / "i.npz"
+        target = tmp_path_factory.mktemp("idx") / "i.bin"
         save_index(index, target)
         assert load_index(target) == index
 
@@ -1131,17 +1146,17 @@ class TestDeterministicSave:
         for clock in (0.0, 2e9):
             monkeypatch.setattr(time, "time", lambda clock=clock: clock)
             monkeypatch.setattr(time, "localtime", lambda *_, clock=clock: time.gmtime(clock))
-            target = tmp_path / f"idx{len(saved)}.npz"
+            target = tmp_path / f"idx{len(saved)}.bin"
             save_index(self._index(), target)
             saved.append(target.read_bytes())
         assert saved[0] == saved[1]
 
     def test_same_bytes_from_two_processes(self, tmp_path):
-        here = tmp_path / "here.npz"
+        here = tmp_path / "here.bin"
         save_index(self._index(), here)
         src = os.path.dirname(os.path.dirname(os.path.abspath(croloc.__file__)))
         for seed in ("1", "2"):
-            target = tmp_path / f"child{seed}.npz"
+            target = tmp_path / f"child{seed}.bin"
             env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]),
                        PYTHONHASHSEED=seed)
             result = subprocess.run([sys.executable, "-c", _SAVE_IN_CHILD, str(target)],
@@ -1150,74 +1165,20 @@ class TestDeterministicSave:
             assert target.read_bytes() == here.read_bytes()
 
 
-# A member of each type a saved index holds: (name, typecode, .npy type).
-_WRITER_MEMBERS = (("meta", "B", "|u1"), ("indptr", "q", "<i8"), ("data", "d", "<f8"))
-
-
-def _with_header_spaces(content: bytes, change: int) -> bytes:
-    """An .npy member whose header has ``change`` more spaces before its
-    newline, its stated length adjusted to match."""
-    end = content.index(b"\n")
-    spaces = b" " * max(change, 0)
-    size = int.from_bytes(content[8:10], "little") + change
-    return (content[:8] + size.to_bytes(2, "little") + content[10:end + min(change, 0)]
-            + spaces + content[end:])
-
-
-class TestNpzWriter:
-    """save_index writes its archive without numpy: it must lay out every
-    member type it writes as np.savez does, at element counts on either side
-    of each digit-count step in the header, and _read_member must take each
-    back and refuse a header that differs by one space."""
-
-    @pytest.mark.parametrize("length", [0, 1, 9, 10, 99, 100, 10 ** 6])
-    def test_same_bytes_as_np_savez_and_read_back(self, length):
-        values = {
-            "meta": np.arange(length, dtype=np.uint8),  # wraps at 256
-            "indptr": np.arange(length, dtype="<i8") * -7919 + 3,
-            "data": np.linspace(-1.0, 1.0, length, dtype="<f8") / 3.0,
-        }
-        written = io.BytesIO()
-        _write_npz(written, {name: (descr, _little_endian(values[name], code))
-                             for name, code, descr in _WRITER_MEMBERS})
-        expected = io.BytesIO()
-        np.savez(expected, **values)
-        assert written.getvalue() == expected.getvalue()
-        with zipfile.ZipFile(written) as archive:
-            for name, _, descr in _WRITER_MEMBERS:
-                got = _read_member(archive, name)
-                assert got.dtype == np.dtype(descr) and got.tobytes() == values[name].tobytes()
-
-    @pytest.mark.parametrize("change", [1, -1], ids=["one-more", "one-fewer"])
-    @pytest.mark.parametrize("length", [0, 1, 9, 10, 99, 100])
-    def test_header_off_by_one_space_is_refused(self, tmp_path, length, change):
-        written = io.BytesIO()
-        _write_npz(written, {name: (descr, array(code, range(length)))
-                             for name, code, descr in _WRITER_MEMBERS})
-        members = _member_bytes(written)
-        for name, _, descr in _WRITER_MEMBERS:
-            target = tmp_path / f"{name}.npz"
-            _write_members(target, {**members, f"{name}.npy": _with_header_spaces(
-                members[f"{name}.npy"], change)})
-            with zipfile.ZipFile(target) as archive:
-                with pytest.raises(ValueError, match=f"member {name} is not a 1-d {descr}"):
-                    _read_member(archive, name)
-
-
 class TestAtomicSave:
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
-        target = tmp_path / "idx.npz"
+        target = tmp_path / "idx.bin"
         target.write_text("old index\n", encoding="utf-8")
         index = build_index([["alpha", "beta"], ["beta"]], ["a", "b"])
-        real_open = zipfile.ZipFile.open
+        real_little_endian = croloc.index._little_endian
 
-        def failing_open(archive, name, *args, **kwargs):
-            if name == "data.npy":  # after the head of the file is written
+        def failing_little_endian(buffer, code):
+            if buffer is index.buffers["data"]:  # after the head of the file is written
                 raise OSError("disk full")
-            return real_open(archive, name, *args, **kwargs)
+            return real_little_endian(buffer, code)
 
-        monkeypatch.setattr(zipfile.ZipFile, "open", failing_open)
+        monkeypatch.setattr(croloc.index, "_little_endian", failing_little_endian)
         with pytest.raises(OSError, match="disk full"):
             save_index(index, target)
         assert target.read_text(encoding="utf-8") == "old index\n"
-        assert os.listdir(tmp_path) == ["idx.npz"]
+        assert os.listdir(tmp_path) == ["idx.bin"]
