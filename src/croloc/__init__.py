@@ -12,8 +12,11 @@ and ``croloc.evalharness``.
 
 __version__ = "0.1.0"
 
-# The scoring techniques of ``croloc.rank`` and the evaluation modes of
-# ``croloc.evalharness``, named here so that building the command line parser
-# loads neither module.
+# The scoring techniques of ``croloc.rank``, its default history weight and
+# number of ranked files kept per query, and the evaluation modes of
+# ``croloc.evalharness``, named here so that building the command line parser,
+# and checking locate's options, loads neither module.
 TECHNIQUES = ("vsm", "rvsm", "buglocator")
+DEFAULT_ALPHA = 0.2
+DEFAULT_TOP_K = 100
 MODES = ("direct", "direct+indirect")

@@ -24,9 +24,9 @@ import sys
 from collections.abc import Iterable, Sequence
 from contextlib import AbstractContextManager, closing, nullcontext
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import MODES, TECHNIQUES
+from . import DEFAULT_ALPHA, DEFAULT_TOP_K, MODES, TECHNIQUES
 from .corpus import (
     Corpus,
     SourceDocument,
@@ -37,13 +37,19 @@ from .corpus import (
     parse_json,
     read_lines,
     report_to_obj,
+    run_tasks,
+    spare_cpu,
     typed,
     write_atomically,
 )
 from .errors import ConfigError, CrolocError
 
 if TYPE_CHECKING:
-    from .index import Index
+    from array import array
+    from datetime import datetime
+
+    from .corpus import BugReport
+    from .index import Index, IndexMeta
     from .translate import CacheRow, TranslatorBackend
 
 # Names taken from modules that not every command needs. They become globals
@@ -57,9 +63,9 @@ _LAZY = {
     "evalharness": ("evaluate", "link_oracles", "load_commit_log", "read_qrels",
                     "read_run_file", "write_qrels", "write_run_file"),
     "extract": ("extract_spans", "japanese_segments"),
-    "index": ("load_index", "query_rows", "save_index", "vectorize_query"),
-    "rank": ("DEFAULT_ALPHA", "DEFAULT_TOP_K", "HistorySet", "make_ranking",
-             "query_chunks", "score_documents"),
+    "index": ("QueryRows", "load_index", "query_weights", "read_index_meta", "save_index",
+              "vectorize_query"),
+    "rank": ("HistorySet", "make_ranking", "query_chunks", "score_documents"),
     "translate": ("GlossaryBackend", "IdentityBackend", "ServiceBackend",
                   "TranslationCache", "load_glossary", "translate_document",
                   "translate_documents", "translate_report", "translate_reports"),
@@ -165,10 +171,14 @@ def _make_backend(args: argparse.Namespace) -> TranslatorBackend:
     raise ConfigError(f"unknown translator {kind!r}; expected one of {TRANSLATORS}")
 
 
-def _make_cache(path: str | None) -> AbstractContextManager[TranslationCache | None]:
+def _make_cache(path: str | None,
+                owner: int | None = None) -> AbstractContextManager[TranslationCache | None]:
     """The --cache file at ``path``, to use in a ``with`` block; it yields
-    None without one."""
-    return TranslationCache(path) if path else nullcontext()
+    None without one. Process ``owner`` writes the file, if given, and else
+    this one."""
+    if not path:
+        return nullcontext()
+    return TranslationCache(path) if owner is None else TranslationCache(path, owner)
 
 
 def _translating_backend(args: argparse.Namespace) -> TranslatorBackend | None:
@@ -314,8 +324,87 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Ranked(NamedTuple):
+    """What ranking needs of a bug report: ``row`` is its query vector's
+    row."""
+
+    id: str
+    reported_at: datetime
+    resolved_at: datetime | None
+    fixed_paths: tuple[str, ...]
+    row: int
+
+
+class _Prepared(NamedTuple):
+    """locate's queries, ready to rank: the CSR arrays of one query vector
+    per distinct text (``query_weights``), the queries in run order, and
+    BugLocator's history reports (None for the other techniques)."""
+
+    weights: tuple[array, array, array, array]
+    queries: list[_Ranked]
+    history: list[_Ranked] | None
+
+
+def _prepare_queries(args: argparse.Namespace, reports: list[BugReport],
+                     meta: IndexMeta) -> _Prepared:
+    """The queries --query names, or else the usable reports, weighed over
+    the index ``meta`` describes, with the history if ranking needs it."""
+    if args.query:
+        by_id = {r.id: r for r in reports}
+        missing = [q for q in args.query if q not in by_id]
+        if missing:
+            raise ConfigError(f"unknown report ids: {', '.join(missing)}")
+        # A run file ranks each query once.
+        queries = [by_id[q] for q in dict.fromkeys(args.query)]
+    else:
+        queries, excluded = filter_usable_reports(reports, set(meta.paths))
+        for ex in excluded:
+            log.info("report %s excluded: %s", ex.report.id, ex.reason)
+        if not queries:
+            raise ConfigError("no usable bug reports to rank; "
+                              "use --query to force specific ids")
+
+    # Queries are usually history too: weigh each distinct text once, into
+    # one matrix that the history and the queries take their rows from.
+    from .index import tokenize  # looked up now, as in index_documents
+    history = reports if args.technique == "buglocator" else None
+    texts = list(dict.fromkeys(r.query_text for r in (queries if history is None else history)))
+    weights = query_weights([tokenize(text, meta.stemming) for text in texts], meta)
+    row_of = {text: i for i, text in enumerate(texts)}
+
+    def ranked(found: list[BugReport]) -> list[_Ranked]:
+        return [_Ranked(r.id, r.reported_at, r.resolved_at, r.fixed_paths, row_of[r.query_text])
+                for r in found]
+    return _Prepared(weights, ranked(queries), None if history is None else ranked(history))
+
+
+def _write_held(path: str, cut: int | None, rows: list[CacheRow]) -> None:
+    """Write to the translation cache file at ``path`` what a cache that
+    another process loaded held for this one, its owner: cut the file's
+    unterminated last line off at ``cut``, unless it is None, then append
+    the lines of ``rows``, as ``TranslationCache.adopt`` would."""
+    if cut is not None:
+        os.truncate(path, cut)
+    if rows:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for _, _, line in rows)
+
+
 def cmd_locate(args: argparse.Namespace) -> int:
-    _bind("evalharness", "index", "rank", "translate")
+    """Rank the files of the index for each query into a run file.
+
+    Only scoring needs numpy, and importing it takes most of a short run. So
+    once the options and the index's metadata line are checked, the index's
+    arrays and the queries are made at once where a CPU is spare and numpy
+    is not loaded yet: this process imports numpy and loads the arrays,
+    while a forked child, which never loads numpy, reads, translates,
+    filters, tokenizes and weighs the queries. Otherwise this process does
+    both, in that order. The child hands back the translation cache rows it
+    made, and the cut of the file's torn last line if it found one, and this
+    process, the cache's owner, writes them, so that it alone writes the
+    cache file, and the run and cache bytes are a one-process run's.
+    """
+    _bind("index")
     reports_path = _require(args, "reports")
     _fill(args, out_dir=".", technique="buglocator", alpha=DEFAULT_ALPHA,
           top_k=DEFAULT_TOP_K)
@@ -328,45 +417,58 @@ def cmd_locate(args: argparse.Namespace) -> int:
     if args.top_k < 0:
         raise ConfigError(f"--top-k must be a non-negative integer, got {args.top_k!r}")
     index_path = args.index or _default_index_path(args)
-    index = load_index(index_path)
-    reports = load_bug_reports(reports_path)
-    if (backend := _translating_backend(args)) is not None:
-        with _make_cache(args.cache) as cache:
-            reports = translate_reports(reports, backend, cache)
+    meta = read_index_meta(index_path)
+    owner = os.getpid()
 
-    if args.query:
-        by_id = {r.id: r for r in reports}
-        missing = [q for q in args.query if q not in by_id]
-        if missing:
-            raise ConfigError(f"unknown report ids: {', '.join(missing)}")
-        # A run file ranks each query once.
-        queries = [by_id[q] for q in dict.fromkeys(args.query)]
+    def load_arrays() -> Index:
+        _bind("evalharness", "rank")
+        index = load_index(index_path, meta)
+        # Made here, beside the queries, rather than where scoring first needs them.
+        index.postings, index.path_rank, index.length_factor
+        return index
+
+    def prepare() -> tuple[_Prepared | None, int | None, list[CacheRow], CrolocError | None]:
+        _bind("translate")
+        cache = prepared = error = None
+        try:
+            reports = load_bug_reports(reports_path)
+            if (backend := _translating_backend(args)) is not None:
+                with _make_cache(args.cache, owner) as cache:
+                    reports = translate_reports(reports, backend, cache)
+            prepared = _prepare_queries(args, reports, meta)
+        # Raised once the cache rows made before it are written, as in
+        # index_documents.
+        except CrolocError as exc:
+            error = exc
+        if cache is None:
+            return prepared, None, [], error
+        return prepared, cache.cut, cache.take_held(), error
+
+    halves = (load_arrays, prepare)
+    # With numpy loaded already, as under a tracer, there is no import to hide.
+    if spare_cpu() and "numpy" not in sys.modules:
+        with closing(run_tasks(halves)) as done:
+            index, (prepared, cut, held, error) = done
     else:
-        queries, excluded = filter_usable_reports(reports, set(index.paths))
-        for ex in excluded:
-            log.info("report %s excluded: %s", ex.report.id, ex.reason)
-        if not queries:
-            raise ConfigError("no usable bug reports to rank; "
-                              "use --query to force specific ids")
+        index, (prepared, cut, held, error) = (half() for half in halves)
+    if args.cache:
+        _write_held(args.cache, cut, held)
+    if error is not None:
+        raise error
 
-    # Queries are usually history too: vectorize each distinct text once,
-    # into one matrix that the history and the queries take their rows from.
-    from .index import tokenize  # looked up now, as in index_documents
-    buglocator = args.technique == "buglocator"
-    texts = list(dict.fromkeys(r.query_text for r in (reports if buglocator else queries)))
-    rows = query_rows([tokenize(text, index.stemming) for text in texts], index)
-    row_of = {text: i for i, text in enumerate(texts)}
-    history = (HistorySet.build(reports, index,
-                                rows.take([row_of[r.query_text] for r in reports]))
-               if buglocator else None)
-    asked = rows.take([row_of[r.query_text] for r in queries])
-    reported_at = [r.reported_at for r in queries]
+    rows = QueryRows(*prepared.weights)
+    history = (None if prepared.history is None else
+               HistorySet.build(prepared.history, index,
+                                rows.take([r.row for r in prepared.history])))
+    ranked = prepared.queries
+    asked = rows.take([r.row for r in ranked])
+    reported_at = [r.reported_at for r in ranked]
     paths = index.paths
     rankings = []
     for lo, hi in query_chunks(asked, index, history):
         scores = score_documents(asked.take(range(lo, hi)), index, args.technique,
                                  history, args.alpha, reported_at[lo:hi])
-        for report, row in zip(queries[lo:hi], scores):
+        for report, row in zip(ranked[lo:hi], scores):
             order = make_ranking(row, index, args.top_k)
             rankings.append((report.id, [paths[d] for d in order.tolist()],
                              row[order].tolist()))

@@ -8,11 +8,13 @@ and at least one fixed source file present in the corpus.
 The line-oriented readers and the run and index writers share this module's
 text-file helpers, ``read_lines`` and ``write_atomically``, and every reader
 of JSON input parses it with ``parse_json`` and checks its fields with ``typed``.
-``fan_out`` spreads independent per-document work over the usable CPUs.
+``run_tasks`` runs tasks at once in forked processes, and ``fan_out``
+spreads independent per-document work over the usable CPUs through it.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -107,6 +109,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def spare_cpu() -> bool:
+    """Whether a process forked from this one could run beside it: this
+    platform has ``os.fork``, and more than one CPU is usable."""
+    return hasattr(os, "fork") and _usable_cpus() > 1
+
+
 def _set_affinity(cpus: Collection[int]) -> None:
     """Hold this process to ``cpus``, as far as the platform lets it: without
     ``os.sched_setaffinity``, or where the kernel refuses, it stays where the
@@ -142,12 +150,11 @@ def _while_parent_lives(chunk: Sequence[_T], parent: int) -> Iterator[_T]:
         yield item
 
 
-def _work_in_child(work: Callable[[Iterable[_T]], _R], chunk: Sequence[_T], parent: int,
-                   pipe: int, cpu: int | None) -> NoReturn:
-    """Send ``work`` of ``chunk``, or the exception it raised, through
-    ``pipe``, pickled, and exit, having run on ``cpu`` alone unless it is
-    None. It never returns: whatever called ``fan_out`` (a test runner, a
-    tracer, atexit handlers) runs on in the parent alone."""
+def _work_in_child(task: Callable[[], _R], pipe: int, cpu: int | None) -> NoReturn:
+    """Send ``task()``, or the exception it raised, through ``pipe``,
+    pickled, and exit, having run on ``cpu`` alone unless it is None. It
+    never returns: whatever called ``run_tasks`` (a test runner, a tracer,
+    atexit handlers) runs on in the parent alone."""
     import pickle
 
     status = 1
@@ -156,7 +163,7 @@ def _work_in_child(work: Callable[[Iterable[_T]], _R], chunk: Sequence[_T], pare
             _set_affinity({cpu})
         result = error = None
         try:
-            result = work(_while_parent_lives(chunk, parent))
+            result = task()
         # Every exception, KeyboardInterrupt and SystemExit too, goes to the
         # parent, which raises it where a serial run would have.
         except BaseException as exc:
@@ -183,19 +190,12 @@ def _stop(pid: int, kill: bool) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
-            sizes: Sequence[int]) -> Iterator[_R]:
-    """``work(chunk)`` for each contiguous chunk of ``items`` in turn, so
-    that the results come in item order. ``sizes`` weighs each item, and
-    ``_chunks`` sets the chunks; ``work`` gets a chunk as an iterable to go
-    through once.
-
-    This process works through the first chunk, and a child forked from it
-    through each other one, at the same time. A child goes on to its next
-    item only while this process lives. It sends its result back pickled, so
-    ``work`` must return a picklable value, and it must run only pure-Python
-    code: a forked child has no thread but the one that forked it, so a
-    numpy (BLAS) call could hang.
+def run_tasks(tasks: Sequence[Callable[[], _R]]) -> Iterator[_R]:
+    """``task()`` of each of ``tasks``, in turn. This process runs the first,
+    and a child forked from it each other one, at the same time. A child
+    sends its result back pickled, so a task must return a picklable value,
+    and a forked one must run only pure-Python code: a forked child has no
+    thread but the one that forked it, so a numpy (BLAS) call could hang.
 
     While the children run, this process runs on the first CPU of its
     affinity mask alone, and each child on the next one, where one is left.
@@ -206,34 +206,33 @@ def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
     platform or the kernel does not allow it, a process stays where it is.
     This process gets back the exact mask it had, however the generator ends.
 
-    An exception in this process's chunk kills the children and propagates.
-    One in a child's chunk is raised in its chunk's turn; one that does not
+    An exception in this process's task kills the children and propagates.
+    One in a child's task is raised in its task's turn; one that does not
     pickle becomes a ``CrolocError`` with its message. A child that exits
     without sending raises a ``CrolocError`` naming its exit code. Close the
     generator (``contextlib.closing``) to kill and reap any child still
-    running; none outlives it.
+    running; none outlives it. Give more than one task only where
+    ``os.fork`` exists.
     """
     # Imported where used, as numpy does anyway: other commands import this module.
     import pickle
 
-    first, *rest = _chunks(sizes) or [(0, 0)]
-    parent = os.getpid()
+    first, *rest = tasks
     mask = os.sched_getaffinity(0) if rest and hasattr(os, "sched_getaffinity") else set()
-    cpus = sorted(mask)  # chunk k runs on cpus[k], where there is one
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in chunk order
+    cpus = sorted(mask)  # task k runs on cpus[k], where there is one
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in task order
     try:
-        for k, (start, end) in enumerate(rest, start=1):
+        for k, task in enumerate(rest, start=1):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _work_in_child(work, items[start:end], parent, write,
-                               cpus[k] if k < len(cpus) else None)
+                _work_in_child(task, write, cpus[k] if k < len(cpus) else None)
             os.close(write)
             children.append((pid, read))
         if mask:
             _set_affinity({cpus[0]})
-        yield work(items[first[0]:first[1]])
+        yield first()
         while children:
             pid, read = children.pop(0)
             payload = None
@@ -256,6 +255,23 @@ def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
             _stop(pid, kill=True)
         if mask:
             _set_affinity(mask)
+
+
+def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
+            sizes: Sequence[int]) -> Iterator[_R]:
+    """``work(chunk)`` for each contiguous chunk of ``items`` in turn, so
+    that the results come in item order. ``sizes`` weighs each item, and
+    ``_chunks`` sets the chunks; ``work`` gets a chunk as an iterable to go
+    through once. The chunks are ``run_tasks``' tasks, so this process works
+    through the first and a forked child through each other one, and a child
+    goes on to its next item only while this process lives."""
+    parent = os.getpid()
+
+    def chunk_work(start: int, end: int) -> _R:
+        chunk = items[start:end]
+        return work(chunk if os.getpid() == parent else _while_parent_lives(chunk, parent))
+    return run_tasks([functools.partial(chunk_work, *bounds)
+                      for bounds in _chunks(sizes) or [(0, 0)]])
 
 
 class SourceDocument(NamedTuple):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import re
 import sys
 from array import array
@@ -170,11 +171,15 @@ class QueryRows:
     """Query vectors as the rows of a CSR matrix, laid out as the index's
     documents are: row i's weights are ``data[indptr[i]:indptr[i + 1]]``
     over the ascending term ids in the same slice of ``indices``, and
-    ``norms[i]`` is its norm."""
+    ``norms[i]`` is its norm. The four are numpy arrays, over the buffers
+    given if they are ``array.array``s."""
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                 norms: np.ndarray):
-        self.indptr, self.indices, self.data, self.norms = indptr, indices, data, norms
+    def __init__(self, indptr: array | np.ndarray, indices: array | np.ndarray,
+                 data: array | np.ndarray, norms: array | np.ndarray):
+        import numpy as np
+
+        self.indptr, self.indices, self.data, self.norms = map(
+            np.asarray, (indptr, indices, data, norms))
 
     def __len__(self) -> int:
         return len(self.norms)
@@ -200,6 +205,32 @@ def _array_view(name: str) -> functools.cached_property:
 
         return np.asarray(self.buffers[name])
     return functools.cached_property(view)
+
+
+class IndexMeta(NamedTuple):
+    """An index file's metadata line, checked (``read_index_meta``): the
+    tokenizer's stemming setting, the paths in doc id order, the vocabulary
+    in term id order, each term's document frequency and ``nnz``, the number
+    of stored weights, with ``offset``, the line's length in bytes, where
+    the arrays start. Weighing queries needs nothing more of an index
+    (``query_weights``), and none of it is a numpy array."""
+
+    stemming: bool
+    paths: tuple[str, ...]
+    vocabulary: tuple[str, ...]
+    doc_freq: tuple[int, ...]
+    nnz: int
+    offset: int
+
+    @property
+    def term_ids(self) -> dict[str, int]:
+        """Id of each vocabulary term."""
+        return {t: i for i, t in enumerate(self.vocabulary)}
+
+    @property
+    def idfs(self) -> array:
+        """Each term's idf, ``idf(doc_freq[t], n_docs)``."""
+        return array("d", [idf(df, len(self.paths)) for df in self.doc_freq])
 
 
 class Index:
@@ -246,10 +277,9 @@ class Index:
                      for lo, hi, count, norm in zip(indptr, indptr[1:], self.term_counts.tolist(),
                                                     self.norms.tolist()))
 
-    @functools.cached_property
-    def term_ids(self) -> dict[str, int]:
-        """Id of each vocabulary term, built once."""
-        return {t: i for i, t in enumerate(self.vocabulary)}
+    # Built once per index, as IndexMeta builds them on each access.
+    term_ids = functools.cached_property(IndexMeta.term_ids.fget)
+    idfs = functools.cached_property(IndexMeta.idfs.fget)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, data, norms) over doc_id order."""
@@ -263,11 +293,6 @@ class Index:
         doc id order."""
         indptr, indices, data, _ = self.csr()
         return transpose(indptr, indices, data, len(self.vocabulary))
-
-    @functools.cached_property
-    def idfs(self) -> array:
-        """Each term's idf, ``idf(doc_freq[t], n_docs)``, computed once."""
-        return array("d", [idf(df, self.n_docs) for df in self.doc_freq])
 
     @functools.cached_property
     def path_rank(self) -> np.ndarray:
@@ -342,15 +367,19 @@ def build_index(
                  array("q", [n for n, _ in counted]))
 
 
-def query_rows(token_lists: Sequence[list[str]], index: Index) -> QueryRows:
+def query_weights(token_lists: Sequence[list[str]],
+                  index: Index | IndexMeta) -> tuple[array, array, array, array]:
+    """The CSR (indptr, indices, data, norms) of ``query_rows``, as
+    ``array.array``s made without numpy."""
+    return _weigh(((len(tokens), Counter(tokens)) for tokens in token_lists),
+                  index.term_ids, index.idfs)
+
+
+def query_rows(token_lists: Sequence[list[str]], index: Index | IndexMeta) -> QueryRows:
     """The query vector of each token list over the index vocabulary, one
     row each, weighed as the index's documents are: the tf denominator
     counts every token, and terms outside the vocabulary are skipped."""
-    import numpy as np
-
-    rows = _weigh(((len(tokens), Counter(tokens)) for tokens in token_lists),
-                  index.term_ids, index.idfs)
-    return QueryRows(*map(np.asarray, rows))
+    return QueryRows(*query_weights(token_lists, index))
 
 
 def vectorize_query(text: str, index: Index) -> QueryVector:
@@ -407,14 +436,14 @@ _OPTIONS = {"stemming": bool, "min_token_length": int, "stopwords": list}
 _REBUILD = "an index written by another croloc version must be rebuilt with 'croloc index'"
 
 
-def load_index(path: str) -> Index:
-    """Read an index written by ``save_index``. Anything that is not such a
-    file, or whose body could not rank correctly, raises
+def read_index_meta(path: str) -> IndexMeta:
+    """The metadata line of an index file that ``save_index`` wrote, read
+    and checked without numpy: its format marker and version, tokenizer
+    options, paths, vocabulary, document frequencies and ``nnz``, and that
+    as many bytes follow it as its arrays take. Anything else raises
     ``IndexFormatError``."""
-    # The arrays are views of the bytes after the line, which the index
-    # keeps without the line's.
     with open(path, "rb") as fh:
-        line, body = fh.readline(), fh.read()
+        line, size = fh.readline(), os.fstat(fh.fileno()).st_size
     try:
         if not line.endswith(b"\n"):
             raise ValueError("no metadata line")
@@ -441,25 +470,51 @@ def load_index(path: str) -> Index:
     doc_freq = meta.get("doc_freq")
     if not (isinstance(doc_freq, list) and all(type(df) is int for df in doc_freq)):
         raise IndexFormatError(f"{where}: doc_freq must be a list of integers")
-    n_docs, nnz = len(fields["paths"]), fields["nnz"]
-    if nnz < 0:
+    if fields["nnz"] < 0:
         raise IndexFormatError(f"{where}: nnz must not be negative")
+    index_meta = IndexMeta(options["stemming"], tuple(fields["paths"]),
+                           tuple(fields["vocabulary"]), tuple(doc_freq), fields["nnz"], len(line))
     # Checked before any array exists, so that no stated size allocates.
-    lengths = {"indptr": n_docs + 1, "indices": nnz, "data": nnz,
-               "norms": n_docs, "term_counts": n_docs}
-    expected = 8 * sum(lengths.values())
-    if len(body) != expected:
+    _check_body_size(path, size - len(line), index_meta)
+    return index_meta
+
+
+def _array_lengths(meta: IndexMeta) -> dict[str, int]:
+    """The number of elements of each of the index's arrays."""
+    n_docs = len(meta.paths)
+    return {"indptr": n_docs + 1, "indices": meta.nnz, "data": meta.nnz,
+            "norms": n_docs, "term_counts": n_docs}
+
+
+def _check_body_size(path: str, n_bytes: int, meta: IndexMeta) -> None:
+    """Raise ``IndexFormatError`` unless ``n_bytes`` is what ``meta``'s arrays take."""
+    expected = 8 * sum(_array_lengths(meta).values())
+    if n_bytes != expected:
         raise IndexFormatError(
-            f"{path}: {len(body)} bytes after the metadata line, expected "
-            f"{expected} for {n_docs} paths and {nnz} stored weights")
+            f"{path}: {n_bytes} bytes after the metadata line, expected "
+            f"{expected} for {len(meta.paths)} paths and {meta.nnz} stored weights")
+
+
+def load_index(path: str, meta: IndexMeta | None = None) -> Index:
+    """Read an index written by ``save_index``: ``read_index_meta`` of
+    ``path``, unless ``meta`` is what it returned, then the arrays after the
+    line. Anything that is not such a file, or whose body could not rank
+    correctly, raises ``IndexFormatError``."""
+    if meta is None:
+        meta = read_index_meta(path)
+    # The arrays are views of the bytes after the line, which the index
+    # keeps without the line's.
+    with open(path, "rb") as fh:
+        fh.seek(meta.offset)
+        body = fh.read()
+    _check_body_size(path, len(body), meta)  # the file may have changed since
     import numpy as np
 
     arrays, start = [], 0
-    for name, code in _ARRAYS.items():
-        arrays.append(np.frombuffer(body, _DTYPES[code], lengths[name], start))
-        start += 8 * lengths[name]
-    index = Index(options["stemming"], tuple(fields["paths"]), tuple(fields["vocabulary"]),
-                  tuple(doc_freq), *arrays)
+    for code, length in zip(_ARRAYS.values(), _array_lengths(meta).values()):
+        arrays.append(np.frombuffer(body, _DTYPES[code], length, start))
+        start += 8 * length
+    index = Index(meta.stemming, meta.paths, meta.vocabulary, meta.doc_freq, *arrays)
     problem = _array_problem(index)
     if problem:
         raise IndexFormatError(f"{path}: {problem}")

@@ -26,12 +26,12 @@ from datetime import datetime
 
 import numpy as np
 
-from . import TECHNIQUES
+from . import DEFAULT_TOP_K, TECHNIQUES
+# No code here reads DEFAULT_ALPHA; it stays a name of this module for the
+# callers that pick buglocator's alpha.
+from . import DEFAULT_ALPHA  # noqa: F401
 from .corpus import BugReport
 from .index import Index, QueryRows, gather, transpose
-
-DEFAULT_ALPHA = 0.2
-DEFAULT_TOP_K = 100
 
 # The most cells one chunk of queries may take: the postings its queries
 # gather from the index and the history, plus one per (query, document) and

@@ -223,17 +223,21 @@ class TranslationCache:
     ``close()``, or the end of a ``with`` block; each ``put_many`` flushes it.
     The file's directory is made when the cache is constructed, so that a
     missing one cannot fail the first append, after a backend batch is paid for.
-    Only the process that opened the cache writes to the file. In a process
-    forked from it, new rows are held in memory instead, for ``take_held`` to
-    hand back and the opener to ``adopt`` in the order it chooses.
+    Only the process that owns the cache writes to the file: the one that
+    opened it, unless ``owner`` names another. In any other process, such as
+    one forked from the owner, new rows are held in memory instead, for
+    ``take_held`` to hand back and the owner to ``adopt`` or append in the
+    order it chooses, and an unterminated last line is left in the file for
+    the owner to cut off at ``cut``.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, owner: int | None = None):
         self.path = path
         self._entries: dict[tuple[str, str], str] = {}
         self._fh: TextIO | None = None
-        self._owner = os.getpid()
+        self._owner = os.getpid() if owner is None else owner
         self._held: list[CacheRow] = []
+        self.cut: int | None = None
         if parent := os.path.dirname(path):
             os.makedirs(parent, exist_ok=True)
         if os.path.exists(path):
@@ -282,7 +286,10 @@ class TranslationCache:
             # it off, so that the next append starts on a line of its own.
             log.warning("%s:%d: dropping an unterminated last line left by an "
                         "interrupted write", self.path, content.count(b"\n") + 1)
-            os.truncate(self.path, whole)
+            if os.getpid() == self._owner:
+                os.truncate(self.path, whole)
+            else:
+                self.cut = whole
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -596,6 +596,32 @@ class TestImports:
         code = _runs(("index", "--tree", TREE, "--glossary", GLOSSARY, "--out-dir", tmp_path))
         self._leaves_unloaded(tmp_path, code, module)
 
+    def test_locate_child_never_loads_numpy(self, built, tmp_path):
+        # locate's forked child reads, translates, tokenizes and weighs the
+        # queries without numpy: an import of it fails there, and the child
+        # logs that it tokenized with numpy absent. This process ranks.
+        log = tmp_path / "tokenized.txt"
+        code = TOKENIZE_LOGGED.format(min_bytes=1 << 40, log=str(log))
+        code += NUMPY_BLOCKED_IN_CHILDREN
+        code += _runs(("locate", "--index", built / "index.bin", "--reports", REPORTS,
+                       "--glossary", GLOSSARY, "--cache", tmp_path / "cache.jsonl",
+                       "--out-dir", tmp_path))
+        code += "sys.exit('numpy' not in sys.modules and 'numpy not loaded')\n"
+        env = dict(os.environ, PYTHONPATH=CROLOC_ROOT)
+        result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "run.buglocator.trec").is_file()
+        assert sorted(set(log.read_text("utf-8").splitlines())) == ["child no-numpy"]
+
+    @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
+    def test_locate_leaves_process_pools_unloaded(self, built, tmp_path, module):
+        # locate forks with os.fork too, here on two usable CPUs.
+        code = "import croloc.corpus\ncroloc.corpus._usable_cpus = lambda: 2\n" + _runs(
+            ("locate", "--index", built / "index.bin", "--reports", REPORTS,
+             "--glossary", GLOSSARY, "--out-dir", tmp_path))
+        self._leaves_unloaded(tmp_path, code, module)
+
     @pytest.mark.parametrize("module", ["croloc.porter", "croloc.evalharness"])
     def test_index_leaves_unused_modules_unloaded(self, tmp_path, module):
         # Without --stemming, index neither stems nor evaluates; each module
@@ -629,6 +655,17 @@ class NumpyBlocked:
         if name.partition(".")[0] == "numpy":
             raise ImportError("numpy imported")
 sys.meta_path.insert(0, NumpyBlocked)
+"""
+
+# Makes every later import of numpy, or of a module of it, raise ImportError
+# in any process but ``parent``, such as one it forks.
+NUMPY_BLOCKED_IN_CHILDREN = """
+class NumpyBlockedInChildren:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] == "numpy" and os.getpid() != parent:
+            raise ImportError("numpy imported in a child")
+sys.meta_path.insert(0, NumpyBlockedInChildren)
 """
 
 # Writes to ``log`` the value OPENBLAS_NUM_THREADS has when numpy is first
@@ -1024,12 +1061,241 @@ class TestIndexFanOut:
                            tmp_path / "index.bin") == 0
 
 
+# The CLI with {cpus} usable CPUs, numpy imported first if {numpy}, and the
+# pid of each process os.fork makes appended to the file {forks}.
+LOCATE_ENTRY = """
+import os, sys, croloc.corpus
+croloc.corpus._usable_cpus = lambda: {cpus}
+if {numpy}:
+    import numpy
+fork = os.fork
+
+def logged_fork():
+    pid = fork()
+    if pid:
+        with open({forks!r}, "a", encoding="utf-8") as fh:
+            fh.write(f"{{pid}}\\n")
+    return pid
+os.fork = logged_fork
+from croloc.cli import main
+sys.exit(main())
+"""
+
+# The ways locate can run: (usable CPUs, numpy imported first). Only two
+# CPUs without numpy fork.
+LOCATE_MODES = [(1, False), (2, False), (1, True), (2, True)]
+
+
+def _pids(path):
+    """The pids listed in file ``path``, one a line; none if it is missing."""
+    return [int(line) for line in path.read_text("utf-8").split()] if path.exists() else []
+
+
+def _locate(tmp_path, cpus, numpy, *args):
+    """(result, number of forks) of a locate run under ``LOCATE_ENTRY``."""
+    forks = tmp_path / "forks.txt"
+    forks.unlink(missing_ok=True)
+    code = LOCATE_ENTRY.format(cpus=cpus, numpy=numpy, forks=str(forks))
+    result = subprocess.run([sys.executable, "-c", code, "locate", *map(str, args)],
+                            cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=CROLOC_ROOT),
+                            capture_output=True, text=True, timeout=120)
+    return result, len(_pids(forks))
+
+
+def _torn_cache(path, built):
+    """The built cache with the start of one more line, as a killed run leaves it."""
+    path.write_bytes((built / "cache.jsonl").read_bytes() + b'{"backend": "glossary", "sha')
+    return path
+
+
+def _index_with(path, built, offset_from_end, value):
+    """The built index with the int64 ``offset_from_end`` elements from the
+    end of the file set to ``value``; its metadata line is untouched."""
+    content = bytearray((built / "index.bin").read_bytes())
+    at = len(content) - 8 * offset_from_end
+    content[at:at + 8] = value.to_bytes(8, "little", signed=True)
+    path.write_bytes(bytes(content))
+    return path
+
+
+def _reports_with(path, *lines):
+    """The fixture's reports and then ``lines``."""
+    path.write_text(REPORTS.read_text("utf-8") + "".join(lines), encoding="utf-8")
+    return path
+
+
+NOT_FUNCTIONAL = json.dumps({"id": "N-1", "summary": "s", "reported_at": "2024-01-01T00:00:00Z",
+                             "functional": False}) + "\n"
+
+# Each case: the locate arguments of one failing run, given a scratch
+# directory and the built fixture; and whether it fails before the fork.
+LOCATE_ERRORS = {
+    "bad-metadata": (lambda d, b: ("--index", _write(d / "index.bin", "{not json\n"),
+                                   "--reports", REPORTS), True),
+    "bad-arrays": (lambda d, b: ("--index", _index_with(d / "index.bin", b, 1, -1),
+                                 "--reports", REPORTS), False),
+    "bad-arrays-and-reports": (lambda d, b: (
+        "--index", _index_with(d / "index.bin", b, 1, -1),
+        "--reports", _reports_with(d / "r.jsonl", "{not json\n")), False),
+    "bad-reports-line": (lambda d, b: ("--index", b / "index.bin", "--reports",
+                                       _reports_with(d / "r.jsonl", "{not json\n")), False),
+    "corrupt-cache-line": (lambda d, b: ("--index", b / "index.bin", "--reports", REPORTS,
+                                         "--glossary", GLOSSARY,
+                                         "--cache", _write(d / "c.jsonl", "{broken\n")), False),
+    "unknown-query-id": (lambda d, b: ("--index", b / "index.bin", "--reports", REPORTS,
+                                       "--glossary", GLOSSARY, "--cache", d / "c.jsonl",
+                                       "--query", "SHOP-999"), False),
+    "no-usable-reports": (lambda d, b: ("--index", b / "index.bin", "--reports",
+                                        _write(d / "r.jsonl", NOT_FUNCTIONAL)), False),
+}
+
+
+class TestLocateFork:
+    """With a second usable CPU and numpy not loaded, locate forks a child
+    that prepares the queries while this process loads numpy and the index.
+    Its run and cache files, and its errors, must be those of a run in one
+    process."""
+
+    @pytest.mark.parametrize("technique, extra, modes, torn", [
+        ("vsm", (), LOCATE_MODES[:2], False),
+        ("rvsm", (), LOCATE_MODES[:2], False),
+        ("buglocator", (), LOCATE_MODES, False),
+        ("buglocator", ("--query", "SHOP-103", "--query", "SHOP-101"), LOCATE_MODES[:2], False),
+        ("buglocator", ("--no-translate",), LOCATE_MODES[:2], False),
+        ("buglocator", (), LOCATE_MODES[:2], True),
+    ], ids=["vsm", "rvsm", "buglocator", "query", "no-translate", "torn-cache"])
+    def test_same_run_and_cache_bytes(self, built, tmp_path, technique, extra, modes, torn):
+        # The cache starts with index's rows, and a torn last line if
+        # ``torn``; the cold run adds the reports' rows, the warm one none.
+        outputs, stderrs = [], set()
+        for cpus, numpy in modes:
+            cache = tmp_path / f"cache-{cpus}-{numpy}.jsonl"
+            if torn:
+                _torn_cache(cache, built)
+            else:
+                shutil.copy(built / "cache.jsonl", cache)
+            written = []
+            for temperature in ("cold", "warm"):
+                run = tmp_path / f"run-{cpus}-{numpy}-{temperature}"
+                result, forks = _locate(
+                    tmp_path, cpus, numpy, "--index", built / "index.bin", "--reports", REPORTS,
+                    "--glossary", GLOSSARY, "--cache", cache, "--technique", technique,
+                    *extra, "-o", run)
+                assert result.returncode == 0, result.stderr
+                assert forks == (cpus == 2 and not numpy)
+                stderrs.add((temperature, result.stderr.replace(str(cache), "CACHE")))
+                written += [run.read_bytes(), cache.read_bytes()]
+            assert_no_child_left()
+            outputs.append(written)
+        assert all(written == outputs[0] for written in outputs[1:])
+        assert len(stderrs) == 2  # one for each temperature
+        cold_run, cold_cache, warm_run, warm_cache = outputs[0]
+        assert warm_run == cold_run and warm_cache == cold_cache
+        rows = (built / "cache.jsonl").read_bytes()
+        if "--no-translate" in extra:
+            assert cold_cache == rows
+        else:  # the cold run appended the reports' rows
+            assert cold_cache.startswith(rows) and cold_cache.endswith(b"\n")
+            assert len(cold_cache) > len(rows)
+
+    @pytest.mark.parametrize("case", sorted(LOCATE_ERRORS))
+    def test_same_error_either_way(self, built, tmp_path, case):
+        # Each run has a directory of its own, and the files in it after
+        # the run (a cache that took rows before the error, say) must match.
+        make_args, before_fork = LOCATE_ERRORS[case]
+        errors, files = {}, {}
+        for cpus in (1, 2):
+            d = tmp_path / f"cpus{cpus}"
+            d.mkdir()
+            result, forks = _locate(tmp_path, cpus, False, *make_args(d, built), "-o", d / "run")
+            assert result.returncode == 1, result.stderr
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+            assert forks == (cpus == 2 and not before_fork)
+            errors[cpus] = result.stderr.replace(str(d), "DIR")
+            files[cpus] = _contents(d)
+            assert not (d / "run").exists()
+            assert_no_child_left()
+        assert errors[1] == errors[2]
+        assert ("index.bin" in errors[1]) == (case in ("bad-metadata", "bad-arrays",
+                                                       "bad-arrays-and-reports"))
+        assert files[1] == files[2]
+        if case == "unknown-query-id":  # the rows translated before the error are kept
+            assert _sources(tmp_path / "cpus1" / "c.jsonl")
+
+    def test_child_runs_on_a_cpu_of_its_own_and_the_mask_comes_back(self, built, tmp_path):
+        # Forced to fork on a one-CPU mask, as CI's one-CPU step runs it,
+        # locate leaves its child where it is; on more CPUs the child runs on
+        # the second alone. This process gets its mask back either way.
+        log = tmp_path / "child_mask.txt"
+        code = (LOGGED_CHILD_MASK.format(log=str(log))
+                + _runs(("locate", "--index", built / "index.bin", "--reports", REPORTS,
+                         "--out-dir", tmp_path))
+                + "sys.exit(os.sched_getaffinity(0) != before and 'mask not restored')\n")
+        result = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                                env=dict(os.environ, PYTHONPATH=CROLOC_ROOT),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        usable = sorted(os.sched_getaffinity(0))
+        child = json.loads(log.read_text("utf-8"))
+        assert child == (usable[1:2] if len(usable) > 1 else usable)
+
+
+# Forces two usable CPUs, keeps this process's mask as ``before``, and
+# writes to {log} the mask of the process other than this one that tokenizes.
+LOGGED_CHILD_MASK = """
+import json, os, sys, croloc.corpus, croloc.index
+croloc.corpus._usable_cpus = lambda: 2
+tokenize, parent, before = croloc.index.tokenize, os.getpid(), os.sched_getaffinity(0)
+
+def logged(text, stemming=False):
+    if os.getpid() != parent:
+        with open({log!r}, "w", encoding="utf-8") as fh:
+            json.dump(sorted(os.sched_getaffinity(0)), fh)
+    return tokenize(text, stemming)
+croloc.index.tokenize = logged
+"""
+
+
 # The CLI, with any tree cut into one chunk for each of two CPUs however
 # small it is, so that index runs in two processes.
 FANNED_ENTRY = ("import sys, croloc.corpus; from croloc.cli import main\n"
                 "croloc.corpus.MIN_CHUNK_BYTES = 1\n"
                 "croloc.corpus._usable_cpus = lambda: 2\n"
                 "sys.exit(main())")
+
+
+# Makes the file {foreign} if any process but this one opens the --cache
+# file for writing or truncates it; LOCATE_ENTRY follows it.
+CACHE_WRITES_WATCHED = """
+import os, sys
+parent = os.getpid()
+cache = os.path.abspath(sys.argv[sys.argv.index("--cache") + 1])
+writes = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_TRUNC | os.O_CREAT
+
+def audit(event, args):
+    if os.getpid() == parent or event not in ("open", "os.truncate"):
+        return
+    if isinstance(args[0], int) or os.path.abspath(os.fsdecode(args[0])) != cache:
+        return
+    if event == "os.truncate" or args[2] & writes:
+        with open({foreign!r}, "a", encoding="utf-8") as fh:
+            fh.write(f"{{os.getpid()}}: {{event}} {{args}}\\n")
+sys.addaudithook(audit)
+"""
+
+
+def _gone(pid):
+    """Whether process ``pid``, not a child of this one, has exited: it is
+    gone, or a zombie that its new parent has yet to reap."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rpartition(b")")[2].split()[0] == b"Z"
+    except FileNotFoundError:  # exited since
+        return True
 
 
 def _cache_keys(path):
@@ -1095,12 +1361,14 @@ class TestKilledRuns:
             proc.send_signal(signal.SIGKILL)
         return proc.wait(timeout=60) == -signal.SIGKILL
 
-    def _check(self, tmp_path, name, args, outs, cache=None, entry=FANNED_ENTRY):
+    def _check(self, tmp_path, name, args, outs, cache=None, entry=FANNED_ENTRY,
+               after_kill=None):
         """Run ``args`` clean, then kill it at seeded points, from shortly
         before its first write to halfway from there to its exit (the rest
         is mostly the interpreter's shutdown), and rerun it; each run starts
         from the cache as it is now, if there is one, and none of ``outs``
-        (files or directories)."""
+        (files or directories). ``after_kill``, if given, is called once
+        each killed run is reaped."""
         start_cache = cache.read_bytes() if cache and cache.exists() else b""
         watched = [*outs, cache] if cache else outs
 
@@ -1129,6 +1397,8 @@ class TestKilledRuns:
             reset()
             killed += self._killed(entry, args, tmp_path, delay)
             assert_no_child_left()
+            if after_kill is not None:
+                after_kill()
             rerun = self._start(entry, args, tmp_path)
             assert rerun.wait(timeout=60) == 0, f"rerun after a kill at {delay:.3f} s"
             assert_no_child_left()
@@ -1144,6 +1414,34 @@ class TestKilledRuns:
                                         "-o", index], [index], cache)
         self._check(tmp_path, "locate", ["locate", "--index", index, "--reports",
                                          small_project.reports, *common, "-o", run], [run], cache)
+
+    def test_forked_locate_killed_on_a_cold_cache(self, small_project, tmp_path):
+        # The cache starts empty, so locate appends a row for each report
+        # text. Only the command's own process writes the cache, and the
+        # child it forked is gone soon after the killed command is reaped.
+        cache, index, run = tmp_path / "cache.jsonl", tmp_path / "index.bin", tmp_path / "run"
+        forks, foreign = tmp_path / "forks.txt", tmp_path / "foreign_write.txt"
+        assert cli.main(["index", "--tree", str(small_project.tree), "--glossary",
+                         str(small_project.glossary), "-o", str(index)]) == 0
+        cache.write_bytes(b"")
+
+        def child_gone_and_no_foreign_write():
+            deadline = time.monotonic() + 10
+            for pid in _pids(forks):
+                while not _gone(pid):
+                    assert time.monotonic() < deadline, f"child {pid} outlived its parent"
+                    time.sleep(0.01)
+            forks.unlink(missing_ok=True)
+            assert not foreign.exists(), foreign.read_text("utf-8")
+        entry = (CACHE_WRITES_WATCHED.format(foreign=str(foreign))
+                 + LOCATE_ENTRY.format(cpus=2, numpy=False, forks=str(forks)))
+        self._check(tmp_path, "locate-forked-cold",
+                    ["locate", "--index", index, "--reports", small_project.reports,
+                     "--glossary", small_project.glossary, "--cache", cache, "-o", run],
+                    [run], cache, entry, child_gone_and_no_foreign_write)
+        assert _pids(forks), "no run forked"
+        assert len(_cache_keys(cache)) > 0
+        child_gone_and_no_foreign_write()
 
     def test_one_process_index_translate_qrels_and_eval_killed(self, small_project, tmp_path):
         # Under ENTRY, index keeps a tree this small in one process.

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from croloc.corpus import (
     normalize_path,
     parse_rfc3339,
     report_to_obj,
+    run_tasks,
     typed,
 )
 from croloc.errors import CorpusError, CrolocError, EvalError, ReportFormatError
@@ -363,6 +365,21 @@ class TestFanOut:
                 return list(chunk)
             with pytest.raises(ValueError, match=f"{failing} failed"):
                 _chunked(work, list(range(3)))
+        assert_no_child_left()
+
+    def test_run_tasks_runs_the_first_here_and_each_other_in_a_child(self):
+        # The results come in task order, and the other tasks see this
+        # process's state as it was when they were forked.
+        parent, state = os.getpid(), ["forked"]
+
+        def task(k):
+            return k, os.getpid() == parent, state[0]
+        with contextlib.closing(run_tasks([functools.partial(task, k)
+                                           for k in range(3)])) as results:
+            first = next(results)
+            state[0] = "changed"
+            assert [first, *results] == [(0, True, "forked"), (1, False, "forked"),
+                                         (2, False, "forked")]
         assert_no_child_left()
 
     def test_child_stops_once_its_parent_is_gone(self):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import socket
 
 import pytest
@@ -221,6 +222,30 @@ class TestTranslationCache:
         reloaded = TranslationCache(str(path))
         assert reloaded.get("glossary", "在庫") == "inventory"
         assert reloaded.get("glossary", "同期") == "sync"
+
+    def test_cache_another_process_owns_holds_rows_and_the_cut(self, cache_at, tmp_path,
+                                                               caplog):
+        # Loaded in a process that does not own the file, the cache writes
+        # nothing: it holds its new rows, and leaves a torn last line for
+        # the owner to cut off at ``cut``.
+        path = tmp_path / "c.jsonl"
+        cache_at(path).put_many("glossary", [("在庫", "inventory")])
+        whole = path.read_bytes()
+        path.write_bytes(whole + b'{"backend": "glo')
+        with caplog.at_level("WARNING", logger="croloc.translate"):
+            cache = TranslationCache(str(path), owner=os.getpid() + 1)
+        assert "unterminated" in caplog.text
+        assert cache.cut == len(whole) and len(cache) == 1
+        cache.put_many("glossary", [("在庫", "inventory"), ("同期", "sync")])
+        assert path.read_bytes() == whole + b'{"backend": "glo'
+        held = cache.take_held()
+        assert [(key, translation) for key, translation, _ in held] == [
+            (("glossary", "同期"), "sync")]
+        assert cache.take_held() == []
+        # What the owner writes of them is what put_many would have.
+        owner = cache_at(tmp_path / "owner.jsonl")
+        owner.put_many("glossary", [("在庫", "inventory"), ("同期", "sync")])
+        assert (tmp_path / "owner.jsonl").read_bytes() == whole + held[0][2].encode() + b"\n"
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "c.jsonl"
