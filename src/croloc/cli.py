@@ -24,7 +24,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from contextlib import AbstractContextManager, closing, nullcontext
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import DEFAULT_ALPHA, DEFAULT_TOP_K, MODES, TECHNIQUES
 from .corpus import (
@@ -46,10 +46,9 @@ from .errors import ConfigError, CrolocError
 
 if TYPE_CHECKING:
     from array import array
-    from datetime import datetime
 
     from .corpus import BugReport
-    from .index import Index, IndexMeta
+    from .index import Index
     from .translate import CacheRow, TranslatorBackend
 
 # Names taken from modules that not every command needs. They become globals
@@ -324,58 +323,23 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Ranked(NamedTuple):
-    """What ranking needs of a bug report: ``row`` is its query vector's
-    row."""
-
-    id: str
-    reported_at: datetime
-    resolved_at: datetime | None
-    fixed_paths: tuple[str, ...]
-    row: int
-
-
-class _Prepared(NamedTuple):
-    """locate's queries, ready to rank: the CSR arrays of one query vector
-    per distinct text (``query_weights``), the queries in run order, and
-    BugLocator's history reports (None for the other techniques)."""
-
-    weights: tuple[array, array, array, array]
-    queries: list[_Ranked]
-    history: list[_Ranked] | None
-
-
-def _prepare_queries(args: argparse.Namespace, reports: list[BugReport],
-                     meta: IndexMeta) -> _Prepared:
-    """The queries --query names, or else the usable reports, weighed over
-    the index ``meta`` describes, with the history if ranking needs it."""
+def _query_positions(args: argparse.Namespace, reports: list[BugReport],
+                     paths: Sequence[str]) -> list[int]:
+    """The positions in ``reports`` of the reports to rank: those --query
+    names, or else the reports usable over the index's ``paths``."""
+    at = {r.id: i for i, r in enumerate(reports)}
     if args.query:
-        by_id = {r.id: r for r in reports}
-        missing = [q for q in args.query if q not in by_id]
-        if missing:
+        if missing := [q for q in args.query if q not in at]:
             raise ConfigError(f"unknown report ids: {', '.join(missing)}")
         # A run file ranks each query once.
-        queries = [by_id[q] for q in dict.fromkeys(args.query)]
-    else:
-        queries, excluded = filter_usable_reports(reports, set(meta.paths))
-        for ex in excluded:
-            log.info("report %s excluded: %s", ex.report.id, ex.reason)
-        if not queries:
-            raise ConfigError("no usable bug reports to rank; "
-                              "use --query to force specific ids")
-
-    # Queries are usually history too: weigh each distinct text once, into
-    # one matrix that the history and the queries take their rows from.
-    from .index import tokenize  # looked up now, as in index_documents
-    history = reports if args.technique == "buglocator" else None
-    texts = list(dict.fromkeys(r.query_text for r in (queries if history is None else history)))
-    weights = query_weights([tokenize(text, meta.stemming) for text in texts], meta)
-    row_of = {text: i for i, text in enumerate(texts)}
-
-    def ranked(found: list[BugReport]) -> list[_Ranked]:
-        return [_Ranked(r.id, r.reported_at, r.resolved_at, r.fixed_paths, row_of[r.query_text])
-                for r in found]
-    return _Prepared(weights, ranked(queries), None if history is None else ranked(history))
+        return [at[q] for q in dict.fromkeys(args.query)]
+    queries, excluded = filter_usable_reports(reports, set(paths))
+    for ex in excluded:
+        log.info("report %s excluded: %s", ex.report.id, ex.reason)
+    if not queries:
+        raise ConfigError("no usable bug reports to rank; "
+                          "use --query to force specific ids")
+    return [at[r.id] for r in queries]
 
 
 def _write_held(path: str, cut: int | None, rows: list[CacheRow]) -> None:
@@ -394,15 +358,14 @@ def cmd_locate(args: argparse.Namespace) -> int:
     """Rank the files of the index for each query into a run file.
 
     Only scoring needs numpy, and importing it takes most of a short run. So
-    once the options and the index's metadata line are checked, the index's
-    arrays and the queries are made at once where a CPU is spare and numpy
-    is not loaded yet: this process imports numpy and loads the arrays,
-    while a forked child, which never loads numpy, reads, translates,
-    filters, tokenizes and weighs the queries. Otherwise this process does
-    both, in that order. The child hands back the translation cache rows it
-    made, and the cut of the file's torn last line if it found one, and this
-    process, the cache's owner, writes them, so that it alone writes the
-    cache file, and the run and cache bytes are a one-process run's.
+    once the options and the index's metadata line are checked, where a CPU
+    is spare and numpy is not loaded yet, this process imports numpy and
+    loads the index's arrays while a forked child, which never loads numpy,
+    reads, translates, tokenizes and weighs every report; otherwise this
+    process does both, in that order. This process, the translation cache's
+    owner, alone writes the cache file: the rows the child made, and the cut
+    of a torn last line it found. So the run and cache bytes are a
+    one-process run's. The queries are then picked among the reports.
     """
     _bind("index")
     reports_path = _require(args, "reports")
@@ -427,50 +390,48 @@ def cmd_locate(args: argparse.Namespace) -> int:
         index.postings, index.path_rank, index.length_factor
         return index
 
-    def prepare() -> tuple[_Prepared | None, int | None, list[CacheRow], CrolocError | None]:
+    def prepare() -> tuple[list[BugReport] | None, tuple[array, array, array, array] | None,
+                           int | None, list[CacheRow], CrolocError | None]:
         _bind("translate")
-        cache = prepared = error = None
+        from .index import tokenize  # looked up now, as in index_documents
+        cache = reports = weights = error = None
         try:
             reports = load_bug_reports(reports_path)
             if (backend := _translating_backend(args)) is not None:
                 with _make_cache(args.cache, owner) as cache:
                     reports = translate_reports(reports, backend, cache)
-            prepared = _prepare_queries(args, reports, meta)
-        # Raised once the cache rows made before it are written, as in
-        # index_documents.
+            weights = query_weights([tokenize(r.query_text, meta.stemming) for r in reports], meta)
+        # Raised once the cache rows made before it are written, as in index_documents.
         except CrolocError as exc:
             error = exc
-        if cache is None:
-            return prepared, None, [], error
-        return prepared, cache.cut, cache.take_held(), error
+        held = (None, []) if cache is None else (cache.cut, cache.take_held())
+        return reports, weights, *held, error
 
     halves = (load_arrays, prepare)
     # With numpy loaded already, as under a tracer, there is no import to hide.
     if spare_cpu() and "numpy" not in sys.modules:
         with closing(run_tasks(halves)) as done:
-            index, (prepared, cut, held, error) = done
+            index, (reports, weights, cut, held, error) = done
     else:
-        index, (prepared, cut, held, error) = (half() for half in halves)
+        index, (reports, weights, cut, held, error) = (half() for half in halves)
     if args.cache:
         _write_held(args.cache, cut, held)
     if error is not None:
         raise error
 
-    rows = QueryRows(*prepared.weights)
-    history = (None if prepared.history is None else
-               HistorySet.build(prepared.history, index,
-                                rows.take([r.row for r in prepared.history])))
-    ranked = prepared.queries
-    asked = rows.take([r.row for r in ranked])
-    reported_at = [r.reported_at for r in ranked]
+    picked = _query_positions(args, reports, index.paths)
+    rows = QueryRows(*weights)
+    history = HistorySet.build(reports, index, rows) if args.technique == "buglocator" else None
+    asked = rows.take(picked)
+    reported_at = [reports[i].reported_at for i in picked]
     paths = index.paths
     rankings = []
     for lo, hi in query_chunks(asked, index, history):
         scores = score_documents(asked.take(range(lo, hi)), index, args.technique,
                                  history, args.alpha, reported_at[lo:hi])
-        for report, row in zip(ranked[lo:hi], scores):
+        for i, row in zip(picked[lo:hi], scores):
             order = make_ranking(row, index, args.top_k)
-            rankings.append((report.id, [paths[d] for d in order.tolist()],
+            rankings.append((reports[i].id, [paths[d] for d in order.tolist()],
                              row[order].tolist()))
 
     out_path = args.out or _default_run_path(args)
@@ -636,6 +597,12 @@ def main(argv: list[str] | None = None) -> int:
     except (CrolocError, OSError, UnicodeDecodeError) as exc:
         # A missing or unreadable input file is the user's error, not a bug.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        # numpy is the one dependency, and only locate imports it.
+        if (exc.name or "").partition(".")[0] != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed", file=sys.stderr)
         return 1
 
 

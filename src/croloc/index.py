@@ -554,6 +554,7 @@ def _array_problem(index: Index) -> str | None:
         norms = np.sqrt(np.bincount(rows, weights=data * data, minlength=n_docs))
     if not np.allclose(index.norms, norms, rtol=1e-9, atol=0.0):
         return "a norm differs from the Euclidean norm of its row"
-    if (index.term_counts < 0).any():
-        return "negative term count"
+    # A float64 count of 1 or more, stored where an int64 belongs, reads as 2**53 or more.
+    if ((index.term_counts < 0) | (index.term_counts >= 2 ** 53)).any():
+        return "term count outside 0 to 2**53 - 1"
     return None

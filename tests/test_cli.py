@@ -598,7 +598,7 @@ class TestImports:
 
     def test_locate_child_never_loads_numpy(self, built, tmp_path):
         # locate's forked child reads, translates, tokenizes and weighs the
-        # queries without numpy: an import of it fails there, and the child
+        # reports without numpy: an import of it fails there, and the child
         # logs that it tokenized with numpy absent. This process ranks.
         log = tmp_path / "tokenized.txt"
         code = TOKENIZE_LOGGED.format(min_bytes=1 << 40, log=str(log))
@@ -1091,11 +1091,12 @@ def _pids(path):
     return [int(line) for line in path.read_text("utf-8").split()] if path.exists() else []
 
 
-def _locate(tmp_path, cpus, numpy, *args):
-    """(result, number of forks) of a locate run under ``LOCATE_ENTRY``."""
+def _locate(tmp_path, cpus, numpy, *args, prelude=""):
+    """(result, number of forks) of a locate run under ``LOCATE_ENTRY``,
+    with the code ``prelude`` run first."""
     forks = tmp_path / "forks.txt"
     forks.unlink(missing_ok=True)
-    code = LOCATE_ENTRY.format(cpus=cpus, numpy=numpy, forks=str(forks))
+    code = prelude + LOCATE_ENTRY.format(cpus=cpus, numpy=numpy, forks=str(forks))
     result = subprocess.run([sys.executable, "-c", code, "locate", *map(str, args)],
                             cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=CROLOC_ROOT),
                             capture_output=True, text=True, timeout=120)
@@ -1122,6 +1123,19 @@ def _reports_with(path, *lines):
     """The fixture's reports and then ``lines``."""
     path.write_text(REPORTS.read_text("utf-8") + "".join(lines), encoding="utf-8")
     return path
+
+
+# Makes every later import of numpy, or of a module of it, fail as it does
+# where numpy is not installed.
+NUMPY_MISSING = """
+import sys
+class NumpyMissing:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, NumpyMissing)
+"""
 
 
 NOT_FUNCTIONAL = json.dumps({"id": "N-1", "summary": "s", "reported_at": "2024-01-01T00:00:00Z",
@@ -1152,7 +1166,7 @@ LOCATE_ERRORS = {
 
 class TestLocateFork:
     """With a second usable CPU and numpy not loaded, locate forks a child
-    that prepares the queries while this process loads numpy and the index.
+    that weighs the reports while this process loads numpy and the index.
     Its run and cache files, and its errors, must be those of a run in one
     process."""
 
@@ -1222,6 +1236,40 @@ class TestLocateFork:
         if case == "unknown-query-id":  # the rows translated before the error are kept
             assert _sources(tmp_path / "cpus1" / "c.jsonl")
 
+    def test_duplicate_report_texts_rank_alike(self, built, tmp_path, monkeypatch):
+        # SHOP-193 is SHOP-103 under another id. Each is weighed into a row
+        # of its own, and the two rank alike, forked or not.
+        records = [json.loads(line) for line in REPORTS.read_text("utf-8").splitlines()]
+        twin = {**next(r for r in records if r["id"] == "SHOP-103"), "id": "SHOP-193"}
+        reports = _write(tmp_path / "reports.jsonl", "".join(
+            json.dumps(r, ensure_ascii=False) + "\n" for r in [*records, twin]))
+        weighed, query_weights = [], cli.query_weights
+
+        def counted(token_lists, index):
+            weighed.append(len(token_lists))
+            return query_weights(token_lists, index)
+        monkeypatch.setattr(cli, "query_weights", counted)
+        assert cli.main([str(a) for a in ("locate", "--index", built / "index.bin",
+                                          "--reports", reports, "--glossary", GLOSSARY,
+                                          "-o", tmp_path / "run")]) == 0
+        assert weighed == [len(records) + 1]
+        written = []
+        for cpus in (1, 2):
+            cache, run = tmp_path / f"cache{cpus}.jsonl", tmp_path / f"run{cpus}"
+            shutil.copy(built / "cache.jsonl", cache)
+            result, forks = _locate(tmp_path, cpus, False, "--index", built / "index.bin",
+                                    "--reports", reports, "--glossary", GLOSSARY,
+                                    "--cache", cache, "-o", run)
+            assert result.returncode == 0, result.stderr
+            assert forks == (cpus == 2)
+            written.append((run.read_bytes(), cache.read_bytes()))
+            assert_no_child_left()
+        assert written[1] == written[0]
+        assert written[0][0] == (tmp_path / "run").read_bytes()
+        blocks = {query: [line.split(None, 1)[1] for line in lines]
+                  for query, lines in _blocks(tmp_path / "run1").items()}
+        assert blocks["SHOP-193"] and blocks["SHOP-193"] == blocks["SHOP-103"]
+
     def test_child_runs_on_a_cpu_of_its_own_and_the_mask_comes_back(self, built, tmp_path):
         # Forced to fork on a one-CPU mask, as CI's one-CPU step runs it,
         # locate leaves its child where it is; on more CPUs the child runs on
@@ -1238,6 +1286,38 @@ class TestLocateFork:
         usable = sorted(os.sched_getaffinity(0))
         child = json.loads(log.read_text("utf-8"))
         assert child == (usable[1:2] if len(usable) > 1 else usable)
+
+
+class TestMissingNumpy:
+    """Without numpy, locate, which alone needs it, ends in one error line."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_locate_either_way(self, built, tmp_path, cpus):
+        # numpy's import fails in this process, which loads the arrays while
+        # the child, if forked, weighs the reports; the child is stopped.
+        result, forks = _locate(tmp_path, cpus, False, "--index", built / "index.bin",
+                                "--reports", REPORTS, "--glossary", GLOSSARY,
+                                "-o", tmp_path / "run", prelude=NUMPY_MISSING)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == "error: locate needs numpy, which is not installed\n"
+        assert forks == (cpus == 2)
+        assert all(_gone(pid) for pid in _pids(tmp_path / "forks.txt"))
+        assert not (tmp_path / "run").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("name, caught", [
+        ("numpy", True), ("numpy.linalg", True), ("numpyx", False), ("yaml", False),
+        (None, False)])
+    def test_only_numpy_becomes_an_error_line(self, monkeypatch, capsys, name, caught):
+        def missing(args):
+            raise ModuleNotFoundError("no module", name=name)
+        monkeypatch.setattr(cli, "cmd_locate", missing)
+        if caught:
+            assert cli.main(["locate"]) == 1
+            assert capsys.readouterr().err == "error: locate needs numpy, which is not installed\n"
+        else:
+            with pytest.raises(ModuleNotFoundError):
+                cli.main(["locate"])
 
 
 # Forces two usable CPUs, keeps this process's mask as ``before``, and

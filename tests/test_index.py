@@ -780,6 +780,9 @@ class TestLoadValidation:
         _swap_first_term_ids,
         _repeat_first_term_id,
         _set("term_counts", 1, -1),
+        _set("term_counts", 1, 2 ** 53),
+        # Every float64 of 1 or more reads as an int64 of at least 2**53.
+        _stored_as("term_counts", "<f8"),
         _set("doc_freq", 0, 0),
         _set("doc_freq", 0, 4),
         _set("doc_freq", 0, 1),
@@ -803,6 +806,7 @@ class TestLoadValidation:
             "edited-weight", "doc-freq-length",
             "norms-length", "term-counts-length", "data-length", "indptr-start",
             "indptr-end", "term-ids-descending", "term-id-repeated", "negative-term-count",
+            "term-count-of-2**53", "float-term-counts",
             "doc-freq-zero", "doc-freq-above-doc-count", "doc-freq-not-row-count",
             "bool-term-id", "float-indptr",
             "string-term-count", "string-weight", "bool-weight", "null-norm",
