@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from contextlib import AbstractContextManager, closing, nullcontext
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
@@ -177,7 +177,7 @@ def _make_cache(path: str | None,
     this one."""
     if not path:
         return nullcontext()
-    return TranslationCache(path) if owner is None else TranslationCache(path, owner)
+    return TranslationCache(path, owner)
 
 
 def _translating_backend(args: argparse.Namespace) -> TranslatorBackend | None:
@@ -206,11 +206,10 @@ def index_documents(documents: Sequence[SourceDocument], stemming: bool,
     # sees every call.
     from .index import build_index, clear_memo, tokenize
 
-    def translate_and_tokenize(chunk: Iterable[SourceDocument]) -> tuple[
+    def translate_and_tokenize(translated: Sequence[SourceDocument]) -> tuple[
             list[list[str]], list[CacheRow], CrolocError | None]:
         # All translating, then all tokenizing: alternating the two per
         # document made the index command 5-12% slower on a 2-CPU VM.
-        translated = list(chunk)
         if backend is not None:
             try:
                 translated = [doc for doc, _ in translate_documents(translated, backend, cache)]

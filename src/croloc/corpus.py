@@ -8,8 +8,9 @@ and at least one fixed source file present in the corpus.
 The line-oriented readers and the run and index writers share this module's
 text-file helpers, ``read_lines`` and ``write_atomically``, and every reader
 of JSON input parses it with ``parse_json`` and checks its fields with ``typed``.
-``run_tasks`` runs tasks at once in forked processes, and ``fan_out``
-spreads independent per-document work over the usable CPUs through it.
+``run_tasks`` runs tasks at once in forked processes, each of which stops
+once its parent is gone, and ``fan_out`` spreads independent per-document
+work over the usable CPUs through it.
 """
 from __future__ import annotations
 
@@ -20,8 +21,10 @@ import logging
 import math
 import os
 import re
+import threading
+import time
 from bisect import bisect_left
-from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import accumulate, pairwise
@@ -141,22 +144,22 @@ def _chunks(sizes: Sequence[int]) -> list[tuple[int, int]]:
     return list(pairwise(sorted({0, len(sizes), *cuts})))
 
 
-def _while_parent_lives(chunk: Sequence[_T], parent: int) -> Iterator[_T]:
-    """The items of ``chunk``; the process exits before the next one once
-    the ``parent`` process is gone."""
-    for item in chunk:
-        if os.getppid() != parent:
-            os._exit(1)
-        yield item
-
-
-def _work_in_child(task: Callable[[], _R], pipe: int, cpu: int | None) -> NoReturn:
+def _work_in_child(task: Callable[[], _R], pipe: int, cpu: int | None,
+                   parent: int) -> NoReturn:
     """Send ``task()``, or the exception it raised, through ``pipe``,
-    pickled, and exit, having run on ``cpu`` alone unless it is None. It
-    never returns: whatever called ``run_tasks`` (a test runner, a tracer,
-    atexit handlers) runs on in the parent alone."""
+    pickled, and exit, having run on ``cpu`` alone unless it is None; exit
+    with 1 as soon as process ``parent`` is found gone. It never returns:
+    whatever called ``run_tasks`` (a test runner, a tracer, atexit handlers)
+    runs on in the parent alone."""
     import pickle
 
+    def exit_once_orphaned() -> None:
+        # A killed parent cannot kill its children, and a child that goes
+        # on may keep calling a paid translation service.
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+    threading.Thread(target=exit_once_orphaned, daemon=True).start()
     status = 1
     try:
         if cpu is not None:
@@ -194,8 +197,10 @@ def run_tasks(tasks: Sequence[Callable[[], _R]]) -> Iterator[_R]:
     """``task()`` of each of ``tasks``, in turn. This process runs the first,
     and a child forked from it each other one, at the same time. A child
     sends its result back pickled, so a task must return a picklable value,
-    and a forked one must run only pure-Python code: a forked child has no
-    thread but the one that forked it, so a numpy (BLAS) call could hang.
+    and a forked one must run only pure-Python code: a forked child has none
+    of this process's other threads, such as BLAS's, so a numpy call could
+    hang. A child checks every 0.1 s that this process lives, and exits once
+    it is gone, so no child outlives a killed parent by more than that.
 
     While the children run, this process runs on the first CPU of its
     affinity mask alone, and each child on the next one, where one is left.
@@ -218,6 +223,7 @@ def run_tasks(tasks: Sequence[Callable[[], _R]]) -> Iterator[_R]:
     import pickle
 
     first, *rest = tasks
+    parent = os.getpid()
     mask = os.sched_getaffinity(0) if rest and hasattr(os, "sched_getaffinity") else set()
     cpus = sorted(mask)  # task k runs on cpus[k], where there is one
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in task order
@@ -227,7 +233,7 @@ def run_tasks(tasks: Sequence[Callable[[], _R]]) -> Iterator[_R]:
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _work_in_child(task, write, cpus[k] if k < len(cpus) else None)
+                _work_in_child(task, write, cpus[k] if k < len(cpus) else None, parent)
             os.close(write)
             children.append((pid, read))
         if mask:
@@ -257,21 +263,16 @@ def run_tasks(tasks: Sequence[Callable[[], _R]]) -> Iterator[_R]:
             _set_affinity(mask)
 
 
-def fan_out(work: Callable[[Iterable[_T]], _R], items: Sequence[_T],
+def fan_out(work: Callable[[Sequence[_T]], _R], items: Sequence[_T],
             sizes: Sequence[int]) -> Iterator[_R]:
     """``work(chunk)`` for each contiguous chunk of ``items`` in turn, so
     that the results come in item order. ``sizes`` weighs each item, and
-    ``_chunks`` sets the chunks; ``work`` gets a chunk as an iterable to go
-    through once. The chunks are ``run_tasks``' tasks, so this process works
+    ``_chunks`` sets the chunks; ``work`` gets a chunk as a slice of
+    ``items``. The chunks are ``run_tasks``' tasks, so this process works
     through the first and a forked child through each other one, and a child
-    goes on to its next item only while this process lives."""
-    parent = os.getpid()
-
-    def chunk_work(start: int, end: int) -> _R:
-        chunk = items[start:end]
-        return work(chunk if os.getpid() == parent else _while_parent_lives(chunk, parent))
-    return run_tasks([functools.partial(chunk_work, *bounds)
-                      for bounds in _chunks(sizes) or [(0, 0)]])
+    stops as soon as this process is gone."""
+    return run_tasks([functools.partial(work, items[start:end])
+                      for start, end in _chunks(sizes) or [(0, 0)]])
 
 
 class SourceDocument(NamedTuple):

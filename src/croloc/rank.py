@@ -27,9 +27,6 @@ from datetime import datetime
 import numpy as np
 
 from . import DEFAULT_TOP_K, TECHNIQUES
-# No code here reads DEFAULT_ALPHA; it stays a name of this module for the
-# callers that pick buglocator's alpha.
-from . import DEFAULT_ALPHA  # noqa: F401
 from .corpus import BugReport
 from .index import Index, QueryRows, gather, transpose
 

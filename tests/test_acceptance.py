@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import AFTER_ALL, FIXTURES, history_of, history_set, index_texts
+from croloc import DEFAULT_ALPHA
 from croloc.corpus import (
     BugReport,
     filter_usable_reports,
@@ -34,7 +35,6 @@ from croloc.evalharness import (
 from croloc.extract import detect_japanese, extract_spans, japanese_segments
 from croloc.index import build_index, idf, query_rows, tokenize
 from croloc.rank import (
-    DEFAULT_ALPHA,
     buglocator_scores,
     make_ranking,
     rvsm_scores,

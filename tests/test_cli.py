@@ -987,8 +987,8 @@ class TestIndexFanOut:
         init = cache_class.__init__
         caches, loaded, at_tokenize = [], [], []
 
-        def recorded_init(self, path):
-            init(self, path)
+        def recorded_init(self, path, owner=None):
+            init(self, path, owner)
             caches.append(self)
             loaded.append(len(self))
 
@@ -1364,6 +1364,24 @@ sys.addaudithook(audit)
 """
 
 
+# A glossary backend that takes 0.2 s a batch and translates one text a
+# batch, and appends the time each batch starts at to the file {calls}; any
+# tree splits into one chunk per CPU. LOCATE_ENTRY follows it.
+SLOW_BACKEND = """
+import time, croloc.corpus, croloc.translate
+croloc.corpus.MIN_CHUNK_BYTES = 1
+croloc.translate.BATCH_SIZE = 1
+translate_batch = croloc.translate.GlossaryBackend.translate_batch
+
+def slow_batch(self, texts):
+    with open({calls!r}, "a", encoding="utf-8") as fh:
+        fh.write(f"{{time.time()}}\\n")
+    time.sleep(0.2)
+    return translate_batch(self, texts)
+croloc.translate.GlossaryBackend.translate_batch = slow_batch
+"""
+
+
 def _gone(pid):
     """Whether process ``pid``, not a child of this one, has exited: it is
     gone, or a zombie that its new parent has yet to reap."""
@@ -1522,6 +1540,39 @@ class TestKilledRuns:
         assert _pids(forks), "no run forked"
         assert len(_cache_keys(cache)) > 0
         child_gone_and_no_foreign_write()
+
+    @pytest.mark.parametrize("command", ["index", "locate"])
+    def test_forked_worker_stops_with_its_killed_run(self, small_project, tmp_path, command):
+        # Killed while its forked worker still has texts to send to a slow
+        # backend on an empty cache, the run leaves no worker calling it.
+        cache, index = tmp_path / "cache.jsonl", tmp_path / "index.bin"
+        forks, calls = tmp_path / "forks.txt", tmp_path / "calls.txt"
+        glossary = ["--glossary", small_project.glossary, "--cache", cache]
+        if command == "index":
+            args = ["index", "--tree", small_project.tree, *glossary, "-o", index]
+        else:
+            assert cli.main(["index", "--tree", str(small_project.tree), "--glossary",
+                             str(small_project.glossary), "-o", str(index)]) == 0
+            args = ["locate", "--index", index, "--reports", small_project.reports,
+                    *glossary, "-o", tmp_path / "run"]
+        cache.write_bytes(b"")
+        entry = (SLOW_BACKEND.format(calls=str(calls))
+                 + LOCATE_ENTRY.format(cpus=2, numpy=False, forks=str(forks)))
+        proc = self._start(entry, args, tmp_path)
+        with pytest.raises(subprocess.TimeoutExpired):
+            proc.wait(timeout=0.5)
+        killed_at = time.time()
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert _pids(forks), "no run forked"
+        for pid in _pids(forks):
+            while not _gone(pid):
+                assert time.time() < killed_at + 1, f"worker {pid} outlived its run by 1 s"
+                time.sleep(0.01)
+        late = [t - killed_at for t in map(float, calls.read_text("utf-8").split())
+                if t > killed_at + 1]
+        assert not late, f"backend calls began {late} s after the kill"
+        assert_no_child_left()
 
     def test_one_process_index_translate_qrels_and_eval_killed(self, small_project, tmp_path):
         # Under ENTRY, index keeps a tree this small in one process.

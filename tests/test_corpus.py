@@ -404,6 +404,23 @@ class TestFanOut:
                        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
         assert time.monotonic() - start < 5
 
+    def test_forked_task_stops_once_its_parent_is_gone(self):
+        # run_tasks' own process exits during the first task. The forked
+        # task sleeps 60 s in one call and holds the stdout pipe open until
+        # it exits, so the run takes a minute unless the task is cut short.
+        script = (
+            "import os, time\n"
+            "import croloc.corpus as c\n"
+            "def first():\n"
+            "    time.sleep(0.2)\n"
+            "    os._exit(0)\n"
+            "list(c.run_tasks([first, lambda: time.sleep(60)]))\n"
+        )
+        start = time.monotonic()
+        subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert time.monotonic() - start < 5
+
 
 class TestParseRfc3339:
     def test_z_suffix(self):

@@ -15,10 +15,9 @@ from conftest import AFTER_ALL, history_of, history_set
 from croloc.corpus import BugReport
 from croloc.errors import EvalError
 from croloc.evalharness import read_run_file, write_run_file
-from croloc import TECHNIQUES, rank
+from croloc import DEFAULT_ALPHA, TECHNIQUES, rank
 from croloc.index import build_index, query_rows
 from croloc.rank import (
-    DEFAULT_ALPHA,
     HistorySet,
     buglocator_scores,
     cosine,
